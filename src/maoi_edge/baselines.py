@@ -38,8 +38,7 @@ def solve_fmi(profiles: Sequence[DeviceProfile], config: SystemConfig,
     ev = ScenarioEvaluator(profiles, config, objective)
 
     def tau_rule(mu, x, _tau):
-        trans = ev.trans_times(x)
-        e = ev.energies(x, trans)
+        _, _, e = ev.pattern_state(x)
         return np.maximum(config.tau_min, e / ev.e_budget), 0
 
     def offload_rule(tau, mu, x):
@@ -79,16 +78,10 @@ def solve_gmo(profiles: Sequence[DeviceProfile], config: SystemConfig,
         base = np.zeros_like(x)
         base[sorted(fixed)] = 1
         load = float(base @ ev.payload)
-        cost_now = ev.system_cost(tau, mu, base)
-        best_d, best_gain = None, 0.0
-        for d in range(ev.n_devices):
-            if d in fixed or load + ev.payload[d] > config.capacity_threshold:
-                continue
-            trial = base.copy()
-            trial[d] = 1
-            gain = cost_now - ev.system_cost(tau, mu, trial)
-            if gain > best_gain:
-                best_d, best_gain = d, gain
+        candidates = np.nonzero((base == 0)
+                                & (load + ev.payload <= config.capacity_threshold))[0]
+        best_d, _ = ev.best_flip(tau, mu, base, candidates,
+                                 np.ones_like(candidates))
         if best_d is None:
             return base, []
         fixed.add(best_d)
@@ -117,10 +110,7 @@ def solve_idd(profiles: Sequence[DeviceProfile], config: SystemConfig,
     trans = ev.payload / rate
 
     def offload_rule(tau, mu, x):
-        age_loc = ev.age_term(tau, ev.t_local, ev.psi)
-        age_off = ev.age_term(tau, ev.t_edge0 + trans[:, None], ev.psi)
-        cost_loc = age_loc + mu * ((ev.e_sens + ev.e_comp) / tau - ev.e_budget)
-        cost_off = age_off + mu * ((ev.e_sens + ev.tx_power * trans) / tau - ev.e_budget)
+        cost_loc, cost_off = ev.branch_costs_at(tau, mu, trans)
         prefers = cost_off < cost_loc
         out = np.zeros_like(x)
         load = 0.0

@@ -8,6 +8,7 @@ or violated trend).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ import yaml
 from . import baselines, experiments, trends
 from .optimizer import ScenarioEvaluator
 from .scenario import generate_scenario
+from .system_model import DeviceProfile, SystemConfig
 
 log = logging.getLogger("maoi_edge")
 
@@ -27,6 +29,40 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
+
+
+#: Declared type of every numeric override field.  YAML 1.1 reads exponent
+#: forms without a dot (``3e7``, ``1e-13``) as strings, so these fields are
+#: coerced explicitly.
+_NUMERIC_FIELDS = {
+    **{f.name: f.type for cls in (SystemConfig, DeviceProfile)
+       for f in dataclasses.fields(cls)
+       if f.type in ("float", "int", "tuple[float, float, float]")},
+    "psi_range": "tuple[float, float]",
+    "path_loss_exponent": "float",
+}
+
+
+def _as_number(key: str, value, kind: str):
+    if not isinstance(value, str):
+        return value
+    try:
+        number = float(value)
+    except ValueError:
+        raise SystemExit(f"{key}: expected a number, got {value!r}") from None
+    return int(number) if kind == "int" and number.is_integer() else number
+
+
+def _coerce_numeric(overrides: dict) -> dict:
+    for key, value in overrides.items():
+        kind = _NUMERIC_FIELDS.get(key)
+        if kind is None:
+            continue
+        if kind.startswith("tuple") and isinstance(value, (list, tuple)):
+            overrides[key] = [_as_number(key, v, "float") for v in value]
+        else:
+            overrides[key] = _as_number(key, value, kind)
+    return overrides
 
 
 def _parse_overrides(pairs: list[str], config_path: str | None) -> dict:
@@ -49,7 +85,7 @@ def _parse_overrides(pairs: list[str], config_path: str | None) -> dict:
             raise SystemExit(f"--override needs key=value, got {pair!r}")
         key, value = pair.split("=", 1)
         overrides[key.strip()] = yaml.safe_load(value)
-    return overrides
+    return _coerce_numeric(overrides)
 
 
 def _seeds(base: int, count: int) -> tuple[int, ...]:

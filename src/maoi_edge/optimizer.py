@@ -189,12 +189,20 @@ def optimal_sampling_interval(terms: CostTerms, config: SystemConfig,
 # ---------------------------------------------------------------------------
 # vectorized scenario evaluation
 
+#: Pattern entries (trial rows x devices) scored per numpy pass by
+#: ``ScenarioEvaluator.best_flip``; a block holds ``TRIAL_BLOCK_ENTRIES // D``
+#: rows, which keeps its temporaries near 100 kB at any D.
+TRIAL_BLOCK_ENTRIES = 4096
+
+
 class ScenarioEvaluator:
     """Device-vectorized cost evaluation for one scenario and objective.
 
     Static per-device quantities (payloads, sensing/compute times, sensing
-    and compute energies) are precomputed; anything that depends on the
-    offload pattern is evaluated on demand.
+    and compute energies) are precomputed.  The pattern state (transmission
+    times, system times and per-update energies) of the latest offload
+    pattern is cached, keyed on the pattern's contents, so the blocks of an
+    outer iteration that see the same pattern share one evaluation.
     """
 
     def __init__(self, profiles: Sequence[DeviceProfile], config: SystemConfig,
@@ -232,14 +240,17 @@ class ScenarioEvaluator:
         self.t_edge_comp = t_ec
         self.t_local = sens + wait + t_lc       # full local system times
         self.t_edge0 = sens + t_ec              # edge system times minus transmission
-        # operation counter: device-cost element evaluations (complexity checks)
-        self.cost_elements = 0
+        self._pattern_key: bytes | None = None
+        self._pattern: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # -- pattern-dependent quantities ------------------------------------
+    # ``x`` may stack several patterns along leading axes (shape (..., D)).
 
     def rates(self, x: np.ndarray) -> np.ndarray:
         """Uplink rate every device would see, given the others' flags."""
-        total = float(x @ self.rx_power)
+        # one dot product per pattern, as ``x @ rx_power`` computes it for a
+        # single pattern, so stacked patterns get bit-identical totals
+        total = (x[..., None, :] @ self.rx_power[:, None])[..., 0]
         interference = total - x * self.rx_power
         sinr = self.rx_power / (self.config.noise_power + interference)
         return self.config.bandwidth * np.log2(1.0 + sinr)
@@ -251,37 +262,55 @@ class ScenarioEvaluator:
         return self.e_sens + np.where(x == 1, self.tx_power * trans, self.e_comp)
 
     def system_times(self, x: np.ndarray, trans: np.ndarray) -> np.ndarray:
-        return np.where((x == 1)[:, None], self.t_edge0 + trans[:, None], self.t_local)
+        return np.where((x == 1)[..., None], self.t_edge0 + trans[..., None],
+                        self.t_local)
+
+    def pattern_state(self, x: np.ndarray,
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(trans, t_sys, energies)`` of pattern ``x``, read-only.
+
+        Only the latest pattern is kept.  It is keyed on the contents of
+        ``x``, not its identity, because callers copy and edit patterns in
+        place.
+        """
+        key = x.tobytes()
+        if key != self._pattern_key:
+            trans = self.trans_times(x)
+            state = (trans, self.system_times(x, trans), self.energies(x, trans))
+            for arr in state:
+                arr.flags.writeable = False
+            self._pattern_key, self._pattern = key, state
+        return self._pattern
 
     # -- costs ------------------------------------------------------------
 
-    def age_term(self, tau: np.ndarray, t_sys: np.ndarray,
-                 psi: np.ndarray) -> np.ndarray:
-        phi = 1.0 + psi * (1.0 - np.exp(-self.lam[None, :] * tau[:, None]))
-        self.cost_elements += tau.size
-        return (phi * (0.5 * tau[:, None] + t_sys)).sum(axis=1)
+    def event_factors(self, tau: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """phi(tau) = 1 + psi (1 - exp(-lambda tau)) per device and modality."""
+        return 1.0 + psi * (1.0 - np.exp(-self.lam[None, :] * tau[:, None]))
 
-    def device_costs(self, tau: np.ndarray, mu: np.ndarray, x: np.ndarray,
-                     *, trans: np.ndarray | None = None) -> np.ndarray:
-        if trans is None:
-            trans = self.trans_times(x)
-        age = self.age_term(tau, self.system_times(x, trans), self.psi)
-        e = self.energies(x, trans)
+    def _penalized_costs(self, tau: np.ndarray, mu: np.ndarray,
+                         t_sys: np.ndarray, e: np.ndarray,
+                         phi: np.ndarray) -> np.ndarray:
+        """Weighted age plus energy penalty; ``t_sys``/``e`` may stack patterns."""
+        age = (phi * (0.5 * tau[:, None] + t_sys)).sum(axis=-1)
         return age + mu * (e / tau - self.e_budget)
+
+    def device_costs(self, tau: np.ndarray, mu: np.ndarray,
+                     x: np.ndarray) -> np.ndarray:
+        _, t_sys, e = self.pattern_state(x)
+        return self._penalized_costs(tau, mu, t_sys, e,
+                                     self.event_factors(tau, self.psi))
 
     def system_cost(self, tau: np.ndarray, mu: np.ndarray, x: np.ndarray) -> float:
         return float(self.device_costs(tau, mu, x).sum())
 
     def energy_violation(self, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Relative overdraw (Ebar - budget)/budget per device."""
-        trans = self.trans_times(x)
-        e = self.energies(x, trans)
+        _, _, e = self.pattern_state(x)
         return (e / tau - self.e_budget) / self.e_budget
 
     def cost_terms(self, d: int, mu_d: float, x: np.ndarray) -> CostTerms:
-        trans = self.trans_times(x)
-        t_sys = self.system_times(x, trans)
-        e = self.energies(x, trans)
+        _, t_sys, e = self.pattern_state(x)
         return CostTerms(psi=tuple(self.psi[d]), lambdas=tuple(self.lam),
                          t_sys=tuple(t_sys[d]), energy=float(e[d]),
                          energy_budget=float(self.e_budget[d]), mu=mu_d)
@@ -292,13 +321,10 @@ class ScenarioEvaluator:
                       ) -> tuple[np.ndarray, int]:
         """Algorithm-1 interval update for every device; returns Newton total."""
         cfg = self.config
-        trans = self.trans_times(x)
-        t_sys = self.system_times(x, trans)
-        e = self.energies(x, trans)
+        _, t_sys, e = self.pattern_state(x)
         tau_th = (2.0 * (1.0 - self.lam[None, :] * t_sys) / self.lam[None, :]).min(axis=1)
         tau_upper = np.maximum(cfg.tau_min, tau_th)
-        sphi_up = (1.0 + self.psi * (1.0 - np.exp(-self.lam[None, :]
-                                                  * tau_upper[:, None]))).sum(axis=1)
+        sphi_up = self.event_factors(tau_upper, self.psi).sum(axis=1)
         tau_sub = np.sqrt(2.0 * mu * e / sphi_up)
         tau_star = np.maximum(tau_th, np.maximum(cfg.tau_min, tau_sub))
         newton_total = 0
@@ -324,13 +350,17 @@ class ScenarioEvaluator:
         branch costs are valid simultaneously for the fixed pattern of the
         other devices.
         """
-        trans = self.trans_times(x)
-        age_loc = self.age_term(tau, self.t_local, self.psi)
-        age_off = self.age_term(tau, self.t_edge0 + trans[:, None], self.psi)
-        e_loc = self.e_sens + self.e_comp
-        e_off = self.e_sens + self.tx_power * trans
-        cost_loc = age_loc + mu * (e_loc / tau - self.e_budget)
-        cost_off = age_off + mu * (e_off / tau - self.e_budget)
+        trans, _, _ = self.pattern_state(x)
+        return self.branch_costs_at(tau, mu, trans)
+
+    def branch_costs_at(self, tau: np.ndarray, mu: np.ndarray, trans: np.ndarray,
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """Local and edge branch costs for given edge transmission times."""
+        phi = self.event_factors(tau, self.psi)
+        cost_loc = self._penalized_costs(tau, mu, self.t_local,
+                                         self.e_sens + self.e_comp, phi)
+        cost_off = self._penalized_costs(tau, mu, self.t_edge0 + trans[:, None],
+                                         self.e_sens + self.tx_power * trans, phi)
         return cost_loc, cost_off
 
     def admissible_offload(self, x: np.ndarray) -> np.ndarray:
@@ -347,6 +377,35 @@ class ScenarioEvaluator:
         br[cost_loc < cost_off] = 0
         return br
 
+    def best_flip(self, tau: np.ndarray, mu: np.ndarray, x: np.ndarray,
+                  devices: np.ndarray, targets: np.ndarray,
+                  ) -> tuple[int | None, float]:
+        """Single flip ``x[devices[k]] = targets[k]`` that lowers the system cost most.
+
+        Every trial pattern is scored with ``system_cost``'s formulas and
+        reductions, so a gain equals ``system_cost(x) - system_cost(trial)``
+        exactly.  Ties go to the first device.  Returns ``(device, gain)``,
+        or ``(None, 0.0)`` when no flip lowers the cost strictly.
+        """
+        best_d, best_gain = None, 0.0
+        if len(devices) == 0:
+            return best_d, best_gain
+        cost_now = self.system_cost(tau, mu, x)
+        phi = self.event_factors(tau, self.psi)
+        rows = max(1, TRIAL_BLOCK_ENTRIES // self.n_devices)
+        for start in range(0, len(devices), rows):
+            block = devices[start:start + rows]
+            trials = np.repeat(x[None, :], len(block), axis=0)
+            trials[np.arange(len(block)), block] = targets[start:start + rows]
+            trans = self.payload / self.rates(trials)
+            costs = self._penalized_costs(tau, mu, self.system_times(trials, trans),
+                                          self.energies(trials, trans), phi)
+            gains = cost_now - costs.sum(axis=-1)
+            k = int(np.argmax(gains))
+            if gains[k] > best_gain:
+                best_d, best_gain = int(block[k]), float(gains[k])
+        return best_d, best_gain
+
     def br_round(self, tau: np.ndarray, mu: np.ndarray, x: np.ndarray,
                  ) -> tuple[np.ndarray, int | None, float]:
         """One best-response round: commit the largest system-cost reduction.
@@ -355,16 +414,7 @@ class ScenarioEvaluator:
         """
         br = self.best_responses(tau, mu, x)
         deviators = np.nonzero(br != x)[0]
-        if deviators.size == 0:
-            return x, None, 0.0
-        cost_now = self.system_cost(tau, mu, x)
-        best_d, best_gain = None, 0.0
-        for d in deviators:
-            trial = x.copy()
-            trial[d] = br[d]
-            gain = cost_now - self.system_cost(tau, mu, trial)
-            if gain > best_gain:
-                best_d, best_gain = int(d), gain
+        best_d, best_gain = self.best_flip(tau, mu, x, deviators, br[deviators])
         if best_d is None:
             return x, None, 0.0
         out = x.copy()
@@ -406,11 +456,9 @@ class ScenarioEvaluator:
         MAoI always uses the true modality weights, whatever objective the
         evaluator optimizes.
         """
-        trans = self.trans_times(x)
-        t_sys = self.system_times(x, trans)
-        phi = 1.0 + self.psi_true * (1.0 - np.exp(-self.lam[None, :] * tau[:, None]))
-        maoi = phi * (0.5 * tau[:, None] + t_sys)
+        _, t_sys, _ = self.pattern_state(x)
         aoi = 0.5 * tau[:, None] + t_sys
+        maoi = self.event_factors(tau, self.psi_true) * aoi
         viol = self.energy_violation(tau, x)
         out = {
             "avg_maoi": float(maoi.sum(axis=1).mean()),
@@ -531,19 +579,17 @@ class SolveTrace:
 
     costs: list[float] = field(default_factory=list)
     max_violations: list[float] = field(default_factory=list)
-    energy_rates: list[np.ndarray] = field(default_factory=list)
     committed: list[list[int]] = field(default_factory=list)
     newton_iters: list[int] = field(default_factory=list)
     converged: bool = False
     n_iters: int = 0
 
-    def append(self, cost: float, violation: float, energy_rates: np.ndarray,
-               committed: list[int], newton: int) -> None:
+    def append(self, cost: float, violation: float, committed: list[int],
+               newton: int) -> None:
         if not math.isfinite(cost):
             raise ValueError(f"non-finite system cost {cost}")
         self.costs.append(cost)
         self.max_violations.append(violation)
-        self.energy_rates.append(energy_rates)
         self.committed.append(committed)
         self.newton_iters.append(newton)
         self.n_iters += 1
@@ -601,8 +647,7 @@ def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
         state = Decision(tau=tau, x=x, mu=mu)
         cost = ev.system_cost(tau, mu, x)
         violation = float(rel_overdraw.max())
-        trace.append(cost, violation, ev.e_budget * (1.0 + rel_overdraw),
-                     committed, newton)
+        trace.append(cost, violation, committed, newton)
         feasible = violation <= cfg.energy_tol
         key = (0.0 if feasible else violation, cost)
         if key < best_key:
@@ -633,7 +678,8 @@ def solve_jso(profiles: Sequence[DeviceProfile], config: SystemConfig,
 __all__ = [
     "CostTerms", "convexity_threshold", "surrogate_minimizer",
     "feasible_approximation", "newton_refine", "optimal_sampling_interval",
-    "ScenarioEvaluator", "best_response", "best_response_round",
+    "TRIAL_BLOCK_ENTRIES", "ScenarioEvaluator", "best_response",
+    "best_response_round",
     "solve_offloading", "update_multipliers", "Decision", "SolveTrace",
     "default_decision", "run_outer_loop", "solve_jso",
 ]

@@ -4,7 +4,7 @@ import sys
 import pytest
 import yaml
 
-from maoi_edge.cli import main
+from maoi_edge.cli import _parse_overrides, main
 
 FAST = ["--override", "energy_budget=50.0"]
 
@@ -43,6 +43,30 @@ class TestSweepCommand:
                         "--algorithms", "flc", "--seeds", "1",
                         "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 0
+
+    def test_exponent_form_overrides(self, tmp_path):
+        # YAML reads 3e7 and 1e-13 (no dot) as strings
+        overrides = _parse_overrides(
+            ["capacity_threshold=3e7", "noise_power=1e-13"], None)
+        assert overrides == {"capacity_threshold": 3e7, "noise_power": 1e-13}
+        code = run_cli(["sweep", "--param", "device_count", "--grid", "2",
+                        "--algorithms", "fmi", "--seeds", "1",
+                        "--override", "capacity_threshold=3e7",
+                        "--override", "noise_power=1e-13",
+                        "--out", str(tmp_path), *FAST])
+        assert code == 0
+
+    def test_exponent_form_in_config_file(self, tmp_path):
+        cfg = tmp_path / "conf.yaml"
+        cfg.write_text("system:\n  capacity_threshold: 3e7\n"
+                       "  max_outer_iters: 4e4\npsi_range: [1e0, 1.2]\n")
+        assert _parse_overrides([], str(cfg)) == {
+            "capacity_threshold": 3e7, "max_outer_iters": 40_000,
+            "psi_range": [1.0, 1.2]}
+
+    def test_non_numeric_value_rejected(self):
+        with pytest.raises(SystemExit, match="capacity_threshold"):
+            _parse_overrides(["capacity_threshold=lots"], None)
 
     def test_devices_section_rejected(self, tmp_path):
         cfg = tmp_path / "conf.yaml"

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from maoi_edge import baselines
 from maoi_edge.optimizer import (
+    TRIAL_BLOCK_ENTRIES,
     Decision,
     ScenarioEvaluator,
     SolveTrace,
@@ -95,6 +97,94 @@ class TestBestResponseRound:
         assert committed == max(gains, key=gains.get)
         assert gain == pytest.approx(max(gains.values()))
         assert out[committed] == br[committed]
+
+
+class TestBatchedTrials:
+    """``br_round`` scores its trials in blocks; the per-trial loop is the oracle."""
+
+    @staticmethod
+    def per_trial_round(ev, tau, mu, x):
+        br = ev.best_responses(tau, mu, x)
+        cost_now = ev.system_cost(tau, mu, x)
+        best_d, best_gain = None, 0.0
+        for d in np.nonzero(br != x)[0]:
+            trial = x.copy()
+            trial[d] = br[d]
+            gain = cost_now - ev.system_cost(tau, mu, trial)
+            if gain > best_gain:
+                best_d, best_gain = int(d), gain
+        return best_d, best_gain
+
+    @pytest.mark.parametrize("d_count, overrides", [
+        (320, {}),
+        (80, {"capacity_threshold": 3e7}),
+    ])
+    def test_multi_block_round_matches_per_trial_loop(self, d_count, overrides):
+        profiles, config = scenario_lists(d_count, seed=1, **overrides)
+        ev = ScenarioEvaluator(profiles, config)
+        rng = np.random.default_rng(d_count)
+        tau = rng.uniform(2.0, 15.0, d_count)
+        mu = rng.uniform(0.0, 10.0, d_count)
+        x = np.zeros(d_count, dtype=np.int64)
+        br = ev.best_responses(tau, mu, x)
+        assert np.count_nonzero(br != x) > TRIAL_BLOCK_ENTRIES // d_count
+        for _ in range(3):
+            expected = self.per_trial_round(ev, tau, mu, x)
+            out, committed, gain = ev.br_round(tau, mu, x)
+            assert (committed, gain) == expected
+            if committed is None:
+                break
+            x = out
+
+    def test_tied_gains_commit_the_first_device(self):
+        # identical devices at the origin: every trial gains the same
+        profiles = [DeviceProfile(id=d) for d in range(5)]
+        ev = ScenarioEvaluator(profiles, SystemConfig())
+        tau, mu = np.full(5, 2.0), np.ones(5)
+        x = np.zeros(5, dtype=np.int64)
+        assert self.per_trial_round(ev, tau, mu, x)[0] == 0
+        assert ev.br_round(tau, mu, x)[1] == 0
+
+
+class TestPatternState:
+    def test_in_place_edit_gives_fresh_state(self):
+        profiles, config = scenario_lists(6, seed=2)
+        ev = ScenarioEvaluator(profiles, config)
+        x = np.zeros(6, dtype=np.int64)
+        trans_before = ev.pattern_state(x)[0].copy()
+        x[2] = 1
+        trans, t_sys, e = ev.pattern_state(x)
+        fresh = ScenarioEvaluator(profiles, config)
+        expected = fresh.trans_times(x)
+        assert not np.array_equal(trans, trans_before)
+        assert np.array_equal(trans, expected)
+        assert np.array_equal(t_sys, fresh.system_times(x, expected))
+        assert np.array_equal(e, fresh.energies(x, expected))
+
+    def test_cached_arrays_are_read_only(self):
+        profiles, config = scenario_lists(3)
+        ev = ScenarioEvaluator(profiles, config)
+        for arr in ev.pattern_state(np.array([1, 0, 0])):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("algorithm", ["jso", "fmi", "gmo", "dbro"])
+    def test_one_pattern_evaluation_per_commit(self, algorithm, monkeypatch):
+        calls = []
+        original = ScenarioEvaluator.trans_times
+
+        def counting(self, x):
+            calls.append(1)
+            return original(self, x)
+
+        monkeypatch.setattr(ScenarioEvaluator, "trans_times", counting)
+        profiles, config = scenario_lists(10, lagrange_step=0.5,
+                                          max_outer_iters=300)
+        decision, trace = baselines.solve(algorithm, profiles, config)
+        ScenarioEvaluator(profiles, config).achieved_metrics(decision.tau, decision.x)
+        commits = sum(len(c) for c in trace.committed)
+        assert commits >= 1
+        assert len(calls) <= commits + 2
 
 
 class TestSolveOffloading:
