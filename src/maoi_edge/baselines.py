@@ -13,12 +13,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .metric import OBJECTIVE_AOI, OBJECTIVE_MAOI
+from .metric import OBJECTIVE_AOI
 from .optimizer import (
     Decision,
     ScenarioEvaluator,
     SolveTrace,
-    _offloading_equilibrium,
     run_outer_loop,
     solve_jso,
 )
@@ -28,42 +27,34 @@ DBRO_MAX_SWEEPS = 200
 
 
 def solve_fmi(profiles: Sequence[DeviceProfile], config: SystemConfig,
-              init: Decision | None = None,
-              objective: str = OBJECTIVE_MAOI) -> tuple[Decision, SolveTrace]:
+              init: Decision | None = None) -> tuple[Decision, SolveTrace]:
     """Fixed minimum-energy-feasible interval; offloading/multipliers as usual.
 
     The interval rule is re-evaluated every iteration, so a device that
     switches branch immediately re-tightens to its new minimum.
     """
-    ev = ScenarioEvaluator(profiles, config, objective)
+    ev = ScenarioEvaluator(profiles, config)
 
-    def tau_rule(mu, x, _tau):
+    def tau_rule(mu, x):
         _, _, e = ev.pattern_state(x)
         return np.maximum(config.tau_min, e / ev.e_budget), 0
 
-    def offload_rule(tau, mu, x):
-        x_next, committed, _ = _offloading_equilibrium(ev, tau, mu, x)
-        return x_next, committed
-
-    return run_outer_loop(ev, tau_rule, offload_rule, init)
+    return run_outer_loop(ev, tau_rule, ev.offloading_equilibrium, init)
 
 
 def solve_flc(profiles: Sequence[DeviceProfile], config: SystemConfig,
-              init: Decision | None = None,
-              objective: str = OBJECTIVE_MAOI) -> tuple[Decision, SolveTrace]:
+              init: Decision | None = None) -> tuple[Decision, SolveTrace]:
     """Full local computing: offloading disabled, intervals still optimized."""
-    ev = ScenarioEvaluator(profiles, config, objective)
+    ev = ScenarioEvaluator(profiles, config)
 
     def offload_rule(tau, mu, x):
         return np.zeros_like(x), []
 
-    return run_outer_loop(ev, lambda mu, x, _t: ev.sampling_step(mu, x),
-                          offload_rule, init)
+    return run_outer_loop(ev, ev.sampling_step, offload_rule, init)
 
 
 def solve_gmo(profiles: Sequence[DeviceProfile], config: SystemConfig,
-              init: Decision | None = None,
-              objective: str = OBJECTIVE_MAOI) -> tuple[Decision, SolveTrace]:
+              init: Decision | None = None) -> tuple[Decision, SolveTrace]:
     """Greedy marginal-cost offloading: one irreversible fix per iteration.
 
     Starting all-local, each iteration trials every still-local device on
@@ -71,7 +62,7 @@ def solve_gmo(profiles: Sequence[DeviceProfile], config: SystemConfig,
     largest strict system-cost decrease; fixed decisions are never
     reverted.
     """
-    ev = ScenarioEvaluator(profiles, config, objective)
+    ev = ScenarioEvaluator(profiles, config)
     fixed: set[int] = set()
 
     def offload_rule(tau, mu, x):
@@ -88,13 +79,12 @@ def solve_gmo(profiles: Sequence[DeviceProfile], config: SystemConfig,
         base[best_d] = 1
         return base, [best_d]
 
-    return run_outer_loop(ev, lambda mu, x, _t: ev.sampling_step(mu, x),
-                          offload_rule, init)
+    return run_outer_loop(ev, ev.sampling_step, offload_rule, init)
 
 
 def solve_idd(profiles: Sequence[DeviceProfile], config: SystemConfig,
-              init: Decision | None = None, rho: float = 0.5,
-              objective: str = OBJECTIVE_MAOI) -> tuple[Decision, SolveTrace]:
+              init: Decision | None = None,
+              rho: float = 0.5) -> tuple[Decision, SolveTrace]:
     """Independent distributed decisions under an assumed interference level.
 
     Each device compares its branches against the fixed prior
@@ -104,7 +94,7 @@ def solve_idd(profiles: Sequence[DeviceProfile], config: SystemConfig,
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    ev = ScenarioEvaluator(profiles, config, objective)
+    ev = ScenarioEvaluator(profiles, config)
     assumed = rho * (ev.rx_power.sum() - ev.rx_power)
     rate = config.bandwidth * np.log2(1.0 + ev.rx_power / (config.noise_power + assumed))
     trans = ev.payload / rate
@@ -120,20 +110,18 @@ def solve_idd(profiles: Sequence[DeviceProfile], config: SystemConfig,
                 load += ev.payload[d]
         return out, []
 
-    return run_outer_loop(ev, lambda mu, x, _t: ev.sampling_step(mu, x),
-                          offload_rule, init)
+    return run_outer_loop(ev, ev.sampling_step, offload_rule, init)
 
 
 def solve_dbro(profiles: Sequence[DeviceProfile], config: SystemConfig,
-               init: Decision | None = None,
-               objective: str = OBJECTIVE_MAOI) -> tuple[Decision, SolveTrace]:
+               init: Decision | None = None) -> tuple[Decision, SolveTrace]:
     """Device-wise best response: sweep in index order, commit immediately.
 
     Each device optimizes its own cost given the pattern left by its
     predecessors; sweeps repeat until one full pass changes nothing.
     Unlike the joint solver there is no system-level commit rule.
     """
-    ev = ScenarioEvaluator(profiles, config, objective)
+    ev = ScenarioEvaluator(profiles, config)
 
     def offload_rule(tau, mu, x):
         out = x.copy()
@@ -152,8 +140,7 @@ def solve_dbro(profiles: Sequence[DeviceProfile], config: SystemConfig,
                 break
         return out, committed
 
-    return run_outer_loop(ev, lambda mu, x, _t: ev.sampling_step(mu, x),
-                          offload_rule, init)
+    return run_outer_loop(ev, ev.sampling_step, offload_rule, init)
 
 
 def solve_jso_a(profiles: Sequence[DeviceProfile], config: SystemConfig,

@@ -16,7 +16,6 @@ from pathlib import Path
 import yaml
 
 from . import baselines, experiments, trends
-from .optimizer import ScenarioEvaluator
 from .scenario import generate_scenario
 from .system_model import DeviceProfile, SystemConfig
 
@@ -156,8 +155,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     overrides = _parse_overrides(args.override, args.config)
     sc = generate_scenario(args.devices, args.seed, overrides)
     decision, trace = baselines.solve(args.algorithm, list(sc.profiles), sc.config)
-    ev = ScenarioEvaluator(sc.profiles, sc.config)
-    metrics = ev.achieved_metrics(decision.tau, decision.x)
+    metrics = trace.metrics
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trace.write_csv(out / "trace.csv")

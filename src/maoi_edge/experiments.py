@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, oracle
-from .metric import OBJECTIVE_MAOI, avg_maoi_modality
-from .optimizer import ScenarioEvaluator
+from .metric import avg_maoi_modality
 from .scenario import Scenario, generate_scenario, with_audio_weight_increment
 
 log = logging.getLogger(__name__)
@@ -79,11 +78,10 @@ def scenario_for(spec: SweepSpec, value: float, seed: int) -> Scenario:
 def _execute_task(task: tuple[SweepSpec, float, int, str]) -> dict:
     spec, value, seed, algorithm = task
     sc = scenario_for(spec, value, seed)
-    decision, trace = baselines.solve(algorithm, list(sc.profiles), sc.config)
-    ev = ScenarioEvaluator(sc.profiles, sc.config, OBJECTIVE_MAOI)
+    _, trace = baselines.solve(algorithm, list(sc.profiles), sc.config)
     row = {"param": spec.param, "value": value, "seed": seed,
            "algorithm": algorithm}
-    row.update(ev.achieved_metrics(decision.tau, decision.x))
+    row.update(trace.metrics)
     row["converged"] = int(trace.converged)
     row["outer_iters"] = trace.n_iters
     return row

@@ -13,9 +13,12 @@ flat and every budget is met within tolerance:
    deviations the one with the largest system-cost reduction is committed.
 3. multiplier block: projected subgradient step on each energy budget.
 
-``ScenarioEvaluator`` holds the device-vectorized arrays the solver loops
-over; the module-level functions are the per-device reference
-implementations used by the tests and the public API.
+``ScenarioEvaluator`` holds one scenario's device-vectorized arrays and
+implements every block; ``run_outer_loop`` drives a solve on one
+evaluator and reports the decision's metrics from it.  ``CostTerms`` and
+the functions that follow it solve one device's interval: the sampling
+block runs ``newton_refine`` on devices with a convex region, and
+``optimal_sampling_interval`` is the whole block for a single device.
 """
 
 from __future__ import annotations
@@ -58,22 +61,6 @@ class CostTerms:
     energy: float
     energy_budget: float
     mu: float
-
-    @classmethod
-    def from_scenario(cls, profiles: Sequence[DeviceProfile],
-                      config: SystemConfig, d: int, mu_d: float, x,
-                      objective: str = OBJECTIVE_MAOI) -> "CostTerms":
-        if objective not in metric.OBJECTIVES:
-            raise ValueError(f"unknown objective {objective!r}")
-        psi = profiles[d].maoi_weights if objective == OBJECTIVE_MAOI else (0.0, 0.0, 0.0)
-        return cls(
-            psi=tuple(psi),
-            lambdas=tuple(config.event_rates),
-            t_sys=metric.device_system_times(profiles, config, d, x),
-            energy=energy_model.total_energy(d, profiles, config, x),
-            energy_budget=profiles[d].energy_budget,
-            mu=mu_d,
-        )
 
     def cost(self, tau: float) -> float:
         age = sum((1.0 + p * (1.0 - math.exp(-lam * tau))) * (0.5 * tau + t)
@@ -421,6 +408,22 @@ class ScenarioEvaluator:
         out[best_d] = br[best_d]
         return out, best_d, best_gain
 
+    def offloading_equilibrium(self, tau: np.ndarray, mu: np.ndarray,
+                               x: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """Run rounds until no strictly improving commit remains.
+
+        Returns the final pattern and the committed devices in order.
+        Terminates because every commit strictly decreases the system cost
+        over a finite strategy space (finite improvement property).
+        """
+        committed: list[int] = []
+        while True:
+            x_next, device, _ = self.br_round(tau, mu, x)
+            if device is None:
+                return x, committed
+            committed.append(device)
+            x = x_next
+
     # -- diagnostics --------------------------------------------------------
 
     def lemma_threshold(self, d: int, tau_d: float, mu_d: float) -> float:
@@ -475,81 +478,6 @@ class ScenarioEvaluator:
 
 
 # ---------------------------------------------------------------------------
-# public per-device wrappers (reference API over profile lists)
-
-def best_response(d: int, profiles: Sequence[DeviceProfile], config: SystemConfig,
-                  tau: Sequence[float], mu: Sequence[float], x_current,
-                  objective: str = OBJECTIVE_MAOI) -> int:
-    """Cost-minimizing offload flag for device ``d``, others held fixed.
-
-    Offloading is admissible only while the aggregate offloaded payload
-    stays within the cell capacity; ties keep the current flag.
-    """
-    x = radio.as_offload_vector(x_current, len(profiles))
-    ev = ScenarioEvaluator(profiles, config, objective)
-    tau = np.asarray(tau, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    return int(ev.best_responses(tau, mu, x)[d])
-
-
-def best_response_round(profiles: Sequence[DeviceProfile], config: SystemConfig,
-                        tau: Sequence[float], mu: Sequence[float], x,
-                        objective: str = OBJECTIVE_MAOI,
-                        ) -> tuple[np.ndarray, int | None]:
-    """One commit of the offloading game; returns (x', committed device or None)."""
-    ev = ScenarioEvaluator(profiles, config, objective)
-    x = radio.as_offload_vector(x, len(profiles))
-    out, committed, _ = ev.br_round(np.asarray(tau, float), np.asarray(mu, float), x)
-    return out, committed
-
-
-def solve_offloading(profiles: Sequence[DeviceProfile], config: SystemConfig,
-                     tau: Sequence[float], mu: Sequence[float], x_init,
-                     objective: str = OBJECTIVE_MAOI,
-                     ) -> tuple[np.ndarray, int]:
-    """Iterate best-response rounds to a Nash point; returns (x*, rounds)."""
-    ev = ScenarioEvaluator(profiles, config, objective)
-    x = radio.as_offload_vector(x_init, len(profiles))
-    x, _committed, rounds = _offloading_equilibrium(
-        ev, np.asarray(tau, float), np.asarray(mu, float), x)
-    return x, rounds
-
-
-def _offloading_equilibrium(ev: ScenarioEvaluator, tau: np.ndarray,
-                            mu: np.ndarray, x: np.ndarray,
-                            ) -> tuple[np.ndarray, list[int], int]:
-    """Run rounds until no strictly improving commit remains.
-
-    Terminates because every commit strictly decreases the system cost over
-    a finite strategy space (finite improvement property).
-    """
-    committed: list[int] = []
-    rounds = 0
-    while True:
-        rounds += 1
-        x_next, device, _ = ev.br_round(tau, mu, x)
-        if device is None:
-            return x, committed, rounds
-        committed.append(device)
-        x = x_next
-
-
-def update_multipliers(profiles: Sequence[DeviceProfile], config: SystemConfig,
-                       tau: Sequence[float], x, mu: Sequence[float],
-                       eta: float | None = None) -> np.ndarray:
-    """Projected subgradient step on the energy multipliers."""
-    if eta is None:
-        eta = config.lagrange_step
-    x = radio.as_offload_vector(x, len(profiles))
-    out = np.empty(len(profiles))
-    for d, p in enumerate(profiles):
-        overdraw = (energy_model.avg_energy_rate(d, profiles, config, x, tau[d])
-                    - p.energy_budget)
-        out[d] = max(0.0, mu[d] + eta * overdraw)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # outer loop
 
 @dataclass
@@ -575,7 +503,12 @@ class Decision:
 
 @dataclass
 class SolveTrace:
-    """Per-outer-iteration record of a solve."""
+    """Per-outer-iteration record of a solve.
+
+    ``metrics`` holds ``ScenarioEvaluator.achieved_metrics`` of the decision
+    the solve returned, computed on the solve's own evaluator; it stays
+    empty until ``run_outer_loop`` returns.
+    """
 
     costs: list[float] = field(default_factory=list)
     max_violations: list[float] = field(default_factory=list)
@@ -583,6 +516,7 @@ class SolveTrace:
     newton_iters: list[int] = field(default_factory=list)
     converged: bool = False
     n_iters: int = 0
+    metrics: dict = field(default_factory=dict)
 
     def append(self, cost: float, violation: float, committed: list[int],
                newton: int) -> None:
@@ -614,7 +548,7 @@ def default_decision(profiles: Sequence[DeviceProfile],
                     mu=np.full(D, config.mu_init))
 
 
-TauRule = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, int]]
+TauRule = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, int]]
 OffloadRule = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, list[int]]]
 
 
@@ -626,10 +560,16 @@ def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
     Convergence requires both a flat system cost (|delta| < eps) and every
     energy budget met within the configured relative tolerance; the
     subgradient multipliers only reach feasibility asymptotically, so the
-    cost criterion alone would stop at infeasible points.
+    cost criterion alone would stop at infeasible points.  Without
+    convergence the best iterate is returned (feasible first, then
+    cheapest).  ``tau_rule(mu, x)`` returns the intervals and its Newton
+    iteration count; ``offload_rule(tau, mu, x)`` returns the pattern and
+    the committed devices.
     """
     cfg = ev.config
     state = (init or default_decision(ev.profiles, cfg)).copy()
+    # a Decision keeps tau and mu at x's shape, so this checks all three
+    state.x = radio.as_offload_vector(state.x, ev.n_devices)
     if float(state.x @ ev.payload) > cfg.capacity_threshold:
         raise ValueError("initial offload pattern exceeds the capacity threshold")
     if (state.tau < cfg.tau_min).any():
@@ -639,7 +579,7 @@ def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
     best: Decision | None = None
     best_key = (math.inf, math.inf)
     for _ in range(cfg.max_outer_iters):
-        tau, newton = tau_rule(state.mu, state.x, state.tau)
+        tau, newton = tau_rule(state.mu, state.x)
         x, committed = offload_rule(tau, state.mu, state.x)
         rel_overdraw = ev.energy_violation(tau, x)
         mu = np.maximum(0.0, state.mu + cfg.lagrange_step
@@ -654,9 +594,13 @@ def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
             best_key, best = key, state.copy()
         if abs(cost - prev_cost) < cfg.convergence_eps and feasible:
             trace.converged = True
-            return state, trace
+            break
         prev_cost = cost
-    return (best if best is not None else state), trace
+    else:
+        # trace.append rejects non-finite costs, so iteration 1 set best
+        state = best
+    trace.metrics = ev.achieved_metrics(state.tau, state.x)
+    return state, trace
 
 
 def solve_jso(profiles: Sequence[DeviceProfile], config: SystemConfig,
@@ -664,22 +608,12 @@ def solve_jso(profiles: Sequence[DeviceProfile], config: SystemConfig,
               ) -> tuple[Decision, SolveTrace]:
     """Full joint solve: Algorithm-1 intervals + best-response offloading."""
     ev = ScenarioEvaluator(profiles, config, objective)
-
-    def tau_rule(mu, x, _tau):
-        return ev.sampling_step(mu, x)
-
-    def offload_rule(tau, mu, x):
-        x_next, committed, _rounds = _offloading_equilibrium(ev, tau, mu, x)
-        return x_next, committed
-
-    return run_outer_loop(ev, tau_rule, offload_rule, init)
+    return run_outer_loop(ev, ev.sampling_step, ev.offloading_equilibrium, init)
 
 
 __all__ = [
     "CostTerms", "convexity_threshold", "surrogate_minimizer",
     "feasible_approximation", "newton_refine", "optimal_sampling_interval",
-    "TRIAL_BLOCK_ENTRIES", "ScenarioEvaluator", "best_response",
-    "best_response_round",
-    "solve_offloading", "update_multipliers", "Decision", "SolveTrace",
+    "TRIAL_BLOCK_ENTRIES", "ScenarioEvaluator", "Decision", "SolveTrace",
     "default_decision", "run_outer_loop", "solve_jso",
 ]

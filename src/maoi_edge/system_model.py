@@ -126,9 +126,12 @@ class SystemConfig:
                      "resnet_base_flops", "ds2_base_flops_per_sec",
                      "tft_base_flops", "tft_base_len", "tau_min",
                      "capacity_threshold", "lagrange_step", "convergence_eps",
-                     "newton_tol"):
+                     "newton_tol", "newton_max_iters", "max_outer_iters"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("energy_tol", "mu_init"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         rates = tuple(float(lam) for lam in self.event_rates)
         if len(rates) != 3 or any(lam <= 0 for lam in rates):
             raise ValueError(f"event_rates must be 3 positive values, got {self.event_rates}")

@@ -15,7 +15,7 @@ envelope rather than pretending the closed form is exact there.
 
 import numpy as np
 
-from maoi_edge.optimizer import CostTerms
+from maoi_edge.optimizer import CostTerms, ScenarioEvaluator
 from maoi_edge.scenario import generate_scenario
 from maoi_edge.system_model import SystemConfig
 
@@ -38,7 +38,7 @@ def draw_interval_instance(rng: np.random.Generator,
     sc = generate_scenario(1, seed=int(rng.integers(1 << 30)))
     profiles, config = list(sc.profiles), sc.config
     offloaded = bool(rng.integers(2))
-    x = [1] if offloaded else [0]
+    x = np.array([1 if offloaded else 0])
     kind = ("convex", "energy_bound", "slack")[rng.integers(3)]
     if kind == "convex":
         # rare events relative to the system times: wide convex region
@@ -48,7 +48,7 @@ def draw_interval_instance(rng: np.random.Generator,
         mu = float(rng.uniform(0.05, 2.0))
     elif kind == "energy_bound":
         # multiplier along the subgradient ramp toward its fixed point
-        base = CostTerms.from_scenario(profiles, config, 0, 0.0, x)
+        base = ScenarioEvaluator(profiles, config).cost_terms(0, 0.0, x)
         sphi = sum(1.0 + p * (1 - np.exp(-l * config.tau_min))
                    for p, l in zip(base.psi, base.lambdas))
         e_max = profiles[0].energy_budget
@@ -57,7 +57,7 @@ def draw_interval_instance(rng: np.random.Generator,
     else:
         # slack budget: interval should clamp to the minimum
         mu = float(rng.uniform(0.0, 0.05))
-    terms = CostTerms.from_scenario(profiles, config, 0, mu, x)
+    terms = ScenarioEvaluator(profiles, config).cost_terms(0, mu, x)
     return terms, config, kind
 
 

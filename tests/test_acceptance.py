@@ -17,16 +17,14 @@ import numpy as np
 import pytest
 
 from helpers import draw_cost_terms, grid_minimum
-from maoi_edge import baselines, trends
+from maoi_edge import baselines, experiments, trends
 from maoi_edge.experiments import validate_oracle
 from maoi_edge.optimizer import (
     ScenarioEvaluator,
     convexity_threshold,
-    default_decision,
     run_outer_loop,
-    _offloading_equilibrium,
 )
-from maoi_edge.scenario import generate_scenario, with_audio_weight_increment
+from maoi_edge.scenario import generate_scenario
 
 WORKERS = 2
 D_GRID = (5, 10, 15, 20)
@@ -60,28 +58,21 @@ class SolvedCase(NamedTuple):
     converged: bool
     tau_min: float
     capacity: float
-    payload: np.ndarray
 
 
 def _solve_case(args) -> SolvedCase:
     kind, alg, value, seed, overrides = args
-    if kind == "device_count":
-        sc = generate_scenario(int(value), seed, dict(overrides))
-    elif kind == "energy_budget":
-        sc = generate_scenario(E_DEVICES, seed,
-                               {**overrides, "energy_budget": float(value)})
-    else:
-        base = generate_scenario(E_DEVICES, seed, dict(overrides))
-        sc = with_audio_weight_increment(base, float(value))
-    profiles, config = list(sc.profiles), sc.config
-    decision, trace = baselines.solve(alg, profiles, config)
-    ev = ScenarioEvaluator(profiles, config)
+    spec = experiments.SweepSpec(param=kind, grid=(value,), algorithms=(alg,),
+                                 seeds=(seed,), base_devices=E_DEVICES,
+                                 overrides=overrides)
+    sc = experiments.scenario_for(spec, value, seed)
+    decision, trace = baselines.solve(alg, list(sc.profiles), sc.config)
     return SolvedCase(alg=alg, value=float(value), seed=seed,
                       tau=decision.tau, x=decision.x, mu=decision.mu,
-                      metrics=ev.achieved_metrics(decision.tau, decision.x),
+                      metrics=trace.metrics,
                       n_iters=trace.n_iters, converged=trace.converged,
-                      tau_min=config.tau_min,
-                      capacity=config.capacity_threshold, payload=ev.payload)
+                      tau_min=sc.config.tau_min,
+                      capacity=sc.config.capacity_threshold)
 
 
 def _solve_grid(kind, algs, grid, seeds, overrides=None):
@@ -110,14 +101,9 @@ def weight_sweep():
 
 @pytest.fixture(scope="session")
 def convergence_cells():
-    cells = {}
-    for e_max in C9_E:
-        solved = _solve_grid("device_count", ("jso",), C9_D, C9_SEEDS,
-                             overrides={"energy_budget": e_max})
-        for d in C9_D:
-            cells[(d, e_max)] = float(np.mean(
-                [solved[("jso", float(d), s)].n_iters for s in C9_SEEDS]))
-    return cells
+    grid = experiments.convergence_grid(C9_D, C9_E, C9_SEEDS, workers=WORKERS)
+    return {(d, e_max): row[i] for e_max, row in zip(C9_E, grid)
+            for i, d in enumerate(C9_D)}
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -189,13 +175,7 @@ class TestCriterion3:
         for seed in range(50):
             sc = generate_scenario(1, seed=seed)
             ev = _CheckedEvaluator(list(sc.profiles), sc.config)
-
-            def offload_rule(tau, mu, x, ev=ev):
-                x_next, committed, _ = _offloading_equilibrium(ev, tau, mu, x)
-                return x_next, committed
-
-            run_outer_loop(ev, lambda mu, x, _t, ev=ev: ev.sampling_step(mu, x),
-                           offload_rule)
+            run_outer_loop(ev, ev.sampling_step, ev.offloading_equilibrium)
             worst = max(worst, max(ev.gaps))
             n_checks += len(ev.gaps)
         report(3, worst <= 1e-3,
@@ -252,7 +232,7 @@ class TestCriterion5:
                 bad.append((c.alg, c.value, c.seed, "not converged"))
             if (c.tau < c.tau_min).any():
                 bad.append((c.alg, c.value, c.seed, "tau below minimum"))
-            if float(c.x @ c.payload) > c.capacity:
+            if c.metrics["offload_bits"] > c.capacity:
                 bad.append((c.alg, c.value, c.seed, "capacity exceeded"))
             if c.metrics["max_energy_violation"] > ENERGY_TOL + 1e-12:
                 bad.append((c.alg, c.value, c.seed, "energy budget exceeded"))

@@ -108,12 +108,11 @@ class TestGMO:
 
 class TestIDD:
     def test_single_device_equals_exact_best_response(self, config):
-        from maoi_edge.optimizer import best_response
         profiles, config = scenario_lists(1, seed=7)
         decision, _ = baselines.solve_idd(profiles, config)
-        exact = best_response(0, profiles, config, decision.tau, decision.mu,
-                              [0])
-        assert decision.x[0] == exact
+        ev = ScenarioEvaluator(profiles, config)
+        exact = ev.best_responses(decision.tau, decision.mu, np.array([0]))
+        assert decision.x[0] == exact[0]
 
     def test_optimistic_prior_offloads_weakly_more(self):
         counts = {}
@@ -223,3 +222,15 @@ class TestFeasibilityAcrossAlgorithms:
         decision, trace = baselines.solve(name, profiles, config)
         assert trace.converged
         assert feasible(profiles, config, decision)
+
+
+class TestReportedMetrics:
+    @pytest.mark.parametrize("name", sorted(baselines.ALGORITHMS))
+    def test_trace_metrics_equal_a_fresh_evaluators(self, name):
+        # the solve's own evaluator (AOI objective for jso_a) reports the
+        # same metrics, bit for bit, as a fresh MAoI evaluator
+        profiles, config = scenario_lists(6, seed=13, energy_budget=2.5,
+                                          lagrange_step=0.5)
+        decision, trace = baselines.solve(name, profiles, config)
+        fresh = ScenarioEvaluator(profiles, config)
+        assert trace.metrics == fresh.achieved_metrics(decision.tau, decision.x)

@@ -58,6 +58,21 @@ class TestRunSweep:
     def test_single_cell_single_row(self):
         rows = run_sweep(fast_spec(grid=(2.0,)))
         assert len(rows) == 1
+
+    def test_one_evaluator_per_task(self, monkeypatch):
+        from maoi_edge.optimizer import ScenarioEvaluator
+        built = []
+        original = ScenarioEvaluator.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ScenarioEvaluator, "__init__", counting)
+        spec = fast_spec(algorithms=("flc", "fmi", "jso"), seeds=(0, 1))
+        rows = run_sweep(spec)
+        assert len(rows) == 2 * 3 * 2
+        assert len(built) == len(rows)
         assert set(RESULT_COLUMNS) <= set(rows[0])
 
     def test_cardinality(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,12 +10,9 @@ from maoi_edge.optimizer import (
     Decision,
     ScenarioEvaluator,
     SolveTrace,
-    best_response,
-    best_response_round,
     default_decision,
+    run_outer_loop,
     solve_jso,
-    solve_offloading,
-    update_multipliers,
 )
 from maoi_edge.scenario import generate_scenario
 from maoi_edge.system_model import DeviceProfile, SystemConfig
@@ -28,15 +26,15 @@ def scenario_lists(d, seed=0, **overrides):
 class TestBestResponse:
     def test_single_device_prefers_offloading(self, profile, config):
         # huge local energy draw and long local queue vs a fast clean uplink
-        x = best_response(0, [profile], config, tau=[2.0], mu=[1.0],
-                          x_current=[0])
-        assert x == 1
+        ev = ScenarioEvaluator([profile], config)
+        br = ev.best_responses(np.array([2.0]), np.array([1.0]), np.array([0]))
+        assert br[0] == 1
 
     def test_capacity_guard_forces_local(self, profile):
         config = SystemConfig(capacity_threshold=1e6)  # below one payload
-        x = best_response(0, [profile], config, tau=[2.0], mu=[1.0],
-                          x_current=[0])
-        assert x == 0
+        ev = ScenarioEvaluator([profile], config)
+        br = ev.best_responses(np.array([2.0]), np.array([1.0]), np.array([0]))
+        assert br[0] == 0
 
     def test_tie_keeps_current_flag(self, monkeypatch):
         profiles, config = scenario_lists(3)
@@ -53,7 +51,7 @@ class TestBestResponse:
         assert math.isfinite(lam) or lam == -math.inf
         # single device, no interference: diagnostic and canonical agree
         assert ev.lemma_best_response(0, 2.0, 1.0, np.array([0])) == \
-            best_response(0, [profile], config, [2.0], [1.0], [0])
+            ev.best_responses(np.array([2.0]), np.array([1.0]), np.array([0]))[0]
 
     def test_lemma_negative_threshold_predicts_local(self, profile):
         # enormous noise power collapses the threshold below zero
@@ -66,15 +64,16 @@ class TestBestResponse:
 class TestBestResponseRound:
     def test_equilibrium_returns_unchanged(self):
         profiles, config = scenario_lists(4, capacity_threshold=1e5)
+        ev = ScenarioEvaluator(profiles, config)
         x = np.zeros(4, dtype=np.int64)  # nobody may offload
-        out, committed = best_response_round(profiles, config,
-                                             tau=np.full(4, 2.0),
-                                             mu=np.zeros(4), x=x)
+        out, committed, _ = ev.br_round(np.full(4, 2.0), np.zeros(4), x)
         assert committed is None
         assert (out == x).all()
 
     def test_single_improving_device_commits(self, profile, config):
-        out, committed = best_response_round([profile], config, [2.0], [1.0], [0])
+        ev = ScenarioEvaluator([profile], config)
+        out, committed, _ = ev.br_round(np.array([2.0]), np.array([1.0]),
+                                        np.array([0]))
         assert committed == 0
         assert out.tolist() == [1]
 
@@ -181,7 +180,6 @@ class TestPatternState:
         profiles, config = scenario_lists(10, lagrange_step=0.5,
                                           max_outer_iters=300)
         decision, trace = baselines.solve(algorithm, profiles, config)
-        ScenarioEvaluator(profiles, config).achieved_metrics(decision.tau, decision.x)
         commits = sum(len(c) for c in trace.committed)
         assert commits >= 1
         assert len(calls) <= commits + 2
@@ -189,8 +187,10 @@ class TestPatternState:
 
 class TestSolveOffloading:
     def test_single_device_at_most_one_commit(self, profile, config):
-        x_star, rounds = solve_offloading([profile], config, [2.0], [1.0], [0])
-        assert rounds <= 2  # one commit plus the empty closing round
+        ev = ScenarioEvaluator([profile], config)
+        x_star, committed = ev.offloading_equilibrium(
+            np.array([2.0]), np.array([1.0]), np.array([0]))
+        assert committed == [0]
         assert x_star.tolist() == [1]
 
     def test_cost_strictly_decreases_across_commits(self):
@@ -215,8 +215,7 @@ class TestSolveOffloading:
         rng = np.random.default_rng(seed)
         tau = rng.uniform(2.0, 15.0, 8)
         mu = rng.uniform(0.0, 10.0, 8)
-        x_star, _ = solve_offloading(profiles, config, tau, mu,
-                                     np.zeros(8, dtype=np.int64))
+        x_star, _ = ev.offloading_equilibrium(tau, mu, np.zeros(8, dtype=np.int64))
         costs = ev.device_costs(tau, mu, x_star)
         for d in range(8):
             trial = x_star.copy()
@@ -242,8 +241,7 @@ class TestSolveOffloading:
         rng = np.random.default_rng(5)
         tau = rng.uniform(2.0, 15.0, 4)
         mu = rng.uniform(0.0, 10.0, 4)
-        x, _ = solve_offloading(profiles, config, tau, mu,
-                                np.zeros(4, dtype=np.int64))
+        x, _ = ev.offloading_equilibrium(tau, mu, np.zeros(4, dtype=np.int64))
         own = ev.device_costs(tau, mu, x)
         improving = []
         for d in range(4):
@@ -274,25 +272,34 @@ class TestSolveOffloading:
 
 
 class TestMultiplierUpdate:
+    """One outer iteration at a fixed interval and pattern isolates the step."""
+
+    @staticmethod
+    def stepped_multiplier(profile, config, tau, mu):
+        ev = ScenarioEvaluator([profile],
+                               dataclasses.replace(config, max_outer_iters=1))
+        init = Decision(tau=[tau], x=[0], mu=[mu])
+        decision, trace = run_outer_loop(ev, lambda mu, x: (init.tau, 0),
+                                         lambda tau, mu, x: (x, []), init)
+        assert trace.n_iters == 1
+        return decision.mu[0]
+
     def test_subgradient_step(self, config):
         # overdraw of 2 J/s at eta = 0.01
         p = DeviceProfile(id=0)
         from maoi_edge.energy import total_energy
         e = total_energy(0, [p], config, [0])
         tau = e / (p.energy_budget + 2.0)
-        out = update_multipliers([p], config, [tau], [0], [0.5])
-        assert out[0] == pytest.approx(0.52)
+        assert self.stepped_multiplier(p, config, tau, 0.5) == pytest.approx(0.52)
 
     def test_projection_onto_nonnegative(self, config):
         from maoi_edge.energy import total_energy
         p = DeviceProfile(id=0, energy_budget=2.0)
         tau = total_energy(0, [p], config, [0]) / 1.0  # Ebar = 1, slack of 1 J/s
-        out = update_multipliers([p], config, [tau], [0], [0.005])
-        assert out[0] == 0.0
+        assert self.stepped_multiplier(p, config, tau, 0.005) == 0.0
 
     def test_feasible_device_stays_at_zero(self, profile, config):
-        out = update_multipliers([profile], config, [1e6], [0], [0.0])
-        assert out[0] == 0.0
+        assert self.stepped_multiplier(profile, config, 1e6, 0.0) == 0.0
 
 
 class TestDecisionAndTrace:
@@ -354,6 +361,14 @@ class TestOuterLoop:
         bad_x = Decision(tau=[2.0, 2.0], x=[1, 1], mu=[0.1, 0.1])
         with pytest.raises(ValueError, match="capacity"):
             solve_jso(profiles, cfg_tiny, init=bad_x)
+        # flags outside {0, 1} and a decision for another device count fail
+        # before the first iteration, not on NaN rates or a matmul shape
+        profiles, config = scenario_lists(3)
+        for x, match in (([2, 0, 0], "0 or 1"), ([-1, 0, 0], "0 or 1"),
+                         ([0, 0], "shape")):
+            init = Decision(tau=[2.0] * len(x), x=x, mu=[0.1] * len(x))
+            with pytest.raises(ValueError, match=match):
+                solve_jso(profiles, config, init=init)
 
     def test_converged_solution_is_feasible(self):
         profiles, config = scenario_lists(6, seed=4)

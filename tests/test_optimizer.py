@@ -29,7 +29,7 @@ def make_terms(psi=(1.0, 1.0, 1.0), lams=(0.8, 0.8, 0.8), t_sys=LOCAL_T_SYS,
 class TestCostTerms:
     def test_cost_matches_metric_composition(self, profile, config):
         from maoi_edge.metric import penalized_cost
-        terms = CostTerms.from_scenario([profile], config, 0, 0.7, [0])
+        terms = ScenarioEvaluator([profile], config).cost_terms(0, 0.7, np.array([0]))
         for tau in (2.0, 5.0, 14.0):
             assert terms.cost(tau) == pytest.approx(
                 penalized_cost([profile], config, 0, tau, 0.7, [0]))

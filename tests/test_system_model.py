@@ -50,6 +50,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             SystemConfig(local_schedule_order=(IMG, IMG, SIG))
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_outer_iters", 0), ("newton_max_iters", 0),
+        ("energy_tol", -0.01), ("mu_init", -1.0),
+    ])
+    def test_config_rejects_unusable_solver_settings(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SystemConfig(**{field: value})
+
 
 class TestDataSize:
     def test_image_reference_resolution(self, profile):
