@@ -57,17 +57,17 @@ def solve_gmo(profiles: Sequence[DeviceProfile], config: SystemConfig,
               init: Decision | None = None) -> tuple[Decision, SolveTrace]:
     """Greedy marginal-cost offloading: one irreversible fix per iteration.
 
-    Starting all-local, each iteration trials every still-local device on
-    the edge (capacity permitting) and permanently fixes the one with the
-    largest strict system-cost decrease; fixed decisions are never
+    From the initial pattern (all-local by default), each iteration trials
+    every still-local device on the edge (capacity permitting) and
+    permanently fixes the one with the largest strict system-cost
+    decrease; fixed decisions, initial offloaders included, are never
     reverted.
     """
     ev = ScenarioEvaluator(profiles, config)
-    fixed: set[int] = set()
 
     def offload_rule(tau, mu, x):
-        base = np.zeros_like(x)
-        base[sorted(fixed)] = 1
+        # flags are never reverted, so the incoming pattern is the fixed set
+        base = x.copy()
         load = float(base @ ev.payload)
         candidates = np.nonzero((base == 0)
                                 & (load + ev.payload <= config.capacity_threshold))[0]
@@ -75,7 +75,6 @@ def solve_gmo(profiles: Sequence[DeviceProfile], config: SystemConfig,
                                  np.ones_like(candidates))
         if best_d is None:
             return base, []
-        fixed.add(best_d)
         base[best_d] = 1
         return base, [best_d]
 

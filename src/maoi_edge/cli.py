@@ -8,7 +8,6 @@ or violated trend).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -17,7 +16,7 @@ import yaml
 
 from . import baselines, experiments, trends
 from .scenario import generate_scenario
-from .system_model import DeviceProfile, SystemConfig
+from .system_model import NUMERIC_FIELDS, coerce_numeric
 
 log = logging.getLogger("maoi_edge")
 
@@ -30,38 +29,13 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
-#: Declared type of every numeric override field.  YAML 1.1 reads exponent
-#: forms without a dot (``3e7``, ``1e-13``) as strings, so these fields are
-#: coerced explicitly.
+#: Numeric override fields: the dataclass ones plus the generator-only
+#: ``psi_range`` and ``path_loss_exponent``.
 _NUMERIC_FIELDS = {
-    **{f.name: f.type for cls in (SystemConfig, DeviceProfile)
-       for f in dataclasses.fields(cls)
-       if f.type in ("float", "int", "tuple[float, float, float]")},
+    **NUMERIC_FIELDS,
     "psi_range": "tuple[float, float]",
     "path_loss_exponent": "float",
 }
-
-
-def _as_number(key: str, value, kind: str):
-    if not isinstance(value, str):
-        return value
-    try:
-        number = float(value)
-    except ValueError:
-        raise SystemExit(f"{key}: expected a number, got {value!r}") from None
-    return int(number) if kind == "int" and number.is_integer() else number
-
-
-def _coerce_numeric(overrides: dict) -> dict:
-    for key, value in overrides.items():
-        kind = _NUMERIC_FIELDS.get(key)
-        if kind is None:
-            continue
-        if kind.startswith("tuple") and isinstance(value, (list, tuple)):
-            overrides[key] = [_as_number(key, v, "float") for v in value]
-        else:
-            overrides[key] = _as_number(key, value, kind)
-    return overrides
 
 
 def _parse_overrides(pairs: list[str], config_path: str | None) -> dict:
@@ -84,7 +58,10 @@ def _parse_overrides(pairs: list[str], config_path: str | None) -> dict:
             raise SystemExit(f"--override needs key=value, got {pair!r}")
         key, value = pair.split("=", 1)
         overrides[key.strip()] = yaml.safe_load(value)
-    return _coerce_numeric(overrides)
+    try:
+        return coerce_numeric(overrides, _NUMERIC_FIELDS)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def _seeds(base: int, count: int) -> tuple[int, ...]:
@@ -159,10 +136,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trace.write_csv(out / "trace.csv")
-    with open(out / "decision.csv", "w", newline="") as fh:
-        fh.write("device,tau,x,mu\n")
-        for d in range(len(sc.profiles)):
-            fh.write(f"{d},{decision.tau[d]!r},{decision.x[d]},{decision.mu[d]!r}\n")
+    rows = [{"device": d, "tau": tau, "x": x, "mu": mu}
+            for d, (tau, x, mu) in enumerate(zip(decision.tau.tolist(),
+                                                 decision.x.tolist(),
+                                                 decision.mu.tolist()))]
+    experiments.write_csv(rows, ("device", "tau", "x", "mu"), out / "decision.csv")
     print(f"{args.algorithm}: converged={trace.converged} iters={trace.n_iters} "
           f"avg_maoi={metrics['avg_maoi']:.4f} avg_aoi={metrics['avg_aoi']:.4f} "
           f"offloaded={metrics['n_offloaded']}/{len(sc.profiles)}")

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import baselines, oracle
 from .metric import avg_maoi_modality
+from .optimizer import Decision
 from .scenario import Scenario, generate_scenario, with_audio_weight_increment
 
 log = logging.getLogger(__name__)
@@ -75,23 +76,24 @@ def scenario_for(spec: SweepSpec, value: float, seed: int) -> Scenario:
     return with_audio_weight_increment(base, float(value))
 
 
-def _execute_task(task: tuple[SweepSpec, float, int, str]) -> dict:
+def _execute_task(task: tuple[SweepSpec, float, int, str]) -> tuple[dict, Decision]:
     spec, value, seed, algorithm = task
     sc = scenario_for(spec, value, seed)
-    _, trace = baselines.solve(algorithm, list(sc.profiles), sc.config)
+    decision, trace = baselines.solve(algorithm, list(sc.profiles), sc.config)
     row = {"param": spec.param, "value": value, "seed": seed,
            "algorithm": algorithm}
     row.update(trace.metrics)
     row["converged"] = int(trace.converged)
     row["outer_iters"] = trace.n_iters
-    return row
+    return row, decision
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
+def solve_sweep(spec: SweepSpec, workers: int = 1) -> list[tuple[dict, Decision]]:
     """Solve every (grid value, seed, algorithm) combination.
 
-    Rows come back sorted by (value, seed, algorithm); the ordering and
-    content depend only on the spec, never on worker scheduling.
+    Returns one (``RESULT_COLUMNS`` row, decision) pair per solve, sorted
+    by (value, seed, algorithm); the ordering and content depend only on
+    the spec, never on worker scheduling.
     """
     tasks = [(spec, value, seed, alg)
              for value, seed, alg in itertools.product(spec.grid, spec.seeds,
@@ -99,13 +101,18 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
     started = time.perf_counter()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_execute_task, tasks, chunksize=1))
+            pairs = list(pool.map(_execute_task, tasks, chunksize=1))
     else:
-        rows = [_execute_task(t) for t in tasks]
+        pairs = [_execute_task(t) for t in tasks]
     log.info("sweep %s: %d solves in %.1fs", spec.param, len(tasks),
              time.perf_counter() - started)
-    rows.sort(key=lambda r: (r["value"], r["seed"], r["algorithm"]))
-    return rows
+    pairs.sort(key=lambda p: (p[0]["value"], p[0]["seed"], p[0]["algorithm"]))
+    return pairs
+
+
+def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
+    """The rows of ``solve_sweep``: data-only, in its order."""
+    return [row for row, _ in solve_sweep(spec, workers)]
 
 
 def aggregate(rows: list[dict]) -> list[dict]:
@@ -216,13 +223,10 @@ def convergence_grid(d_grid: tuple[int, ...], e_grid: tuple[float, ...],
 
 
 def write_convergence_grid_csv(d_grid, e_grid, cells, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["energy_budget"] + [f"D={d}" for d in d_grid])
-        for e_max, row in zip(e_grid, cells):
-            writer.writerow([_format(float(e_max))] + [_format(v) for v in row])
+    columns = ["energy_budget"] + [f"D={d}" for d in d_grid]
+    rows = [dict(zip(columns, [float(e_max)] + list(row)))
+            for e_max, row in zip(e_grid, cells)]
+    write_csv(rows, columns, path)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +267,7 @@ def write_oracle_csv(rows: list[dict], path: str | Path) -> None:
 
 __all__ = [
     "SweepSpec", "SWEEP_PARAMS", "METRIC_COLUMNS", "RESULT_COLUMNS",
-    "scenario_for", "run_sweep", "aggregate", "write_csv",
+    "scenario_for", "solve_sweep", "run_sweep", "aggregate", "write_csv",
     "write_results_csv", "write_aggregate_csv", "aggregate_columns",
     "read_csv", "convergence_grid", "write_convergence_grid_csv",
     "validate_oracle", "write_oracle_csv", "ORACLE_COLUMNS",

@@ -49,11 +49,15 @@ def _as_frames(frames: Sequence) -> list[np.ndarray]:
     return out
 
 
-def image_dynamism(frames: Sequence) -> float:
-    """Mean absolute pixel difference, averaged over consecutive frame pairs."""
+def _mean_abs_change(frames: Sequence) -> float:
     fs = _as_frames(frames)
     diffs = [np.abs(a - b).mean() for a, b in zip(fs[1:], fs[:-1])]
     return float(np.mean(diffs))
+
+
+def image_dynamism(frames: Sequence) -> float:
+    """Mean absolute pixel difference, averaged over consecutive frame pairs."""
+    return _mean_abs_change(frames)
 
 
 def roi_ratio(roi_area: float, total_area: float) -> float:
@@ -67,9 +71,7 @@ def roi_ratio(roi_area: float, total_area: float) -> float:
 
 def audio_semantic_variation(frames: Sequence) -> float:
     """Mean absolute feature change between consecutive audio frames."""
-    fs = _as_frames(frames)
-    diffs = [np.abs(a - b).mean() for a, b in zip(fs[1:], fs[:-1])]
-    return float(np.mean(diffs))
+    return _mean_abs_change(frames)
 
 
 def signal_dynamics(frames: Sequence) -> float:

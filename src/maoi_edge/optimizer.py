@@ -198,7 +198,6 @@ class ScenarioEvaluator:
             raise ValueError(f"unknown objective {objective!r}")
         self.profiles = list(profiles)
         self.config = config
-        self.objective = objective
         D = len(self.profiles)
         if D == 0:
             raise ValueError("need at least one device")

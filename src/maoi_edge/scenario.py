@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .system_model import DeviceProfile, SystemConfig, config_from_mapping
+from .system_model import DeviceProfile, SystemConfig, coerce_numeric, config_from_mapping
 
 AREA_SIZE = 40.0           # m, square side with the BS at the center
 REFERENCE_DISTANCE = 10.0  # m, close-in distance below which path loss is flat
@@ -73,7 +73,7 @@ def generate_scenario(d_count: int, seed: int,
     """
     if d_count < 1:
         raise ValueError(f"d_count must be >= 1, got {d_count}")
-    overrides = dict(overrides or {})
+    overrides = coerce_numeric(overrides or {})
     unknown = set(overrides) - _CONFIG_FIELDS - _DEVICE_FIELDS - _SPECIAL_FIELDS
     if unknown:
         raise ValueError(f"unknown override fields: {sorted(unknown)}")

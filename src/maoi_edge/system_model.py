@@ -82,8 +82,10 @@ class DeviceProfile:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if len(self.maoi_weights) != 3 or any(w < 0 for w in self.maoi_weights):
+        weights = tuple(float(w) for w in self.maoi_weights)
+        if len(weights) != 3 or any(w < 0 for w in weights):
             raise ValueError(f"maoi_weights must be 3 values >= 0, got {self.maoi_weights}")
+        object.__setattr__(self, "maoi_weights", weights)
         samples = self.aud_duration * self.aud_rate
         if abs(samples - round(samples)) > 1e-6 * max(1.0, samples):
             raise ValueError(f"aud_duration*aud_rate = {samples} is not an integer sample count")
@@ -264,15 +266,48 @@ def _coerce_order(value) -> tuple[ModalityKind, ...]:
     return tuple(out)
 
 
+#: Declared type of every numeric SystemConfig/DeviceProfile field.  YAML
+#: 1.1 reads exponent forms without a dot (``3e7``, ``1e-13``) as strings,
+#: so documents and overrides are coerced field by field.
+NUMERIC_FIELDS = {
+    f.name: f.type for cls in (SystemConfig, DeviceProfile) for f in fields(cls)
+    if f.type in ("float", "int", "tuple[float, float, float]")}
+
+
+def _as_number(key: str, value, kind: str):
+    if not isinstance(value, str):
+        return value
+    try:
+        number = float(value)
+    except ValueError:
+        raise ValueError(f"{key}: expected a number, got {value!r}") from None
+    return int(number) if kind == "int" and number.is_integer() else number
+
+
+def coerce_numeric(doc: dict, kinds: dict[str, str] = NUMERIC_FIELDS) -> dict:
+    """Copy of ``doc`` with string values of the ``kinds`` fields parsed.
+
+    A value that is not a number raises ``ValueError`` naming the field.
+    """
+    out = dict(doc)
+    for key, value in doc.items():
+        kind = kinds.get(key)
+        if kind is None:
+            continue
+        if kind.startswith("tuple") and isinstance(value, (list, tuple)):
+            out[key] = [_as_number(key, v, "float") for v in value]
+        else:
+            out[key] = _as_number(key, value, kind)
+    return out
+
+
 def config_from_mapping(doc: dict) -> SystemConfig:
     """Build a SystemConfig from the ``system`` section of a config document."""
     known = {f.name for f in fields(SystemConfig)}
     unknown = set(doc) - known
     if unknown:
         raise ValueError(f"unknown system config fields: {sorted(unknown)}")
-    kwargs = dict(doc)
-    if "event_rates" in kwargs:
-        kwargs["event_rates"] = tuple(float(v) for v in kwargs["event_rates"])
+    kwargs = coerce_numeric(doc)
     if "local_schedule_order" in kwargs:
         kwargs["local_schedule_order"] = _coerce_order(kwargs["local_schedule_order"])
     return SystemConfig(**kwargs)
@@ -284,10 +319,7 @@ def profile_from_mapping(doc: dict) -> DeviceProfile:
     unknown = set(doc) - known
     if unknown:
         raise ValueError(f"unknown device fields: {sorted(unknown)}")
-    kwargs = dict(doc)
-    if "maoi_weights" in kwargs:
-        kwargs["maoi_weights"] = tuple(float(v) for v in kwargs["maoi_weights"])
-    return DeviceProfile(**kwargs)
+    return DeviceProfile(**coerce_numeric(doc))
 
 
 def load_config_document(path: str | Path) -> tuple[list[DeviceProfile], SystemConfig]:
@@ -335,6 +367,7 @@ __all__ = [
     "ModalityKind", "MODALITIES", "SCHEDULE_FIXED", "SCHEDULE_BY_WEIGHT",
     "DeviceProfile", "SystemConfig", "data_size_bits", "total_data_bits",
     "compute_flops", "compute_time", "sensing_time", "schedule_order",
-    "local_waiting_time", "system_time", "config_from_mapping",
-    "profile_from_mapping", "load_config_document", "dump_config_document",
+    "local_waiting_time", "system_time", "NUMERIC_FIELDS", "coerce_numeric",
+    "config_from_mapping", "profile_from_mapping", "load_config_document",
+    "dump_config_document",
 ]

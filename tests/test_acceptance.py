@@ -1,23 +1,21 @@
 """Acceptance suite: every criterion checked at its stated tolerance.
 
 Each test prints one PASS/FAIL line.  The sweep fixtures solve the full
-matched scenario grids once per session (the dominant cost; a few minutes
-on two workers) and the criteria share them.
+matched scenario grids once per session through ``experiments.solve_sweep``,
+the engine behind ``maoi-edge sweep`` (the dominant cost; a few minutes on
+two workers), and the criteria share them.
 """
 
-import itertools
 import math
 import subprocess
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from helpers import draw_cost_terms, grid_minimum
-from maoi_edge import baselines, experiments, trends
+from maoi_edge import experiments, trends
 from maoi_edge.experiments import validate_oracle
 from maoi_edge.optimizer import (
     ScenarioEvaluator,
@@ -45,58 +43,37 @@ ALGS = ("jso", "jso_a", "fmi", "flc", "gmo", "idd", "dbro")
 BASELINE_ALGS = ("fmi", "flc", "gmo", "idd", "dbro")
 ENERGY_TOL = 0.05
 
-
-class SolvedCase(NamedTuple):
-    alg: str
-    value: float
-    seed: int
-    tau: np.ndarray
-    x: np.ndarray
-    mu: np.ndarray
-    metrics: dict
-    n_iters: int
-    converged: bool
-    tau_min: float
-    capacity: float
+D_SPEC = experiments.SweepSpec(
+    param="device_count", grid=tuple(float(d) for d in D_GRID),
+    algorithms=ALGS, seeds=D_SEEDS)
+E_SPEC = experiments.SweepSpec(
+    param="energy_budget", grid=E_GRID, algorithms=ALGS, seeds=E_SEEDS,
+    base_devices=E_DEVICES)
+DW_SPEC = experiments.SweepSpec(
+    param="audio_weight_increment", grid=DW_GRID, algorithms=("jso",),
+    seeds=DW_SEEDS, base_devices=E_DEVICES,
+    overrides={"schedule_policy": "by_weight"})
 
 
-def _solve_case(args) -> SolvedCase:
-    kind, alg, value, seed, overrides = args
-    spec = experiments.SweepSpec(param=kind, grid=(value,), algorithms=(alg,),
-                                 seeds=(seed,), base_devices=E_DEVICES,
-                                 overrides=overrides)
-    sc = experiments.scenario_for(spec, value, seed)
-    decision, trace = baselines.solve(alg, list(sc.profiles), sc.config)
-    return SolvedCase(alg=alg, value=float(value), seed=seed,
-                      tau=decision.tau, x=decision.x, mu=decision.mu,
-                      metrics=trace.metrics,
-                      n_iters=trace.n_iters, converged=trace.converged,
-                      tau_min=sc.config.tau_min,
-                      capacity=sc.config.capacity_threshold)
-
-
-def _solve_grid(kind, algs, grid, seeds, overrides=None):
-    tasks = [(kind, alg, value, seed, overrides or {})
-             for value, seed, alg in itertools.product(grid, seeds, algs)]
-    with ProcessPoolExecutor(max_workers=WORKERS) as pool:
-        cases = list(pool.map(_solve_case, tasks, chunksize=1))
-    return {(c.alg, c.value, c.seed): c for c in cases}
+def solve_grid(spec):
+    """Each solve's (results row, decision), keyed (algorithm, value, seed)."""
+    return {(row["algorithm"], row["value"], row["seed"]): (row, decision)
+            for row, decision in experiments.solve_sweep(spec, workers=WORKERS)}
 
 
 @pytest.fixture(scope="session")
 def d_sweep():
-    return _solve_grid("device_count", ALGS, D_GRID, D_SEEDS)
+    return solve_grid(D_SPEC)
 
 
 @pytest.fixture(scope="session")
 def e_sweep():
-    return _solve_grid("energy_budget", ALGS, E_GRID, E_SEEDS)
+    return solve_grid(E_SPEC)
 
 
 @pytest.fixture(scope="session")
 def weight_sweep():
-    return _solve_grid("audio_weight_increment", ("jso",), DW_GRID, DW_SEEDS,
-                       overrides={"schedule_policy": "by_weight"})
+    return solve_grid(DW_SPEC)
 
 
 @pytest.fixture(scope="session")
@@ -112,7 +89,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def mean_curve(cases: dict, alg: str, grid, seeds, metric: str) -> list[float]:
-    return [float(np.mean([cases[(alg, float(v), s)].metrics[metric]
+    return [float(np.mean([cases[(alg, float(v), s)][0][metric]
                            for s in seeds]))
             for v in grid]
 
@@ -226,18 +203,23 @@ class TestCriterion4:
 class TestCriterion5:
     def test_constraint_feasibility(self, d_sweep, e_sweep):
         bad = []
-        cases = list(d_sweep.values()) + list(e_sweep.values())
-        for c in cases:
-            if not c.converged:
-                bad.append((c.alg, c.value, c.seed, "not converged"))
-            if (c.tau < c.tau_min).any():
-                bad.append((c.alg, c.value, c.seed, "tau below minimum"))
-            if c.metrics["offload_bits"] > c.capacity:
-                bad.append((c.alg, c.value, c.seed, "capacity exceeded"))
-            if c.metrics["max_energy_violation"] > ENERGY_TOL + 1e-12:
-                bad.append((c.alg, c.value, c.seed, "energy budget exceeded"))
+        n_cases = 0
+        for spec, cases in ((D_SPEC, d_sweep), (E_SPEC, e_sweep)):
+            # no sweep here varies a config field, so one cell's config holds
+            config = experiments.scenario_for(spec, spec.grid[0],
+                                              spec.seeds[0]).config
+            for (alg, value, seed), (row, decision) in cases.items():
+                if not row["converged"]:
+                    bad.append((alg, value, seed, "not converged"))
+                if (decision.tau < config.tau_min).any():
+                    bad.append((alg, value, seed, "tau below minimum"))
+                if row["offload_bits"] > config.capacity_threshold:
+                    bad.append((alg, value, seed, "capacity exceeded"))
+                if row["max_energy_violation"] > ENERGY_TOL + 1e-12:
+                    bad.append((alg, value, seed, "energy budget exceeded"))
+            n_cases += len(cases)
         report(5, not bad,
-               f"{len(cases)} solved scenarios: tau >= tau_min exactly, "
+               f"{n_cases} solved scenarios: tau >= tau_min exactly, "
                f"offloaded payload within capacity exactly, average power "
                f"within 1.05x budget; violations: {bad[:3] if bad else 'none'}")
 
@@ -247,14 +229,15 @@ class TestCriterion6:
         d_maoi, d_aoi, differing = [], [], []
         for d in D_GRID:
             for s in D_SEEDS:
-                jso = d_sweep[("jso", float(d), s)]
-                jsa = d_sweep[("jso_a", float(d), s)]
-                dm = jsa.metrics["avg_maoi"] - jso.metrics["avg_maoi"]
-                da = jso.metrics["avg_aoi"] - jsa.metrics["avg_aoi"]
+                jso, jso_dec = d_sweep[("jso", float(d), s)]
+                jsa, jsa_dec = d_sweep[("jso_a", float(d), s)]
+                dm = jsa["avg_maoi"] - jso["avg_maoi"]
+                da = jso["avg_aoi"] - jsa["avg_aoi"]
                 d_maoi.append(dm)
                 d_aoi.append(da)
-                differs = (not np.array_equal(jso.x, jsa.x)) or bool(
-                    (np.abs(jso.tau - jsa.tau) / jso.tau).max() > ENERGY_TOL)
+                differs = (not np.array_equal(jso_dec.x, jsa_dec.x)) or bool(
+                    (np.abs(jso_dec.tau - jsa_dec.tau) / jso_dec.tau).max()
+                    > ENERGY_TOL)
                 if differs:
                     differing.append((dm, da))
         mean_ok = np.mean(d_maoi) >= 0 and np.mean(d_aoi) >= 0
@@ -273,11 +256,11 @@ class TestCriterion7:
         # pointwise dominance on both sweeps
         for cases, grid, seeds in ((d_sweep, D_GRID, D_SEEDS),
                                    (e_sweep, E_GRID, E_SEEDS)):
-            jso = {v: np.mean([cases[("jso", float(v), s)].metrics["avg_maoi"]
+            jso = {v: np.mean([cases[("jso", float(v), s)][0]["avg_maoi"]
                                for s in seeds]) for v in grid}
             for alg in BASELINE_ALGS:
                 for v in grid:
-                    other = np.mean([cases[(alg, float(v), s)].metrics["avg_maoi"]
+                    other = np.mean([cases[(alg, float(v), s)][0]["avg_maoi"]
                                      for s in seeds])
                     if jso[v] > other + 1e-6:
                         problems.append(f"jso {jso[v]:.3f} > {alg} {other:.3f} "

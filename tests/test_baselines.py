@@ -3,7 +3,7 @@ import pytest
 
 from maoi_edge import baselines
 from maoi_edge.energy import total_energy
-from maoi_edge.optimizer import ScenarioEvaluator, solve_jso
+from maoi_edge.optimizer import Decision, ScenarioEvaluator, solve_jso
 from maoi_edge.scenario import generate_scenario
 from maoi_edge.system_model import SystemConfig
 
@@ -98,6 +98,14 @@ class TestGMO:
             trial[d] = 1
             gains[d] = base - ev.system_cost(init_tau, np.full(6, config.mu_init), trial)
         assert first == max(gains, key=gains.get)
+
+    def test_initial_offloader_is_kept(self):
+        profiles, config = scenario_lists(6, seed=0, lagrange_step=0.5)
+        init = Decision(tau=np.full(6, config.tau_min),
+                        x=[0, 0, 0, 0, 0, 1], mu=np.full(6, config.mu_init))
+        decision, trace = baselines.solve_gmo(profiles, config, init)
+        assert decision.x[5] == 1
+        assert all(5 not in c for c in trace.committed)
 
     def test_stays_local_when_offloading_hurts(self):
         # drown the uplink in noise: transmission takes forever

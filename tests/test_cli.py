@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 from maoi_edge.cli import _parse_overrides, main
+from maoi_edge.experiments import read_csv
 
 FAST = ["--override", "energy_budget=50.0"]
 
@@ -138,6 +139,16 @@ class TestSolveCommand:
         decision = (tmp_path / "decision.csv").read_text().splitlines()
         assert decision[0] == "device,tau,x,mu"
         assert len(decision) == 4
+
+    def test_decision_csv_is_data_only(self, tmp_path):
+        code = run_cli(["solve", "--algorithm", "fmi", "--devices", "4",
+                        "--out", str(tmp_path)])
+        assert code == 0
+        rows = read_csv(tmp_path / "decision.csv")
+        assert [r["device"] for r in rows] == [0, 1, 2, 3]
+        for r in rows:
+            assert isinstance(r["tau"], float) and isinstance(r["mu"], float)
+            assert r["x"] in (0, 1) and isinstance(r["x"], int)
 
 
 class TestEntryPoint:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maoi_edge import experiments, trends
+from maoi_edge import baselines, experiments, trends
 from maoi_edge.experiments import (
     ORACLE_COLUMNS,
     RESULT_COLUMNS,
@@ -11,6 +11,7 @@ from maoi_edge.experiments import (
     read_csv,
     run_sweep,
     scenario_for,
+    solve_sweep,
     validate_oracle,
     write_aggregate_csv,
     write_convergence_grid_csv,
@@ -95,6 +96,23 @@ class TestRunSweep:
         back = read_csv(p1)
         assert len(back) == len(rows)
         assert back[0]["avg_maoi"] == pytest.approx(rows[0]["avg_maoi"])
+
+
+class TestSolveSweep:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_match_run_sweep_and_decisions_match_solve(self, workers):
+        spec = SweepSpec(param="device_count", grid=(4.0, 6.0),
+                         algorithms=("jso", "gmo", "idd"), seeds=(0, 1),
+                         overrides={"max_outer_iters": 300})
+        pairs = solve_sweep(spec, workers=workers)
+        assert [row for row, _ in pairs] == run_sweep(spec, workers=workers)
+        for row, decision in pairs:
+            sc = scenario_for(spec, row["value"], row["seed"])
+            expected, _ = baselines.solve(row["algorithm"], list(sc.profiles),
+                                          sc.config)
+            assert np.array_equal(decision.tau, expected.tau)
+            assert np.array_equal(decision.x, expected.x)
+            assert np.array_equal(decision.mu, expected.mu)
 
 
 class TestAggregate:

@@ -9,6 +9,7 @@ from maoi_edge.scenario import (
     generate_scenario,
     with_audio_weight_increment,
 )
+from maoi_edge.system_model import dump_config_document, load_config_document
 
 
 class TestChannelGain:
@@ -87,6 +88,19 @@ class TestGeneration:
         for p, pos in zip(sc.profiles, sc.positions):
             h = max(float(np.hypot(*pos)), REFERENCE_DISTANCE)
             assert p.channel_gain == pytest.approx(h**-3)
+
+    def test_exponent_form_strings_coerced(self):
+        sc = generate_scenario(2, seed=0, overrides={
+            "capacity_threshold": "3e7", "energy_budget": "2e0"})
+        assert sc.config.capacity_threshold == 3e7
+        assert all(p.energy_budget == 2.0 for p in sc.profiles)
+
+    def test_config_document_roundtrip(self, tmp_path):
+        # drawn weights are stored as plain floats, which YAML can write
+        sc = generate_scenario(3, seed=0)
+        path = tmp_path / "generated.yaml"
+        dump_config_document(list(sc.profiles), sc.config, path)
+        assert load_config_document(path) == (list(sc.profiles), sc.config)
 
 
 class TestAudioWeightIncrement:

@@ -11,6 +11,7 @@ from maoi_edge.system_model import (
     SystemConfig,
     compute_flops,
     compute_time,
+    config_from_mapping,
     data_size_bits,
     dump_config_document,
     load_config_document,
@@ -199,3 +200,24 @@ class TestConfigDocument:
         }))
         _, cfg = load_config_document(path)
         assert cfg.local_schedule_order == (SIG, IMG, AUD)
+
+    def test_exponent_forms_without_a_dot(self, tmp_path):
+        # YAML 1.1 reads 1e-13, 3e7 and 4e4 as strings
+        path = tmp_path / "exp.yaml"
+        path.write_text("system:\n  noise_power: 1e-13\n"
+                        "  capacity_threshold: 3e7\n  max_outer_iters: 4e4\n"
+                        "  event_rates: [8e-1, 1, 1.5]\n"
+                        "devices:\n  - id: 0\n    energy_budget: 2e0\n"
+                        "    maoi_weights: [1, 2e0, 3]\n")
+        profiles, cfg = load_config_document(path)
+        assert cfg.noise_power == 1e-13
+        assert cfg.capacity_threshold == 3e7
+        assert cfg.max_outer_iters == 40_000
+        assert isinstance(cfg.max_outer_iters, int)
+        assert cfg.event_rates == (0.8, 1.0, 1.5)
+        assert profiles[0].energy_budget == 2.0
+        assert profiles[0].maoi_weights == (1.0, 2.0, 3.0)
+
+    def test_non_numeric_value_names_the_field(self):
+        with pytest.raises(ValueError, match="capacity_threshold"):
+            config_from_mapping({"capacity_threshold": "lots"})
