@@ -67,16 +67,13 @@ def solve_gmo(profiles: Sequence[DeviceProfile], config: SystemConfig,
 
     def offload_rule(tau, mu, x):
         # flags are never reverted, so the incoming pattern is the fixed set
-        base = x.copy()
-        load = float(base @ ev.payload)
-        candidates = np.nonzero((base == 0)
-                                & (load + ev.payload <= config.capacity_threshold))[0]
-        best_d, _ = ev.best_flip(tau, mu, base, candidates,
-                                 np.ones_like(candidates))
+        candidates = np.nonzero((x == 0) & ev.admissible_offload(x))[0]
+        best_d, _ = ev.best_flip(tau, mu, x, candidates, np.ones_like(candidates))
         if best_d is None:
-            return base, []
-        base[best_d] = 1
-        return base, [best_d]
+            return x, []
+        out = x.copy()
+        out[best_d] = 1
+        return out, [best_d]
 
     return run_outer_loop(ev, ev.sampling_step, offload_rule, init)
 
@@ -95,11 +92,10 @@ def solve_idd(profiles: Sequence[DeviceProfile], config: SystemConfig,
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     ev = ScenarioEvaluator(profiles, config)
     assumed = rho * (ev.rx_power.sum() - ev.rx_power)
-    rate = config.bandwidth * np.log2(1.0 + ev.rx_power / (config.noise_power + assumed))
-    trans = ev.payload / rate
+    edge = ev.edge_branch(ev.payload / ev.rates_under(assumed))
 
     def offload_rule(tau, mu, x):
-        cost_loc, cost_off = ev.branch_costs_at(tau, mu, trans)
+        cost_loc, cost_off = ev.branch_costs_at(tau, mu, edge)
         prefers = cost_off < cost_loc
         out = np.zeros_like(x)
         load = 0.0

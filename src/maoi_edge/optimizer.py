@@ -15,19 +15,29 @@ flat and every budget is met within tolerance:
 
 ``ScenarioEvaluator`` holds one scenario's device-vectorized arrays and
 implements every block; ``run_outer_loop`` drives a solve on one
-evaluator and reports the decision's metrics from it.  ``CostTerms`` and
-the functions that follow it solve one device's interval: the sampling
-block runs ``newton_refine`` on devices with a convex region, and
-``optimal_sampling_interval`` is the whole block for a single device.
+evaluator and reports the decision's metrics from it.  The pattern
+changes in a few percent of outer iterations, so the evaluator computes
+everything that depends on the pattern alone (pattern state, edge branch,
+capacity admission, the sampling block's convexity threshold, surrogate
+denominator and Newton devices) once per pattern, and the event factors
+phi(tau) once per interval vector.  The loop passes bare arrays between
+the blocks, so its rules must never edit their inputs in place.
+
+``CostTerms`` and the functions that follow it solve one device's
+interval: the sampling block runs ``newton_refine`` on devices with a
+convex region, and ``optimal_sampling_interval`` is the whole block for a
+single device.
 """
 
 from __future__ import annotations
 
 import csv
+import logging
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -182,14 +192,42 @@ def optimal_sampling_interval(terms: CostTerms, config: SystemConfig,
 TRIAL_BLOCK_ENTRIES = 4096
 
 
+class _PatternState(NamedTuple):
+    """Everything an outer iteration needs that depends on the pattern alone."""
+
+    trans: np.ndarray           # edge transmission time per device
+    t_sys: np.ndarray           # system time per device and modality
+    energies: np.ndarray        # per-update energy per device
+    t_off: np.ndarray           # edge-branch system times, ``edge_branch(trans)``
+    e_off: np.ndarray           # edge-branch per-update energies
+    admissible: np.ndarray      # ``admissible_offload(x)``
+    tau_th: np.ndarray          # convexity threshold per device
+    tau_upper: np.ndarray       # max(tau_min, tau_th)
+    sphi_up: np.ndarray         # surrogate's event-factor sum at tau_upper
+    newton_devices: np.ndarray  # devices with a convex region (tau_min < tau_th)
+
+
 class ScenarioEvaluator:
     """Device-vectorized cost evaluation for one scenario and objective.
 
     Static per-device quantities (payloads, sensing/compute times, sensing
-    and compute energies) are precomputed.  The pattern state (transmission
-    times, system times and per-update energies) of the latest offload
-    pattern is cached, keyed on the pattern's contents, so the blocks of an
-    outer iteration that see the same pattern share one evaluation.
+    and compute energies, the local branch's energy) are precomputed.  Two
+    read-only entries are cached, each holding only its latest key:
+
+    * per offload pattern, keyed on ``x.tobytes()``: the pattern state
+      (transmission times, system times, per-update energies), the edge
+      branch's times and energies, the capacity-admissible devices, and the
+      sampling block's invariants (convexity threshold, the surrogate's
+      event-factor sum at ``max(tau_min, tau_th)`` and the devices with a
+      convex region);
+    * per interval vector, keyed on ``tau.tobytes()``: the event factors
+      phi(tau) under the evaluator's own weights and ``0.5 * tau``.
+
+    Keys are contents, not identities, so a pattern or interval vector
+    edited in place misses the cache instead of reading stale entries.
+    The blocks of an outer iteration then share one evaluation of each.
+    No method edits its array arguments in place; ``run_outer_loop``
+    holds the rules it drives to the same contract.
     """
 
     def __init__(self, profiles: Sequence[DeviceProfile], config: SystemConfig,
@@ -210,6 +248,7 @@ class ScenarioEvaluator:
         self.e_sens = np.array([energy_model.sensing_energy(p) for p in self.profiles])
         self.e_comp = np.array([energy_model.computation_energy(p, config)
                                 for p in self.profiles])
+        self.e_local = self.e_sens + self.e_comp  # per-update energy, local branch
         self.psi_true = np.array([p.maoi_weights for p in self.profiles])
         self.psi = (self.psi_true if objective == OBJECTIVE_MAOI
                     else np.zeros_like(self.psi_true))
@@ -227,7 +266,9 @@ class ScenarioEvaluator:
         self.t_local = sens + wait + t_lc       # full local system times
         self.t_edge0 = sens + t_ec              # edge system times minus transmission
         self._pattern_key: bytes | None = None
-        self._pattern: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._pattern: _PatternState | None = None
+        self._tau_key: bytes | None = None
+        self._tau_terms: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- pattern-dependent quantities ------------------------------------
     # ``x`` may stack several patterns along leading axes (shape (..., D)).
@@ -237,7 +278,10 @@ class ScenarioEvaluator:
         # one dot product per pattern, as ``x @ rx_power`` computes it for a
         # single pattern, so stacked patterns get bit-identical totals
         total = (x[..., None, :] @ self.rx_power[:, None])[..., 0]
-        interference = total - x * self.rx_power
+        return self.rates_under(total - x * self.rx_power)
+
+    def rates_under(self, interference: np.ndarray) -> np.ndarray:
+        """Uplink rate every device would see under the given interference."""
         sinr = self.rx_power / (self.config.noise_power + interference)
         return self.config.bandwidth * np.log2(1.0 + sinr)
 
@@ -251,6 +295,33 @@ class ScenarioEvaluator:
         return np.where((x == 1)[..., None], self.t_edge0 + trans[..., None],
                         self.t_local)
 
+    def edge_branch(self, trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """System times and per-update energies of every device on the edge."""
+        return self.t_edge0 + trans[:, None], self.e_sens + self.tx_power * trans
+
+    def _state(self, x: np.ndarray) -> _PatternState:
+        """The cached entry of pattern ``x``, computed on a miss."""
+        key = x.tobytes()
+        if key != self._pattern_key:
+            cfg = self.config
+            trans = self.trans_times(x)
+            t_sys = self.system_times(x, trans)
+            t_off, e_off = self.edge_branch(trans)
+            load = float(x @ self.payload)
+            admissible = np.where(x == 1, True,
+                                  load + self.payload <= cfg.capacity_threshold)
+            tau_th = (2.0 * (1.0 - self.lam[None, :] * t_sys)
+                      / self.lam[None, :]).min(axis=1)
+            tau_upper = np.maximum(cfg.tau_min, tau_th)
+            sphi_up = self.event_factors(tau_upper, self.psi).sum(axis=1)
+            state = _PatternState(
+                trans, t_sys, self.energies(x, trans), t_off, e_off, admissible,
+                tau_th, tau_upper, sphi_up, np.nonzero(cfg.tau_min < tau_th)[0])
+            for arr in state:
+                arr.flags.writeable = False
+            self._pattern_key, self._pattern = key, state
+        return self._pattern
+
     def pattern_state(self, x: np.ndarray,
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(trans, t_sys, energies)`` of pattern ``x``, read-only.
@@ -259,14 +330,8 @@ class ScenarioEvaluator:
         ``x``, not its identity, because callers copy and edit patterns in
         place.
         """
-        key = x.tobytes()
-        if key != self._pattern_key:
-            trans = self.trans_times(x)
-            state = (trans, self.system_times(x, trans), self.energies(x, trans))
-            for arr in state:
-                arr.flags.writeable = False
-            self._pattern_key, self._pattern = key, state
-        return self._pattern
+        state = self._state(x)
+        return state.trans, state.t_sys, state.energies
 
     # -- costs ------------------------------------------------------------
 
@@ -274,25 +339,34 @@ class ScenarioEvaluator:
         """phi(tau) = 1 + psi (1 - exp(-lambda tau)) per device and modality."""
         return 1.0 + psi * (1.0 - np.exp(-self.lam[None, :] * tau[:, None]))
 
+    def _tau_state(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(phi(tau), 0.5 * tau)`` under ``self.psi``, cached for the latest tau."""
+        key = tau.tobytes()
+        if key != self._tau_key:
+            terms = (self.event_factors(tau, self.psi), 0.5 * tau[:, None])
+            for arr in terms:
+                arr.flags.writeable = False
+            self._tau_key, self._tau_terms = key, terms
+        return self._tau_terms
+
     def _penalized_costs(self, tau: np.ndarray, mu: np.ndarray,
-                         t_sys: np.ndarray, e: np.ndarray,
-                         phi: np.ndarray) -> np.ndarray:
+                         t_sys: np.ndarray, e: np.ndarray) -> np.ndarray:
         """Weighted age plus energy penalty; ``t_sys``/``e`` may stack patterns."""
-        age = (phi * (0.5 * tau[:, None] + t_sys)).sum(axis=-1)
+        phi, half_tau = self._tau_state(tau)
+        age = (phi * (half_tau + t_sys)).sum(axis=-1)
         return age + mu * (e / tau - self.e_budget)
 
     def device_costs(self, tau: np.ndarray, mu: np.ndarray,
                      x: np.ndarray) -> np.ndarray:
-        _, t_sys, e = self.pattern_state(x)
-        return self._penalized_costs(tau, mu, t_sys, e,
-                                     self.event_factors(tau, self.psi))
+        state = self._state(x)
+        return self._penalized_costs(tau, mu, state.t_sys, state.energies)
 
     def system_cost(self, tau: np.ndarray, mu: np.ndarray, x: np.ndarray) -> float:
         return float(self.device_costs(tau, mu, x).sum())
 
     def energy_violation(self, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Relative overdraw (Ebar - budget)/budget per device."""
-        _, _, e = self.pattern_state(x)
+        e = self._state(x).energies
         return (e / tau - self.e_budget) / self.e_budget
 
     def cost_terms(self, d: int, mu_d: float, x: np.ndarray) -> CostTerms:
@@ -307,19 +381,16 @@ class ScenarioEvaluator:
                       ) -> tuple[np.ndarray, int]:
         """Algorithm-1 interval update for every device; returns Newton total."""
         cfg = self.config
-        _, t_sys, e = self.pattern_state(x)
-        tau_th = (2.0 * (1.0 - self.lam[None, :] * t_sys) / self.lam[None, :]).min(axis=1)
-        tau_upper = np.maximum(cfg.tau_min, tau_th)
-        sphi_up = self.event_factors(tau_upper, self.psi).sum(axis=1)
-        tau_sub = np.sqrt(2.0 * mu * e / sphi_up)
-        tau_star = np.maximum(tau_th, np.maximum(cfg.tau_min, tau_sub))
+        state = self._state(x)
+        tau_sub = np.sqrt(2.0 * mu * state.energies / state.sphi_up)
+        # max(tau_th, max(tau_min, tau_sub)), with the first clamp per pattern
+        tau_star = np.maximum(state.tau_upper, tau_sub)
         newton_total = 0
-        for d in np.nonzero(cfg.tau_min < tau_th)[0]:
-            terms = CostTerms(psi=tuple(self.psi[d]), lambdas=tuple(self.lam),
-                              t_sys=tuple(t_sys[d]), energy=float(e[d]),
-                              energy_budget=float(self.e_budget[d]), mu=float(mu[d]))
+        for d in state.newton_devices:
+            terms = self.cost_terms(d, float(mu[d]), x)
+            tau_th = state.tau_th[d]
             tau_newton, iters = newton_refine(
-                terms, 0.5 * (cfg.tau_min + tau_th[d]), cfg.tau_min, tau_th[d],
+                terms, 0.5 * (cfg.tau_min + tau_th), cfg.tau_min, tau_th,
                 tol=cfg.newton_tol, max_iters=cfg.newton_max_iters)
             newton_total += iters
             if terms.cost(tau_newton) < terms.cost(float(tau_star[d])):
@@ -336,23 +407,20 @@ class ScenarioEvaluator:
         branch costs are valid simultaneously for the fixed pattern of the
         other devices.
         """
-        trans, _, _ = self.pattern_state(x)
-        return self.branch_costs_at(tau, mu, trans)
+        state = self._state(x)
+        return self.branch_costs_at(tau, mu, (state.t_off, state.e_off))
 
-    def branch_costs_at(self, tau: np.ndarray, mu: np.ndarray, trans: np.ndarray,
+    def branch_costs_at(self, tau: np.ndarray, mu: np.ndarray,
+                        edge: tuple[np.ndarray, np.ndarray],
                         ) -> tuple[np.ndarray, np.ndarray]:
-        """Local and edge branch costs for given edge transmission times."""
-        phi = self.event_factors(tau, self.psi)
-        cost_loc = self._penalized_costs(tau, mu, self.t_local,
-                                         self.e_sens + self.e_comp, phi)
-        cost_off = self._penalized_costs(tau, mu, self.t_edge0 + trans[:, None],
-                                         self.e_sens + self.tx_power * trans, phi)
+        """Local and edge branch costs for a given ``edge_branch``."""
+        cost_loc = self._penalized_costs(tau, mu, self.t_local, self.e_local)
+        cost_off = self._penalized_costs(tau, mu, *edge)
         return cost_loc, cost_off
 
     def admissible_offload(self, x: np.ndarray) -> np.ndarray:
         """Whether each device could (or already does) offload within capacity."""
-        load = float(x @ self.payload)
-        return np.where(x == 1, True, load + self.payload <= self.config.capacity_threshold)
+        return self._state(x).admissible
 
     def best_responses(self, tau: np.ndarray, mu: np.ndarray, x: np.ndarray,
                        ) -> np.ndarray:
@@ -377,7 +445,6 @@ class ScenarioEvaluator:
         if len(devices) == 0:
             return best_d, best_gain
         cost_now = self.system_cost(tau, mu, x)
-        phi = self.event_factors(tau, self.psi)
         rows = max(1, TRIAL_BLOCK_ENTRIES // self.n_devices)
         for start in range(0, len(devices), rows):
             block = devices[start:start + rows]
@@ -385,7 +452,7 @@ class ScenarioEvaluator:
             trials[np.arange(len(block)), block] = targets[start:start + rows]
             trans = self.payload / self.rates(trials)
             costs = self._penalized_costs(tau, mu, self.system_times(trials, trans),
-                                          self.energies(trials, trans), phi)
+                                          self.energies(trials, trans))
             gains = cost_now - costs.sum(axis=-1)
             k = int(np.argmax(gains))
             if gains[k] > best_gain:
@@ -550,6 +617,8 @@ def default_decision(profiles: Sequence[DeviceProfile],
 TauRule = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, int]]
 OffloadRule = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, list[int]]]
 
+log = logging.getLogger(__name__)
+
 
 def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
                    offload_rule: OffloadRule,
@@ -561,45 +630,52 @@ def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
     subgradient multipliers only reach feasibility asymptotically, so the
     cost criterion alone would stop at infeasible points.  Without
     convergence the best iterate is returned (feasible first, then
-    cheapest).  ``tau_rule(mu, x)`` returns the intervals and its Newton
-    iteration count; ``offload_rule(tau, mu, x)`` returns the pattern and
-    the committed devices.
+    cheapest) and a warning is logged.  ``tau_rule(mu, x)`` returns the
+    intervals and its Newton iteration count; ``offload_rule(tau, mu, x)``
+    returns the pattern and the committed devices.
+
+    The loop carries ``tau``, ``x`` and ``mu`` as bare arrays and keeps the
+    best iterate by reference, so both rules must leave their inputs as
+    they are: a rule returns an array of its own (or an input unchanged)
+    and never edits an input in place.  The returned ``Decision`` holds
+    copies, so neither it nor ``init`` shares memory with the solve.
     """
     cfg = ev.config
-    state = (init or default_decision(ev.profiles, cfg)).copy()
+    init = init or default_decision(ev.profiles, cfg)
     # a Decision keeps tau and mu at x's shape, so this checks all three
-    state.x = radio.as_offload_vector(state.x, ev.n_devices)
-    if float(state.x @ ev.payload) > cfg.capacity_threshold:
+    tau, x, mu = init.tau, radio.as_offload_vector(init.x, ev.n_devices), init.mu
+    if float(x @ ev.payload) > cfg.capacity_threshold:
         raise ValueError("initial offload pattern exceeds the capacity threshold")
-    if (state.tau < cfg.tau_min).any():
+    if (tau < cfg.tau_min).any():
         raise ValueError("initial intervals below tau_min")
     trace = SolveTrace()
-    prev_cost = ev.system_cost(state.tau, state.mu, state.x)
-    best: Decision | None = None
+    prev_cost = ev.system_cost(tau, mu, x)
     best_key = (math.inf, math.inf)
     for _ in range(cfg.max_outer_iters):
-        tau, newton = tau_rule(state.mu, state.x)
-        x, committed = offload_rule(tau, state.mu, state.x)
+        tau, newton = tau_rule(mu, x)
+        x, committed = offload_rule(tau, mu, x)
         rel_overdraw = ev.energy_violation(tau, x)
-        mu = np.maximum(0.0, state.mu + cfg.lagrange_step
-                        * rel_overdraw * ev.e_budget)
-        state = Decision(tau=tau, x=x, mu=mu)
+        mu = np.maximum(0.0, mu + cfg.lagrange_step * rel_overdraw * ev.e_budget)
         cost = ev.system_cost(tau, mu, x)
         violation = float(rel_overdraw.max())
         trace.append(cost, violation, committed, newton)
         feasible = violation <= cfg.energy_tol
         key = (0.0 if feasible else violation, cost)
         if key < best_key:
-            best_key, best = key, state.copy()
+            best_key, best = key, (tau, x, mu, violation)
         if abs(cost - prev_cost) < cfg.convergence_eps and feasible:
             trace.converged = True
             break
         prev_cost = cost
     else:
         # trace.append rejects non-finite costs, so iteration 1 set best
-        state = best
-    trace.metrics = ev.achieved_metrics(state.tau, state.x)
-    return state, trace
+        tau, x, mu, violation = best
+        log.warning("no convergence in %d outer iterations; returning the best "
+                    "iterate, max energy violation %.6g",
+                    cfg.max_outer_iters, violation)
+    decision = Decision(tau.copy(), x.copy(), mu.copy())
+    trace.metrics = ev.achieved_metrics(decision.tau, decision.x)
+    return decision, trace
 
 
 def solve_jso(profiles: Sequence[DeviceProfile], config: SystemConfig,

@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import maoi_edge
 from maoi_edge.cli import _parse_overrides, main
 from maoi_edge.experiments import read_csv
 
@@ -153,9 +156,13 @@ class TestSolveCommand:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # the child process gets the package's own directory on its path
+        src = str(Path(maoi_edge.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "maoi_edge.cli", "validate-oracle",
              "--updates", "2000", "--z", "100", "--out", str(tmp_path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert "points bracketed" in proc.stdout

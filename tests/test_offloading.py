@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -183,6 +184,107 @@ class TestPatternState:
         commits = sum(len(c) for c in trace.committed)
         assert commits >= 1
         assert len(calls) <= commits + 2
+
+
+class TestEvaluatorCaches:
+    """The per-pattern and per-interval caches never serve stale entries.
+
+    Each check compares against a fresh evaluator on the same inputs.
+    """
+
+    def test_sampling_step_follows_in_place_pattern_edits(self):
+        profiles, config = scenario_lists(6, seed=2)
+        ev = ScenarioEvaluator(profiles, config)
+        mu = np.linspace(5.0, 40.0, 6)
+        x = np.array([1, 0, 0, 0, 0, 0])
+        taus = []
+        for device, flag in ((None, None), (3, 1), (3, 0)):  # A, B, A
+            if device is not None:
+                x[device] = flag  # B is A edited in place, then A again
+            tau, newton = ev.sampling_step(mu, x)
+            fresh_tau, fresh_newton = \
+                ScenarioEvaluator(profiles, config).sampling_step(mu, x)
+            assert np.array_equal(tau, fresh_tau)
+            assert newton == fresh_newton
+            taus.append(tau)
+        assert not np.array_equal(taus[0], taus[1])
+        assert np.array_equal(taus[0], taus[2])
+
+    def test_costs_follow_in_place_interval_edits(self):
+        profiles, config = scenario_lists(6, seed=4)
+        ev = ScenarioEvaluator(profiles, config)
+        tau = np.full(6, 3.0)
+        mu = np.linspace(0.5, 5.0, 6)
+        x = np.array([0, 1, 0, 0, 1, 0])
+        before = ev.branch_costs(tau, mu, x)
+        cost_before = ev.system_cost(tau, mu, x)
+        tau[2] = 7.5  # same object, new contents
+        after = ev.branch_costs(tau, mu, x)
+        fresh = ScenarioEvaluator(profiles, config)
+        for got, want in zip(after, fresh.branch_costs(tau, mu, x)):
+            assert np.array_equal(got, want)
+        assert not np.array_equal(before[0], after[0])
+        assert ev.system_cost(tau, mu, x) == \
+            ScenarioEvaluator(profiles, config).system_cost(tau, mu, x)
+        assert ev.system_cost(tau, mu, x) != cost_before
+
+    def test_newton_devices_rerun_for_a_cached_pattern(self):
+        sc = generate_scenario(4, seed=1,
+                               overrides={"event_rates": (0.05, 0.05, 0.05)})
+        ev = ScenarioEvaluator(sc.profiles, sc.config)
+        x = np.array([1, 0, 0, 0])
+        mu = np.full(4, 5.0)
+        first_tau, first_newton = ev.sampling_step(mu, x)
+        second_tau, second_newton = ev.sampling_step(mu, x)
+        fresh_tau, fresh_newton = \
+            ScenarioEvaluator(sc.profiles, sc.config).sampling_step(mu, x)
+        assert first_newton > 0
+        assert second_newton == first_newton == fresh_newton
+        assert np.array_equal(second_tau, first_tau)
+        assert np.array_equal(second_tau, fresh_tau)
+
+    def test_solve_shares_no_memory_with_its_caller(self):
+        profiles, config = scenario_lists(5, seed=3, lagrange_step=0.5,
+                                          max_outer_iters=300)
+        ev = ScenarioEvaluator(profiles, config)
+        init = default_decision(profiles, config)
+        decision, trace = run_outer_loop(ev, ev.sampling_step,
+                                         ev.offloading_equilibrium, init)
+        for out in (decision.tau, decision.x, decision.mu):
+            for given in (init.tau, init.x, init.mu):
+                assert not np.shares_memory(out, given)
+        expected = decision.copy()
+        init.tau += 1.0
+        init.x[0] = 1
+        init.mu *= 2.0
+        for got, want in ((decision.tau, expected.tau), (decision.x, expected.x),
+                          (decision.mu, expected.mu)):
+            assert np.array_equal(got, want)
+        decision.tau[:] = 99.0
+        decision.x[:] = 1 - decision.x
+        decision.mu[:] = 0.0
+        again, trace_again = run_outer_loop(ev, ev.sampling_step,
+                                            ev.offloading_equilibrium,
+                                            default_decision(profiles, config))
+        assert np.array_equal(again.tau, expected.tau)
+        assert np.array_equal(again.x, expected.x)
+        assert np.array_equal(again.mu, expected.mu)
+        assert trace_again.costs == trace.costs
+
+    def test_rules_returning_inputs_share_no_memory_with_the_result(self):
+        # a rule may hand back an input unchanged; the result still copies
+        profiles, config = scenario_lists(3, max_outer_iters=1)
+        ev = ScenarioEvaluator(profiles, config)
+        init = Decision(tau=[2.0, 3.0, 4.0], x=[0, 1, 0], mu=[0.1, 0.2, 0.3])
+        decision, _ = run_outer_loop(ev, lambda mu, x: (init.tau, 0),
+                                     lambda tau, mu, x: (x, []), init)
+        for out in (decision.tau, decision.x, decision.mu):
+            for given in (init.tau, init.x, init.mu):
+                assert not np.shares_memory(out, given)
+        init.tau[0] = 9.0
+        init.x[0] = 1
+        assert decision.tau[0] == 2.0
+        assert decision.x[0] == 0
 
 
 class TestSolveOffloading:
@@ -386,6 +488,26 @@ class TestOuterLoop:
         assert trace.n_iters == len(trace.costs) == len(trace.max_violations)
         assert all(math.isfinite(c) for c in trace.costs)
         assert trace.n_iters >= 1
+
+    def test_unconverged_solve_warns_once(self, caplog):
+        profiles, config = scenario_lists(10, seed=0, max_outer_iters=300)
+        with caplog.at_level(logging.WARNING, logger="maoi_edge.optimizer"):
+            _, trace = baselines.solve("idd", profiles, config)
+        assert not trace.converged
+        assert trace.n_iters == 300
+        records = [r for r in caplog.records if r.name == "maoi_edge.optimizer"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        message = records[0].getMessage()
+        assert "300 outer iterations" in message
+        assert f"{trace.metrics['max_energy_violation']:.6g}" in message
+
+    def test_converged_solve_does_not_warn(self, caplog):
+        profiles, config = scenario_lists(10, seed=0)
+        with caplog.at_level(logging.WARNING, logger="maoi_edge.optimizer"):
+            _, trace = baselines.solve("fmi", profiles, config)
+        assert trace.converged
+        assert not [r for r in caplog.records if r.name == "maoi_edge.optimizer"]
 
     def test_default_decision_shape(self):
         profiles, config = scenario_lists(4)
