@@ -11,14 +11,7 @@ comparative trends against baseline policies.
 """
 
 from .baselines import ALGORITHMS, solve
-from .metric import (
-    OBJECTIVE_AOI,
-    OBJECTIVE_MAOI,
-    avg_maoi_device,
-    avg_maoi_modality,
-    penalized_cost,
-    system_cost,
-)
+from .metric import OBJECTIVE_AOI, OBJECTIVE_MAOI, avg_maoi_modality
 from .optimizer import Decision, ScenarioEvaluator, SolveTrace, solve_jso
 from .oracle import TrajectoryStats, simulate_avg_maoi, simulate_avg_maoi_device
 from .scenario import Scenario, generate_scenario
@@ -32,8 +25,7 @@ from .system_model import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALGORITHMS", "solve", "OBJECTIVE_AOI", "OBJECTIVE_MAOI",
-    "avg_maoi_device", "avg_maoi_modality", "penalized_cost", "system_cost",
+    "ALGORITHMS", "solve", "OBJECTIVE_AOI", "OBJECTIVE_MAOI", "avg_maoi_modality",
     "Decision", "ScenarioEvaluator", "SolveTrace", "solve_jso",
     "TrajectoryStats", "simulate_avg_maoi", "simulate_avg_maoi_device",
     "Scenario", "generate_scenario", "DeviceProfile", "ModalityKind",

@@ -92,7 +92,7 @@ def solve_idd(profiles: Sequence[DeviceProfile], config: SystemConfig,
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     ev = ScenarioEvaluator(profiles, config)
     assumed = rho * (ev.rx_power.sum() - ev.rx_power)
-    edge = ev.edge_branch(ev.payload / ev.rates_under(assumed))
+    edge = ev.edge_branch(ev.trans_times_under(assumed))
 
     def offload_rule(tau, mu, x):
         cost_loc, cost_off = ev.branch_costs_at(tau, mu, edge)

@@ -72,10 +72,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     overrides = _parse_overrides(args.override, args.config)
     algorithms = tuple(args.algorithms.split(",")) if args.algorithms \
         else tuple(sorted(baselines.ALGORITHMS))
-    spec = experiments.SweepSpec(
-        param=args.param, grid=_parse_float_list(args.grid),
-        algorithms=algorithms, seeds=_seeds(args.seed, args.seeds),
-        base_devices=args.devices, overrides=overrides)
+    try:
+        spec = experiments.SweepSpec(
+            param=args.param, grid=_parse_float_list(args.grid),
+            algorithms=algorithms, seeds=_seeds(args.seed, args.seeds),
+            base_devices=args.devices, overrides=overrides)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     rows = experiments.run_sweep(spec, workers=args.workers)
     out = Path(args.out)
     experiments.write_results_csv(rows, out / "results.csv")
@@ -99,8 +102,11 @@ def cmd_converge_grid(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_oracle(args: argparse.Namespace) -> int:
-    rows = experiments.validate_oracle(n_updates=args.updates, seed=args.seed,
-                                       z=args.z)
+    try:
+        rows = experiments.validate_oracle(n_updates=args.updates, seed=args.seed,
+                                           z=args.z)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     out = Path(args.out)
     experiments.write_oracle_csv(rows, out / "oracle_validation.csv")
     failures = [r for r in rows if not r["bracketed"]]

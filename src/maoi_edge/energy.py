@@ -1,18 +1,15 @@
-"""Per-update energy model: sensing, computation, transmission.
+"""Per-update sensing and local computation energy of one device.
 
 Sensing energy is charged once per update.  A device pays either the local
-computation energy or the uplink transmission energy, never both, selected
-by its offload flag.  Dividing the per-update total by the sampling
-interval gives the average power draw that the budget constrains.
+computation energy or the uplink transmission energy (transmit power times
+transmission time), never both, selected by its offload flag;
+``optimizer.ScenarioEvaluator`` combines the branches under an offload
+pattern and divides by the sampling interval to get the average power draw
+that the budget constrains.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
-import numpy as np
-
-from . import radio
 from .system_model import MODALITIES, DeviceProfile, SystemConfig, compute_flops
 
 
@@ -35,32 +32,4 @@ def computation_energy(profile: DeviceProfile, config: SystemConfig) -> float:
                                         for m in MODALITIES)
 
 
-def transmission_energy(d: int, profiles: Sequence[DeviceProfile],
-                        config: SystemConfig,
-                        x: Sequence[int] | np.ndarray) -> float:
-    """Joules to transmit one full update under offload pattern ``x``."""
-    return profiles[d].tx_power * radio.transmission_time(d, profiles, config, x)
-
-
-def total_energy(d: int, profiles: Sequence[DeviceProfile], config: SystemConfig,
-                 x: Sequence[int] | np.ndarray) -> float:
-    """Per-update energy of device ``d``: sensing plus compute or transmit."""
-    x = radio.as_offload_vector(x, len(profiles))
-    profile = profiles[d]
-    e = sensing_energy(profile)
-    if x[d]:
-        return e + transmission_energy(d, profiles, config, x)
-    return e + computation_energy(profile, config)
-
-
-def avg_energy_rate(d: int, profiles: Sequence[DeviceProfile],
-                    config: SystemConfig, x: Sequence[int] | np.ndarray,
-                    tau_d: float) -> float:
-    """Average power draw (J/s) at sampling interval ``tau_d``."""
-    if tau_d <= 0:
-        raise ValueError(f"sampling interval must be > 0, got {tau_d}")
-    return total_energy(d, profiles, config, x) / tau_d
-
-
-__all__ = ["sensing_energy", "computation_energy", "transmission_energy",
-           "total_energy", "avg_energy_rate"]
+__all__ = ["sensing_energy", "computation_energy"]

@@ -54,6 +54,10 @@ class SweepSpec:
             raise ValueError(f"param must be one of {SWEEP_PARAMS}, got {self.param!r}")
         if not self.grid:
             raise ValueError("sweep grid is empty")
+        if self.param == "device_count" and not all(
+                float(v).is_integer() and v >= 1 for v in self.grid):
+            raise ValueError(f"device_count grid values must be integers >= 1, "
+                             f"got {self.grid}")
         if not self.seeds:
             raise ValueError("need at least one seed")
         for alg in self.algorithms:

@@ -22,13 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import energy, radio
-from .system_model import (
-    MODALITIES,
-    DeviceProfile,
-    SystemConfig,
-    system_time,
-)
+from .system_model import DeviceProfile
 
 OBJECTIVE_MAOI = "maoi"
 OBJECTIVE_AOI = "aoi"
@@ -186,58 +180,6 @@ def avg_maoi_modality(psi_s: float, lambda_s: float, tau: float,
     return growth_rate_expectation(psi_s, lambda_s, tau) * (0.5 * tau + t_sys)
 
 
-def device_system_times(profiles: Sequence[DeviceProfile], config: SystemConfig,
-                        d: int, x: Sequence[int] | np.ndarray,
-                        ) -> tuple[float, float, float]:
-    """System times of all three modalities of device ``d`` under pattern ``x``."""
-    xv = radio.as_offload_vector(x, len(profiles))
-    offloaded = bool(xv[d])
-    trans = radio.transmission_time(d, profiles, config, x) if offloaded else 0.0
-    return tuple(system_time(profiles[d], config, m, offloaded, trans)
-                 for m in MODALITIES)
-
-
-def _device_psi(profile: DeviceProfile, objective: str) -> tuple[float, float, float]:
-    if objective == OBJECTIVE_MAOI:
-        return profile.maoi_weights
-    if objective == OBJECTIVE_AOI:
-        return (0.0, 0.0, 0.0)
-    raise ValueError(f"unknown objective {objective!r}")
-
-
-def avg_maoi_device(profiles: Sequence[DeviceProfile], config: SystemConfig,
-                    d: int, tau_d: float, x: Sequence[int] | np.ndarray,
-                    objective: str = OBJECTIVE_MAOI) -> float:
-    """Weighted average age of device ``d``, summed over its three modalities."""
-    t_sys = device_system_times(profiles, config, d, x)
-    psi = _device_psi(profiles[d], objective)
-    return sum(avg_maoi_modality(psi[s], config.event_rates[s], tau_d, t_sys[s])
-               for s in range(3))
-
-
-def penalized_cost(profiles: Sequence[DeviceProfile], config: SystemConfig,
-                   d: int, tau_d: float, mu_d: float,
-                   x: Sequence[int] | np.ndarray,
-                   objective: str = OBJECTIVE_MAOI) -> float:
-    """Device age plus the Lagrangian energy-budget penalty."""
-    age = avg_maoi_device(profiles, config, d, tau_d, x, objective)
-    e_rate = energy.avg_energy_rate(d, profiles, config, x, tau_d)
-    return age + mu_d * (e_rate - profiles[d].energy_budget)
-
-
-def system_cost(profiles: Sequence[DeviceProfile], config: SystemConfig,
-                tau: Sequence[float], mu: Sequence[float],
-                x: Sequence[int] | np.ndarray,
-                objective: str = OBJECTIVE_MAOI) -> float:
-    """Sum of penalized device costs; the outer loop's convergence quantity.
-
-    The ``aoi`` objective zeroes the modality weights inside the age term
-    only; energy penalties are unchanged.
-    """
-    return sum(penalized_cost(profiles, config, d, tau[d], mu[d], x, objective)
-               for d in range(len(profiles)))
-
-
 # ---------------------------------------------------------------------------
 # frame-sequence ingestion (columnar text, one frame per record)
 
@@ -273,6 +215,5 @@ __all__ = [
     "image_dynamism", "roi_ratio", "audio_semantic_variation", "signal_dynamics",
     "NormalizationConfig", "quality_terms", "ModalityWeights", "extract_weights",
     "growth_rate_pmf", "growth_rate_expectation", "avg_maoi_modality",
-    "device_system_times", "avg_maoi_device", "penalized_cost", "system_cost",
     "read_frames", "read_signal_frames",
 ]

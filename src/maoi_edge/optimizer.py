@@ -14,14 +14,16 @@ flat and every budget is met within tolerance:
 3. multiplier block: projected subgradient step on each energy budget.
 
 ``ScenarioEvaluator`` holds one scenario's device-vectorized arrays and
-implements every block; ``run_outer_loop`` drives a solve on one
-evaluator and reports the decision's metrics from it.  The pattern
-changes in a few percent of outer iterations, so the evaluator computes
-everything that depends on the pattern alone (pattern state, edge branch,
-capacity admission, the sampling block's convexity threshold, surrogate
-denominator and Newton devices) once per pattern, and the event factors
-phi(tau) once per interval vector.  The loop passes bare arrays between
-the blocks, so its rules must never edit their inputs in place.
+implements every block.  It is the package's only implementation of the
+uplink rate, transmission time, per-update energy, system time and
+penalized cost; the Monte-Carlo oracle checks its ages.  ``run_outer_loop``
+drives a solve on one evaluator and reports the decision's metrics from
+it.  The pattern changes in a few percent of outer iterations, so the
+evaluator computes everything that depends on the pattern alone (pattern
+state, edge branch, capacity admission, the sampling block's convexity
+threshold, surrogate denominator and Newton devices) once per pattern,
+and phi(tau) once per interval vector.  The loop passes bare arrays
+between the blocks, so its rules must never edit their inputs in place.
 
 ``CostTerms`` and the functions that follow it solve one device's
 interval: the sampling block runs ``newton_refine`` on devices with a
@@ -42,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import energy as energy_model
-from . import metric, radio
+from . import metric
 from .metric import OBJECTIVE_MAOI
 from .system_model import (
     MODALITIES,
@@ -211,7 +213,10 @@ class ScenarioEvaluator:
     """Device-vectorized cost evaluation for one scenario and objective.
 
     Static per-device quantities (payloads, sensing/compute times, sensing
-    and compute energies, the local branch's energy) are precomputed.  Two
+    and compute energies, the local branch's energy) are precomputed.  A
+    local update waits for the modalities scheduled ahead of it on the
+    device's processor; the edge processes all three in parallel, so its
+    system times have no waiting term but add the transmission time.  Two
     read-only entries are cached, each holding only its latest key:
 
     * per offload pattern, keyed on ``x.tobytes()``: the pattern state
@@ -287,6 +292,9 @@ class ScenarioEvaluator:
 
     def trans_times(self, x: np.ndarray) -> np.ndarray:
         return self.payload / self.rates(x)
+
+    def trans_times_under(self, interference: np.ndarray) -> np.ndarray:
+        return self.payload / self.rates_under(interference)
 
     def energies(self, x: np.ndarray, trans: np.ndarray) -> np.ndarray:
         return self.e_sens + np.where(x == 1, self.tx_power * trans, self.e_comp)
@@ -546,6 +554,16 @@ class ScenarioEvaluator:
 # ---------------------------------------------------------------------------
 # outer loop
 
+def as_offload_vector(x: Sequence[int] | np.ndarray, n_devices: int) -> np.ndarray:
+    """Validate and normalize an offload vector to an int array of 0/1."""
+    arr = np.asarray(x, dtype=np.int64)
+    if arr.shape != (n_devices,):
+        raise ValueError(f"offload vector has shape {arr.shape}, expected ({n_devices},)")
+    if not np.isin(arr, (0, 1)).all():
+        raise ValueError("offload vector entries must be 0 or 1")
+    return arr
+
+
 @dataclass
 class Decision:
     """Solver state: sampling intervals, offload flags, multipliers."""
@@ -643,7 +661,7 @@ def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
     cfg = ev.config
     init = init or default_decision(ev.profiles, cfg)
     # a Decision keeps tau and mu at x's shape, so this checks all three
-    tau, x, mu = init.tau, radio.as_offload_vector(init.x, ev.n_devices), init.mu
+    tau, x, mu = init.tau, as_offload_vector(init.x, ev.n_devices), init.mu
     if float(x @ ev.payload) > cfg.capacity_threshold:
         raise ValueError("initial offload pattern exceeds the capacity threshold")
     if (tau < cfg.tau_min).any():
@@ -689,6 +707,6 @@ def solve_jso(profiles: Sequence[DeviceProfile], config: SystemConfig,
 __all__ = [
     "CostTerms", "convexity_threshold", "surrogate_minimizer",
     "feasible_approximation", "newton_refine", "optimal_sampling_interval",
-    "TRIAL_BLOCK_ENTRIES", "ScenarioEvaluator", "Decision", "SolveTrace",
-    "default_decision", "run_outer_loop", "solve_jso",
+    "TRIAL_BLOCK_ENTRIES", "ScenarioEvaluator", "as_offload_vector",
+    "Decision", "SolveTrace", "default_decision", "run_outer_loop", "solve_jso",
 ]

@@ -17,13 +17,11 @@ means over update blocks.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import metric
-from .system_model import DeviceProfile, SystemConfig
+from .optimizer import ScenarioEvaluator
 
 
 @dataclass(frozen=True)
@@ -43,6 +41,8 @@ class TrajectoryStats:
 
     def ci(self, z: float = 2.576) -> tuple[float, float]:
         """Confidence interval at the given normal quantile (default 99%)."""
+        if not z > 0:
+            raise ValueError(f"z must be > 0, got {z}")
         return (self.mean_maoi - z * self.std_error,
                 self.mean_maoi + z * self.std_error)
 
@@ -90,14 +90,17 @@ def simulate_avg_maoi(psi: float, lam: float, tau: float, t_sys: float,
                            n_updates=n_updates, seed=seed_int)
 
 
-def simulate_avg_maoi_device(profiles: Sequence[DeviceProfile],
-                             config: SystemConfig, d: int, tau: float,
+def simulate_avg_maoi_device(ev: ScenarioEvaluator, d: int, tau: float,
                              x, n_updates: int, seed: int) -> TrajectoryStats:
-    """Device-level estimate: three independent modality simulations summed."""
-    t_sys = metric.device_system_times(profiles, config, d, x)
-    psi = profiles[d].maoi_weights
-    parts = [simulate_avg_maoi(psi[s], config.event_rates[s], tau, t_sys[s],
-                               n_updates, seed=[seed, s])
+    """Device-level estimate: three independent modality simulations summed.
+
+    System times come from the evaluator's pattern state under ``x`` and
+    the weights from its true modality weights, so the estimate checks the
+    closed form the solvers optimize.
+    """
+    _, t_sys, _ = ev.pattern_state(np.asarray(x, dtype=np.int64))
+    parts = [simulate_avg_maoi(float(ev.psi_true[d, s]), float(ev.lam[s]), tau,
+                               float(t_sys[d, s]), n_updates, seed=[seed, s])
              for s in range(3)]
     return TrajectoryStats(
         mean_maoi=sum(p.mean_maoi for p in parts),

@@ -145,9 +145,6 @@ class SystemConfig:
         if self.schedule_policy not in (SCHEDULE_FIXED, SCHEDULE_BY_WEIGHT):
             raise ValueError(f"unknown schedule_policy {self.schedule_policy!r}")
 
-    def event_rate(self, modality: ModalityKind) -> float:
-        return self.event_rates[modality - 1]
-
 
 def data_size_bits(profile: DeviceProfile, modality: ModalityKind) -> float:
     """Payload size of one update of the given modality, in bits.
@@ -230,23 +227,6 @@ def local_waiting_time(profile: DeviceProfile, config: SystemConfig,
     order = schedule_order(profile, config)
     rank = order.index(modality)
     return sum(compute_time(profile, config, m, "local") for m in order[:rank])
-
-
-def system_time(profile: DeviceProfile, config: SystemConfig,
-                modality: ModalityKind, offloaded: bool,
-                trans_time: float) -> float:
-    """End-to-end time from sampling start to processed result.
-
-    ``trans_time`` must be the device's current uplink transmission time
-    under the prevailing offload pattern (the radio module computes it).
-    The edge processes all modalities in parallel, so no waiting term
-    appears on that branch.
-    """
-    sens = sensing_time(profile, modality)
-    if offloaded:
-        return sens + trans_time + compute_time(profile, config, modality, "edge")
-    return (sens + local_waiting_time(profile, config, modality)
-            + compute_time(profile, config, modality, "local"))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +347,7 @@ __all__ = [
     "ModalityKind", "MODALITIES", "SCHEDULE_FIXED", "SCHEDULE_BY_WEIGHT",
     "DeviceProfile", "SystemConfig", "data_size_bits", "total_data_bits",
     "compute_flops", "compute_time", "sensing_time", "schedule_order",
-    "local_waiting_time", "system_time", "NUMERIC_FIELDS", "coerce_numeric",
+    "local_waiting_time", "NUMERIC_FIELDS", "coerce_numeric",
     "config_from_mapping", "profile_from_mapping", "load_config_document",
     "dump_config_document",
 ]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from maoi_edge import baselines
-from maoi_edge.energy import total_energy
 from maoi_edge.optimizer import Decision, ScenarioEvaluator, solve_jso
 from maoi_edge.scenario import generate_scenario
 from maoi_edge.system_model import SystemConfig
@@ -37,8 +36,9 @@ class TestFMI:
         profiles, config = scenario_lists(4, seed=1)
         decision, trace = baselines.solve_fmi(profiles, config)
         assert trace.converged
+        _, _, energies = ScenarioEvaluator(profiles, config).pattern_state(decision.x)
         for d in range(4):
-            e = total_energy(d, profiles, config, decision.x)
+            e = energies[d]
             expected = max(config.tau_min, e / profiles[d].energy_budget)
             assert decision.tau[d] == pytest.approx(expected)
 

@@ -79,6 +79,12 @@ class TestSweepCommand:
             run_cli(["sweep", "--param", "device_count", "--grid", "2",
                      "--config", str(cfg), "--out", str(tmp_path / "out")])
 
+    def test_fractional_device_count_rejected(self, tmp_path):
+        with pytest.raises(SystemExit, match="device_count grid values"):
+            run_cli(["sweep", "--param", "device_count", "--grid", "2.5",
+                     "--algorithms", "fmi", "--seeds", "1", "--out", str(tmp_path)])
+        assert not (tmp_path / "results.csv").exists()
+
 
 class TestConvergeGridCommand:
     def test_writes_matrix(self, tmp_path):
@@ -101,6 +107,12 @@ class TestValidateOracleCommand:
         code = run_cli(["validate-oracle", "--updates", "2000",
                         "--z", "1e-6", "--out", str(tmp_path)])
         assert code == 1
+
+    def test_non_positive_z_rejected(self, tmp_path):
+        with pytest.raises(SystemExit, match="z must be > 0"):
+            run_cli(["validate-oracle", "--updates", "1000", "--z", "-1",
+                     "--out", str(tmp_path)])
+        assert not (tmp_path / "oracle_validation.csv").exists()
 
 
 class TestAssertTrendsCommand:

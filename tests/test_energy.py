@@ -1,14 +1,11 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from maoi_edge.energy import (
-    avg_energy_rate,
-    computation_energy,
-    sensing_energy,
-    total_energy,
-    transmission_energy,
-)
-from maoi_edge.radio import transmission_time
+from maoi_edge.energy import computation_energy, sensing_energy
+from maoi_edge.optimizer import ScenarioEvaluator
 from maoi_edge.system_model import DeviceProfile, SystemConfig
 
 
@@ -40,54 +37,74 @@ class TestComputationEnergy:
         assert double - base == pytest.approx(expected_delta)
 
 
+def energies(profiles, config, x):
+    """Per-update energies of every device under pattern ``x``."""
+    return ScenarioEvaluator(profiles, config).pattern_state(np.array(x))[2]
+
+
+def power_draw(profile, config, tau):
+    """Average power draw (J/s) of a local device at interval ``tau``."""
+    ev = ScenarioEvaluator([profile], config)
+    x, tau = np.array([0]), np.array([tau])
+    # energy_violation is the relative overdraw (e / tau - budget) / budget
+    return float(ev.energy_violation(tau, x)[0] + 1.0) * profile.energy_budget
+
+
 class TestBranchEnergies:
     def test_transmission_energy_is_power_times_time(self, profile, config):
-        t = transmission_time(0, [profile], config, [1])
-        assert transmission_energy(0, [profile], config, [1]) == \
+        ev = ScenarioEvaluator([profile], config)
+        x = np.array([1])
+        t = ev.trans_times(x)[0]
+        assert energies([profile], config, x)[0] - sensing_energy(profile) == \
             pytest.approx(0.1 * t)
 
     def test_total_energy_local_branch(self, profile, config):
-        e = total_energy(0, [profile], config, [0])
+        e = energies([profile], config, [0])[0]
         assert e == pytest.approx(sensing_energy(profile) + 14.648)
         assert e == pytest.approx(14.824, rel=1e-4)
 
     def test_total_energy_offload_branch(self, profile, config):
-        e = total_energy(0, [profile], config, [1])
-        assert e == pytest.approx(sensing_energy(profile)
-                                  + transmission_energy(0, [profile], config, [1]))
+        e = energies([profile], config, [1])[0]
+        # sensing plus 0.1 W for 2 699 264 bit / (1e6 log2(1 + 1e10)) bit/s
+        t = 2_699_264 / (1e6 * math.log2(1 + 1e10))
+        assert e == pytest.approx(sensing_energy(profile) + 0.1 * t)
         assert e == pytest.approx(0.18427, rel=1e-3)
 
     def test_interferer_raises_offload_energy(self, config, two_profiles):
-        alone = total_energy(0, two_profiles, config, [1, 0])
-        jammed = total_energy(0, two_profiles, config, [1, 1])
+        alone = energies(two_profiles, config, [1, 0])[0]
+        jammed = energies(two_profiles, config, [1, 1])[0]
         assert jammed > alone
 
     def test_local_branch_ignores_others(self, config, two_profiles):
-        assert total_energy(0, two_profiles, config, [0, 0]) == \
-            total_energy(0, two_profiles, config, [0, 1])
+        assert energies(two_profiles, config, [0, 0])[0] == \
+            energies(two_profiles, config, [0, 1])[0]
+
+    def test_edge_branch_matches_pattern_state(self, config, two_profiles):
+        ev = ScenarioEvaluator(two_profiles, config)
+        x = np.array([1, 1])
+        trans, t_sys, e = ev.pattern_state(x)
+        t_off, e_off = ev.edge_branch(trans)
+        assert np.array_equal(e_off, e)
+        assert np.array_equal(t_off, t_sys)
 
 
 class TestAvgEnergyRate:
     def test_division_by_interval(self, profile, config):
-        e = total_energy(0, [profile], config, [0])
-        assert avg_energy_rate(0, [profile], config, [0], e) == pytest.approx(1.0)
+        e = energies([profile], config, [0])[0]
+        assert power_draw(profile, config, e) == pytest.approx(1.0)
 
     def test_infeasible_at_minimum_interval(self, profile, config):
-        rate = avg_energy_rate(0, [profile], config, [0], config.tau_min)
+        rate = power_draw(profile, config, config.tau_min)
         assert rate == pytest.approx(7.412, rel=1e-3)
         assert rate > profile.energy_budget
-
-    def test_interval_must_be_positive(self, profile, config):
-        with pytest.raises(ValueError):
-            avg_energy_rate(0, [profile], config, [0], 0.0)
 
     @given(tau=st.floats(0.5, 50.0))
     def test_decreasing_and_convex_in_tau(self, tau):
         profile = DeviceProfile(id=0)
         config = SystemConfig()
         h = 0.1
-        lo = avg_energy_rate(0, [profile], config, [0], tau)
-        mid = avg_energy_rate(0, [profile], config, [0], tau + h)
-        hi = avg_energy_rate(0, [profile], config, [0], tau + 2 * h)
+        lo = power_draw(profile, config, tau)
+        mid = power_draw(profile, config, tau + h)
+        hi = power_draw(profile, config, tau + 2 * h)
         assert mid < lo
         assert lo + hi > 2 * mid  # midpoint convexity

@@ -41,6 +41,15 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             fast_spec(algorithms=("sgd",))
 
+    @pytest.mark.parametrize("value", [2.5, 0.0, -1.0, float("nan"), float("inf")])
+    def test_device_count_grid_must_hold_counts(self, value):
+        with pytest.raises(ValueError, match="device_count grid values"):
+            fast_spec(grid=(2.0, value))
+
+    def test_fractional_grid_allowed_for_other_params(self):
+        assert fast_spec(param="energy_budget", grid=(2.5,)).grid == (2.5,)
+        assert fast_spec(grid=(1.0, 3)).grid == (1.0, 3)
+
     def test_scenario_for_each_param(self):
         assert scenario_for(fast_spec(), 4.0, 0).n_devices == 4
         sc = scenario_for(fast_spec(param="energy_budget", grid=(2.0,)), 2.0, 0)

@@ -4,29 +4,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maoi_edge import metric
 from maoi_edge.metric import (
     OBJECTIVE_AOI,
     OBJECTIVE_MAOI,
     ModalityWeights,
     NormalizationConfig,
     audio_semantic_variation,
-    avg_maoi_device,
     avg_maoi_modality,
-    device_system_times,
     extract_weights,
     growth_rate_expectation,
     growth_rate_pmf,
     image_dynamism,
-    penalized_cost,
     quality_terms,
     read_frames,
     read_signal_frames,
     roi_ratio,
     signal_dynamics,
-    system_cost,
 )
-from maoi_edge.system_model import DeviceProfile
+from maoi_edge.energy import sensing_energy
+from maoi_edge.optimizer import ScenarioEvaluator
+from maoi_edge.system_model import DeviceProfile, SystemConfig
 
 
 class TestImageAttributes:
@@ -185,72 +182,96 @@ class TestClosedForm:
             avg_maoi_modality(psi, lam, tau, t_sys)
 
 
+# The evaluator's device ages and penalized costs, checked against the
+# paper's closed form at the default device's local system times: no wait,
+# 4 GFLOP at 1 GFLOP/s for the image; 2 s of audio after 4 s of wait plus
+# 10 GFLOP; 3 s of radar after 14 s of wait plus 0.648 GFLOP.
+LOCAL_T_SYS = (4.0, 16.0, 17.648)
+LOCAL_ENERGY = 14.648  # J of local computation, plus sensing_energy
+
+
+def device_costs(profiles, config, tau, mu, x, objective=OBJECTIVE_MAOI):
+    ev = ScenarioEvaluator(profiles, config, objective)
+    return ev.device_costs(np.array(tau, dtype=float), np.array(mu, dtype=float),
+                           np.array(x))
+
+
+def closed_form_age(profile, config, tau, t_sys=LOCAL_T_SYS):
+    return sum(avg_maoi_modality(psi, lam, tau, t)
+               for psi, lam, t in zip(profile.maoi_weights, config.event_rates, t_sys))
+
+
 class TestDeviceAggregation:
     def test_weight_free_device_is_plain_age_sum(self, profile, config):
         p0 = DeviceProfile(id=0, maoi_weights=(0.0, 0.0, 0.0))
-        t_sys = device_system_times([p0], config, 0, [0])
-        expected = sum(2.0 / 2 + t for t in t_sys)
-        assert avg_maoi_device([p0], config, 0, 2.0, [0]) == pytest.approx(expected)
+        expected = (1 + 4.0) + (1 + 16.0) + (1 + 17.648)
+        assert device_costs([p0], config, [2.0], [0.0], [0])[0] == \
+            pytest.approx(expected)
 
     def test_additivity_over_modalities(self, profile, config):
-        t_sys = device_system_times([profile], config, 0, [0])
         parts = [avg_maoi_modality(profile.maoi_weights[s], config.event_rates[s],
-                                   3.0, t_sys[s]) for s in range(3)]
-        assert avg_maoi_device([profile], config, 0, 3.0, [0]) == pytest.approx(sum(parts))
+                                   3.0, LOCAL_T_SYS[s]) for s in range(3)]
+        assert device_costs([profile], config, [3.0], [0.0], [0])[0] == \
+            pytest.approx(sum(parts))
+        metrics = ScenarioEvaluator([profile], config).achieved_metrics(
+            np.array([3.0]), np.array([0]))
+        for name, part in zip(("image", "audio", "signal"), parts):
+            assert metrics[f"maoi_{name}"] == pytest.approx(part)
+        assert metrics["avg_maoi"] == pytest.approx(sum(parts))
 
     def test_aoi_objective_zeroes_weights_in_age_only(self, profile, config):
-        aoi = avg_maoi_device([profile], config, 0, 2.0, [0], OBJECTIVE_AOI)
-        t_sys = device_system_times([profile], config, 0, [0])
-        assert aoi == pytest.approx(sum(1.0 + t for t in t_sys))
+        aoi = device_costs([profile], config, [2.0], [0.0], [0], OBJECTIVE_AOI)[0]
+        assert aoi == pytest.approx(sum(1.0 + t for t in LOCAL_T_SYS))
 
 
 class TestPenalizedCost:
     def test_zero_multiplier(self, profile, config):
-        assert penalized_cost([profile], config, 0, 2.0, 0.0, [0]) == \
-            pytest.approx(avg_maoi_device([profile], config, 0, 2.0, [0]))
+        assert device_costs([profile], config, [2.0], [0.0], [0])[0] == \
+            pytest.approx(closed_form_age(profile, config, 2.0))
 
     def test_exactly_feasible_no_penalty(self, config):
-        from maoi_edge.energy import total_energy
         p = DeviceProfile(id=0)
-        e = total_energy(0, [p], config, [0])
+        e = sensing_energy(p) + LOCAL_ENERGY
         tau = e / p.energy_budget  # draws exactly the budget
         for mu in (0.0, 1.0, 10.0):
-            assert penalized_cost([p], config, 0, tau, mu, [0]) == \
-                pytest.approx(avg_maoi_device([p], config, 0, tau, [0]))
+            assert device_costs([p], config, [tau], [mu], [0])[0] == \
+                pytest.approx(closed_form_age(p, config, tau))
 
     def test_penalty_arithmetic(self, config):
-        from maoi_edge.energy import total_energy
         p = DeviceProfile(id=0)
-        e = total_energy(0, [p], config, [0])
+        e = sensing_energy(p) + LOCAL_ENERGY
         tau = e / (p.energy_budget + 2.0)  # overdraw of exactly 2 J/s
-        age = avg_maoi_device([p], config, 0, tau, [0])
-        assert penalized_cost([p], config, 0, tau, 1.0, [0]) == pytest.approx(age + 2.0)
+        age = closed_form_age(p, config, tau)
+        assert device_costs([p], config, [tau], [1.0], [0])[0] == \
+            pytest.approx(age + 2.0)
 
 
 class TestSystemCost:
     def test_single_device_reduces_to_penalized(self, profile, config):
-        assert system_cost([profile], config, [3.0], [0.7], [0]) == \
-            pytest.approx(penalized_cost([profile], config, 0, 3.0, 0.7, [0]))
+        ev = ScenarioEvaluator([profile], config)
+        e = sensing_energy(profile) + LOCAL_ENERGY
+        expected = closed_form_age(profile, config, 3.0) + 0.7 * (e / 3.0 - 1.0)
+        assert ev.system_cost(np.array([3.0]), np.array([0.7]), np.array([0])) == \
+            pytest.approx(expected)
 
     def test_objectives_coincide_at_zero_weights(self, config):
         ps = [DeviceProfile(id=i, maoi_weights=(0.0, 0.0, 0.0)) for i in range(2)]
-        args = (ps, config, [2.0, 3.0], [0.1, 0.2], [0, 1])
-        assert system_cost(*args, OBJECTIVE_MAOI) == pytest.approx(
-            system_cost(*args, OBJECTIVE_AOI))
+        args = (np.array([2.0, 3.0]), np.array([0.1, 0.2]), np.array([0, 1]))
+        assert ScenarioEvaluator(ps, config, OBJECTIVE_MAOI).system_cost(*args) == \
+            pytest.approx(ScenarioEvaluator(ps, config, OBJECTIVE_AOI).system_cost(*args))
 
     def test_two_local_devices_decouple(self, config, two_profiles):
-        total = system_cost(two_profiles, config, [2.0, 5.0], [0.3, 0.4], [0, 0])
-        solo = sum(system_cost([p], config, [t], [m], [0])
+        total = device_costs(two_profiles, config, [2.0, 5.0], [0.3, 0.4], [0, 0]).sum()
+        solo = sum(device_costs([p], config, [t], [m], [0])[0]
                    for p, t, m in zip(two_profiles, [2.0, 5.0], [0.3, 0.4]))
         assert total == pytest.approx(solo)
 
     @given(tau=st.floats(2.0, 20.0), mu=st.floats(0.0, 5.0))
     def test_weighted_cost_dominates_plain(self, tau, mu):
         p = DeviceProfile(id=0, maoi_weights=(0.5, 1.0, 1.5))
-        from maoi_edge.system_model import SystemConfig
         config = SystemConfig()
-        hi = system_cost([p], config, [tau], [mu], [0], OBJECTIVE_MAOI)
-        lo = system_cost([p], config, [tau], [mu], [0], OBJECTIVE_AOI)
+        hi = device_costs([p], config, [tau], [mu], [0], OBJECTIVE_MAOI)[0]
+        lo = device_costs([p], config, [tau], [mu], [0], OBJECTIVE_AOI)[0]
         assert hi >= lo
 
 

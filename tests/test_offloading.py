@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from maoi_edge import baselines
+from maoi_edge.energy import sensing_energy
 from maoi_edge.optimizer import (
     TRIAL_BLOCK_ENTRIES,
     Decision,
@@ -389,15 +390,13 @@ class TestMultiplierUpdate:
     def test_subgradient_step(self, config):
         # overdraw of 2 J/s at eta = 0.01
         p = DeviceProfile(id=0)
-        from maoi_edge.energy import total_energy
-        e = total_energy(0, [p], config, [0])
+        e = sensing_energy(p) + 14.648  # local branch: sensing plus computation
         tau = e / (p.energy_budget + 2.0)
         assert self.stepped_multiplier(p, config, tau, 0.5) == pytest.approx(0.52)
 
     def test_projection_onto_nonnegative(self, config):
-        from maoi_edge.energy import total_energy
         p = DeviceProfile(id=0, energy_budget=2.0)
-        tau = total_energy(0, [p], config, [0]) / 1.0  # Ebar = 1, slack of 1 J/s
+        tau = (sensing_energy(p) + 14.648) / 1.0  # Ebar = 1, slack of 1 J/s
         assert self.stepped_multiplier(p, config, tau, 0.005) == 0.0
 
     def test_feasible_device_stays_at_zero(self, profile, config):

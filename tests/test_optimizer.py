@@ -27,12 +27,16 @@ def make_terms(psi=(1.0, 1.0, 1.0), lams=(0.8, 0.8, 0.8), t_sys=LOCAL_T_SYS,
 
 
 class TestCostTerms:
-    def test_cost_matches_metric_composition(self, profile, config):
-        from maoi_edge.metric import penalized_cost
-        terms = ScenarioEvaluator([profile], config).cost_terms(0, 0.7, np.array([0]))
-        for tau in (2.0, 5.0, 14.0):
-            assert terms.cost(tau) == pytest.approx(
-                penalized_cost([profile], config, 0, tau, 0.7, [0]))
+    def test_cost_matches_device_costs(self):
+        sc = generate_scenario(5, seed=1)
+        ev = ScenarioEvaluator(list(sc.profiles), sc.config)
+        x = np.array([1, 1, 0, 0, 0])  # two offloaders interfere with each other
+        tau = np.array([2.0, 3.5, 5.0, 14.0, 2.5])
+        mu = np.array([0.7, 0.0, 1.3, 0.2, 4.0])
+        costs = ev.device_costs(tau, mu, x)
+        for d in range(5):
+            terms = ev.cost_terms(d, float(mu[d]), x)
+            assert terms.cost(float(tau[d])) == pytest.approx(costs[d], rel=1e-12)
 
     def test_derivatives_match_finite_differences(self):
         rng = np.random.default_rng(7)

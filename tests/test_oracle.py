@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+from maoi_edge import baselines
 from maoi_edge.metric import avg_maoi_modality
+from maoi_edge.optimizer import ScenarioEvaluator
 from maoi_edge.oracle import TrajectoryStats, simulate_avg_maoi, simulate_avg_maoi_device
+from maoi_edge.scenario import generate_scenario
 from maoi_edge.system_model import DeviceProfile
 
 
@@ -20,6 +25,14 @@ class TestStats:
         assert hi == pytest.approx(10 + 2.576)
         assert s.brackets(12.0)
         assert not s.brackets(13.0)
+
+    @pytest.mark.parametrize("z", [0.0, -1.0, float("nan")])
+    def test_non_positive_z_rejected(self, z):
+        s = TrajectoryStats(mean_maoi=54.0, std_error=1e-5, n_updates=1000, seed=0)
+        with pytest.raises(ValueError, match="z must be > 0"):
+            s.ci(z)
+        with pytest.raises(ValueError, match="z must be > 0"):
+            s.brackets(54.0, z)
 
 
 class TestModalitySimulation:
@@ -61,20 +74,44 @@ class TestModalitySimulation:
 
 class TestDeviceSimulation:
     def test_weight_free_device_exact(self, config):
-        p = DeviceProfile(id=0, maoi_weights=(0.0, 0.0, 0.0))
-        s = simulate_avg_maoi_device([p], config, 0, 2.0, [0], 1000, seed=3)
+        ev = ScenarioEvaluator([DeviceProfile(id=0, maoi_weights=(0.0, 0.0, 0.0))],
+                               config)
+        s = simulate_avg_maoi_device(ev, 0, 2.0, [0], 1000, seed=3)
         expected = (1 + 4.0) + (1 + 16.0) + (1 + 17.648)
         assert s.mean_maoi == pytest.approx(expected, abs=1e-10)
         assert s.std_error == pytest.approx(0.0, abs=1e-12)
 
     def test_brackets_device_closed_form(self, profile, config):
-        from maoi_edge.metric import avg_maoi_device
-        closed = avg_maoi_device([profile], config, 0, 2.0, [0])
-        s = simulate_avg_maoi_device([profile], config, 0, 2.0, [0],
-                                     100_000, seed=11)
-        assert s.brackets(closed, z=3.0)
+        ev = ScenarioEvaluator([profile], config)
+        for x in ([0], [1]):
+            closed = ev.achieved_metrics(np.array([2.0]), np.array(x))["avg_maoi"]
+            s = simulate_avg_maoi_device(ev, 0, 2.0, x, 100_000, seed=11)
+            assert s.brackets(closed, z=3.0), x
 
     def test_error_adds_in_quadrature(self, profile, config):
-        s = simulate_avg_maoi_device([profile], config, 0, 2.0, [0], 4000, seed=5)
+        ev = ScenarioEvaluator([profile], config)
+        s = simulate_avg_maoi_device(ev, 0, 2.0, [0], 4000, seed=5)
+        parts = [simulate_avg_maoi(1.0, 0.8, 2.0, t, 4000, seed=[5, m])
+                 for m, t in enumerate((4.0, 16.0, 17.648))]
         assert s.std_error > 0
+        assert s.std_error == pytest.approx(math.sqrt(sum(p.std_error**2 for p in parts)))
         assert s.n_updates == 4000
+
+
+class TestSolverPath:
+    """The oracle against the evaluator's closed form at JSO's decisions."""
+
+    @pytest.mark.parametrize("n_devices, seed", [(5, 0), (5, 1), (10, 2)])
+    def test_brackets_every_device(self, n_devices, seed):
+        sc = generate_scenario(n_devices, seed)
+        profiles = list(sc.profiles)
+        decision, trace = baselines.solve("jso", profiles, sc.config)
+        assert decision.x.any()  # the edge branch is exercised
+        ev = ScenarioEvaluator(profiles, sc.config)
+        # with zero multipliers the penalized cost is the device's age
+        closed = ev.device_costs(decision.tau, np.zeros(n_devices), decision.x)
+        assert closed.mean() == pytest.approx(trace.metrics["avg_maoi"], rel=1e-12)
+        for d in range(n_devices):
+            s = simulate_avg_maoi_device(ev, d, float(decision.tau[d]), decision.x,
+                                         100_000, seed=d)
+            assert s.brackets(float(closed[d]), z=4.0), d

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, strategies as st
 
+from maoi_edge.optimizer import ScenarioEvaluator
 from maoi_edge.system_model import (
     MODALITIES,
     DeviceProfile,
@@ -18,7 +20,6 @@ from maoi_edge.system_model import (
     local_waiting_time,
     schedule_order,
     sensing_time,
-    system_time,
     total_data_bits,
 )
 
@@ -141,17 +142,23 @@ class TestTiming:
         p_tie = DeviceProfile(id=0, maoi_weights=(1.0, 1.0, 1.0))
         assert schedule_order(p_tie, cfg) == (IMG, AUD, SIG)
 
+    # system times are built by the evaluator from the per-modality models
     def test_system_time_local_branch(self, profile, config):
-        assert system_time(profile, config, IMG, False, 0.0) == pytest.approx(4.0)
-        assert system_time(profile, config, SIG, False, 0.0) == pytest.approx(17.648)
+        t_local = ScenarioEvaluator([profile], config).t_local[0]
+        assert t_local == pytest.approx((4.0, 16.0, 17.648))
 
     def test_system_time_edge_branch(self, profile, config):
-        t = system_time(profile, config, AUD, True, 0.0813)
+        ev = ScenarioEvaluator([profile], config)
+        t = ev.system_times(np.array([1]), np.array([0.0813]))[0, AUD - 1]
         assert t == pytest.approx(2 + 0.0813 + 1.0)
+        trans, t_sys, _ = ev.pattern_state(np.array([1]))
+        assert t_sys[0] == pytest.approx((0.0 + trans[0] + 0.4, 2 + trans[0] + 1.0,
+                                          3 + trans[0] + 0.0648))
 
     def test_local_branch_ignores_trans_time(self, profile, config):
-        assert system_time(profile, config, IMG, False, 99.0) == \
-            system_time(profile, config, IMG, False, 0.0)
+        ev = ScenarioEvaluator([profile], config)
+        assert np.array_equal(ev.system_times(np.array([0]), np.array([99.0])),
+                              ev.system_times(np.array([0]), np.array([0.0])))
 
 
 class TestConfigDocument:
