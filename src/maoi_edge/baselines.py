@@ -36,7 +36,7 @@ def solve_fmi(profiles: Sequence[DeviceProfile], config: SystemConfig,
     ev = ScenarioEvaluator(profiles, config)
 
     def tau_rule(mu, x):
-        _, _, e = ev.pattern_state(x)
+        e = ev.pattern_state(x).energies
         return np.maximum(config.tau_min, e / ev.e_budget), 0
 
     return run_outer_loop(ev, tau_rule, ev.offloading_equilibrium, init)
@@ -67,7 +67,7 @@ def solve_gmo(profiles: Sequence[DeviceProfile], config: SystemConfig,
 
     def offload_rule(tau, mu, x):
         # flags are never reverted, so the incoming pattern is the fixed set
-        candidates = np.nonzero((x == 0) & ev.admissible_offload(x))[0]
+        candidates = np.nonzero((x == 0) & ev.pattern_state(x).admissible)[0]
         best_d, _ = ev.best_flip(tau, mu, x, candidates, np.ones_like(candidates))
         if best_d is None:
             return x, []
@@ -92,10 +92,10 @@ def solve_idd(profiles: Sequence[DeviceProfile], config: SystemConfig,
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     ev = ScenarioEvaluator(profiles, config)
     assumed = rho * (ev.rx_power.sum() - ev.rx_power)
-    edge = ev.edge_branch(ev.trans_times_under(assumed))
+    t_off, e_off = ev.edge_branch(ev.trans_times_under(assumed))
 
     def offload_rule(tau, mu, x):
-        cost_loc, cost_off = ev.branch_costs_at(tau, mu, edge)
+        cost_loc, cost_off = ev.branch_costs(tau, mu, t_off, e_off)
         prefers = cost_off < cost_loc
         out = np.zeros_like(x)
         load = 0.0

@@ -48,8 +48,11 @@ def _parse_overrides(pairs: list[str], config_path: str | None) -> dict:
             raise SystemExit(f"{config_path}: sweeps generate their own device "
                              "populations; provide a 'system' section (plus "
                              "optional 'device', 'psi_range', 'path_loss_exponent')")
-        overrides.update(doc.get("system", {}))
-        overrides.update(doc.get("device", {}))
+        for section in ("system", "device"):
+            entries = doc.get(section)
+            if not isinstance(entries, (dict, type(None))):
+                raise SystemExit(f"{config_path}: '{section}' must be a mapping")
+            overrides.update(entries or {})
         for key in ("psi_range", "path_loss_exponent"):
             if key in doc:
                 overrides[key] = doc[key]
@@ -68,18 +71,23 @@ def _seeds(base: int, count: int) -> tuple[int, ...]:
     return tuple(range(base, base + count))
 
 
+def _or_exit(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with a ``ValueError`` turned into an exit message."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     overrides = _parse_overrides(args.override, args.config)
     algorithms = tuple(args.algorithms.split(",")) if args.algorithms \
         else tuple(sorted(baselines.ALGORITHMS))
-    try:
-        spec = experiments.SweepSpec(
-            param=args.param, grid=_parse_float_list(args.grid),
-            algorithms=algorithms, seeds=_seeds(args.seed, args.seeds),
-            base_devices=args.devices, overrides=overrides)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-    rows = experiments.run_sweep(spec, workers=args.workers)
+    spec = _or_exit(experiments.SweepSpec, param=args.param,
+                    grid=_parse_float_list(args.grid), algorithms=algorithms,
+                    seeds=_seeds(args.seed, args.seeds),
+                    base_devices=args.devices, overrides=overrides)
+    rows = _or_exit(experiments.run_sweep, spec, workers=args.workers)
     out = Path(args.out)
     experiments.write_results_csv(rows, out / "results.csv")
     experiments.write_aggregate_csv(experiments.aggregate(rows), out / "aggregate.csv")
@@ -91,9 +99,9 @@ def cmd_converge_grid(args: argparse.Namespace) -> int:
     overrides = _parse_overrides(args.override, args.config)
     d_grid = _parse_int_list(args.d_grid)
     e_grid = _parse_float_list(args.e_grid)
-    cells = experiments.convergence_grid(
-        d_grid, e_grid, seeds=_seeds(args.seed, args.seeds),
-        algorithm=args.algorithm, overrides=overrides, workers=args.workers)
+    cells = _or_exit(experiments.convergence_grid, d_grid, e_grid,
+                     seeds=_seeds(args.seed, args.seeds), algorithm=args.algorithm,
+                     overrides=overrides, workers=args.workers)
     out = Path(args.out)
     experiments.write_convergence_grid_csv(d_grid, e_grid, cells,
                                            out / "convergence_grid.csv")
@@ -102,11 +110,8 @@ def cmd_converge_grid(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_oracle(args: argparse.Namespace) -> int:
-    try:
-        rows = experiments.validate_oracle(n_updates=args.updates, seed=args.seed,
-                                           z=args.z)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+    rows = _or_exit(experiments.validate_oracle, n_updates=args.updates,
+                    seed=args.seed, z=args.z)
     out = Path(args.out)
     experiments.write_oracle_csv(rows, out / "oracle_validation.csv")
     failures = [r for r in rows if not r["bracketed"]]
@@ -136,7 +141,7 @@ def cmd_assert_trends(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     overrides = _parse_overrides(args.override, args.config)
-    sc = generate_scenario(args.devices, args.seed, overrides)
+    sc = _or_exit(generate_scenario, args.devices, args.seed, overrides)
     decision, trace = baselines.solve(args.algorithm, list(sc.profiles), sc.config)
     metrics = trace.metrics
     out = Path(args.out)

@@ -60,23 +60,30 @@ class SweepSpec:
                              f"got {self.grid}")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if not self.base_devices >= 1:
+            raise ValueError(f"base_devices must be >= 1, got {self.base_devices}")
         for alg in self.algorithms:
             if alg not in baselines.ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}")
+        # settings fail here, before the first solve: one device per grid value
+        for value in self.grid:
+            scenario_for(self, value, self.seeds[0], devices=1)
 
 
-def scenario_for(spec: SweepSpec, value: float, seed: int) -> Scenario:
-    """Materialize the scenario behind one grid point."""
+def scenario_for(spec: SweepSpec, value: float, seed: int,
+                 devices: int | None = None) -> Scenario:
+    """Materialize the scenario behind one grid point (``devices`` devices if set)."""
     overrides = dict(spec.overrides)
     if spec.param == "device_count":
-        return generate_scenario(int(value), seed, overrides)
+        return generate_scenario(devices or int(value), seed, overrides)
+    devices = devices or spec.base_devices
     if spec.param == "energy_budget":
         overrides["energy_budget"] = float(value)
-        return generate_scenario(spec.base_devices, seed, overrides)
+        return generate_scenario(devices, seed, overrides)
     if spec.param == "local_cpu":
         overrides["f_local"] = float(value)
-        return generate_scenario(spec.base_devices, seed, overrides)
-    base = generate_scenario(spec.base_devices, seed, overrides)
+        return generate_scenario(devices, seed, overrides)
+    base = generate_scenario(devices, seed, overrides)
     return with_audio_weight_increment(base, float(value))
 
 
@@ -99,6 +106,8 @@ def solve_sweep(spec: SweepSpec, workers: int = 1) -> list[tuple[dict, Decision]
     by (value, seed, algorithm); the ordering and content depend only on
     the spec, never on worker scheduling.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = [(spec, value, seed, alg)
              for value, seed, alg in itertools.product(spec.grid, spec.seeds,
                                                        spec.algorithms)]
@@ -215,11 +224,13 @@ def convergence_grid(d_grid: tuple[int, ...], e_grid: tuple[float, ...],
     """Mean outer iterations per (device count, energy budget) cell."""
     if not d_grid or not e_grid:
         raise ValueError("grids must be non-empty")
+    # every row's spec is checked before the first solve
+    specs = [SweepSpec(param="device_count", grid=tuple(float(d) for d in d_grid),
+                       algorithms=(algorithm,), seeds=seeds,
+                       overrides={**(overrides or {}), "energy_budget": float(e_max)})
+             for e_max in e_grid]
     cells = []
-    for e_max in e_grid:
-        spec = SweepSpec(param="device_count", grid=tuple(float(d) for d in d_grid),
-                         algorithms=(algorithm,), seeds=seeds,
-                         overrides={**(overrides or {}), "energy_budget": float(e_max)})
+    for spec in specs:
         agg = aggregate(run_sweep(spec, workers=workers))
         by_d = {r["value"]: r["outer_iters_mean"] for r in agg}
         cells.append([by_d[float(d)] for d in d_grid])

@@ -19,11 +19,10 @@ uplink rate, transmission time, per-update energy, system time and
 penalized cost; the Monte-Carlo oracle checks its ages.  ``run_outer_loop``
 drives a solve on one evaluator and reports the decision's metrics from
 it.  The pattern changes in a few percent of outer iterations, so the
-evaluator computes everything that depends on the pattern alone (pattern
-state, edge branch, capacity admission, the sampling block's convexity
-threshold, surrogate denominator and Newton devices) once per pattern,
-and phi(tau) once per interval vector.  The loop passes bare arrays
-between the blocks, so its rules must never edit their inputs in place.
+evaluator computes everything that depends on the pattern alone once per
+pattern, as the ``PatternState`` every block reads, and phi(tau) once per
+interval vector.  The loop passes bare arrays between the blocks, so its
+rules must never edit their inputs in place.
 
 ``CostTerms`` and the functions that follow it solve one device's
 interval: the sampling block runs ``newton_refine`` on devices with a
@@ -194,7 +193,7 @@ def optimal_sampling_interval(terms: CostTerms, config: SystemConfig,
 TRIAL_BLOCK_ENTRIES = 4096
 
 
-class _PatternState(NamedTuple):
+class PatternState(NamedTuple):
     """Everything an outer iteration needs that depends on the pattern alone."""
 
     trans: np.ndarray           # edge transmission time per device
@@ -202,7 +201,7 @@ class _PatternState(NamedTuple):
     energies: np.ndarray        # per-update energy per device
     t_off: np.ndarray           # edge-branch system times, ``edge_branch(trans)``
     e_off: np.ndarray           # edge-branch per-update energies
-    admissible: np.ndarray      # ``admissible_offload(x)``
+    admissible: np.ndarray      # devices that could (or do) offload within capacity
     tau_th: np.ndarray          # convexity threshold per device
     tau_upper: np.ndarray       # max(tau_min, tau_th)
     sphi_up: np.ndarray         # surrogate's event-factor sum at tau_upper
@@ -219,10 +218,10 @@ class ScenarioEvaluator:
     system times have no waiting term but add the transmission time.  Two
     read-only entries are cached, each holding only its latest key:
 
-    * per offload pattern, keyed on ``x.tobytes()``: the pattern state
-      (transmission times, system times, per-update energies), the edge
+    * per offload pattern, keyed on ``x.tobytes()``: its ``PatternState``
+      (transmission times, system times, per-update energies, the edge
       branch's times and energies, the capacity-admissible devices, and the
-      sampling block's invariants (convexity threshold, the surrogate's
+      sampling block's invariants: convexity threshold, the surrogate's
       event-factor sum at ``max(tau_min, tau_th)`` and the devices with a
       convex region);
     * per interval vector, keyed on ``tau.tobytes()``: the event factors
@@ -265,13 +264,11 @@ class ScenarioEvaluator:
                          for p in self.profiles])
         t_ec = np.array([[compute_time(p, config, m, "edge") for m in MODALITIES]
                          for p in self.profiles])
-        self.wait = wait
-        self.t_local_comp = t_lc
-        self.t_edge_comp = t_ec
+        self.lemma_gap = wait + t_lc - t_ec     # local minus edge compute path
         self.t_local = sens + wait + t_lc       # full local system times
         self.t_edge0 = sens + t_ec              # edge system times minus transmission
         self._pattern_key: bytes | None = None
-        self._pattern: _PatternState | None = None
+        self._pattern: PatternState | None = None
         self._tau_key: bytes | None = None
         self._tau_terms: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -296,25 +293,29 @@ class ScenarioEvaluator:
     def trans_times_under(self, interference: np.ndarray) -> np.ndarray:
         return self.payload / self.rates_under(interference)
 
-    def energies(self, x: np.ndarray, trans: np.ndarray) -> np.ndarray:
-        return self.e_sens + np.where(x == 1, self.tx_power * trans, self.e_comp)
-
-    def system_times(self, x: np.ndarray, trans: np.ndarray) -> np.ndarray:
-        return np.where((x == 1)[..., None], self.t_edge0 + trans[..., None],
-                        self.t_local)
-
     def edge_branch(self, trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """System times and per-update energies of every device on the edge."""
-        return self.t_edge0 + trans[:, None], self.e_sens + self.tx_power * trans
+        return self.t_edge0 + trans[..., None], self.e_sens + self.tx_power * trans
 
-    def _state(self, x: np.ndarray) -> _PatternState:
-        """The cached entry of pattern ``x``, computed on a miss."""
+    def _branches(self, x: np.ndarray, trans: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(t_sys, energies)`` that pattern ``x`` selects, then the edge branch."""
+        t_off, e_off = self.edge_branch(trans)
+        on_edge = x == 1
+        return (np.where(on_edge[..., None], t_off, self.t_local),
+                np.where(on_edge, e_off, self.e_local), t_off, e_off)
+
+    def pattern_state(self, x: np.ndarray) -> PatternState:
+        """The read-only ``PatternState`` of pattern ``x``, computed on a miss.
+
+        Only the latest pattern is kept.  It is keyed on the contents of
+        ``x``, not its identity, because callers copy and edit patterns in
+        place.
+        """
         key = x.tobytes()
         if key != self._pattern_key:
             cfg = self.config
             trans = self.trans_times(x)
-            t_sys = self.system_times(x, trans)
-            t_off, e_off = self.edge_branch(trans)
+            t_sys, energies, t_off, e_off = self._branches(x, trans)
             load = float(x @ self.payload)
             admissible = np.where(x == 1, True,
                                   load + self.payload <= cfg.capacity_threshold)
@@ -322,24 +323,13 @@ class ScenarioEvaluator:
                       / self.lam[None, :]).min(axis=1)
             tau_upper = np.maximum(cfg.tau_min, tau_th)
             sphi_up = self.event_factors(tau_upper, self.psi).sum(axis=1)
-            state = _PatternState(
-                trans, t_sys, self.energies(x, trans), t_off, e_off, admissible,
-                tau_th, tau_upper, sphi_up, np.nonzero(cfg.tau_min < tau_th)[0])
+            state = PatternState(
+                trans, t_sys, energies, t_off, e_off, admissible, tau_th,
+                tau_upper, sphi_up, np.nonzero(cfg.tau_min < tau_th)[0])
             for arr in state:
                 arr.flags.writeable = False
             self._pattern_key, self._pattern = key, state
         return self._pattern
-
-    def pattern_state(self, x: np.ndarray,
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(trans, t_sys, energies)`` of pattern ``x``, read-only.
-
-        Only the latest pattern is kept.  It is keyed on the contents of
-        ``x``, not its identity, because callers copy and edit patterns in
-        place.
-        """
-        state = self._state(x)
-        return state.trans, state.t_sys, state.energies
 
     # -- costs ------------------------------------------------------------
 
@@ -366,7 +356,7 @@ class ScenarioEvaluator:
 
     def device_costs(self, tau: np.ndarray, mu: np.ndarray,
                      x: np.ndarray) -> np.ndarray:
-        state = self._state(x)
+        state = self.pattern_state(x)
         return self._penalized_costs(tau, mu, state.t_sys, state.energies)
 
     def system_cost(self, tau: np.ndarray, mu: np.ndarray, x: np.ndarray) -> float:
@@ -374,13 +364,13 @@ class ScenarioEvaluator:
 
     def energy_violation(self, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Relative overdraw (Ebar - budget)/budget per device."""
-        e = self._state(x).energies
+        e = self.pattern_state(x).energies
         return (e / tau - self.e_budget) / self.e_budget
 
     def cost_terms(self, d: int, mu_d: float, x: np.ndarray) -> CostTerms:
-        _, t_sys, e = self.pattern_state(x)
+        state = self.pattern_state(x)
         return CostTerms(psi=tuple(self.psi[d]), lambdas=tuple(self.lam),
-                         t_sys=tuple(t_sys[d]), energy=float(e[d]),
+                         t_sys=tuple(state.t_sys[d]), energy=float(state.energies[d]),
                          energy_budget=float(self.e_budget[d]), mu=mu_d)
 
     # -- sampling block ---------------------------------------------------
@@ -389,7 +379,7 @@ class ScenarioEvaluator:
                       ) -> tuple[np.ndarray, int]:
         """Algorithm-1 interval update for every device; returns Newton total."""
         cfg = self.config
-        state = self._state(x)
+        state = self.pattern_state(x)
         tau_sub = np.sqrt(2.0 * mu * state.energies / state.sphi_up)
         # max(tau_th, max(tau_min, tau_sub)), with the first clamp per pattern
         tau_star = np.maximum(state.tau_upper, tau_sub)
@@ -407,35 +397,22 @@ class ScenarioEvaluator:
 
     # -- offloading block ---------------------------------------------------
 
-    def branch_costs(self, tau: np.ndarray, mu: np.ndarray, x: np.ndarray,
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """Own penalized cost of every device on its local and edge branch.
+    def branch_costs(self, tau: np.ndarray, mu: np.ndarray, t_off: np.ndarray,
+                     e_off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Own penalized cost of every device locally and on the ``edge_branch``.
 
-        A device's own rate does not depend on its own flag, so both
-        branch costs are valid simultaneously for the fixed pattern of the
-        other devices.
+        A device's own rate does not depend on its own flag, so under a
+        pattern's edge branch both costs hold for the others' fixed pattern.
         """
-        state = self._state(x)
-        return self.branch_costs_at(tau, mu, (state.t_off, state.e_off))
-
-    def branch_costs_at(self, tau: np.ndarray, mu: np.ndarray,
-                        edge: tuple[np.ndarray, np.ndarray],
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """Local and edge branch costs for a given ``edge_branch``."""
-        cost_loc = self._penalized_costs(tau, mu, self.t_local, self.e_local)
-        cost_off = self._penalized_costs(tau, mu, *edge)
-        return cost_loc, cost_off
-
-    def admissible_offload(self, x: np.ndarray) -> np.ndarray:
-        """Whether each device could (or already does) offload within capacity."""
-        return self._state(x).admissible
+        return (self._penalized_costs(tau, mu, self.t_local, self.e_local),
+                self._penalized_costs(tau, mu, t_off, e_off))
 
     def best_responses(self, tau: np.ndarray, mu: np.ndarray, x: np.ndarray,
                        ) -> np.ndarray:
-        cost_loc, cost_off = self.branch_costs(tau, mu, x)
-        admissible = self.admissible_offload(x)
+        state = self.pattern_state(x)
+        cost_loc, cost_off = self.branch_costs(tau, mu, state.t_off, state.e_off)
         br = x.copy()
-        br[(cost_off < cost_loc) & admissible] = 1
+        br[(cost_off < cost_loc) & state.admissible] = 1
         br[cost_loc < cost_off] = 0
         return br
 
@@ -458,9 +435,9 @@ class ScenarioEvaluator:
             block = devices[start:start + rows]
             trials = np.repeat(x[None, :], len(block), axis=0)
             trials[np.arange(len(block)), block] = targets[start:start + rows]
-            trans = self.payload / self.rates(trials)
-            costs = self._penalized_costs(tau, mu, self.system_times(trials, trans),
-                                          self.energies(trials, trans))
+            # ``trans_times`` stays one call per pattern state, so trials bypass it
+            t_sys, e = self._branches(trials, self.payload / self.rates(trials))[:2]
+            costs = self._penalized_costs(tau, mu, t_sys, e)
             gains = cost_now - costs.sum(axis=-1)
             k = int(np.argmax(gains))
             if gains[k] > best_gain:
@@ -509,9 +486,9 @@ class ScenarioEvaluator:
         """
         cfg = self.config
         phi = 1.0 + self.psi[d] * (1.0 - np.exp(-self.lam * tau_d))
-        gap = self.wait[d] + self.t_local_comp[d] - self.t_edge_comp[d]
         num = (phi.sum() * tau_d + mu_d * self.tx_power[d]) * self.payload[d]
-        den = cfg.bandwidth * tau_d * float(phi @ gap) + mu_d * self.e_comp[d]
+        den = (cfg.bandwidth * tau_d * float(phi @ self.lemma_gap[d])
+               + mu_d * self.e_comp[d])
         if den <= 0.0:
             return -math.inf
         exponent = num / den
@@ -533,8 +510,7 @@ class ScenarioEvaluator:
         MAoI always uses the true modality weights, whatever objective the
         evaluator optimizes.
         """
-        _, t_sys, _ = self.pattern_state(x)
-        aoi = 0.5 * tau[:, None] + t_sys
+        aoi = 0.5 * tau[:, None] + self.pattern_state(x).t_sys
         maoi = self.event_factors(tau, self.psi_true) * aoi
         viol = self.energy_violation(tau, x)
         out = {
@@ -707,6 +683,6 @@ def solve_jso(profiles: Sequence[DeviceProfile], config: SystemConfig,
 __all__ = [
     "CostTerms", "convexity_threshold", "surrogate_minimizer",
     "feasible_approximation", "newton_refine", "optimal_sampling_interval",
-    "TRIAL_BLOCK_ENTRIES", "ScenarioEvaluator", "as_offload_vector",
+    "TRIAL_BLOCK_ENTRIES", "PatternState", "ScenarioEvaluator", "as_offload_vector",
     "Decision", "SolveTrace", "default_decision", "run_outer_loop", "solve_jso",
 ]

@@ -98,7 +98,7 @@ def simulate_avg_maoi_device(ev: ScenarioEvaluator, d: int, tau: float,
     the weights from its true modality weights, so the estimate checks the
     closed form the solvers optimize.
     """
-    _, t_sys, _ = ev.pattern_state(np.asarray(x, dtype=np.int64))
+    t_sys = ev.pattern_state(np.asarray(x, dtype=np.int64)).t_sys
     parts = [simulate_avg_maoi(float(ev.psi_true[d, s]), float(ev.lam[s]), tau,
                                float(t_sys[d, s]), n_updates, seed=[seed, s])
              for s in range(3)]

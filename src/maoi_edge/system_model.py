@@ -68,7 +68,7 @@ class DeviceProfile:
     energy_budget: float = 1.0         # J/s
 
     def __post_init__(self) -> None:
-        if self.id < 0:
+        if not self.id >= 0:
             raise ValueError(f"device id must be >= 0, got {self.id}")
         positive = (
             "img_height", "img_width", "img_channels", "aud_duration",
@@ -80,10 +80,10 @@ class DeviceProfile:
             "energy_budget",
         )
         for name in positive:
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         weights = tuple(float(w) for w in self.maoi_weights)
-        if len(weights) != 3 or any(w < 0 for w in weights):
+        if len(weights) != 3 or not all(w >= 0 for w in weights):
             raise ValueError(f"maoi_weights must be 3 values >= 0, got {self.maoi_weights}")
         object.__setattr__(self, "maoi_weights", weights)
         samples = self.aud_duration * self.aud_rate
@@ -129,13 +129,13 @@ class SystemConfig:
                      "tft_base_flops", "tft_base_len", "tau_min",
                      "capacity_threshold", "lagrange_step", "convergence_eps",
                      "newton_tol", "newton_max_iters", "max_outer_iters"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         for name in ("energy_tol", "mu_init"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         rates = tuple(float(lam) for lam in self.event_rates)
-        if len(rates) != 3 or any(lam <= 0 for lam in rates):
+        if len(rates) != 3 or not all(lam > 0 for lam in rates):
             raise ValueError(f"event_rates must be 3 positive values, got {self.event_rates}")
         object.__setattr__(self, "event_rates", rates)
         order = tuple(ModalityKind(m) for m in self.local_schedule_order)

@@ -36,7 +36,7 @@ class TestFMI:
         profiles, config = scenario_lists(4, seed=1)
         decision, trace = baselines.solve_fmi(profiles, config)
         assert trace.converged
-        _, _, energies = ScenarioEvaluator(profiles, config).pattern_state(decision.x)
+        energies = ScenarioEvaluator(profiles, config).pattern_state(decision.x).energies
         for d in range(4):
             e = energies[d]
             expected = max(config.tau_min, e / profiles[d].energy_budget)

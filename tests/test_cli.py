@@ -79,6 +79,32 @@ class TestSweepCommand:
             run_cli(["sweep", "--param", "device_count", "--grid", "2",
                      "--config", str(cfg), "--out", str(tmp_path / "out")])
 
+    @pytest.mark.parametrize("section", ["system", "device"])
+    def test_empty_config_section_reads_as_no_overrides(self, tmp_path, section):
+        cfg = tmp_path / "conf.yaml"
+        cfg.write_text(f"{section}:\npsi_range: [1.0, 1.2]\n")
+        assert _parse_overrides([], str(cfg)) == {"psi_range": [1.0, 1.2]}
+
+    def test_non_mapping_config_section_rejected(self, tmp_path):
+        cfg = tmp_path / "conf.yaml"
+        cfg.write_text("system: [1, 2]\n")
+        with pytest.raises(SystemExit, match="'system' must be a mapping"):
+            _parse_overrides([], str(cfg))
+
+    def test_bad_grid_value_rejected_before_any_solve(self, tmp_path):
+        with pytest.raises(SystemExit, match="energy_budget"):
+            run_cli(["sweep", "--param", "energy_budget", "--grid", "1,-1",
+                     "--algorithms", "fmi", "--seeds", "1", "--devices", "2",
+                     "--out", str(tmp_path)])
+        assert not (tmp_path / "results.csv").exists()
+
+    def test_zero_workers_rejected(self, tmp_path):
+        with pytest.raises(SystemExit, match="workers must be >= 1"):
+            run_cli(["sweep", "--param", "device_count", "--grid", "2",
+                     "--algorithms", "fmi", "--seeds", "1", "--workers", "0",
+                     "--out", str(tmp_path), *FAST])
+        assert not (tmp_path / "results.csv").exists()
+
     def test_fractional_device_count_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="device_count grid values"):
             run_cli(["sweep", "--param", "device_count", "--grid", "2.5",
@@ -94,6 +120,12 @@ class TestConvergeGridCommand:
         lines = (tmp_path / "convergence_grid.csv").read_text().splitlines()
         assert lines[0] == "energy_budget,D=2,D=3"
         assert len(lines) == 2
+
+    def test_bad_budget_rejected(self, tmp_path):
+        with pytest.raises(SystemExit, match="energy_budget"):
+            run_cli(["converge-grid", "--d-grid", "2", "--e-grid", "-1",
+                     "--seeds", "1", "--out", str(tmp_path)])
+        assert not (tmp_path / "convergence_grid.csv").exists()
 
 
 class TestValidateOracleCommand:
@@ -164,6 +196,17 @@ class TestSolveCommand:
         for r in rows:
             assert isinstance(r["tau"], float) and isinstance(r["mu"], float)
             assert r["x"] in (0, 1) and isinstance(r["x"], int)
+
+
+    @pytest.mark.parametrize("args, match", [
+        (["--override", "tau_min=-1"], "tau_min"),
+        (["--override", "energy_tol=nan"], "energy_tol"),
+        (["--devices", "0"], "d_count"),
+    ])
+    def test_bad_settings_rejected(self, tmp_path, args, match):
+        with pytest.raises(SystemExit, match=match):
+            run_cli(["solve", "--devices", "3", *args, "--out", str(tmp_path)])
+        assert not (tmp_path / "trace.csv").exists()
 
 
 class TestEntryPoint:

@@ -81,11 +81,22 @@ class TestBranchEnergies:
 
     def test_edge_branch_matches_pattern_state(self, config, two_profiles):
         ev = ScenarioEvaluator(two_profiles, config)
-        x = np.array([1, 1])
-        trans, t_sys, e = ev.pattern_state(x)
-        t_off, e_off = ev.edge_branch(trans)
-        assert np.array_equal(e_off, e)
-        assert np.array_equal(t_off, t_sys)
+        state = ev.pattern_state(np.array([1, 1]))
+        t_off, e_off = ev.edge_branch(state.trans)
+        assert np.array_equal(e_off, state.energies)
+        assert np.array_equal(t_off, state.t_sys)
+        assert np.array_equal(e_off, state.e_off)
+        assert np.array_equal(t_off, state.t_off)
+
+    def test_edge_branch_of_stacked_trans_times(self, config, two_profiles):
+        ev = ScenarioEvaluator(two_profiles, config)
+        stack = np.array([[0.05, 0.1], [0.2, 0.4], [1.0, 3.0]])
+        t_off, e_off = ev.edge_branch(stack)
+        assert t_off.shape == (3, 2, 3) and e_off.shape == (3, 2)
+        for k, trans in enumerate(stack):
+            t_row, e_row = ev.edge_branch(trans)
+            assert np.array_equal(t_off[k], t_row)
+            assert np.array_equal(e_off[k], e_row)
 
 
 class TestAvgEnergyRate:

@@ -46,6 +46,22 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="device_count grid values"):
             fast_spec(grid=(2.0, value))
 
+    @pytest.mark.parametrize("param, value, match", [
+        ("energy_budget", -1.0, "energy_budget"),
+        ("energy_budget", float("nan"), "energy_budget"),
+        ("local_cpu", 1e11, "f_edge >= f_local"),
+        ("audio_weight_increment", -0.5, "increment"),
+    ])
+    def test_bad_grid_value_rejected_when_built(self, param, value, match):
+        with pytest.raises(ValueError, match=match):
+            fast_spec(param=param, grid=(1.0, value))
+
+    def test_bad_settings_rejected_when_built(self):
+        with pytest.raises(ValueError, match="tau_min"):
+            fast_spec(overrides={**FAST, "tau_min": -1.0})
+        with pytest.raises(ValueError, match="base_devices"):
+            fast_spec(param="energy_budget", grid=(2.0,), base_devices=0)
+
     def test_fractional_grid_allowed_for_other_params(self):
         assert fast_spec(param="energy_budget", grid=(2.5,)).grid == (2.5,)
         assert fast_spec(grid=(1.0, 3)).grid == (1.0, 3)
@@ -123,6 +139,12 @@ class TestSolveSweep:
             assert np.array_equal(decision.x, expected.x)
             assert np.array_equal(decision.mu, expected.mu)
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_must_be_positive(self, workers, monkeypatch):
+        monkeypatch.setattr(baselines, "solve", pytest.fail)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            solve_sweep(fast_spec(), workers=workers)
+
 
 class TestAggregate:
     def test_mean_and_std_over_seeds(self):
@@ -157,6 +179,11 @@ class TestConvergenceGrid:
         write_convergence_grid_csv((2,), (50.0,), cells, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "energy_budget,D=2"
+
+    def test_bad_budget_rejected_before_any_solve(self, monkeypatch):
+        monkeypatch.setattr(baselines, "solve", pytest.fail)
+        with pytest.raises(ValueError, match="energy_budget"):
+            convergence_grid((2,), (50.0, -1.0), seeds=(0,))
 
     def test_reproducible(self):
         a = convergence_grid((2, 3), (20.0, 50.0), seeds=(0, 1))

@@ -1,0 +1,53 @@
+"""Golden outputs: a refactor that keeps the arithmetic keeps these bytes.
+
+The digests pin the exact CSV bytes of a small sweep over every algorithm
+and of one solve that runs the Newton path; any change to a formula, an
+operation order or a reduction shows up as a new digest.  They hold on
+x86_64 with numpy 2.4.6 (Python 3.11); another platform or numpy build
+may round differently and needs its own digests.  A change that is meant
+to move results updates them and says why.
+"""
+
+import hashlib
+
+from maoi_edge import baselines, experiments
+from maoi_edge.cli import main
+
+SWEEP_RESULTS_SHA256 = (
+    "f6cda0a45524783f530351d041af5f4017ec124b69250b3bfbefa3e603935fb2")
+NEWTON_TRACE_SHA256 = (
+    "d7d3425df99673ac39a680f5c17bfce56c732af49640f857c2fba1a07d3c3204")
+NEWTON_DECISION_SHA256 = (
+    "efd8a4f13052d21cdd0de36bc4125a8d3cdd34de7dd09690eb65888fb70ef6c0")
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_sweep_results_csv(tmp_path):
+    # D 5 and 8 x seeds 0, 1 x all algorithms; 24 of the 28 cells converge
+    # within 1500 iterations at the larger step, 99 devices offload in all
+    spec = experiments.SweepSpec(
+        param="device_count", grid=(5.0, 8.0),
+        algorithms=tuple(sorted(baselines.ALGORITHMS)), seeds=(0, 1),
+        overrides={"lagrange_step": 0.5, "max_outer_iters": 1500,
+                   "capacity_threshold": 2e7})
+    rows = experiments.run_sweep(spec)
+    assert sum(r["converged"] for r in rows) == 24
+    assert sum(r["n_offloaded"] for r in rows) == 99
+    experiments.write_results_csv(rows, tmp_path / "results.csv")
+    assert sha256(tmp_path / "results.csv") == SWEEP_RESULTS_SHA256
+
+
+def test_newton_path_solve(tmp_path):
+    # low event rates open a convex region, so the sampling block takes its
+    # projected Newton path (68 656 Newton iterations in all)
+    code = main(["solve", "--devices", "4", "--seed", "1",
+                 "--override", "event_rates=[0.05,0.05,0.05]",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    trace = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+    assert sum(int(line.rsplit(",", 1)[1]) for line in trace) == 68_656
+    assert sha256(tmp_path / "trace.csv") == NEWTON_TRACE_SHA256
+    assert sha256(tmp_path / "decision.csv") == NEWTON_DECISION_SHA256

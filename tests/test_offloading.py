@@ -42,7 +42,8 @@ class TestBestResponse:
         profiles, config = scenario_lists(3)
         ev = ScenarioEvaluator(profiles, config)
         equal = np.ones(3)
-        monkeypatch.setattr(ev, "branch_costs", lambda tau, mu, x: (equal, equal))
+        monkeypatch.setattr(ev, "branch_costs",
+                            lambda tau, mu, t_off, e_off: (equal, equal))
         x = np.array([1, 0, 1])
         br = ev.best_responses(np.full(3, 2.0), np.zeros(3), x)
         assert (br == x).all()
@@ -152,15 +153,14 @@ class TestPatternState:
         profiles, config = scenario_lists(6, seed=2)
         ev = ScenarioEvaluator(profiles, config)
         x = np.zeros(6, dtype=np.int64)
-        trans_before = ev.pattern_state(x)[0].copy()
+        trans_before = ev.pattern_state(x).trans.copy()
         x[2] = 1
-        trans, t_sys, e = ev.pattern_state(x)
+        state = ev.pattern_state(x)
         fresh = ScenarioEvaluator(profiles, config)
-        expected = fresh.trans_times(x)
-        assert not np.array_equal(trans, trans_before)
-        assert np.array_equal(trans, expected)
-        assert np.array_equal(t_sys, fresh.system_times(x, expected))
-        assert np.array_equal(e, fresh.energies(x, expected))
+        assert not np.array_equal(state.trans, trans_before)
+        assert np.array_equal(state.trans, fresh.trans_times(x))
+        for got, want in zip(state, fresh.pattern_state(x)):
+            assert np.array_equal(got, want)
 
     def test_cached_arrays_are_read_only(self):
         profiles, config = scenario_lists(3)
@@ -217,12 +217,15 @@ class TestEvaluatorCaches:
         tau = np.full(6, 3.0)
         mu = np.linspace(0.5, 5.0, 6)
         x = np.array([0, 1, 0, 0, 1, 0])
-        before = ev.branch_costs(tau, mu, x)
+        state = ev.pattern_state(x)
+        before = ev.branch_costs(tau, mu, state.t_off, state.e_off)
         cost_before = ev.system_cost(tau, mu, x)
         tau[2] = 7.5  # same object, new contents
-        after = ev.branch_costs(tau, mu, x)
+        after = ev.branch_costs(tau, mu, state.t_off, state.e_off)
         fresh = ScenarioEvaluator(profiles, config)
-        for got, want in zip(after, fresh.branch_costs(tau, mu, x)):
+        fresh_state = fresh.pattern_state(x)
+        for got, want in zip(after, fresh.branch_costs(tau, mu, fresh_state.t_off,
+                                                       fresh_state.e_off)):
             assert np.array_equal(got, want)
         assert not np.array_equal(before[0], after[0])
         assert ev.system_cost(tau, mu, x) == \

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -59,6 +60,21 @@ class TestTypes:
     def test_config_rejects_unusable_solver_settings(self, field, value):
         with pytest.raises(ValueError, match=field):
             SystemConfig(**{field: value})
+
+    # every numeric field is range-checked, and NaN fails every comparison
+    @pytest.mark.parametrize("cls, name", [
+        (cls, f.name) for cls in (SystemConfig, DeviceProfile) for f in fields(cls)
+        if f.type in ("float", "int", "tuple[float, float, float]")])
+    def test_nan_rejected(self, cls, name):
+        value = (1.0, math.nan, 1.0) if name.endswith(("_rates", "_weights")) \
+            else math.nan
+        base = {"id": 0} if cls is DeviceProfile else {}
+        with pytest.raises(ValueError, match=name):
+            cls(**{**base, name: value})
+
+    def test_infinity_accepted(self):
+        SystemConfig(capacity_threshold=math.inf, energy_tol=math.inf)
+        DeviceProfile(id=0, energy_budget=math.inf)
 
 
 class TestDataSize:
@@ -149,16 +165,20 @@ class TestTiming:
 
     def test_system_time_edge_branch(self, profile, config):
         ev = ScenarioEvaluator([profile], config)
-        t = ev.system_times(np.array([1]), np.array([0.0813]))[0, AUD - 1]
-        assert t == pytest.approx(2 + 0.0813 + 1.0)
-        trans, t_sys, _ = ev.pattern_state(np.array([1]))
-        assert t_sys[0] == pytest.approx((0.0 + trans[0] + 0.4, 2 + trans[0] + 1.0,
-                                          3 + trans[0] + 0.0648))
+        t_off, _ = ev.edge_branch(np.array([0.0813]))
+        assert t_off[0, AUD - 1] == pytest.approx(2 + 0.0813 + 1.0)
+        state = ev.pattern_state(np.array([1]))
+        trans = state.trans[0]
+        assert state.t_sys[0] == pytest.approx((0.0 + trans + 0.4, 2 + trans + 1.0,
+                                                3 + trans + 0.0648))
 
-    def test_local_branch_ignores_trans_time(self, profile, config):
-        ev = ScenarioEvaluator([profile], config)
-        assert np.array_equal(ev.system_times(np.array([0]), np.array([99.0])),
-                              ev.system_times(np.array([0]), np.array([0.0])))
+    def test_local_branch_ignores_trans_time(self, config, two_profiles):
+        # device 0 stays local while device 1's flag moves its transmission time
+        ev = ScenarioEvaluator(two_profiles, config)
+        alone, jammed = (ev.pattern_state(np.array(x)) for x in ([0, 0], [0, 1]))
+        assert alone.trans[0] != jammed.trans[0]
+        assert np.array_equal(alone.t_sys[0], ev.t_local[0])
+        assert np.array_equal(jammed.t_sys[0], ev.t_local[0])
 
 
 class TestConfigDocument:
