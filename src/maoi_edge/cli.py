@@ -16,38 +16,33 @@ import yaml
 
 from . import baselines, experiments, trends
 from .scenario import generate_scenario
-from .system_model import NUMERIC_FIELDS, coerce_numeric
 
 log = logging.getLogger("maoi_edge")
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+def _parse_list(text: str, kind: type, option: str) -> tuple:
+    try:
+        return tuple(kind(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise SystemExit(f"{option}: expected comma-separated {kind.__name__} "
+                         f"values, got {text!r}") from None
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
-
-
-#: Numeric override fields: the dataclass ones plus the generator-only
-#: ``psi_range`` and ``path_loss_exponent``.
-_NUMERIC_FIELDS = {
-    **NUMERIC_FIELDS,
-    "psi_range": "tuple[float, float]",
-    "path_loss_exponent": "float",
-}
+_CONFIG_KEYS = ("system", "device", "psi_range", "path_loss_exponent")
 
 
 def _parse_overrides(pairs: list[str], config_path: str | None) -> dict:
+    """``--config`` then ``--override`` values as YAML reads them; unchecked."""
     overrides: dict = {}
     if config_path:
-        doc = yaml.safe_load(Path(config_path).read_text())
+        doc = yaml.safe_load(_read_or_exit(Path.read_text, Path(config_path)))
         if not isinstance(doc, dict):
             raise SystemExit(f"{config_path}: expected a mapping")
-        if "devices" in doc:
-            raise SystemExit(f"{config_path}: sweeps generate their own device "
-                             "populations; provide a 'system' section (plus "
-                             "optional 'device', 'psi_range', 'path_loss_exponent')")
+        unknown = [key for key in doc if key not in _CONFIG_KEYS]
+        if unknown:
+            raise SystemExit(f"{config_path}: unknown top-level key {unknown[0]!r}; "
+                             f"expected {', '.join(_CONFIG_KEYS)} (sweeps generate "
+                             "their own device populations)")
         for section in ("system", "device"):
             entries = doc.get(section)
             if not isinstance(entries, (dict, type(None))):
@@ -61,14 +56,7 @@ def _parse_overrides(pairs: list[str], config_path: str | None) -> dict:
             raise SystemExit(f"--override needs key=value, got {pair!r}")
         key, value = pair.split("=", 1)
         overrides[key.strip()] = yaml.safe_load(value)
-    try:
-        return coerce_numeric(overrides, _NUMERIC_FIELDS)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-
-
-def _seeds(base: int, count: int) -> tuple[int, ...]:
-    return tuple(range(base, base + count))
+    return overrides
 
 
 def _or_exit(fn, *args, **kwargs):
@@ -79,13 +67,22 @@ def _or_exit(fn, *args, **kwargs):
         raise SystemExit(str(exc)) from None
 
 
+def _read_or_exit(read, path):
+    """``read(path)``, with a file that cannot be read as an exit message naming it."""
+    try:
+        return read(path)
+    except OSError as exc:
+        raise SystemExit(f"{path}: {exc.strerror}") from None
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     overrides = _parse_overrides(args.override, args.config)
     algorithms = tuple(args.algorithms.split(",")) if args.algorithms \
         else tuple(sorted(baselines.ALGORITHMS))
     spec = _or_exit(experiments.SweepSpec, param=args.param,
-                    grid=_parse_float_list(args.grid), algorithms=algorithms,
-                    seeds=_seeds(args.seed, args.seeds),
+                    grid=_parse_list(args.grid, float, "--grid"),
+                    algorithms=algorithms,
+                    seeds=tuple(range(args.seed, args.seed + args.seeds)),
                     base_devices=args.devices, overrides=overrides)
     rows = _or_exit(experiments.run_sweep, spec, workers=args.workers)
     out = Path(args.out)
@@ -97,10 +94,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_converge_grid(args: argparse.Namespace) -> int:
     overrides = _parse_overrides(args.override, args.config)
-    d_grid = _parse_int_list(args.d_grid)
-    e_grid = _parse_float_list(args.e_grid)
+    d_grid = _parse_list(args.d_grid, int, "--d-grid")
+    e_grid = _parse_list(args.e_grid, float, "--e-grid")
     cells = _or_exit(experiments.convergence_grid, d_grid, e_grid,
-                     seeds=_seeds(args.seed, args.seeds), algorithm=args.algorithm,
+                     seeds=tuple(range(args.seed, args.seed + args.seeds)),
+                     algorithm=args.algorithm,
                      overrides=overrides, workers=args.workers)
     out = Path(args.out)
     experiments.write_convergence_grid_csv(d_grid, e_grid, cells,
@@ -124,8 +122,8 @@ def cmd_validate_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_assert_trends(args: argparse.Namespace) -> int:
-    rows = experiments.read_csv(args.results)
-    spec = yaml.safe_load(Path(args.trend_spec).read_text())
+    rows = _read_or_exit(experiments.read_csv, args.results)
+    spec = yaml.safe_load(_read_or_exit(Path.read_text, Path(args.trend_spec)))
     checks = spec.get("checks") if isinstance(spec, dict) else None
     if not checks:
         raise SystemExit(f"{args.trend_spec}: expected a mapping with a 'checks' list")
@@ -146,7 +144,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     metrics = trace.metrics
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    trace.write_csv(out / "trace.csv")
+    experiments.write_trace_csv(trace, out / "trace.csv")
     rows = [{"device": d, "tau": tau, "x": x, "mu": mu}
             for d, (tau, x, mu) in enumerate(zip(decision.tau.tolist(),
                                                  decision.x.tolist(),
@@ -167,15 +165,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def common(p, workers=True):
         p.add_argument("--config", help="YAML with generator overrides "
                        "(system/device sections)")
         p.add_argument("--override", action="append", metavar="KEY=VALUE",
                        help="single override, repeatable")
         p.add_argument("--seed", type=int, default=0, help="base seed")
-        p.add_argument("--workers", type=int, default=1,
-                       help="parallel solver processes")
-        p.add_argument("--out", required=out_required, help="output directory")
+        if workers:
+            p.add_argument("--workers", type=int, default=1,
+                           help="parallel solver processes")
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("sweep", help="run a parameter sweep and emit CSVs")
     common(p)
@@ -214,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_assert_trends)
 
     p = sub.add_parser("solve", help="solve one generated scenario and dump the trace")
-    common(p)
+    common(p, workers=False)
     p.add_argument("--algorithm", default="jso", choices=sorted(baselines.ALGORITHMS))
     p.add_argument("--devices", type=int, default=10)
     p.set_defaults(fn=cmd_solve)

@@ -3,7 +3,8 @@
 Every sweep row is one (grid value, seed, algorithm) solve.  Outputs are
 data-only CSVs with a fixed schema, sorted before writing so repeated
 runs with the same seeds are byte-identical; timing is logged, never
-written into result files.
+written into result files.  Every CSV the package writes goes through
+``write_csv``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import baselines, oracle
 from .metric import avg_maoi_modality
-from .optimizer import Decision
+from .optimizer import Decision, SolveTrace
 from .scenario import Scenario, generate_scenario, with_audio_weight_increment
 
 log = logging.getLogger(__name__)
@@ -198,6 +199,16 @@ def write_aggregate_csv(agg_rows: list[dict], path: str | Path) -> None:
     write_csv(agg_rows, aggregate_columns(agg_rows), path)
 
 
+def write_trace_csv(trace: SolveTrace, path: str | Path) -> None:
+    """One row per outer iteration; the committed devices are joined by ``;``."""
+    columns = ("iteration", "cost", "max_energy_violation", "committed_device",
+               "newton_iters")
+    records = zip(itertools.count(1), trace.costs, trace.max_violations,
+                  (";".join(map(str, c)) for c in trace.committed),
+                  trace.newton_iters)
+    write_csv([dict(zip(columns, r)) for r in records], columns, path)
+
+
 def read_csv(path: str | Path) -> list[dict]:
     """Read a results/aggregate CSV back, restoring numeric types."""
     out = []
@@ -259,7 +270,7 @@ def validate_oracle(n_updates: int = 100_000, seed: int = 0,
     rows = []
     for i, (lam, psi, tau, t_sys) in enumerate(itertools.product(
             ORACLE_LAMBDAS, ORACLE_PSIS, ORACLE_TAUS, ORACLE_T_SYS)):
-        closed = avg_maoi_modality(psi, lam, tau, t_sys)
+        closed = float(avg_maoi_modality(psi, lam, tau, t_sys))
         stats = oracle.simulate_avg_maoi(psi, lam, tau, t_sys, n_updates,
                                          seed=[seed, i])
         lo, hi = stats.ci(z)
@@ -284,6 +295,7 @@ __all__ = [
     "SweepSpec", "SWEEP_PARAMS", "METRIC_COLUMNS", "RESULT_COLUMNS",
     "scenario_for", "solve_sweep", "run_sweep", "aggregate", "write_csv",
     "write_results_csv", "write_aggregate_csv", "aggregate_columns",
+    "write_trace_csv",
     "read_csv", "convergence_grid", "write_convergence_grid_csv",
     "validate_oracle", "write_oracle_csv", "ORACLE_COLUMNS",
 ]

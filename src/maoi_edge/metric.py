@@ -15,7 +15,6 @@ numbers) or extracted from frame sequences via the functions below.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -152,32 +151,22 @@ def extract_weights(profile: DeviceProfile,
 # ---------------------------------------------------------------------------
 # growth model and closed-form averages
 
-def growth_rate_pmf(psi_s: float, lambda_s: float, tau: float,
-                    ) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Two-point PMF of the age growth rate over one sampling interval.
+def event_factors(psi, lam, tau):
+    """Expected growth rate phi = 1 + psi * P(at least one event in tau).
 
-    Returns ``((1, p_quiet), (1 + psi, p_event))`` where ``p_event`` is the
-    probability that at least one Poisson event lands in the interval.
+    The package's only form of the growth model: the solvers, the lemma and
+    the oracle validation table all call it.  Broadcasts over its arguments.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    p_event = 1.0 - math.exp(-lambda_s * tau)
-    return ((1.0, 1.0 - p_event), (1.0 + psi_s, p_event))
+    return 1.0 + psi * (1.0 - np.exp(-lam * tau))
 
 
-def growth_rate_expectation(psi_s: float, lambda_s: float, tau: float) -> float:
-    """Expected growth rate: 1 + psi * P(at least one event in tau)."""
-    return 1.0 + psi_s * (1.0 - math.exp(-lambda_s * tau))
-
-
-def avg_maoi_modality(psi_s: float, lambda_s: float, tau: float,
-                      t_sys: float) -> float:
+def avg_maoi_modality(psi, lam, tau, t_sys):
     """Long-run average modality age for interval ``tau`` and system time ``t_sys``.
 
-    With ``psi_s = 0`` this reduces to the classical sawtooth average
-    ``tau/2 + t_sys``.
+    Broadcasts like ``event_factors``.  With ``psi = 0`` this reduces to the
+    classical sawtooth average ``tau/2 + t_sys``.
     """
-    return growth_rate_expectation(psi_s, lambda_s, tau) * (0.5 * tau + t_sys)
+    return event_factors(psi, lam, tau) * (0.5 * tau + t_sys)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +203,6 @@ __all__ = [
     "OBJECTIVE_MAOI", "OBJECTIVE_AOI", "OBJECTIVES",
     "image_dynamism", "roi_ratio", "audio_semantic_variation", "signal_dynamics",
     "NormalizationConfig", "quality_terms", "ModalityWeights", "extract_weights",
-    "growth_rate_pmf", "growth_rate_expectation", "avg_maoi_modality",
+    "event_factors", "avg_maoi_modality",
     "read_frames", "read_signal_frames",
 ]

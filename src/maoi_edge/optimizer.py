@@ -32,19 +32,17 @@ single device.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import energy as energy_model
 from . import metric
-from .metric import OBJECTIVE_MAOI
+from .metric import OBJECTIVE_MAOI, avg_maoi_modality, event_factors
 from .system_model import (
     MODALITIES,
     DeviceProfile,
@@ -322,7 +320,7 @@ class ScenarioEvaluator:
             tau_th = (2.0 * (1.0 - self.lam[None, :] * t_sys)
                       / self.lam[None, :]).min(axis=1)
             tau_upper = np.maximum(cfg.tau_min, tau_th)
-            sphi_up = self.event_factors(tau_upper, self.psi).sum(axis=1)
+            sphi_up = event_factors(self.psi, self.lam, tau_upper[:, None]).sum(axis=1)
             state = PatternState(
                 trans, t_sys, energies, t_off, e_off, admissible, tau_th,
                 tau_upper, sphi_up, np.nonzero(cfg.tau_min < tau_th)[0])
@@ -333,15 +331,11 @@ class ScenarioEvaluator:
 
     # -- costs ------------------------------------------------------------
 
-    def event_factors(self, tau: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """phi(tau) = 1 + psi (1 - exp(-lambda tau)) per device and modality."""
-        return 1.0 + psi * (1.0 - np.exp(-self.lam[None, :] * tau[:, None]))
-
     def _tau_state(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(phi(tau), 0.5 * tau)`` under ``self.psi``, cached for the latest tau."""
         key = tau.tobytes()
         if key != self._tau_key:
-            terms = (self.event_factors(tau, self.psi), 0.5 * tau[:, None])
+            terms = (event_factors(self.psi, self.lam, tau[:, None]), 0.5 * tau[:, None])
             for arr in terms:
                 arr.flags.writeable = False
             self._tau_key, self._tau_terms = key, terms
@@ -485,7 +479,7 @@ class ScenarioEvaluator:
         as the decision rule.
         """
         cfg = self.config
-        phi = 1.0 + self.psi[d] * (1.0 - np.exp(-self.lam * tau_d))
+        phi = event_factors(self.psi[d], self.lam, tau_d)
         num = (phi.sum() * tau_d + mu_d * self.tx_power[d]) * self.payload[d]
         den = (cfg.bandwidth * tau_d * float(phi @ self.lemma_gap[d])
                + mu_d * self.e_comp[d])
@@ -510,8 +504,9 @@ class ScenarioEvaluator:
         MAoI always uses the true modality weights, whatever objective the
         evaluator optimizes.
         """
-        aoi = 0.5 * tau[:, None] + self.pattern_state(x).t_sys
-        maoi = self.event_factors(tau, self.psi_true) * aoi
+        t_sys = self.pattern_state(x).t_sys
+        aoi = 0.5 * tau[:, None] + t_sys
+        maoi = avg_maoi_modality(self.psi_true, self.lam, tau[:, None], t_sys)
         viol = self.energy_violation(tau, x)
         out = {
             "avg_maoi": float(maoi.sum(axis=1).mean()),
@@ -587,17 +582,6 @@ class SolveTrace:
         self.committed.append(committed)
         self.newton_iters.append(newton)
         self.n_iters += 1
-
-    def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "cost", "max_energy_violation",
-                             "committed_device", "newton_iters"])
-            for k in range(self.n_iters):
-                devices = ";".join(str(d) for d in self.committed[k])
-                writer.writerow([k + 1, repr(self.costs[k]),
-                                 repr(self.max_violations[k]), devices,
-                                 self.newton_iters[k]])
 
 
 def default_decision(profiles: Sequence[DeviceProfile],

@@ -19,7 +19,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .system_model import DeviceProfile, SystemConfig, coerce_numeric, config_from_mapping
+from .system_model import (NUMERIC_FIELDS, DeviceProfile, SystemConfig,
+                           coerce_numeric, config_from_mapping)
 
 AREA_SIZE = 40.0           # m, square side with the BS at the center
 REFERENCE_DISTANCE = 10.0  # m, close-in distance below which path loss is flat
@@ -27,7 +28,8 @@ DEFAULT_PSI_RANGE = (0.5, 1.5)
 
 _CONFIG_FIELDS = {f.name for f in fields(SystemConfig)}
 _DEVICE_FIELDS = {f.name for f in fields(DeviceProfile)} - {"id", "channel_gain"}
-_SPECIAL_FIELDS = {"psi_range", "path_loss_exponent"}
+_SPECIAL_FIELDS = {"psi_range": "tuple[float, float]", "path_loss_exponent": "float"}
+_NUMERIC_OVERRIDES = {**NUMERIC_FIELDS, **_SPECIAL_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -73,11 +75,17 @@ def generate_scenario(d_count: int, seed: int,
     """
     if d_count < 1:
         raise ValueError(f"d_count must be >= 1, got {d_count}")
-    overrides = coerce_numeric(overrides or {})
-    unknown = set(overrides) - _CONFIG_FIELDS - _DEVICE_FIELDS - _SPECIAL_FIELDS
+    overrides = coerce_numeric(overrides or {}, _NUMERIC_OVERRIDES)
+    unknown = set(overrides) - _CONFIG_FIELDS - _DEVICE_FIELDS - set(_SPECIAL_FIELDS)
     if unknown:
         raise ValueError(f"unknown override fields: {sorted(unknown)}")
-    psi_lo, psi_hi = overrides.pop("psi_range", DEFAULT_PSI_RANGE)
+    psi_range = overrides.pop("psi_range", DEFAULT_PSI_RANGE)
+    if not (isinstance(psi_range, (list, tuple)) and len(psi_range) == 2
+            and all(isinstance(v, (int, float)) for v in psi_range)
+            and 0 <= psi_range[0] <= psi_range[1] < np.inf):
+        raise ValueError(f"psi_range must be two finite numbers lo, hi with "
+                         f"0 <= lo <= hi, got {psi_range!r}")
+    psi_lo, psi_hi = psi_range
     delta = overrides.pop("path_loss_exponent", 2.0)
     config_kwargs = {k: v for k, v in overrides.items() if k in _CONFIG_FIELDS}
     device_kwargs = {k: v for k, v in overrides.items() if k in _DEVICE_FIELDS}

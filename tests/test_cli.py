@@ -9,12 +9,20 @@ import yaml
 import maoi_edge
 from maoi_edge.cli import _parse_overrides, main
 from maoi_edge.experiments import read_csv
+from maoi_edge.scenario import generate_scenario
 
 FAST = ["--override", "energy_budget=50.0"]
 
 
 def run_cli(args):
     return main(list(args))
+
+
+def child_env():
+    """This environment, with the package's own directory on the child's path."""
+    src = str(Path(maoi_edge.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 class TestSweepCommand:
@@ -49,10 +57,11 @@ class TestSweepCommand:
         assert code == 0
 
     def test_exponent_form_overrides(self, tmp_path):
-        # YAML reads 3e7 and 1e-13 (no dot) as strings
+        # YAML reads 3e7 and 1e-13 (no dot) as strings; the generator parses them
         overrides = _parse_overrides(
             ["capacity_threshold=3e7", "noise_power=1e-13"], None)
-        assert overrides == {"capacity_threshold": 3e7, "noise_power": 1e-13}
+        config = generate_scenario(2, 0, overrides).config
+        assert (config.capacity_threshold, config.noise_power) == (3e7, 1e-13)
         code = run_cli(["sweep", "--param", "device_count", "--grid", "2",
                         "--algorithms", "fmi", "--seeds", "1",
                         "--override", "capacity_threshold=3e7",
@@ -64,18 +73,43 @@ class TestSweepCommand:
         cfg = tmp_path / "conf.yaml"
         cfg.write_text("system:\n  capacity_threshold: 3e7\n"
                        "  max_outer_iters: 4e4\npsi_range: [1e0, 1.2]\n")
-        assert _parse_overrides([], str(cfg)) == {
-            "capacity_threshold": 3e7, "max_outer_iters": 40_000,
-            "psi_range": [1.0, 1.2]}
+        sc = generate_scenario(3, 0, _parse_overrides([], str(cfg)))
+        assert sc.config.capacity_threshold == 3e7
+        assert sc.config.max_outer_iters == 40_000
+        assert isinstance(sc.config.max_outer_iters, int)
+        assert all(1.0 <= w <= 1.2 for p in sc.profiles for w in p.maoi_weights)
 
-    def test_non_numeric_value_rejected(self):
-        with pytest.raises(SystemExit, match="capacity_threshold"):
-            _parse_overrides(["capacity_threshold=lots"], None)
+    def test_non_numeric_value_rejected(self, tmp_path):
+        with pytest.raises(SystemExit, match="capacity_threshold: expected a number"):
+            run_cli(["sweep", "--param", "device_count", "--grid", "2",
+                     "--algorithms", "fmi", "--seeds", "1",
+                     "--override", "capacity_threshold=lots", "--out", str(tmp_path)])
+        assert not (tmp_path / "results.csv").exists()
+
+    def test_misspelled_config_key_rejected(self, tmp_path):
+        cfg = tmp_path / "conf.yaml"
+        cfg.write_text("system:\n  lagrange_step: 0.5\npsi_rnage: [5.0, 6.0]\n")
+        with pytest.raises(SystemExit, match="unknown top-level key 'psi_rnage'"):
+            run_cli(["sweep", "--param", "device_count", "--grid", "2",
+                     "--algorithms", "fmi", "--seeds", "1", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_config_file_named(self, tmp_path):
+        with pytest.raises(SystemExit, match="nope.yaml: No such file"):
+            run_cli(["solve", "--devices", "2", "--config", str(tmp_path / "nope.yaml"),
+                     "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("grid", ["a", "2,x", "1;2"])
+    def test_non_numeric_grid_named(self, tmp_path, grid):
+        with pytest.raises(SystemExit, match="--grid: expected comma-separated float"):
+            run_cli(["sweep", "--param", "energy_budget", "--grid", grid,
+                     "--out", str(tmp_path)])
 
     def test_devices_section_rejected(self, tmp_path):
         cfg = tmp_path / "conf.yaml"
         cfg.write_text(yaml.safe_dump({"devices": [{"id": 0}]}))
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit, match="'devices'.*generate their own"):
             run_cli(["sweep", "--param", "device_count", "--grid", "2",
                      "--config", str(cfg), "--out", str(tmp_path / "out")])
 
@@ -120,6 +154,18 @@ class TestConvergeGridCommand:
         lines = (tmp_path / "convergence_grid.csv").read_text().splitlines()
         assert lines[0] == "energy_budget,D=2,D=3"
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("option, value, kind", [
+        ("--d-grid", "2.5", "int"), ("--d-grid", "two", "int"),
+        ("--e-grid", "50,lots", "float"),
+    ])
+    def test_non_numeric_grid_named(self, tmp_path, option, value, kind):
+        args = {"--d-grid": "2", "--e-grid": "50", option: value}
+        with pytest.raises(SystemExit,
+                           match=f"{option}: expected comma-separated {kind} values"):
+            run_cli(["converge-grid", *[t for kv in args.items() for t in kv],
+                     "--seeds", "1", "--out", str(tmp_path)])
+        assert not (tmp_path / "convergence_grid.csv").exists()
 
     def test_bad_budget_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="energy_budget"):
@@ -175,6 +221,23 @@ class TestAssertTrendsCommand:
                         "--trend-spec", str(spec)])
         assert code == 1
 
+    @pytest.mark.parametrize("missing", ["--results", "--trend-spec"])
+    def test_missing_input_file_named(self, tmp_path, missing):
+        results, spec = self.write_inputs(tmp_path)
+        paths = {"--results": str(results), "--trend-spec": str(spec),
+                 missing: str(tmp_path / "nope.csv")}
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["assert-trends", *[t for kv in paths.items() for t in kv]])
+        assert str(exc.value) == f"{tmp_path / 'nope.csv'}: No such file or directory"
+
+    def test_missing_input_file_exit_code(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "maoi_edge.cli", "assert-trends",
+             "--results", str(tmp_path / "nope.csv"), "--trend-spec", "t.yaml"],
+            capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 1
+        assert proc.stderr.strip() == f"{tmp_path / 'nope.csv'}: No such file or directory"
+
 
 class TestSolveCommand:
     def test_writes_trace_and_decision(self, tmp_path):
@@ -197,6 +260,12 @@ class TestSolveCommand:
             assert isinstance(r["tau"], float) and isinstance(r["mu"], float)
             assert r["x"] in (0, 1) and isinstance(r["x"], int)
 
+    def test_workers_is_not_a_solve_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["solve", "--devices", "2", "--workers", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2  # argparse usage error
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
 
     @pytest.mark.parametrize("args, match", [
         (["--override", "tau_min=-1"], "tau_min"),
@@ -211,13 +280,9 @@ class TestSolveCommand:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        # the child process gets the package's own directory on its path
-        src = str(Path(maoi_edge.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "maoi_edge.cli", "validate-oracle",
              "--updates", "2000", "--z", "100", "--out", str(tmp_path)],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": path})
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert "points bracketed" in proc.stdout

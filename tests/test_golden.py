@@ -1,8 +1,9 @@
 """Golden outputs: a refactor that keeps the arithmetic keeps these bytes.
 
-The digests pin the exact CSV bytes of a small sweep over every algorithm
-and of one solve that runs the Newton path; any change to a formula, an
-operation order or a reduction shows up as a new digest.  They hold on
+The digests pin the exact CSV bytes of a small sweep over every algorithm,
+of one solve that runs the Newton path and of the oracle validation table;
+any change to a formula, an operation order or a reduction shows up as a
+new digest.  They hold on
 x86_64 with numpy 2.4.6 (Python 3.11); another platform or numpy build
 may round differently and needs its own digests.  A change that is meant
 to move results updates them and says why.
@@ -19,6 +20,8 @@ NEWTON_TRACE_SHA256 = (
     "d7d3425df99673ac39a680f5c17bfce56c732af49640f857c2fba1a07d3c3204")
 NEWTON_DECISION_SHA256 = (
     "efd8a4f13052d21cdd0de36bc4125a8d3cdd34de7dd09690eb65888fb70ef6c0")
+ORACLE_TABLE_SHA256 = (
+    "cad953e00aa36b8c4d7586061f663bf09751803554d5686d685ab280941e1229")
 
 
 def sha256(path) -> str:
@@ -51,3 +54,12 @@ def test_newton_path_solve(tmp_path):
     assert sum(int(line.rsplit(",", 1)[1]) for line in trace) == 68_656
     assert sha256(tmp_path / "trace.csv") == NEWTON_TRACE_SHA256
     assert sha256(tmp_path / "decision.csv") == NEWTON_DECISION_SHA256
+
+
+def test_oracle_validation_table(tmp_path):
+    # the closed form the solvers run against 20 000 simulated updates per
+    # grid point; the digest pins both columns, so it moves if either does
+    rows = experiments.validate_oracle(n_updates=20_000, seed=7)
+    assert len(rows) == 54 and all(r["bracketed"] for r in rows)
+    experiments.write_oracle_csv(rows, tmp_path / "oracle.csv")
+    assert sha256(tmp_path / "oracle.csv") == ORACLE_TABLE_SHA256

@@ -11,9 +11,8 @@ from maoi_edge.metric import (
     NormalizationConfig,
     audio_semantic_variation,
     avg_maoi_modality,
+    event_factors,
     extract_weights,
-    growth_rate_expectation,
-    growth_rate_pmf,
     image_dynamism,
     quality_terms,
     read_frames,
@@ -140,23 +139,35 @@ class TestQualityAndWeights:
 
 class TestGrowthModel:
     def test_pmf_two_points(self):
-        (lo, p_lo), (hi, p_hi) = growth_rate_pmf(2.0, 0.8, 2.0)
-        assert lo == 1.0 and hi == 3.0
-        assert p_lo == pytest.approx(math.exp(-1.6))
-        assert p_lo + p_hi == pytest.approx(1.0)
+        # slope 1 with no event in the interval, 1 + psi with at least one
+        p_quiet = math.exp(-0.8 * 2.0)
+        assert event_factors(2.0, 0.8, 2.0) == pytest.approx(
+            1.0 * p_quiet + 3.0 * (1.0 - p_quiet))
 
     def test_expectation_weight_free(self):
-        assert growth_rate_expectation(0.0, 0.8, 100.0) == 1.0
+        assert event_factors(0.0, 0.8, 100.0) == 1.0
 
     def test_expectation_short_interval_limit(self):
-        assert growth_rate_expectation(5.0, 0.8, 1e-12) == pytest.approx(1.0)
+        assert event_factors(5.0, 0.8, 1e-12) == pytest.approx(1.0)
 
     def test_expectation_reference_value(self):
-        assert growth_rate_expectation(1.0, 0.8, 2.0) == pytest.approx(1.7981035, rel=1e-6)
+        assert event_factors(1.0, 0.8, 2.0) == pytest.approx(1.7981035, rel=1e-6)
 
-    def test_pmf_requires_positive_tau(self):
-        with pytest.raises(ValueError):
-            growth_rate_pmf(1.0, 0.8, 0.0)
+    def test_broadcast_matches_pointwise(self):
+        # the evaluator's (devices, modalities) call gives every entry the
+        # bits of the scalar call the validation table makes
+        psi = np.array([[0.0, 1.0, 5.0], [0.5, 1.5, 2.5]])
+        lam = np.array([0.2, 0.8, 2.0])
+        tau = np.array([2.0, 10.0])
+        t_sys = np.array([[0.0, 4.0, 1.5], [3.0, 0.25, 7.0]])
+        phi = event_factors(psi, lam, tau[:, None])
+        ages = avg_maoi_modality(psi, lam, tau[:, None], t_sys)
+        assert phi.shape == ages.shape == (2, 3)
+        for d in range(2):
+            for s in range(3):
+                args = (psi[d, s], lam[s], tau[d])
+                assert phi[d, s] == event_factors(*args)
+                assert ages[d, s] == avg_maoi_modality(*args, t_sys[d, s])
 
 
 class TestClosedForm:

@@ -7,6 +7,7 @@ import pytest
 
 from maoi_edge import baselines
 from maoi_edge.energy import sensing_energy
+from maoi_edge.experiments import write_trace_csv
 from maoi_edge.optimizer import (
     TRIAL_BLOCK_ENTRIES,
     Decision,
@@ -423,7 +424,7 @@ class TestDecisionAndTrace:
         trace.append(10.0, 0.5, [3, 1], 7)
         trace.append(9.5, 0.04, [], 0)
         path = tmp_path / "trace.csv"
-        trace.write_csv(path)
+        write_trace_csv(trace, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "iteration,cost,max_energy_violation,committed_device,newton_iters"
         assert lines[1].startswith("1,10.0,0.5,3;1,7")

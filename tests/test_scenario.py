@@ -95,6 +95,26 @@ class TestGeneration:
         assert sc.config.capacity_threshold == 3e7
         assert all(p.energy_budget == 2.0 for p in sc.profiles)
 
+    def test_generator_only_fields_coerced(self):
+        sc = generate_scenario(3, seed=0, overrides={
+            "psi_range": ["2e0", 3.0], "path_loss_exponent": "3e0"})
+        psi = np.array([p.maoi_weights for p in sc.profiles])
+        assert (psi >= 2.0).all() and (psi <= 3.0).all()
+        h = max(float(np.hypot(*sc.positions[0])), REFERENCE_DISTANCE)
+        assert sc.profiles[0].channel_gain == pytest.approx(h**-3)
+
+    @pytest.mark.parametrize("psi_range", [
+        1, [1.0], [1.0, 2.0, 3.0], [2.0, 1.0], [-0.5, 1.0], [0.5, "inf"],
+        ["nan", 1.0], [None, 1.0], {"lo": 1.0},
+    ])
+    def test_bad_psi_range_rejected(self, psi_range):
+        with pytest.raises(ValueError, match="psi_range"):
+            generate_scenario(2, seed=0, overrides={"psi_range": psi_range})
+
+    def test_degenerate_psi_range_fixes_the_weights(self):
+        sc = generate_scenario(3, seed=0, overrides={"psi_range": [0.0, 0.0]})
+        assert all(p.maoi_weights == (0.0, 0.0, 0.0) for p in sc.profiles)
+
     def test_config_document_roundtrip(self, tmp_path):
         # drawn weights are stored as plain floats, which YAML can write
         sc = generate_scenario(3, seed=0)
