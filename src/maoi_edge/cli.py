@@ -125,8 +125,10 @@ def cmd_assert_trends(args: argparse.Namespace) -> int:
     rows = _read_or_exit(experiments.read_csv, args.results)
     spec = yaml.safe_load(_read_or_exit(Path.read_text, Path(args.trend_spec)))
     checks = spec.get("checks") if isinstance(spec, dict) else None
-    if not checks:
-        raise SystemExit(f"{args.trend_spec}: expected a mapping with a 'checks' list")
+    if not (isinstance(checks, list) and checks
+            and all(isinstance(check, dict) for check in checks)):
+        raise SystemExit(f"{args.trend_spec}: expected a mapping with a 'checks' "
+                         "list of mappings")
     report = trends.evaluate_checks(rows, checks)
     text = report.render()
     print(text)

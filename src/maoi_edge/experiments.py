@@ -61,6 +61,8 @@ class SweepSpec:
                              f"got {self.grid}")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if not self.algorithms:
+            raise ValueError("need at least one algorithm")
         if not self.base_devices >= 1:
             raise ValueError(f"base_devices must be >= 1, got {self.base_devices}")
         for alg in self.algorithms:

@@ -24,10 +24,10 @@ pattern, as the ``PatternState`` every block reads, and phi(tau) once per
 interval vector.  The loop passes bare arrays between the blocks, so its
 rules must never edit their inputs in place.
 
-``CostTerms`` and the functions that follow it solve one device's
-interval: the sampling block runs ``newton_refine`` on devices with a
-convex region, and ``optimal_sampling_interval`` is the whole block for a
-single device.
+``ScenarioEvaluator.sampling_step`` is the package's only implementation
+of the sampling block (Algorithm 1).  ``CostTerms`` freezes one device's
+penalized cost as a scalar function of its interval, and the block runs
+``newton_refine`` on it for the devices with a convex region.
 """
 
 from __future__ import annotations
@@ -94,31 +94,7 @@ class CostTerms:
 
 
 # ---------------------------------------------------------------------------
-# sampling block (per-device reference implementation)
-
-def convexity_threshold(terms: CostTerms) -> float:
-    """Largest interval below which the penalized cost is strictly convex.
-
-    May be non-positive, in which case no convex region exists.
-    """
-    return min(2.0 * (1.0 - lam * t) / lam
-               for lam, t in zip(terms.lambdas, terms.t_sys))
-
-
-def surrogate_minimizer(terms: CostTerms, tau_upper: float) -> float:
-    """Closed-form minimizer of the convex upper-bound surrogate.
-
-    The surrogate freezes the event-probability factors at ``tau_upper``,
-    leaving a linear-plus-hyperbolic function of tau.
-    """
-    denom = sum(1.0 + p * (1.0 - math.exp(-lam * tau_upper))
-                for p, lam in zip(terms.psi, terms.lambdas))
-    return math.sqrt(2.0 * terms.mu * terms.energy / denom)
-
-
-def feasible_approximation(tau_th: float, tau_min: float, tau_sub: float) -> float:
-    return max(tau_th, tau_min, tau_sub)
-
+# projected Newton solve on one device's convex region
 
 def _bisect_slope(terms: CostTerms, lo: float, hi: float, tol: float) -> float:
     # fallback when curvature turns numerically non-positive inside the
@@ -157,29 +133,6 @@ def newton_refine(terms: CostTerms, tau_init: float, tau_min: float,
             return new, n
         tau = new
     return tau, max_iters
-
-
-def optimal_sampling_interval(terms: CostTerms, config: SystemConfig,
-                              ) -> tuple[float, int]:
-    """One full sampling-interval solve for a single device.
-
-    Returns ``(tau_star, newton_iterations)``.  The Newton candidate is
-    considered only when a convex region exists; equal candidate costs fall
-    back to the clamped approximation.
-    """
-    tau_min = config.tau_min
-    tau_th = convexity_threshold(terms)
-    tau_upper = max(tau_min, tau_th)
-    tau_sub = surrogate_minimizer(terms, tau_upper)
-    tau_approx = feasible_approximation(tau_th, tau_min, tau_sub)
-    if tau_min < tau_th:
-        tau_newton, iters = newton_refine(
-            terms, 0.5 * (tau_min + tau_th), tau_min, tau_th,
-            tol=config.newton_tol, max_iters=config.newton_max_iters)
-        if terms.cost(tau_newton) < terms.cost(tau_approx):
-            return tau_newton, iters
-        return tau_approx, iters
-    return tau_approx, 0
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +324,11 @@ class ScenarioEvaluator:
 
     def sampling_step(self, mu: np.ndarray, x: np.ndarray,
                       ) -> tuple[np.ndarray, int]:
-        """Algorithm-1 interval update for every device; returns Newton total."""
+        """Algorithm-1 interval update for every device; returns Newton total.
+
+        A tie in true cost between the Newton and surrogate candidates goes
+        to the surrogate.
+        """
         cfg = self.config
         state = self.pattern_state(x)
         tau_sub = np.sqrt(2.0 * mu * state.energies / state.sphi_up)
@@ -665,8 +622,7 @@ def solve_jso(profiles: Sequence[DeviceProfile], config: SystemConfig,
 
 
 __all__ = [
-    "CostTerms", "convexity_threshold", "surrogate_minimizer",
-    "feasible_approximation", "newton_refine", "optimal_sampling_interval",
-    "TRIAL_BLOCK_ENTRIES", "PatternState", "ScenarioEvaluator", "as_offload_vector",
-    "Decision", "SolveTrace", "default_decision", "run_outer_loop", "solve_jso",
+    "CostTerms", "newton_refine", "TRIAL_BLOCK_ENTRIES", "PatternState",
+    "ScenarioEvaluator", "as_offload_vector", "Decision", "SolveTrace",
+    "default_decision", "run_outer_loop", "solve_jso",
 ]

@@ -87,6 +87,8 @@ def generate_scenario(d_count: int, seed: int,
                          f"0 <= lo <= hi, got {psi_range!r}")
     psi_lo, psi_hi = psi_range
     delta = overrides.pop("path_loss_exponent", 2.0)
+    if not (isinstance(delta, (int, float)) and 0 < delta < np.inf):
+        raise ValueError(f"path_loss_exponent must be a finite number > 0, got {delta!r}")
     config_kwargs = {k: v for k, v in overrides.items() if k in _CONFIG_FIELDS}
     device_kwargs = {k: v for k, v in overrides.items() if k in _DEVICE_FIELDS}
     config = config_from_mapping(config_kwargs)

@@ -255,6 +255,8 @@ NUMERIC_FIELDS = {
 
 
 def _as_number(key: str, value, kind: str):
+    if isinstance(value, bool):  # YAML reads on/yes/true as True
+        raise ValueError(f"{key}: expected a number, got {value!r}")
     if not isinstance(value, str):
         return value
     try:
@@ -267,7 +269,8 @@ def _as_number(key: str, value, kind: str):
 def coerce_numeric(doc: dict, kinds: dict[str, str] = NUMERIC_FIELDS) -> dict:
     """Copy of ``doc`` with string values of the ``kinds`` fields parsed.
 
-    A value that is not a number raises ``ValueError`` naming the field.
+    A value that is not a number, a boolean included, raises ``ValueError``
+    naming the field.
     """
     out = dict(doc)
     for key, value in doc.items():

@@ -17,11 +17,7 @@ import pytest
 from helpers import draw_cost_terms, grid_minimum
 from maoi_edge import experiments, trends
 from maoi_edge.experiments import validate_oracle
-from maoi_edge.optimizer import (
-    ScenarioEvaluator,
-    convexity_threshold,
-    run_outer_loop,
-)
+from maoi_edge.optimizer import ScenarioEvaluator, run_outer_loop
 from maoi_edge.scenario import generate_scenario
 
 WORKERS = 2
@@ -138,10 +134,10 @@ class _CheckedEvaluator(ScenarioEvaluator):
 
     def sampling_step(self, mu, x):
         tau_vec, n = super().sampling_step(mu, x)
+        tau_upper = self.pattern_state(x).tau_upper
         for d in range(self.n_devices):
             terms = self.cost_terms(d, float(mu[d]), x)
-            tau_upper = max(self.config.tau_min, convexity_threshold(terms))
-            best = grid_minimum(terms, self.config.tau_min, tau_upper)
+            best = grid_minimum(terms, self.config.tau_min, tau_upper[d])
             self.gaps.append(terms.cost(float(tau_vec[d])) / best - 1.0)
         return tau_vec, n
 

@@ -86,6 +86,16 @@ class TestSweepCommand:
                      "--override", "capacity_threshold=lots", "--out", str(tmp_path)])
         assert not (tmp_path / "results.csv").exists()
 
+    def test_boolean_override_exits_naming_the_field(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "maoi_edge.cli", "sweep", "--param", "device_count",
+             "--grid", "2", "--algorithms", "fmi", "--seeds", "1",
+             "--override", "energy_budget=yes", "--out", str(tmp_path)],
+            capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 1
+        assert proc.stderr.strip() == "energy_budget: expected a number, got True"
+        assert not (tmp_path / "results.csv").exists()
+
     def test_misspelled_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "conf.yaml"
         cfg.write_text("system:\n  lagrange_step: 0.5\npsi_rnage: [5.0, 6.0]\n")
@@ -230,6 +240,16 @@ class TestAssertTrendsCommand:
             run_cli(["assert-trends", *[t for kv in paths.items() for t in kv]])
         assert str(exc.value) == f"{tmp_path / 'nope.csv'}: No such file or directory"
 
+    @pytest.mark.parametrize("checks", [{"a": 1}, ["monotone"]])
+    def test_malformed_checks_named(self, tmp_path, checks):
+        results, spec = self.write_inputs(tmp_path)
+        spec.write_text(yaml.safe_dump({"checks": checks}))
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["assert-trends", "--results", str(results),
+                     "--trend-spec", str(spec)])
+        assert str(exc.value) == (f"{spec}: expected a mapping with a 'checks' "
+                                  "list of mappings")
+
     def test_missing_input_file_exit_code(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "maoi_edge.cli", "assert-trends",
@@ -271,6 +291,7 @@ class TestSolveCommand:
         (["--override", "tau_min=-1"], "tau_min"),
         (["--override", "energy_tol=nan"], "energy_tol"),
         (["--devices", "0"], "d_count"),
+        (["--override", "path_loss_exponent=-2"], "path_loss_exponent must be"),
     ])
     def test_bad_settings_rejected(self, tmp_path, args, match):
         with pytest.raises(SystemExit, match=match):

@@ -38,6 +38,8 @@ class TestSweepSpec:
             fast_spec(grid=())
         with pytest.raises(ValueError):
             fast_spec(seeds=())
+        with pytest.raises(ValueError, match="need at least one algorithm"):
+            fast_spec(algorithms=())
         with pytest.raises(ValueError):
             fast_spec(algorithms=("sgd",))
 

@@ -3,27 +3,49 @@ import math
 import numpy as np
 import pytest
 
-from helpers import draw_cost_terms, draw_interval_instance, grid_minimum
-from maoi_edge.optimizer import (
-    CostTerms,
-    ScenarioEvaluator,
-    convexity_threshold,
-    feasible_approximation,
-    newton_refine,
-    optimal_sampling_interval,
-    surrogate_minimizer,
+from helpers import (
+    draw_cost_terms,
+    draw_interval_instance,
+    fixed_point_multiplier,
+    grid_minimum,
 )
+from maoi_edge.metric import OBJECTIVE_AOI
+from maoi_edge.optimizer import ScenarioEvaluator, _bisect_slope, newton_refine
 from maoi_edge.scenario import generate_scenario
-from maoi_edge.system_model import DeviceProfile, SystemConfig
+from maoi_edge.system_model import SystemConfig
 
-EDGE_T_SYS = (0.4813, 3.0813, 3.1461)
-LOCAL_T_SYS = (4.0, 16.0, 17.648)
+LOCAL, EDGE = np.array([0]), np.array([1])
+# grid-oracle tolerance per regime: exact regimes hold 1e-3; the
+# energy-bound surrogate regime carries the measured interval bias
+# (exponentials frozen at the interval floor), a few 1e-3 along the ramp
+GRID_TOL = {"convex": 1e-3, "slack": 1e-3, "energy_bound": 6e-3}
 
 
-def make_terms(psi=(1.0, 1.0, 1.0), lams=(0.8, 0.8, 0.8), t_sys=LOCAL_T_SYS,
-               energy=14.824, budget=1.0, mu=1.0):
-    return CostTerms(psi=tuple(psi), lambdas=tuple(lams), t_sys=tuple(t_sys),
-                     energy=energy, energy_budget=budget, mu=mu)
+@pytest.fixture
+def device(profile, config):
+    """The default device alone.
+
+    Its system times are (4, 16, 17.648) s locally and (0.4813, 3.0813,
+    3.1461) s on the edge; its per-update energies 14.824 J and 0.184 J.
+    """
+    return ScenarioEvaluator([profile], config)
+
+
+@pytest.fixture
+def rare_events(profile):
+    """The default device at event rates 0.05: the edge branch is convex on [2, 33.71]."""
+    return ScenarioEvaluator([profile], SystemConfig(event_rates=(0.05, 0.05, 0.05)))
+
+
+def step(ev, mu, x):
+    """``sampling_step`` of a 1-device evaluator: ``(tau, newton_iterations)``."""
+    tau, iters = ev.sampling_step(np.array([mu]), x)
+    return float(tau[0]), iters
+
+
+def convex_terms(ev, mu):
+    """Cost terms and convexity threshold of ``ev``'s device on the edge."""
+    return ev.cost_terms(0, mu, EDGE), float(ev.pattern_state(EDGE).tau_th[0])
 
 
 class TestCostTerms:
@@ -51,172 +73,175 @@ class TestCostTerms:
             assert abs(terms.cost_d1(tau) - fd1) < 1e-6 * max(abs(fd1), 1e-3)
             assert abs(terms.cost_d2(tau) - fd2) < 1e-6 * max(abs(fd2), 1e-3)
 
-    def test_age_derivative_with_zero_multiplier(self):
+    def test_age_derivative_with_zero_multiplier(self, device):
         # the pure age term keeps a globally positive slope
-        terms = make_terms(mu=0.0)
+        terms = device.cost_terms(0, 0.0, LOCAL)
         for tau in (0.5, 2.0, 10.0, 50.0):
             assert terms.cost_d1(tau) > 0
 
 
 class TestConvexityThreshold:
-    def test_reference_edge_case_is_negative(self):
-        terms = make_terms(t_sys=EDGE_T_SYS)
-        assert convexity_threshold(terms) == pytest.approx(-3.792, rel=1e-3)
+    def test_reference_edge_case_is_negative(self, device):
+        assert device.pattern_state(EDGE).tau_th[0] == pytest.approx(-3.792, rel=1e-3)
 
-    def test_zero_delay_case(self):
-        terms = make_terms(t_sys=(0.0, 0.0, 0.0))
-        assert convexity_threshold(terms) == pytest.approx(2.5)
+    def test_zero_delay_case(self, device):
+        # at equal rates tau_th = 2 / lam - 2 * max t_sys: 2.5 s at zero delay
+        for x in (LOCAL, EDGE):
+            state = device.pattern_state(x)
+            assert state.tau_th[0] + 2.0 * state.t_sys[0].max() == pytest.approx(2.5)
 
-    def test_unit_event_delay_product_forces_nonpositive(self):
-        terms = make_terms(lams=(0.5, 0.5, 0.5), t_sys=(2.0, 1.0, 3.0))
-        assert convexity_threshold(terms) <= 0.0
+    def test_unit_event_delay_product_forces_nonpositive(self, device, config):
+        for x in (LOCAL, EDGE):
+            state = device.pattern_state(x)
+            assert (np.asarray(config.event_rates) * state.t_sys[0]).max() >= 1.0
+            assert state.tau_th[0] <= 0.0
+            assert len(state.newton_devices) == 0
 
-    def test_curvature_positive_inside_region(self):
-        terms = make_terms(lams=(0.05, 0.05, 0.05), t_sys=EDGE_T_SYS, mu=0.3)
-        th = convexity_threshold(terms)
-        assert th > 2.0
+    def test_curvature_positive_inside_region(self, rare_events):
+        terms, th = convex_terms(rare_events, 0.3)
+        assert th == pytest.approx(33.71, rel=1e-4)
+        assert rare_events.pattern_state(EDGE).newton_devices.tolist() == [0]
         for tau in np.linspace(0.5, th, 20):
             assert terms.cost_d2(float(tau)) > 0
 
 
 class TestSurrogate:
-    def test_zero_multiplier_gives_zero(self):
-        assert surrogate_minimizer(make_terms(mu=0.0), 2.0) == 0.0
+    def test_zero_multiplier_gives_zero(self, device, config):
+        # the surrogate minimizer is 0, so the interval clamps to tau_min
+        for x in (LOCAL, EDGE):
+            assert step(device, 0.0, x) == (config.tau_min, 0)
 
-    def test_reference_value(self):
-        terms = make_terms(psi=(0.0, 0.0, 0.0), mu=1.0, energy=14.824)
-        assert surrogate_minimizer(terms, 2.0) == pytest.approx(3.1437, rel=1e-4)
+    def test_reference_value(self, profile, config):
+        # weight-free local device: sqrt(2 * 14.824 / 3)
+        ev = ScenarioEvaluator([profile], config, OBJECTIVE_AOI)
+        assert step(ev, 1.0, LOCAL)[0] == pytest.approx(3.1437, rel=1e-4)
 
-    def test_multiplier_scaling(self):
-        lo = surrogate_minimizer(make_terms(mu=1.0), 2.0)
-        hi = surrogate_minimizer(make_terms(mu=2.0), 2.0)
+    def test_multiplier_scaling(self, device, config):
+        lo, _ = step(device, 1.0, LOCAL)
+        hi, _ = step(device, 2.0, LOCAL)
+        assert lo > config.tau_min
         assert hi == pytest.approx(lo * math.sqrt(2.0))
 
 
 class TestFeasibleApproximation:
-    def test_clamps(self):
-        assert feasible_approximation(-3.79, 2.0, 0.0) == 2.0
-        assert feasible_approximation(2.5, 2.0, 3.14) == 3.14
-        assert feasible_approximation(3.0, 3.0, 3.0) == 3.0
+    def test_clamps(self, device, rare_events, config):
+        # max(tau_th, tau_min, tau_sub): a negative threshold and a zero
+        # surrogate leave the floor; a wide convex region lifts the clamp
+        # to the threshold
+        assert step(device, 0.0, EDGE)[0] == config.tau_min
+        for ev, x in ((device, LOCAL), (device, EDGE), (rare_events, EDGE)):
+            state = ev.pattern_state(x)
+            assert state.tau_upper[0] == max(config.tau_min, state.tau_th[0])
+        assert rare_events.pattern_state(EDGE).tau_upper[0] > config.tau_min
 
 
 class TestNewton:
-    def convex_terms(self, mu=0.5):
-        return make_terms(lams=(0.05, 0.05, 0.05), t_sys=EDGE_T_SYS,
-                          energy=0.184, mu=mu)
-
-    def test_requires_convex_region(self):
+    def test_requires_convex_region(self, device):
+        th = float(device.pattern_state(LOCAL).tau_th[0])
         with pytest.raises(ValueError):
-            newton_refine(make_terms(), 2.0, tau_min=2.0, tau_th=-3.0)
+            newton_refine(device.cost_terms(0, 1.0, LOCAL), 2.0, tau_min=2.0, tau_th=th)
 
-    def test_interior_stationary_point(self):
-        terms = self.convex_terms(mu=60.0)
-        th = convexity_threshold(terms)
+    def test_interior_stationary_point(self, rare_events):
+        terms, th = convex_terms(rare_events, 60.0)
         assert terms.cost_d1(2.0) < 0 < terms.cost_d1(th)
         tau, iters = newton_refine(terms, 0.5 * (2.0 + th), 2.0, th)
         assert 2.0 < tau < th
         assert abs(terms.cost_d1(tau)) < 10 * 1e-8 * abs(terms.cost_d2(tau))
         assert iters <= 50
 
-    def test_increasing_cost_converges_to_lower_bound(self):
-        terms = self.convex_terms(mu=0.0)  # no penalty: cost rises with tau
-        th = convexity_threshold(terms)
+    def test_increasing_cost_converges_to_lower_bound(self, rare_events):
+        terms, th = convex_terms(rare_events, 0.0)  # no penalty: cost rises with tau
         assert terms.cost_d1(2.0) > 0
         tau, _ = newton_refine(terms, 0.5 * (2.0 + th), 2.0, th)
         assert tau == pytest.approx(2.0, abs=1e-6)
 
-    def test_decreasing_cost_converges_to_threshold(self):
-        terms = self.convex_terms(mu=1e5)  # penalty dominates: cost falls
-        th = convexity_threshold(terms)
+    def test_decreasing_cost_converges_to_threshold(self, rare_events):
+        terms, th = convex_terms(rare_events, 1e5)  # penalty dominates: cost falls
         assert terms.cost_d1(th) < 0
         tau, _ = newton_refine(terms, 0.5 * (2.0 + th), 2.0, th)
         assert tau == pytest.approx(th, abs=1e-6)
 
-    def test_iterates_stay_in_interval(self):
-        terms = self.convex_terms(mu=5.0)
-        th = convexity_threshold(terms)
+    def test_iterates_stay_in_interval(self, rare_events):
+        terms, th = convex_terms(rare_events, 5.0)
         for init in (2.0, th, 0.5 * (2.0 + th)):
             tau, _ = newton_refine(terms, init, 2.0, th)
             assert 2.0 <= tau <= th
 
-    def test_bisection_fallback_matches_newton(self):
-        from maoi_edge.optimizer import _bisect_slope
-        terms = self.convex_terms(mu=20.0)
-        th = convexity_threshold(terms)
+    def test_bisection_fallback_matches_newton(self, rare_events):
+        terms, th = convex_terms(rare_events, 20.0)
         newton, _ = newton_refine(terms, 0.5 * (2.0 + th), 2.0, th)
         assert _bisect_slope(terms, 2.0, th, 1e-8) == pytest.approx(newton, abs=1e-6)
 
 
 class TestOptimalSamplingInterval:
-    def test_empty_region_returns_approximation(self, config):
-        terms = make_terms(mu=37.0)  # local branch, region empty
-        assert convexity_threshold(terms) < config.tau_min
-        tau, iters = optimal_sampling_interval(terms, config)
-        tau_sub = surrogate_minimizer(terms, max(config.tau_min,
-                                                 convexity_threshold(terms)))
-        assert tau == pytest.approx(max(config.tau_min, tau_sub))
+    def test_empty_region_returns_approximation(self, device, config):
+        # local branch, region empty: the clamped surrogate
+        # sqrt(2 * 37 * 14.824 / 5.394) and no Newton step
+        state = device.pattern_state(LOCAL)
+        assert state.tau_th[0] < config.tau_min
+        tau, iters = step(device, 37.0, LOCAL)
+        assert tau == pytest.approx(14.2604, rel=1e-4)
         assert iters == 0
 
-    def test_never_below_minimum_interval(self, config):
+    def test_never_below_minimum_interval(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            terms, cfg, _kind = draw_interval_instance(rng)
-            tau, _ = optimal_sampling_interval(terms, cfg)
-            assert tau >= cfg.tau_min
+            ev, mu, x, _kind = draw_interval_instance(rng)
+            tau, _ = ev.sampling_step(mu, x)
+            assert tau[0] >= ev.config.tau_min
 
-    def test_newton_candidate_wins_when_cheaper(self):
-        cfg = SystemConfig(event_rates=(0.05, 0.05, 0.05))
-        terms = make_terms(lams=(0.05, 0.05, 0.05), t_sys=EDGE_T_SYS,
-                           energy=0.184, mu=20.0)
-        th = convexity_threshold(terms)
-        newton, _ = newton_refine(terms, 0.5 * (2 + th), 2.0, th)
-        tau, _ = optimal_sampling_interval(terms, cfg)
-        approx = feasible_approximation(th, cfg.tau_min,
-                                        surrogate_minimizer(terms, max(2.0, th)))
-        assert tau == newton or tau == approx
-        assert terms.cost(tau) == pytest.approx(
-            min(terms.cost(newton), terms.cost(approx)))
+    def test_newton_candidate_wins_when_cheaper(self, rare_events):
+        # an interior stationary point beats the surrogate candidate ...
+        terms, th = convex_terms(rare_events, 60.0)
+        newton, _ = newton_refine(terms, 0.5 * (2.0 + th), 2.0, th)
+        tau, iters = step(rare_events, 60.0, EDGE)
+        assert tau == newton and iters > 0
+        # ... while past the region the surrogate candidate wins
+        terms, th = convex_terms(rare_events, 1e5)
+        newton, _ = newton_refine(terms, 0.5 * (2.0 + th), 2.0, th)
+        tau, _ = step(rare_events, 1e5, EDGE)
+        assert tau > th and terms.cost(tau) < terms.cost(newton)
 
     def test_grid_oracle_on_drawn_instances(self):
-        # exact regimes hold 1e-3; the energy-bound surrogate regime carries
-        # the measured interval bias (exponentials frozen at the interval
-        # floor), bounded by a few 1e-3 along the multiplier ramp
-        tolerances = {"convex": 1e-3, "slack": 1e-3, "energy_bound": 6e-3}
         rng = np.random.default_rng(11)
         for _ in range(40):
-            terms, cfg, kind = draw_interval_instance(rng)
-            tau, _ = optimal_sampling_interval(terms, cfg)
-            tau_upper = max(cfg.tau_min, convexity_threshold(terms))
-            best = grid_minimum(terms, cfg.tau_min, tau_upper, n_points=4000)
-            assert terms.cost(tau) <= best * (1 + tolerances[kind])
+            ev, mu, x, kind = draw_interval_instance(rng)
+            tau, _ = ev.sampling_step(mu, x)
+            terms = ev.cost_terms(0, float(mu[0]), x)
+            best = grid_minimum(terms, ev.config.tau_min, ev.pattern_state(x).tau_upper[0],
+                                n_points=4000)
+            assert terms.cost(float(tau[0])) <= best * (1 + GRID_TOL[kind])
 
-    def test_surrogate_bias_is_present_and_bounded(self):
+    def test_surrogate_bias_is_present_and_bounded(self, device, config):
         # pins the known suboptimality of the clamped surrogate: at the
-        # fixed-point multiplier of an energy-bound local device the solve
-        # lands a few percent above the true interval, costing ~1e-3
-        terms = make_terms(psi=(1.0, 1.0, 1.0), mu=37.0)  # ~E*sum_phi/2
-        cfg = SystemConfig()
-        tau, _ = optimal_sampling_interval(terms, cfg)
-        best = grid_minimum(terms, cfg.tau_min, cfg.tau_min, n_points=20_000)
+        # fixed-point multiplier of an energy-bound local device (~E*sum_phi/2)
+        # the solve lands a few percent above the true interval, costing ~1e-3
+        tau, _ = step(device, 37.0, LOCAL)
+        terms = device.cost_terms(0, 37.0, LOCAL)
+        best = grid_minimum(terms, config.tau_min, config.tau_min, n_points=20_000)
         gap = terms.cost(tau) / best - 1.0
         assert 1e-4 < gap < 3e-3
 
 
 class TestVectorizedSamplingStep:
-    def test_matches_scalar_reference(self):
+    def test_matches_grid_oracle(self):
+        # interfering devices under a random pattern, each with a slack or an
+        # energy-bound multiplier as the single-device instances draw them
         for seed in range(5):
             sc = generate_scenario(6, seed=seed)
-            profiles, config = list(sc.profiles), sc.config
-            ev = ScenarioEvaluator(profiles, config)
+            ev = ScenarioEvaluator(list(sc.profiles), sc.config)
             rng = np.random.default_rng(seed)
             x = rng.integers(0, 2, 6)
-            x[3:] = 0  # keep capacity feasible
-            mu = rng.uniform(0.0, 40.0, 6)
-            tau_vec, _ = ev.sampling_step(mu, x)
+            x[3:] = 0
+            kinds = rng.choice(["slack", "energy_bound"], 6)
+            mu = np.where(kinds == "slack", rng.uniform(0.0, 0.05, 6),
+                          fixed_point_multiplier(ev, x) * rng.uniform(0.2, 1.8, 6))
+            tau, _ = ev.sampling_step(mu, x)
+            tau_upper = ev.pattern_state(x).tau_upper
             for d in range(6):
                 terms = ev.cost_terms(d, float(mu[d]), x)
-                tau_d, _ = optimal_sampling_interval(terms, config)
-                assert tau_vec[d] == pytest.approx(tau_d, rel=1e-12)
+                best = grid_minimum(terms, sc.config.tau_min, tau_upper[d])
+                assert terms.cost(float(tau[d])) <= best * (1 + GRID_TOL[kinds[d]])
 
     def test_low_rate_scenario_uses_newton(self):
         sc = generate_scenario(4, seed=1,

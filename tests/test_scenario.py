@@ -111,6 +111,21 @@ class TestGeneration:
         with pytest.raises(ValueError, match="psi_range"):
             generate_scenario(2, seed=0, overrides={"psi_range": psi_range})
 
+    @pytest.mark.parametrize("delta", [-2.0, 0, float("nan"), float("inf"), True])
+    def test_bad_path_loss_exponent_rejected(self, delta):
+        with pytest.raises(ValueError, match="path_loss_exponent"):
+            generate_scenario(2, seed=0, overrides={"path_loss_exponent": delta})
+
+    @pytest.mark.parametrize("field, value", [
+        ("capacity_threshold", True), ("max_outer_iters", False),
+        ("energy_budget", True), ("event_rates", [0.8, True, 0.8]),
+        ("maoi_weights", [1.0, 1.0, False]), ("psi_range", [True, 2.0]),
+    ])
+    def test_boolean_numbers_rejected(self, field, value):
+        # YAML reads on/yes/true as True, which Python would count as 1
+        with pytest.raises(ValueError, match=f"{field}: expected a number, got (True|False)"):
+            generate_scenario(2, seed=0, overrides={field: value})
+
     def test_degenerate_psi_range_fixes_the_weights(self):
         sc = generate_scenario(3, seed=0, overrides={"psi_range": [0.0, 0.0]})
         assert all(p.maoi_weights == (0.0, 0.0, 0.0) for p in sc.profiles)
