@@ -36,8 +36,7 @@ def solve_fmi(profiles: Sequence[DeviceProfile], config: SystemConfig,
     ev = ScenarioEvaluator(profiles, config)
 
     def tau_rule(mu, x):
-        e = ev.pattern_state(x).energies
-        return np.maximum(config.tau_min, e / ev.e_budget), 0
+        return ev.budget_interval(ev.pattern_state(x).energies), 0
 
     return run_outer_loop(ev, tau_rule, ev.offloading_equilibrium, init)
 
@@ -101,8 +100,8 @@ def solve_idd(profiles: Sequence[DeviceProfile], config: SystemConfig,
     t_off, e_off = ev.edge_branch(ev.trans_times_under(assumed))
 
     def age_within_budget(t_sys, e):
-        tau = np.maximum(config.tau_min, e / ev.e_budget)
-        return avg_maoi_modality(ev.psi, ev.lam, tau[:, None], t_sys).sum(axis=1)
+        tau = ev.budget_interval(e)[:, None]
+        return avg_maoi_modality(ev.psi, ev.lam, tau, t_sys).sum(axis=1)
 
     prefers = age_within_budget(t_off, e_off) < age_within_budget(ev.t_local, ev.e_local)
     pattern = np.zeros(ev.n_devices, dtype=np.int64)

@@ -294,6 +294,10 @@ class ScenarioEvaluator:
             self._tau_key, self._tau_terms = key, terms
         return self._tau_terms
 
+    def budget_interval(self, e: np.ndarray) -> np.ndarray:
+        """Shortest interval, at least ``tau_min``, that keeps energies ``e`` in budget."""
+        return np.maximum(self.config.tau_min, e / self.e_budget)
+
     def _penalized_costs(self, tau: np.ndarray, mu: np.ndarray,
                          t_sys: np.ndarray, e: np.ndarray) -> np.ndarray:
         """Weighted age plus energy penalty; ``t_sys``/``e`` may stack patterns."""
@@ -431,15 +435,18 @@ class ScenarioEvaluator:
     def lemma_threshold(self, d: int, tau_d: float, mu_d: float) -> float:
         """Interference threshold of the closed-form offloading rule.
 
-        Implements the printed expression literally; it serves as a
+        Solving ``branch_costs``' edge-below-local comparison for the rate
+        gives offloading iff
+        ``log2(1 + SINR) > L (tau sum(phi) + mu P) / (B (tau phi . gap + mu e_comp))``;
+        the bandwidth ``B`` scales both denominator terms.  It serves as a
         diagnostic cross-check of the canonical two-branch comparison, not
         as the decision rule.
         """
         cfg = self.config
         phi = event_factors(self.psi[d], self.lam, tau_d)
         num = (phi.sum() * tau_d + mu_d * self.tx_power[d]) * self.payload[d]
-        den = (cfg.bandwidth * tau_d * float(phi @ self.lemma_gap[d])
-               + mu_d * self.e_comp[d])
+        den = cfg.bandwidth * (tau_d * float(phi @ self.lemma_gap[d])
+                               + mu_d * self.e_comp[d])
         if den <= 0.0:
             return -math.inf
         exponent = num / den

@@ -10,6 +10,14 @@ i.i.d. from the two-point growth PMF.  The time average sum(Q_i)/(n*tau)
 is an unbiased estimate of the closed form for every n, which makes the
 confidence-interval bracketing test exact rather than asymptotic-only.
 
+A slope takes one of two values, so Q_i / tau takes one of four: the
+simulation draws one event flag per slope and gathers each update's value
+from a four-entry table indexed by the flags ``(k_(i-1), k_i)``.  Each
+entry is formed with the scalar operations of the elementwise form, so
+the values are the same IEEE numbers without the per-update slope and
+area arrays.  The per-update values stay materialized because the mean
+and the batch means are numpy's pairwise sums over that one array.
+
 Adjacent areas share one slope draw, so the standard error uses batch
 means over update blocks.
 """
@@ -34,8 +42,8 @@ class TrajectoryStats:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.std_error < 0:
-            raise ValueError("std_error must be >= 0")
+        if not self.std_error >= 0:
+            raise ValueError(f"std_error must be >= 0, got {self.std_error}")
         if self.n_updates < 1:
             raise ValueError("n_updates must be >= 1")
 
@@ -56,21 +64,30 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
+def _check_real(name: str, value: float, allow_zero: bool) -> None:
+    if not (math.isfinite(value) and (value >= 0 if allow_zero else value > 0)):
+        raise ValueError(f"{name} must be finite and {'>=' if allow_zero else '>'} 0, "
+                         f"got {value}")
+
+
 def simulate_avg_maoi(psi: float, lam: float, tau: float, t_sys: float,
                       n_updates: int, seed) -> TrajectoryStats:
     """Estimate the average modality age over ``n_updates`` sampling cycles."""
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    if t_sys < 0:
-        raise ValueError(f"t_sys must be >= 0, got {t_sys}")
-    if n_updates < 2:
-        raise ValueError(f"n_updates must be >= 2, got {n_updates}")
+    _check_real("tau", tau, allow_zero=False)
+    _check_real("lam", lam, allow_zero=False)
+    _check_real("t_sys", t_sys, allow_zero=True)
+    _check_real("psi", psi, allow_zero=True)
+    if (not isinstance(n_updates, (int, np.integer)) or isinstance(n_updates, bool)
+            or n_updates < 2):
+        raise ValueError(f"n_updates must be an int >= 2, got {n_updates!r}")
     rng = _rng(seed)
     p_event = 1.0 - math.exp(-lam * tau)
-    # slopes k_0 .. k_n: update i uses (k_(i-1), k_i)
-    slopes = np.where(rng.random(n_updates + 1) < p_event, 1.0 + psi, 1.0)
-    areas = 0.5 * slopes[:-1] * (tau + t_sys) ** 2 - 0.5 * slopes[1:] * t_sys**2
-    per_update = areas / tau
+    # event flags of slopes k_0 .. k_n: update i uses (k_(i-1), k_i)
+    hit = rng.random(n_updates + 1) < p_event
+    slopes = (1.0, 1.0 + psi)
+    table = np.array([(0.5 * k_prev * (tau + t_sys) ** 2 - 0.5 * k_cur * t_sys**2) / tau
+                      for k_prev in slopes for k_cur in slopes])
+    per_update = table[hit[:-1].astype(np.intp) * 2 + hit[1:]]
     mean = float(per_update.mean())
 
     n_blocks = min(200, n_updates)

@@ -16,9 +16,12 @@ assert the measured envelope rather than pretending the closed form is
 exact there.
 """
 
+import math
+
 import numpy as np
 
 from maoi_edge.optimizer import CostTerms, ScenarioEvaluator
+from maoi_edge.oracle import TrajectoryStats, _rng
 from maoi_edge.scenario import generate_scenario
 from maoi_edge.system_model import SystemConfig
 
@@ -77,8 +80,39 @@ def grid_costs(terms: CostTerms, grid: np.ndarray) -> np.ndarray:
     return age + terms.mu * (terms.energy / grid - terms.energy_budget)
 
 
-def grid_minimum(terms: CostTerms, tau_min: float, tau_upper: float,
+def grid_minimum(terms: CostTerms, tau_min: float, tau_upper: float, tau: float,
                  n_points: int = 10_000) -> float:
-    """Brute-force reference: lowest cost on a dense interval grid."""
-    grid = np.linspace(tau_min, 10.0 * tau_upper, n_points)
+    """Brute-force reference: lowest cost on a dense interval grid.
+
+    The grid reaches past both ``10 * tau_upper`` and the interval ``tau``
+    under test, so a solve that lands far out still has a reference there.
+    """
+    grid = np.linspace(tau_min, max(10.0 * tau_upper, 2.0 * tau), n_points)
     return float(grid_costs(terms, grid).min())
+
+
+def reference_simulate_avg_maoi(psi: float, lam: float, tau: float, t_sys: float,
+                                n_updates: int, seed) -> TrajectoryStats:
+    """Elementwise form of ``oracle.simulate_avg_maoi``: one slope per draw.
+
+    Builds the slope array, the two slope products, their difference and
+    the division by tau as whole arrays, the way the oracle computed them
+    before its four-value table; the oracle must return the same bits.
+    """
+    rng = _rng(seed)
+    p_event = 1.0 - math.exp(-lam * tau)
+    slopes = np.where(rng.random(n_updates + 1) < p_event, 1.0 + psi, 1.0)
+    areas = 0.5 * slopes[:-1] * (tau + t_sys) ** 2 - 0.5 * slopes[1:] * t_sys**2
+    per_update = areas / tau
+    mean = float(per_update.mean())
+    n_blocks = min(200, n_updates)
+    usable = (n_updates // n_blocks) * n_blocks
+    blocks = per_update[:usable].reshape(n_blocks, -1).mean(axis=1)
+    spread = float(blocks.std(ddof=1)) if n_blocks > 1 else 0.0
+    se = spread / math.sqrt(n_blocks)
+    se_floor = abs(psi) * math.sqrt(p_event * (1.0 - p_event) / n_updates) \
+        * (0.5 * tau + t_sys)
+    se = max(se, se_floor)
+    seed_int = seed if isinstance(seed, int) else hash(tuple(seed))
+    return TrajectoryStats(mean_maoi=mean, std_error=se,
+                           n_updates=n_updates, seed=seed_int)

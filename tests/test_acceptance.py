@@ -137,8 +137,9 @@ class _CheckedEvaluator(ScenarioEvaluator):
         tau_upper = self.pattern_state(x).tau_upper
         for d in range(self.n_devices):
             terms = self.cost_terms(d, float(mu[d]), x)
-            best = grid_minimum(terms, self.config.tau_min, tau_upper[d])
-            self.gaps.append(terms.cost(float(tau_vec[d])) / best - 1.0)
+            cost = terms.cost(float(tau_vec[d]))
+            best = grid_minimum(terms, self.config.tau_min, tau_upper[d], float(tau_vec[d]))
+            self.gaps.append((cost - best) / abs(best))
         return tau_vec, n
 
 

@@ -64,6 +64,29 @@ class TestBestResponse:
         assert ev.lemma_threshold(0, 2.0, 0.5) < 0
         assert ev.lemma_best_response(0, 2.0, 0.5, np.array([0])) == 0
 
+    def test_lemma_agrees_with_branch_costs(self):
+        # interfering devices at random intervals, multipliers and patterns;
+        # capacity admits everyone, so only the two branch costs decide
+        rng = np.random.default_rng(23)
+        checked = 0
+        for seed in range(40):
+            d_count = int(rng.integers(4, 13))
+            profiles, config = scenario_lists(d_count, seed=seed, capacity_threshold=1e9)
+            ev = ScenarioEvaluator(profiles, config)
+            for _ in range(5):
+                tau = rng.uniform(2.0, 15.0, d_count)
+                mu = rng.uniform(0.0, 10.0, d_count)
+                x = rng.integers(0, 2, d_count)
+                state = ev.pattern_state(x)
+                cost_loc, cost_off = ev.branch_costs(tau, mu, state.t_off, state.e_off)
+                for d in range(d_count):
+                    if abs(cost_off[d] - cost_loc[d]) <= 1e-9 * abs(cost_loc[d]):
+                        continue  # a tie: the rounding of either form decides
+                    assert ev.lemma_best_response(d, tau[d], mu[d], x) == \
+                        int(cost_off[d] < cost_loc[d]), (seed, d)
+                    checked += 1
+        assert checked > 1000
+
 
 class TestBestResponseRound:
     def test_equilibrium_returns_unchanged(self):

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from maoi_edge import baselines
+from helpers import reference_simulate_avg_maoi
+from maoi_edge import baselines, experiments
 from maoi_edge.metric import avg_maoi_modality
 from maoi_edge.optimizer import ScenarioEvaluator
 from maoi_edge.oracle import TrajectoryStats, simulate_avg_maoi, simulate_avg_maoi_device
@@ -17,6 +19,8 @@ class TestStats:
             TrajectoryStats(mean_maoi=1.0, std_error=-1.0, n_updates=10, seed=0)
         with pytest.raises(ValueError):
             TrajectoryStats(mean_maoi=1.0, std_error=0.0, n_updates=0, seed=0)
+        with pytest.raises(ValueError, match="std_error"):
+            TrajectoryStats(mean_maoi=1.0, std_error=math.nan, n_updates=10, seed=0)
 
     def test_ci_and_bracketing(self):
         s = TrajectoryStats(mean_maoi=10.0, std_error=1.0, n_updates=100, seed=0)
@@ -63,13 +67,44 @@ class TestModalitySimulation:
         b = simulate_avg_maoi(1.5, 0.5, 3.0, 2.0, n_updates=5000, seed=2)
         assert a.mean_maoi != b.mean_maoi
 
+    INVALID = [  # (psi, lam, tau, t_sys, n_updates, argument named in the error)
+        (1.0, 0.8, 0.0, 1.0, 100, "tau"),
+        (1.0, 0.8, math.nan, 1.0, 100, "tau"),
+        (1.0, 0.8, math.inf, 1.0, 100, "tau"),
+        (1.0, math.nan, 2.0, 1.0, 100, "lam"),
+        (1.0, -0.8, 2.0, 1.0, 100, "lam"),
+        (1.0, 0.0, 2.0, 1.0, 100, "lam"),
+        (1.0, 0.8, 2.0, -1.0, 100, "t_sys"),
+        (1.0, 0.8, 2.0, math.nan, 100, "t_sys"),
+        (-3.0, 0.8, 2.0, 1.0, 100, "psi"),
+        (math.nan, 0.8, 2.0, 1.0, 100, "psi"),
+        (math.inf, 0.8, 2.0, 1.0, 100, "psi"),
+        (1.0, 0.8, 2.0, 1.0, 1, "n_updates"),
+        (1.0, 0.8, 2.0, 1.0, 100.0, "n_updates"),
+        (1.0, 0.8, 2.0, 1.0, True, "n_updates"),
+    ]
+
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            simulate_avg_maoi(1.0, 0.8, 0.0, 1.0, 100, seed=0)
-        with pytest.raises(ValueError):
-            simulate_avg_maoi(1.0, 0.8, 2.0, -1.0, 100, seed=0)
-        with pytest.raises(ValueError):
-            simulate_avg_maoi(1.0, 0.8, 2.0, 1.0, 1, seed=0)
+        for *args, name in self.INVALID:
+            with pytest.raises(ValueError, match=name):
+                simulate_avg_maoi(*args, seed=0)
+
+
+class TestAgainstElementwiseForm:
+    """The four-value table returns the bits of the slope-array form."""
+
+    GRID = list(itertools.product(experiments.ORACLE_LAMBDAS, experiments.ORACLE_PSIS,
+                                  experiments.ORACLE_TAUS, experiments.ORACLE_T_SYS))
+
+    @pytest.mark.parametrize("n_updates", [2, 3, 199, 200, 201, 20_000])
+    def test_validation_grid(self, n_updates):
+        for i, (lam, psi, tau, t_sys) in enumerate(self.GRID):
+            args = (psi, lam, tau, t_sys, n_updates, [5, i])
+            assert simulate_avg_maoi(*args) == reference_simulate_avg_maoi(*args), i
+
+    def test_single_large_run(self):
+        args = (5.0, 0.2, 5.0, 4.0, 1_000_000, 3)
+        assert simulate_avg_maoi(*args) == reference_simulate_avg_maoi(*args)
 
 
 class TestDeviceSimulation:
