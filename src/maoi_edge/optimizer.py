@@ -25,9 +25,9 @@ interval vector.  The loop passes bare arrays between the blocks, so its
 rules must never edit their inputs in place.
 
 ``ScenarioEvaluator.sampling_step`` is the package's only implementation
-of the sampling block (Algorithm 1).  ``CostTerms`` freezes one device's
-penalized cost as a scalar function of its interval, and the block runs
-``newton_refine`` on it for the devices with a convex region.
+of the sampling block (Algorithm 1).  Its Newton path runs
+``projected_newton`` on ``cost_slopes``, the penalized cost's derivatives
+built on ``event_factors``, for every device with a convex region at once.
 """
 
 from __future__ import annotations
@@ -54,85 +54,63 @@ from .system_model import (
 )
 
 # ---------------------------------------------------------------------------
-# per-device cost terms (everything Algorithm 1 needs once x and mu are fixed)
+# the sampling block's Newton path
 
-@dataclass(frozen=True)
-class CostTerms:
-    """Per-device penalized cost as a function of the sampling interval.
+def cost_slopes(psi, lam, tau, t_sys, mu, energy):
+    """First and second tau-derivatives of the penalized cost.
 
-    Freezes the system times and per-update energy implied by the current
-    offload pattern, so cost/derivatives are scalar functions of tau.
+    The cost is ``sum_s phi_s(tau) (tau/2 + t_s) + mu (energy/tau - budget)``
+    with phi from ``event_factors``.  ``tau``, ``mu`` and ``energy`` are per
+    device; ``psi``, ``lam`` and ``t_sys`` carry a trailing modality axis.
+    Every argument broadcasts.
     """
-
-    psi: tuple[float, float, float]
-    lambdas: tuple[float, float, float]
-    t_sys: tuple[float, float, float]
-    energy: float
-    energy_budget: float
-    mu: float
-
-    def cost(self, tau: float) -> float:
-        age = sum((1.0 + p * (1.0 - math.exp(-lam * tau))) * (0.5 * tau + t)
-                  for p, lam, t in zip(self.psi, self.lambdas, self.t_sys))
-        return age + self.mu * (self.energy / tau - self.energy_budget)
-
-    def cost_d1(self, tau: float) -> float:
-        """First derivative of the penalized cost in tau."""
-        acc = 0.0
-        for p, lam, t in zip(self.psi, self.lambdas, self.t_sys):
-            decay = p * lam * math.exp(-lam * tau)
-            acc += decay * t + 0.5 * tau * decay
-            acc += 0.5 * (1.0 + p * (1.0 - math.exp(-lam * tau)))
-        return acc - self.mu * self.energy / tau**2
-
-    def cost_d2(self, tau: float) -> float:
-        """Second derivative; positive everywhere below the convexity threshold."""
-        acc = 2.0 * self.mu * self.energy / tau**3
-        for p, lam, t in zip(self.psi, self.lambdas, self.t_sys):
-            acc += p * lam * math.exp(-lam * tau) * (1.0 - 0.5 * lam * tau - lam * t)
-        return acc
+    tau_s = np.asarray(tau)[..., None]
+    age = 0.5 * tau_s + t_sys
+    decay = psi * lam * np.exp(-lam * tau_s)  # d phi / d tau
+    d1 = decay * age + 0.5 * event_factors(psi, lam, tau_s)
+    d2 = decay * (1.0 - lam * age)
+    penalty = mu * energy / tau**2
+    return d1.sum(axis=-1) - penalty, d2.sum(axis=-1) + 2.0 * penalty / tau
 
 
-# ---------------------------------------------------------------------------
-# projected Newton solve on one device's convex region
+def projected_newton(slopes: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                     tau_min: float, tau_th: np.ndarray, tol: float,
+                     max_iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Projected Newton solve on every convex region ``[tau_min, tau_th]`` at once.
 
-def _bisect_slope(terms: CostTerms, lo: float, hi: float, tol: float) -> float:
-    # fallback when curvature turns numerically non-positive inside the
-    # nominal convex region: bracket the root of the first derivative
-    if terms.cost_d1(lo) >= 0.0:
-        return lo
-    if terms.cost_d1(hi) <= 0.0:
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if terms.cost_d1(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def newton_refine(terms: CostTerms, tau_init: float, tau_min: float,
-                  tau_th: float, tol: float = 1e-8,
-                  max_iters: int = 50) -> tuple[float, int]:
-    """Projected Newton solve on the convex region [tau_min, tau_th].
-
-    Iterates are clipped to the region after every step; returns the
-    converged interval and the iteration count.
+    ``slopes(tau)`` returns the cost's first and second derivatives at the
+    interval vector ``tau``.  Each device starts mid-region, is clipped to
+    its region after every step and stops once a step moves it less than
+    ``tol``, or after ``max_iters`` steps.  A device whose curvature turns
+    non-positive bisects its slope on the whole region instead.  Returns
+    the intervals and each device's iteration count.
     """
-    if not tau_min < tau_th:
-        raise ValueError(f"no convex region: tau_min={tau_min} >= tau_th={tau_th}")
-    tau = min(max(tau_init, tau_min), tau_th)
-    for n in range(1, max_iters + 1):
-        d2 = terms.cost_d2(tau)
-        if d2 <= 0.0:
-            return _bisect_slope(terms, tau_min, tau_th, tol), n
-        new = tau - terms.cost_d1(tau) / d2
-        new = min(max(new, tau_min), tau_th)
-        if abs(new - tau) < tol:
-            return new, n
-        tau = new
-    return tau, max_iters
+    lo, hi = np.full_like(tau_th, tau_min), tau_th
+    tau = 0.5 * (lo + hi)
+    iters = np.zeros(len(tau), dtype=np.int64)
+    run, flat = np.ones(len(tau), dtype=bool), np.zeros(len(tau), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iters):
+            iters += run
+            d1, d2 = slopes(tau)
+            flat |= run & (d2 <= 0.0)
+            run &= ~flat
+            step = np.minimum(np.maximum(tau - d1 / d2, lo), hi)
+            moved = ~(np.abs(step - tau) < tol)
+            tau = np.where(run, step, tau)
+            run &= moved
+            if not run.any():
+                break
+    if flat.any():
+        d1_lo, d1_hi = slopes(lo)[0], slopes(hi)[0]
+        tau = np.where(flat, np.where(d1_lo >= 0.0, lo, hi), tau)
+        run = bracketed = flat & (d1_lo < 0.0) & (d1_hi > 0.0)
+        while (run := run & (hi - lo > tol)).any():
+            mid = 0.5 * (lo + hi)
+            falling = slopes(mid)[0] < 0.0
+            lo, hi = np.where(run & falling, mid, lo), np.where(run & ~falling, mid, hi)
+        tau = np.where(bracketed, 0.5 * (lo + hi), tau)
+    return tau, iters
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +296,6 @@ class ScenarioEvaluator:
         e = self.pattern_state(x).energies
         return (e / tau - self.e_budget) / self.e_budget
 
-    def cost_terms(self, d: int, mu_d: float, x: np.ndarray) -> CostTerms:
-        state = self.pattern_state(x)
-        return CostTerms(psi=tuple(self.psi[d]), lambdas=tuple(self.lam),
-                         t_sys=tuple(state.t_sys[d]), energy=float(state.energies[d]),
-                         energy_budget=float(self.e_budget[d]), mu=mu_d)
-
     # -- sampling block ---------------------------------------------------
 
     def sampling_step(self, mu: np.ndarray, x: np.ndarray,
@@ -338,17 +310,19 @@ class ScenarioEvaluator:
         tau_sub = np.sqrt(2.0 * mu * state.energies / state.sphi_up)
         # max(tau_th, max(tau_min, tau_sub)), with the first clamp per pattern
         tau_star = np.maximum(state.tau_upper, tau_sub)
-        newton_total = 0
-        for d in state.newton_devices:
-            terms = self.cost_terms(d, float(mu[d]), x)
-            tau_th = state.tau_th[d]
-            tau_newton, iters = newton_refine(
-                terms, 0.5 * (cfg.tau_min + tau_th), cfg.tau_min, tau_th,
-                tol=cfg.newton_tol, max_iters=cfg.newton_max_iters)
-            newton_total += iters
-            if terms.cost(tau_newton) < terms.cost(float(tau_star[d])):
-                tau_star[d] = tau_newton
-        return tau_star, newton_total
+        d = state.newton_devices
+        if len(d) == 0:
+            return tau_star, 0
+        psi, t_sys, e, mu_d = self.psi[d], state.t_sys[d], state.energies[d], mu[d]
+        tau_newton, iters = projected_newton(
+            lambda tau: cost_slopes(psi, self.lam, tau, t_sys, mu_d, e),
+            cfg.tau_min, state.tau_th[d], cfg.newton_tol, cfg.newton_max_iters)
+        cand = np.stack([tau_newton, tau_star[d]])
+        cost = (avg_maoi_modality(psi, self.lam, cand[..., None], t_sys).sum(axis=-1)
+                + mu_d * (e / cand - self.e_budget[d]))
+        wins = cost[0] < cost[1]
+        tau_star[d[wins]] = tau_newton[wins]
+        return tau_star, int(iters.sum())
 
     # -- offloading block ---------------------------------------------------
 
@@ -629,7 +603,7 @@ def solve_jso(profiles: Sequence[DeviceProfile], config: SystemConfig,
 
 
 __all__ = [
-    "CostTerms", "newton_refine", "TRIAL_BLOCK_ENTRIES", "PatternState",
+    "cost_slopes", "projected_newton", "TRIAL_BLOCK_ENTRIES", "PatternState",
     "ScenarioEvaluator", "as_offload_vector", "Decision", "SolveTrace",
     "default_decision", "run_outer_loop", "solve_jso",
 ]

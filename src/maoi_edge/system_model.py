@@ -131,6 +131,12 @@ class SystemConfig:
                      "newton_tol", "newton_max_iters", "max_outer_iters"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        # YAML reads 300.0 as a float, and the solvers loop over these counts
+        for name in ("tft_base_len", "newton_max_iters", "max_outer_iters"):
+            value = getattr(self, name)
+            if not float(value).is_integer():
+                raise ValueError(f"{name} must be an integer, got {value}")
+            object.__setattr__(self, name, int(value))
         for name in ("energy_tol", "mu_init"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")

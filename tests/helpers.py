@@ -14,28 +14,48 @@ bias grows: 3.8% at 0.05 times the fixed point on the default local
 device.  The interval tests draw their multipliers from these regimes and
 assert the measured envelope rather than pretending the closed form is
 exact there.
+
+One device's penalized cost enters the brute-force references as a dict of
+plain per-device values, keyed like ``cost_slopes``' arguments plus
+``energy_budget``; the references evaluate it with the package's own
+growth model, ``avg_maoi_modality``.
 """
 
 import math
 
 import numpy as np
 
-from maoi_edge.optimizer import CostTerms, ScenarioEvaluator
+from maoi_edge.metric import avg_maoi_modality
+from maoi_edge.optimizer import ScenarioEvaluator, cost_slopes
 from maoi_edge.oracle import TrajectoryStats, _rng
 from maoi_edge.scenario import generate_scenario
 from maoi_edge.system_model import SystemConfig
 
 
-def draw_cost_terms(rng: np.random.Generator) -> CostTerms:
-    """Unconstrained random cost terms for derivative checks."""
-    return CostTerms(
-        psi=tuple(rng.uniform(0.0, 5.0, 3)),
-        lambdas=tuple(rng.uniform(0.1, 2.0, 3)),
-        t_sys=tuple(rng.uniform(0.0, 20.0, 3)),
-        energy=float(rng.uniform(0.1, 20.0)),
-        energy_budget=float(rng.uniform(0.5, 3.0)),
-        mu=float(rng.uniform(0.0, 10.0)),
-    )
+def draw_device_terms(rng: np.random.Generator) -> dict:
+    """Unconstrained random per-device cost terms for derivative checks."""
+    return {
+        "psi": rng.uniform(0.0, 5.0, 3),
+        "lam": rng.uniform(0.1, 2.0, 3),
+        "t_sys": rng.uniform(0.0, 20.0, 3),
+        "energy": float(rng.uniform(0.1, 20.0)),
+        "energy_budget": float(rng.uniform(0.5, 3.0)),
+        "mu": float(rng.uniform(0.0, 10.0)),
+    }
+
+
+def device_terms(ev: ScenarioEvaluator, d: int, mu: np.ndarray, x: np.ndarray) -> dict:
+    """Cost terms of device ``d`` of ``ev`` under multipliers ``mu`` and pattern ``x``."""
+    state = ev.pattern_state(x)
+    return {"psi": ev.psi[d], "lam": ev.lam, "t_sys": state.t_sys[d],
+            "energy": float(state.energies[d]),
+            "energy_budget": float(ev.e_budget[d]), "mu": float(mu[d])}
+
+
+def slopes(terms: dict, tau) -> tuple[np.ndarray, np.ndarray]:
+    """``cost_slopes`` of one device's terms at the interval(s) ``tau``."""
+    return cost_slopes(terms["psi"], terms["lam"], np.asarray(tau, dtype=float),
+                       terms["t_sys"], terms["mu"], terms["energy"])
 
 
 def draw_interval_instance(rng: np.random.Generator,
@@ -70,17 +90,15 @@ def fixed_point_multiplier(ev: ScenarioEvaluator, x: np.ndarray) -> np.ndarray:
     return state.energies * state.sphi_up / (2.0 * ev.e_budget**2)
 
 
-def grid_costs(terms: CostTerms, grid: np.ndarray) -> np.ndarray:
-    """Vectorized penalized cost over an interval grid."""
-    psi = np.asarray(terms.psi)
-    lam = np.asarray(terms.lambdas)
-    t_sys = np.asarray(terms.t_sys)
-    phi = 1.0 + psi[None, :] * (1.0 - np.exp(-lam[None, :] * grid[:, None]))
-    age = (phi * (0.5 * grid[:, None] + t_sys[None, :])).sum(axis=1)
-    return age + terms.mu * (terms.energy / grid - terms.energy_budget)
+def grid_costs(terms: dict, grid) -> np.ndarray:
+    """Penalized cost of one device's terms at every interval of ``grid``."""
+    grid = np.asarray(grid, dtype=float)
+    age = avg_maoi_modality(terms["psi"], terms["lam"], grid[..., None],
+                            terms["t_sys"]).sum(axis=-1)
+    return age + terms["mu"] * (terms["energy"] / grid - terms["energy_budget"])
 
 
-def grid_minimum(terms: CostTerms, tau_min: float, tau_upper: float, tau: float,
+def grid_minimum(terms: dict, tau_min: float, tau_upper: float, tau: float,
                  n_points: int = 10_000) -> float:
     """Brute-force reference: lowest cost on a dense interval grid.
 

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import draw_cost_terms, grid_minimum
+from helpers import device_terms, draw_device_terms, grid_costs, grid_minimum, slopes
 from maoi_edge import experiments, trends
 from maoi_edge.experiments import validate_oracle
 from maoi_edge.optimizer import ScenarioEvaluator, run_outer_loop
@@ -111,14 +111,16 @@ class TestCriterion2:
         h = 1e-6
         worst = 0.0
         for _ in range(100):
-            terms = draw_cost_terms(rng)
+            terms = draw_device_terms(rng)
             tau = float(rng.uniform(0.5, 30.0))
-            fd1 = (terms.cost(tau + h) - terms.cost(tau - h)) / (2 * h)
-            fd2 = (terms.cost_d1(tau + h) - terms.cost_d1(tau - h)) / (2 * h)
+            cost_hi, cost_lo = grid_costs(terms, [tau + h, tau - h])
+            (d1_hi, d1_lo), _ = slopes(terms, [tau + h, tau - h])
+            fd1, fd2 = (cost_hi - cost_lo) / (2 * h), (d1_hi - d1_lo) / (2 * h)
+            d1, d2 = slopes(terms, tau)
             # relative errors; denominators floored where the curvature
             # cancels through zero at the convexity boundary
-            e1 = abs(terms.cost_d1(tau) - fd1) / max(abs(fd1), 1e-3)
-            e2 = abs(terms.cost_d2(tau) - fd2) / max(abs(fd2), 1e-3)
+            e1 = abs(d1 - fd1) / max(abs(fd1), 1e-3)
+            e2 = abs(d2 - fd2) / max(abs(fd2), 1e-3)
             worst = max(worst, e1, e2)
         report(2, worst < 1e-6,
                f"both derivative orders vs central differences on 100 draws, "
@@ -136,8 +138,8 @@ class _CheckedEvaluator(ScenarioEvaluator):
         tau_vec, n = super().sampling_step(mu, x)
         tau_upper = self.pattern_state(x).tau_upper
         for d in range(self.n_devices):
-            terms = self.cost_terms(d, float(mu[d]), x)
-            cost = terms.cost(float(tau_vec[d]))
+            terms = device_terms(self, d, mu, x)
+            cost = grid_costs(terms, tau_vec[d])
             best = grid_minimum(terms, self.config.tau_min, tau_upper[d], float(tau_vec[d]))
             self.gaps.append((cost - best) / abs(best))
         return tau_vec, n

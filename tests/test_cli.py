@@ -298,6 +298,18 @@ class TestSolveCommand:
             run_cli(["solve", "--devices", "3", *args, "--out", str(tmp_path)])
         assert not (tmp_path / "trace.csv").exists()
 
+    def test_integer_settings_take_integral_floats_only(self, tmp_path):
+        # YAML reads 300.0 as a float; the solve loops over it as a count
+        code = run_cli(["solve", "--devices", "3", "--override", "max_outer_iters=300.0",
+                        "--out", str(tmp_path / "ok")])
+        assert code == 0
+        assert len((tmp_path / "ok" / "trace.csv").read_text().splitlines()) == 301
+        with pytest.raises(SystemExit, match="newton_max_iters must be an integer, got 2.5"):
+            run_cli(["sweep", "--param", "device_count", "--grid", "2",
+                     "--algorithms", "jso", "--seeds", "1",
+                     "--override", "newton_max_iters=2.5", "--out", str(tmp_path / "bad")])
+        assert not (tmp_path / "bad" / "results.csv").exists()
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):

@@ -17,7 +17,7 @@ from maoi_edge.cli import main
 SWEEP_RESULTS_SHA256 = (
     "36cfdb1d86c2c3351df25fbf9e9e7394ce8ab32f277e57982906788bfb4eafb6")
 NEWTON_TRACE_SHA256 = (
-    "d7d3425df99673ac39a680f5c17bfce56c732af49640f857c2fba1a07d3c3204")
+    "ea81ced5f90331803473981b9a3d71bb2d11bc41ef4d4f50fb909f8969200cc0")
 NEWTON_DECISION_SHA256 = (
     "efd8a4f13052d21cdd0de36bc4125a8d3cdd34de7dd09690eb65888fb70ef6c0")
 ORACLE_TABLE_SHA256 = (

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from helpers import (
-    draw_cost_terms,
+    device_terms,
+    draw_device_terms,
     draw_interval_instance,
     fixed_point_multiplier,
+    grid_costs,
     grid_minimum,
+    slopes,
 )
 from maoi_edge.metric import OBJECTIVE_AOI
-from maoi_edge.optimizer import ScenarioEvaluator, _bisect_slope, newton_refine
+from maoi_edge.optimizer import ScenarioEvaluator, projected_newton
 from maoi_edge.scenario import generate_scenario
 from maoi_edge.system_model import SystemConfig
 
@@ -45,10 +48,17 @@ def step(ev, mu, x):
 
 def convex_terms(ev, mu):
     """Cost terms and convexity threshold of ``ev``'s device on the edge."""
-    return ev.cost_terms(0, mu, EDGE), float(ev.pattern_state(EDGE).tau_th[0])
+    return device_terms(ev, 0, [mu], EDGE), float(ev.pattern_state(EDGE).tau_th[0])
 
 
-class TestCostTerms:
+def newton(terms, th, tol=1e-8, max_iters=50):
+    """``projected_newton`` on one device's region ``[2, th]``: ``(tau, iterations)``."""
+    tau, iters = projected_newton(lambda t: slopes(terms, t), 2.0, np.array([th]),
+                                  tol, max_iters)
+    return float(tau[0]), int(iters[0])
+
+
+class TestCostSlopes:
     def test_cost_matches_device_costs(self):
         sc = generate_scenario(5, seed=1)
         ev = ScenarioEvaluator(list(sc.profiles), sc.config)
@@ -57,27 +67,38 @@ class TestCostTerms:
         mu = np.array([0.7, 0.0, 1.3, 0.2, 4.0])
         costs = ev.device_costs(tau, mu, x)
         for d in range(5):
-            terms = ev.cost_terms(d, float(mu[d]), x)
-            assert terms.cost(float(tau[d])) == pytest.approx(costs[d], rel=1e-12)
+            cost = grid_costs(device_terms(ev, d, mu, x), tau[d])
+            assert cost == pytest.approx(costs[d], rel=1e-12)
 
     def test_derivatives_match_finite_differences(self):
         rng = np.random.default_rng(7)
         h = 1e-6
         for _ in range(25):
-            terms = draw_cost_terms(rng)
+            terms = draw_device_terms(rng)
             tau = float(rng.uniform(0.5, 30.0))
-            fd1 = (terms.cost(tau + h) - terms.cost(tau - h)) / (2 * h)
-            fd2 = (terms.cost_d1(tau + h) - terms.cost_d1(tau - h)) / (2 * h)
+            cost_hi, cost_lo = grid_costs(terms, [tau + h, tau - h])
+            (d1_hi, d1_lo), _ = slopes(terms, [tau + h, tau - h])
+            fd1, fd2 = (cost_hi - cost_lo) / (2 * h), (d1_hi - d1_lo) / (2 * h)
+            d1, d2 = slopes(terms, tau)
             # denominator floored: near the convexity boundary the curvature
             # cancels to ~0 and a pure relative test degenerates
-            assert abs(terms.cost_d1(tau) - fd1) < 1e-6 * max(abs(fd1), 1e-3)
-            assert abs(terms.cost_d2(tau) - fd2) < 1e-6 * max(abs(fd2), 1e-3)
+            assert abs(d1 - fd1) < 1e-6 * max(abs(fd1), 1e-3)
+            assert abs(d2 - fd2) < 1e-6 * max(abs(fd2), 1e-3)
 
     def test_age_derivative_with_zero_multiplier(self, device):
         # the pure age term keeps a globally positive slope
-        terms = device.cost_terms(0, 0.0, LOCAL)
-        for tau in (0.5, 2.0, 10.0, 50.0):
-            assert terms.cost_d1(tau) > 0
+        d1, _ = slopes(device_terms(device, 0, [0.0], LOCAL), [0.5, 2.0, 10.0, 50.0])
+        assert (d1 > 0).all()
+
+    def test_broadcasts_over_devices_and_modalities(self):
+        # a (D, 3) evaluation equals its rows, each with its own event rates
+        rng = np.random.default_rng(5)
+        rows = [draw_device_terms(rng) for _ in range(4)]
+        tau = rng.uniform(0.5, 30.0, 4)
+        stacked = {k: np.array([r[k] for r in rows]) for k in rows[0]}
+        d1, d2 = slopes(stacked, tau)
+        for d, terms in enumerate(rows):
+            assert (d1[d], d2[d]) == slopes(terms, tau[d])
 
 
 class TestConvexityThreshold:
@@ -101,8 +122,7 @@ class TestConvexityThreshold:
         terms, th = convex_terms(rare_events, 0.3)
         assert th == pytest.approx(33.71, rel=1e-4)
         assert rare_events.pattern_state(EDGE).newton_devices.tolist() == [0]
-        for tau in np.linspace(0.5, th, 20):
-            assert terms.cost_d2(float(tau)) > 0
+        assert (slopes(terms, np.linspace(0.5, th, 20))[1] > 0).all()
 
 
 class TestSurrogate:
@@ -136,41 +156,53 @@ class TestFeasibleApproximation:
 
 
 class TestNewton:
-    def test_requires_convex_region(self, device):
-        th = float(device.pattern_state(LOCAL).tau_th[0])
-        with pytest.raises(ValueError):
-            newton_refine(device.cost_terms(0, 1.0, LOCAL), 2.0, tau_min=2.0, tau_th=th)
-
     def test_interior_stationary_point(self, rare_events):
         terms, th = convex_terms(rare_events, 60.0)
-        assert terms.cost_d1(2.0) < 0 < terms.cost_d1(th)
-        tau, iters = newton_refine(terms, 0.5 * (2.0 + th), 2.0, th)
+        assert slopes(terms, 2.0)[0] < 0 < slopes(terms, th)[0]
+        tau, iters = newton(terms, th)
         assert 2.0 < tau < th
-        assert abs(terms.cost_d1(tau)) < 10 * 1e-8 * abs(terms.cost_d2(tau))
+        d1, d2 = slopes(terms, tau)
+        assert abs(d1) < 10 * 1e-8 * abs(d2)
         assert iters <= 50
 
     def test_increasing_cost_converges_to_lower_bound(self, rare_events):
         terms, th = convex_terms(rare_events, 0.0)  # no penalty: cost rises with tau
-        assert terms.cost_d1(2.0) > 0
-        tau, _ = newton_refine(terms, 0.5 * (2.0 + th), 2.0, th)
+        assert slopes(terms, 2.0)[0] > 0
+        tau, _ = newton(terms, th)
         assert tau == pytest.approx(2.0, abs=1e-6)
 
     def test_decreasing_cost_converges_to_threshold(self, rare_events):
         terms, th = convex_terms(rare_events, 1e5)  # penalty dominates: cost falls
-        assert terms.cost_d1(th) < 0
-        tau, _ = newton_refine(terms, 0.5 * (2.0 + th), 2.0, th)
+        assert slopes(terms, th)[0] < 0
+        tau, _ = newton(terms, th)
         assert tau == pytest.approx(th, abs=1e-6)
 
     def test_iterates_stay_in_interval(self, rare_events):
-        terms, th = convex_terms(rare_events, 5.0)
-        for init in (2.0, th, 0.5 * (2.0 + th)):
-            tau, _ = newton_refine(terms, init, 2.0, th)
-            assert 2.0 <= tau <= th
+        # every interval the pass evaluates, not only the last, is clipped
+        for mu in (0.0, 5.0, 60.0, 1e5):
+            terms, th = convex_terms(rare_events, mu)
+            seen = []
+            projected_newton(lambda t: seen.append(t) or slopes(terms, t),
+                             2.0, np.array([th]), 1e-8, 50)
+            assert all(2.0 <= t[0] <= th for t in seen)
 
     def test_bisection_fallback_matches_newton(self, rare_events):
+        # zero curvature sends the pass to bisect the true slope
         terms, th = convex_terms(rare_events, 20.0)
-        newton, _ = newton_refine(terms, 0.5 * (2.0 + th), 2.0, th)
-        assert _bisect_slope(terms, 2.0, th, 1e-8) == pytest.approx(newton, abs=1e-6)
+        flat, iters = projected_newton(lambda t: (slopes(terms, t)[0], np.zeros_like(t)),
+                                       2.0, np.array([th]), 1e-8, 50)
+        assert iters.tolist() == [1]
+        assert flat[0] == pytest.approx(newton(terms, th)[0], abs=1e-6)
+
+    def test_stops_per_device_and_at_the_cap(self, rare_events):
+        # stacked devices keep their own iteration counts; the cap binds
+        terms, th = convex_terms(rare_events, 60.0)
+        _, iters = newton(terms, th)
+        assert iters > 2
+        pair = projected_newton(lambda t: slopes(terms, t), 2.0, np.array([th, 2.0 + 1e-9]),
+                                1e-8, 50)[1]
+        assert pair.tolist() == [iters, 1]
+        assert newton(terms, th, max_iters=2)[1] == 2
 
 
 class TestOptimalSamplingInterval:
@@ -193,22 +225,21 @@ class TestOptimalSamplingInterval:
     def test_newton_candidate_wins_when_cheaper(self, rare_events):
         # an interior stationary point beats the surrogate candidate ...
         terms, th = convex_terms(rare_events, 60.0)
-        newton, _ = newton_refine(terms, 0.5 * (2.0 + th), 2.0, th)
         tau, iters = step(rare_events, 60.0, EDGE)
-        assert tau == newton and iters > 0
+        assert (tau, iters) == newton(terms, th) and iters > 0
         # ... while past the region the surrogate candidate wins
         terms, th = convex_terms(rare_events, 1e5)
-        newton, _ = newton_refine(terms, 0.5 * (2.0 + th), 2.0, th)
+        tau_newton, _ = newton(terms, th)
         tau, _ = step(rare_events, 1e5, EDGE)
-        assert tau > th and terms.cost(tau) < terms.cost(newton)
+        assert tau > th and grid_costs(terms, tau) < grid_costs(terms, tau_newton)
 
     def test_grid_oracle_on_drawn_instances(self):
         rng = np.random.default_rng(11)
         for _ in range(40):
             ev, mu, x, kind = draw_interval_instance(rng)
             tau, _ = ev.sampling_step(mu, x)
-            terms = ev.cost_terms(0, float(mu[0]), x)
-            cost = terms.cost(float(tau[0]))
+            terms = device_terms(ev, 0, mu, x)
+            cost = grid_costs(terms, tau[0])
             best = grid_minimum(terms, ev.config.tau_min, ev.pattern_state(x).tau_upper[0],
                                 float(tau[0]), n_points=4000)
             assert cost <= best + GRID_TOL[kind] * abs(best)
@@ -218,9 +249,9 @@ class TestOptimalSamplingInterval:
         # fixed-point multiplier of an energy-bound local device (~E*sum_phi/2)
         # the solve lands a few percent above the true interval, costing ~1e-3
         tau, _ = step(device, 37.0, LOCAL)
-        terms = device.cost_terms(0, 37.0, LOCAL)
+        terms = device_terms(device, 0, [37.0], LOCAL)
         best = grid_minimum(terms, config.tau_min, config.tau_min, tau, n_points=20_000)
-        gap = terms.cost(tau) / best - 1.0
+        gap = grid_costs(terms, tau) / best - 1.0
         assert 1e-4 < gap < 3e-3
 
 
@@ -240,8 +271,8 @@ class TestVectorizedSamplingStep:
             tau, _ = ev.sampling_step(mu, x)
             tau_upper = ev.pattern_state(x).tau_upper
             for d in range(6):
-                terms = ev.cost_terms(d, float(mu[d]), x)
-                cost = terms.cost(float(tau[d]))
+                terms = device_terms(ev, d, mu, x)
+                cost = grid_costs(terms, tau[d])
                 best = grid_minimum(terms, sc.config.tau_min, tau_upper[d], float(tau[d]))
                 assert cost <= best + GRID_TOL[kinds[d]] * abs(best)
 
@@ -254,3 +285,35 @@ class TestVectorizedSamplingStep:
         tau_vec, newton_iters = ev.sampling_step(mu, x)
         assert newton_iters > 0
         assert (tau_vec >= sc.config.tau_min).all()
+
+    @pytest.mark.parametrize("mu, expected, iters", [
+        # zero multipliers and no weights: the curvature is exactly 0 everywhere
+        ([0.0, 0.0, 0.0, 0.0], [2.0, 2.0, 2.0, 2.0], 4),
+        ([0.0, 3.0, 0.0, 1e4], [2.0, 5.445020157523754, 2.0, 314.36838536892776], 7),
+    ])
+    def test_flat_curvature_bisects_inside_the_solve(self, mu, expected, iters):
+        sc = generate_scenario(4, seed=1,
+                               overrides={"event_rates": (0.05, 0.05, 0.05)})
+        ev = ScenarioEvaluator(sc.profiles, sc.config, OBJECTIVE_AOI)
+        tau, n = ev.sampling_step(np.array(mu), np.array([1, 0, 0, 0]))
+        assert n == iters
+        np.testing.assert_allclose(tau, expected, rtol=1e-12, atol=0.0)
+
+    def test_devices_stay_independent(self):
+        # one device's multiplier changes how long the masked Newton loop
+        # runs, but no other device's interval
+        sc = generate_scenario(20, seed=1,
+                               overrides={"event_rates": (0.05, 0.05, 0.05)})
+        ev = ScenarioEvaluator(sc.profiles, sc.config)
+        x = np.zeros(20, dtype=np.int64)
+        x[0] = 1
+        assert len(ev.pattern_state(x).newton_devices) == 20
+        mu = np.random.default_rng(0).uniform(0.05, 60.0, 20)
+        tau, iters = ev.sampling_step(mu, x)
+        for j, mu_j in ((0, 1e3), (3, 0.0), (13, 1e4)):
+            bumped = mu.copy()
+            bumped[j] = mu_j
+            tau_j, iters_j = ev.sampling_step(bumped, x)
+            assert iters_j != iters
+            others = np.arange(20) != j
+            assert tau_j[others].tobytes() == tau[others].tobytes()

@@ -56,10 +56,21 @@ class TestTypes:
     @pytest.mark.parametrize("field, value", [
         ("max_outer_iters", 0), ("newton_max_iters", 0),
         ("energy_tol", -0.01), ("mu_init", -1.0),
+        ("max_outer_iters", 300.5), ("newton_max_iters", 2.5),
+        ("tft_base_len", 200.1), ("max_outer_iters", math.inf),
+        ("newton_max_iters", math.inf), ("tft_base_len", math.inf),
     ])
     def test_config_rejects_unusable_solver_settings(self, field, value):
         with pytest.raises(ValueError, match=field):
             SystemConfig(**{field: value})
+
+    def test_config_stores_integral_floats_as_integers(self):
+        config = SystemConfig(max_outer_iters=300.0, newton_max_iters=7.0,
+                              tft_base_len=200.0)
+        for name, value in (("max_outer_iters", 300), ("newton_max_iters", 7),
+                            ("tft_base_len", 200)):
+            assert getattr(config, name) == value
+            assert type(getattr(config, name)) is int
 
     # every numeric field is range-checked, and NaN fails every comparison
     @pytest.mark.parametrize("cls, name", [
