@@ -82,8 +82,9 @@ def projected_newton(slopes: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray
     interval vector ``tau``.  Each device starts mid-region, is clipped to
     its region after every step and stops once a step moves it less than
     ``tol``, or after ``max_iters`` steps.  A device whose curvature turns
-    non-positive bisects its slope on the whole region instead.  Returns
-    the intervals and each device's iteration count.
+    non-positive bisects its slope on the whole region instead, until its
+    bracket is no wider than ``tol`` or holds no float between its ends.
+    Returns the intervals and each device's iteration count.
     """
     lo, hi = np.full_like(tau_th, tau_min), tau_th
     tau = 0.5 * (lo + hi)
@@ -105,8 +106,12 @@ def projected_newton(slopes: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray
         d1_lo, d1_hi = slopes(lo)[0], slopes(hi)[0]
         tau = np.where(flat, np.where(d1_lo >= 0.0, lo, hi), tau)
         run = bracketed = flat & (d1_lo < 0.0) & (d1_hi > 0.0)
-        while (run := run & (hi - lo > tol)).any():
+        while True:
             mid = 0.5 * (lo + hi)
+            # a bracket as narrow as the float spacing stops at any ``tol``
+            run = run & (hi - lo > tol) & (mid != lo) & (mid != hi)
+            if not run.any():
+                break
             falling = slopes(mid)[0] < 0.0
             lo, hi = np.where(run & falling, mid, lo), np.where(run & ~falling, mid, hi)
         tau = np.where(bracketed, 0.5 * (lo + hi), tau)
@@ -116,9 +121,10 @@ def projected_newton(slopes: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray
 # ---------------------------------------------------------------------------
 # vectorized scenario evaluation
 
-#: Pattern entries (trial rows x devices) scored per numpy pass by
-#: ``ScenarioEvaluator.best_flip``; a block holds ``TRIAL_BLOCK_ENTRIES // D``
-#: rows, which keeps its temporaries near 100 kB at any D.
+#: Pattern entries (trial rows x devices) per numpy pass of
+#: ``ScenarioEvaluator.best_flip``.  A block holds ``TRIAL_BLOCK_ENTRIES // D``
+#: trial patterns and their per-device cost matrix (32 kB each at any D)
+#: plus the edge entries alone, about k+1 per row for k offloaders.
 TRIAL_BLOCK_ENTRIES = 4096
 
 
@@ -204,34 +210,37 @@ class ScenarioEvaluator:
     # -- pattern-dependent quantities ------------------------------------
     # ``x`` may stack several patterns along leading axes (shape (..., D)).
 
-    def rates(self, x: np.ndarray) -> np.ndarray:
-        """Uplink rate every device would see, given the others' flags."""
+    def _received_totals(self, x: np.ndarray) -> np.ndarray:
+        """Total received power of each pattern, shape ``(..., 1)``."""
         # one dot product per pattern, as ``x @ rx_power`` computes it for a
         # single pattern, so stacked patterns get bit-identical totals
-        total = (x[..., None, :] @ self.rx_power[:, None])[..., 0]
-        return self.rates_under(total - x * self.rx_power)
+        return (x[..., None, :] @ self.rx_power[:, None])[..., 0]
 
-    def rates_under(self, interference: np.ndarray) -> np.ndarray:
-        """Uplink rate every device would see under the given interference."""
-        sinr = self.rx_power / (self.config.noise_power + interference)
+    def rates(self, x: np.ndarray) -> np.ndarray:
+        """Uplink rate every device would see, given the others' flags."""
+        return self.rates_under(self._received_totals(x) - x * self.rx_power)
+
+    # ``d=None`` means every device; an index array ``d`` selects the
+    # devices that the leading axis of the other arguments holds.
+
+    def rates_under(self, interference: np.ndarray, d=None) -> np.ndarray:
+        """Uplink rate every device (or devices ``d``) would see under ``interference``."""
+        rx = self.rx_power if d is None else self.rx_power[d]
+        sinr = rx / (self.config.noise_power + interference)
         return self.config.bandwidth * np.log2(1.0 + sinr)
 
     def trans_times(self, x: np.ndarray) -> np.ndarray:
         return self.payload / self.rates(x)
 
-    def trans_times_under(self, interference: np.ndarray) -> np.ndarray:
-        return self.payload / self.rates_under(interference)
+    def trans_times_under(self, interference: np.ndarray, d=None) -> np.ndarray:
+        payload = self.payload if d is None else self.payload[d]
+        return payload / self.rates_under(interference, d)
 
-    def edge_branch(self, trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """System times and per-update energies of every device on the edge."""
-        return self.t_edge0 + trans[..., None], self.e_sens + self.tx_power * trans
-
-    def _branches(self, x: np.ndarray, trans: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``(t_sys, energies)`` that pattern ``x`` selects, then the edge branch."""
-        t_off, e_off = self.edge_branch(trans)
-        on_edge = x == 1
-        return (np.where(on_edge[..., None], t_off, self.t_local),
-                np.where(on_edge, e_off, self.e_local), t_off, e_off)
+    def edge_branch(self, trans: np.ndarray, d=None) -> tuple[np.ndarray, np.ndarray]:
+        """System times and per-update energies of every device (or devices ``d``) on the edge."""
+        if d is None:
+            return self.t_edge0 + trans[..., None], self.e_sens + self.tx_power * trans
+        return self.t_edge0[d] + trans[..., None], self.e_sens[d] + self.tx_power[d] * trans
 
     def pattern_state(self, x: np.ndarray) -> PatternState:
         """The read-only ``PatternState`` of pattern ``x``, computed on a miss.
@@ -244,9 +253,12 @@ class ScenarioEvaluator:
         if key != self._pattern_key:
             cfg = self.config
             trans = self.trans_times(x)
-            t_sys, energies, t_off, e_off = self._branches(x, trans)
+            t_off, e_off = self.edge_branch(trans)
+            on_edge = x == 1
+            t_sys = np.where(on_edge[:, None], t_off, self.t_local)
+            energies = np.where(on_edge, e_off, self.e_local)
             load = float(x @ self.payload)
-            admissible = np.where(x == 1, True,
+            admissible = np.where(on_edge, True,
                                   load + self.payload <= cfg.capacity_threshold)
             tau_th = (2.0 * (1.0 - self.lam[None, :] * t_sys)
                       / self.lam[None, :]).min(axis=1)
@@ -277,11 +289,14 @@ class ScenarioEvaluator:
         return np.maximum(self.config.tau_min, e / self.e_budget)
 
     def _penalized_costs(self, tau: np.ndarray, mu: np.ndarray,
-                         t_sys: np.ndarray, e: np.ndarray) -> np.ndarray:
-        """Weighted age plus energy penalty; ``t_sys``/``e`` may stack patterns."""
+                         t_sys: np.ndarray, e: np.ndarray, d=None) -> np.ndarray:
+        """Weighted age plus energy penalty of every device, or of devices ``d``."""
         phi, half_tau = self._tau_state(tau)
+        budget = self.e_budget
+        if d is not None:
+            phi, half_tau, tau, mu, budget = phi[d], half_tau[d], tau[d], mu[d], budget[d]
         age = (phi * (half_tau + t_sys)).sum(axis=-1)
-        return age + mu * (e / tau - self.e_budget)
+        return age + mu * (e / tau - budget)
 
     def device_costs(self, tau: np.ndarray, mu: np.ndarray,
                      x: np.ndarray) -> np.ndarray:
@@ -350,23 +365,34 @@ class ScenarioEvaluator:
                   ) -> tuple[int | None, float]:
         """Single flip ``x[devices[k]] = targets[k]`` that lowers the system cost most.
 
-        Every trial pattern is scored with ``system_cost``'s formulas and
-        reductions, so a gain equals ``system_cost(x) - system_cost(trial)``
-        exactly.  Ties go to the first device.  Returns ``(device, gain)``,
-        or ``(None, 0.0)`` when no flip lowers the cost strictly.
+        A trial's local devices cost what they cost on their own local
+        branch, whatever the pattern, so every row starts as a copy of
+        those costs.  Only the edge entries of a trial (its offloaders,
+        ~k+1 per row for k current offloaders) get a rate, transmission
+        time, edge branch and penalized cost, under the row's interference
+        total, and are scattered in.  Every entry holds the bits that
+        ``system_cost``'s formulas give it, and each row is summed as
+        ``system_cost`` sums, so a gain equals
+        ``system_cost(x) - system_cost(trial)`` exactly.  Ties go to the
+        first device.  Returns ``(device, gain)``, or ``(None, 0.0)`` when
+        no flip lowers the cost strictly.
         """
         best_d, best_gain = None, 0.0
         if len(devices) == 0:
             return best_d, best_gain
         cost_now = self.system_cost(tau, mu, x)
+        cost_local = self._penalized_costs(tau, mu, self.t_local, self.e_local)
         rows = max(1, TRIAL_BLOCK_ENTRIES // self.n_devices)
         for start in range(0, len(devices), rows):
             block = devices[start:start + rows]
             trials = np.repeat(x[None, :], len(block), axis=0)
             trials[np.arange(len(block)), block] = targets[start:start + rows]
+            totals = self._received_totals(trials)
+            row, d = np.nonzero(trials)
             # ``trans_times`` stays one call per pattern state, so trials bypass it
-            t_sys, e = self._branches(trials, self.payload / self.rates(trials))[:2]
-            costs = self._penalized_costs(tau, mu, t_sys, e)
+            trans = self.trans_times_under(totals[row, 0] - self.rx_power[d], d)
+            costs = np.repeat(cost_local[None, :], len(block), axis=0)
+            costs[row, d] = self._penalized_costs(tau, mu, *self.edge_branch(trans, d), d)
             gains = cost_now - costs.sum(axis=-1)
             k = int(np.argmax(gains))
             if gains[k] > best_gain:
@@ -500,7 +526,9 @@ class SolveTrace:
 
     ``metrics`` holds ``ScenarioEvaluator.achieved_metrics`` of the decision
     the solve returned, computed on the solve's own evaluator; it stays
-    empty until ``run_outer_loop`` returns.
+    empty until ``run_outer_loop`` returns.  ``stop_reason`` says why the
+    solve stopped: ``"converged"``, or ``"max_iters_best"`` when the
+    iteration budget ran out and the best iterate was returned.
     """
 
     costs: list[float] = field(default_factory=list)
@@ -508,6 +536,7 @@ class SolveTrace:
     committed: list[list[int]] = field(default_factory=list)
     newton_iters: list[int] = field(default_factory=list)
     converged: bool = False
+    stop_reason: str = ""
     n_iters: int = 0
     metrics: dict = field(default_factory=dict)
 
@@ -580,12 +609,13 @@ def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
         if key < best_key:
             best_key, best = key, (tau, x, mu, violation)
         if abs(cost - prev_cost) < cfg.convergence_eps and feasible:
-            trace.converged = True
+            trace.converged, trace.stop_reason = True, "converged"
             break
         prev_cost = cost
     else:
         # trace.append rejects non-finite costs, so iteration 1 set best
         tau, x, mu, violation = best
+        trace.stop_reason = "max_iters_best"
         log.warning("no convergence in %d outer iterations; returning the best "
                     "iterate, max energy violation %.6g",
                     cfg.max_outer_iters, violation)

@@ -10,6 +10,7 @@ All quantities are SI (seconds, bits, watts, joules, FLOP/s).
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -30,6 +31,26 @@ MODALITIES = (ModalityKind.IMAGE, ModalityKind.AUDIO, ModalityKind.SIGNAL)
 #: Scheduling policies for the sequential local processor.
 SCHEDULE_FIXED = "fixed"
 SCHEDULE_BY_WEIGHT = "by_weight"
+
+
+@functools.cache
+def _int_fields(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.type == "int")
+
+
+def _store_integers(obj) -> None:
+    """Store every ``int`` field of dataclass ``obj`` as an ``int``.
+
+    YAML reads 300.0 as a float, which is taken; a fractional value is not,
+    because the models use these fields as counts and sizes.
+    """
+    for name in _int_fields(type(obj)):
+        value = getattr(obj, name)
+        if type(value) is int:
+            continue
+        if not float(value).is_integer():
+            raise ValueError(f"{name} must be an integer, got {value}")
+        object.__setattr__(obj, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -86,6 +107,7 @@ class DeviceProfile:
         if len(weights) != 3 or not all(w >= 0 for w in weights):
             raise ValueError(f"maoi_weights must be 3 values >= 0, got {self.maoi_weights}")
         object.__setattr__(self, "maoi_weights", weights)
+        _store_integers(self)
         samples = self.aud_duration * self.aud_rate
         if abs(samples - round(samples)) > 1e-6 * max(1.0, samples):
             raise ValueError(f"aud_duration*aud_rate = {samples} is not an integer sample count")
@@ -131,12 +153,7 @@ class SystemConfig:
                      "newton_tol", "newton_max_iters", "max_outer_iters"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        # YAML reads 300.0 as a float, and the solvers loop over these counts
-        for name in ("tft_base_len", "newton_max_iters", "max_outer_iters"):
-            value = getattr(self, name)
-            if not float(value).is_integer():
-                raise ValueError(f"{name} must be an integer, got {value}")
-            object.__setattr__(self, name, int(value))
+        _store_integers(self)
         for name in ("energy_tol", "mu_init"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")

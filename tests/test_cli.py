@@ -270,6 +270,15 @@ class TestSolveCommand:
         assert decision[0] == "device,tau,x,mu"
         assert len(decision) == 4
 
+    @pytest.mark.parametrize("override, reason", [
+        ("energy_budget=50.0", "converged"), ("max_outer_iters=1", "max_iters_best")])
+    def test_summary_line_says_why_the_solve_stopped(self, tmp_path, capsys,
+                                                     override, reason):
+        code = run_cli(["solve", "--algorithm", "jso", "--devices", "3",
+                        "--override", override, "--out", str(tmp_path)])
+        assert code == 0
+        assert f" stop={reason} " in capsys.readouterr().out
+
     def test_decision_csv_is_data_only(self, tmp_path):
         code = run_cli(["solve", "--algorithm", "fmi", "--devices", "4",
                         "--out", str(tmp_path)])
@@ -292,6 +301,7 @@ class TestSolveCommand:
         (["--override", "energy_tol=nan"], "energy_tol"),
         (["--devices", "0"], "d_count"),
         (["--override", "path_loss_exponent=-2"], "path_loss_exponent must be"),
+        (["--override", "img_height=224.5"], "img_height must be an integer, got 224.5"),
     ])
     def test_bad_settings_rejected(self, tmp_path, args, match):
         with pytest.raises(SystemExit, match=match):

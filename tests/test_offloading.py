@@ -129,17 +129,90 @@ class TestBatchedTrials:
     """``br_round`` scores its trials in blocks; the per-trial loop is the oracle."""
 
     @staticmethod
-    def per_trial_round(ev, tau, mu, x):
-        br = ev.best_responses(tau, mu, x)
+    def per_trial_flip(ev, tau, mu, x, devices, targets):
         cost_now = ev.system_cost(tau, mu, x)
         best_d, best_gain = None, 0.0
-        for d in np.nonzero(br != x)[0]:
+        for d, target in zip(devices, targets):
             trial = x.copy()
-            trial[d] = br[d]
+            trial[d] = target
             gain = cost_now - ev.system_cost(tau, mu, trial)
             if gain > best_gain:
                 best_d, best_gain = int(d), gain
         return best_d, best_gain
+
+    @classmethod
+    def per_trial_round(cls, ev, tau, mu, x):
+        br = ev.best_responses(tau, mu, x)
+        deviators = np.nonzero(br != x)[0]
+        return cls.per_trial_flip(ev, tau, mu, x, deviators, br[deviators])
+
+    @staticmethod
+    def instance(d_count, n_offloaders, seed, **overrides):
+        """Random intervals and multipliers, and a start with ``n_offloaders``."""
+        profiles, config = scenario_lists(d_count, seed=seed, **overrides)
+        ev = ScenarioEvaluator(profiles, config)
+        rng = np.random.default_rng(seed)
+        tau = rng.uniform(2.0, 15.0, d_count)
+        mu = rng.uniform(0.0, 10.0, d_count)
+        x = np.zeros(d_count, dtype=np.int64)
+        x[rng.choice(d_count, n_offloaders, replace=False)] = 1
+        return ev, tau, mu, x
+
+    @pytest.mark.parametrize("n_offloaders", [2, 3, 4, 5])
+    @pytest.mark.parametrize("capacity", [6e6, 3e7])
+    def test_every_flip_from_an_offloading_start_matches(self, n_offloaders, capacity):
+        # release flips (target 0) leave a trial with fewer edge entries
+        ev, tau, mu, x = self.instance(20, n_offloaders, seed=n_offloaders,
+                                       capacity_threshold=capacity)
+        devices, targets = np.arange(20), 1 - x
+        assert ev.best_flip(tau, mu, x, devices, targets) == \
+            self.per_trial_flip(ev, tau, mu, x, devices, targets)
+        # one flip per call: every positive gain is compared, not only the best
+        for d in devices:
+            one = (devices[d:d + 1], targets[d:d + 1])
+            assert ev.best_flip(tau, mu, x, *one) == self.per_trial_flip(ev, tau, mu, x, *one)
+
+    @pytest.mark.parametrize("capacity", [6e6, 3e7])
+    def test_all_ones_targets_match(self, capacity):
+        # GMO's trials: every still-local device on the edge
+        ev, tau, mu, x = self.instance(40, 3, seed=7, capacity_threshold=capacity)
+        candidates = np.nonzero(x == 0)[0]
+        targets = np.ones_like(candidates)
+        assert ev.best_flip(tau, mu, x, candidates, targets) == \
+            self.per_trial_flip(ev, tau, mu, x, candidates, targets)
+
+    def test_multi_block_call_with_offloaders_matches(self):
+        ev, tau, mu, x = self.instance(320, 5, seed=3, capacity_threshold=3e7)
+        devices, targets = np.arange(320), 1 - x
+        assert len(devices) > 2 * (TRIAL_BLOCK_ENTRIES // 320)
+        best = ev.best_flip(tau, mu, x, devices, targets)
+        assert best[0] is not None
+        assert best == self.per_trial_flip(ev, tau, mu, x, devices, targets)
+
+    def test_rates_only_for_edge_entries(self, monkeypatch):
+        # a block prices the trials' offloaders alone, not every entry
+        d_count = 320
+        ev, tau, mu, x = self.instance(d_count, 4, seed=5)
+        devices, targets = np.arange(d_count), 1 - x
+        ev.system_cost(tau, mu, x)  # the start's own rates, before counting
+        sizes = []
+        original = ScenarioEvaluator.rates_under
+
+        def counting(self, interference, d=None):
+            sizes.append(np.size(interference))
+            return original(self, interference, d)
+
+        monkeypatch.setattr(ScenarioEvaluator, "rates_under", counting)
+        ev.best_flip(tau, mu, x, devices, targets)
+        rows = TRIAL_BLOCK_ENTRIES // d_count
+        expected = []
+        for start in range(0, d_count, rows):
+            block = devices[start:start + rows]
+            trials = np.repeat(x[None, :], len(block), axis=0)
+            trials[np.arange(len(block)), block] = targets[start:start + rows]
+            expected.append(np.count_nonzero(trials))
+        assert sizes == expected
+        assert max(sizes) <= rows * (4 + 1) < rows * d_count
 
     @pytest.mark.parametrize("d_count, overrides", [
         (320, {}),
@@ -520,6 +593,7 @@ class TestOuterLoop:
         with caplog.at_level(logging.WARNING, logger="maoi_edge.optimizer"):
             _, trace = baselines.solve("idd", profiles, config)
         assert not trace.converged
+        assert trace.stop_reason == "max_iters_best"
         assert trace.n_iters == 300
         records = [r for r in caplog.records if r.name == "maoi_edge.optimizer"]
         assert len(records) == 1
@@ -533,6 +607,7 @@ class TestOuterLoop:
         with caplog.at_level(logging.WARNING, logger="maoi_edge.optimizer"):
             _, trace = baselines.solve("fmi", profiles, config)
         assert trace.converged
+        assert trace.stop_reason == "converged"
         assert not [r for r in caplog.records if r.name == "maoi_edge.optimizer"]
 
     def test_default_decision_shape(self):

@@ -204,6 +204,21 @@ class TestNewton:
         assert pair.tolist() == [iters, 1]
         assert newton(terms, th, max_iters=2)[1] == 2
 
+    def test_bisection_below_the_float_spacing_returns(self):
+        # no float lies strictly between adjacent bounds, so a tolerance
+        # below their spacing stops there; the guard fails a loop, not hangs
+        calls = []
+
+        def slopes_fn(t):
+            calls.append(1)
+            if len(calls) > 200:
+                raise AssertionError("bisection did not stop")
+            return t - 10.0, np.zeros_like(t)
+
+        tau, iters = projected_newton(slopes_fn, 2.0, np.array([30.0]), 1e-300, 50)
+        assert iters.tolist() == [1]
+        assert tau[0] == pytest.approx(10.0, abs=1e-14)
+
 
 class TestOptimalSamplingInterval:
     def test_empty_region_returns_approximation(self, device, config):

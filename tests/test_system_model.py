@@ -72,6 +72,19 @@ class TestTypes:
             assert getattr(config, name) == value
             assert type(getattr(config, name)) is int
 
+    @pytest.mark.parametrize("name, value", [
+        ("img_height", 224.5), ("aud_bit_depth", 15.5), ("sig_points_per_frame", 63.5)])
+    def test_profile_rejects_fractional_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
+            DeviceProfile(id=0, **{name: value})
+
+    def test_profile_stores_integral_floats_as_integers(self):
+        profile = DeviceProfile(id=0, img_height=224.0, aud_bit_depth=16.0,
+                                sig_points_per_frame=64.0)
+        for name in ("img_height", "aud_bit_depth", "sig_points_per_frame"):
+            assert type(getattr(profile, name)) is int
+        assert profile == DeviceProfile(id=0)
+
     # every numeric field is range-checked, and NaN fails every comparison
     @pytest.mark.parametrize("cls, name", [
         (cls, f.name) for cls in (SystemConfig, DeviceProfile) for f in fields(cls)
