@@ -5,15 +5,17 @@ computation energy or the uplink transmission energy (transmit power times
 transmission time), never both, selected by its offload flag;
 ``optimizer.ScenarioEvaluator`` combines the branches under an offload
 pattern and divides by the sampling interval to get the average power draw
-that the budget constrains.
+that the budget constrains.  Both models take one profile or the
+``profile_columns`` of many devices.
 """
 
 from __future__ import annotations
 
-from .system_model import MODALITIES, DeviceProfile, SystemConfig, compute_flops
+from .system_model import (MODALITIES, DeviceProfile, ProfileColumns, SystemConfig,
+                           compute_flops)
 
 
-def sensing_energy(profile: DeviceProfile) -> float:
+def sensing_energy(profile: DeviceProfile | ProfileColumns):
     """Joules spent acquiring one full update (camera + ADC + radar-on time)."""
     e_img = (profile.cam_overhead_energy
              + profile.per_pixel_energy
@@ -26,10 +28,10 @@ def sensing_energy(profile: DeviceProfile) -> float:
     return e_img + e_aud + e_sig
 
 
-def computation_energy(profile: DeviceProfile, config: SystemConfig) -> float:
+def computation_energy(profile: DeviceProfile | ProfileColumns, config: SystemConfig):
     """Joules for local inference over all three modalities."""
-    return config.energy_per_flop * sum(compute_flops(profile, config, m)
-                                        for m in MODALITIES)
+    return config.energy_per_flop * sum([compute_flops(profile, config, m)
+                                         for m in MODALITIES])
 
 
 __all__ = ["sensing_energy", "computation_energy"]

@@ -49,6 +49,7 @@ from .system_model import (
     SystemConfig,
     compute_time,
     local_waiting_time,
+    profile_columns,
     sensing_time,
     total_data_bits,
 )
@@ -94,8 +95,10 @@ def projected_newton(slopes: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray
         for _ in range(max_iters):
             iters += run
             d1, d2 = slopes(tau)
-            flat |= run & (d2 <= 0.0)
-            run &= ~flat
+            nonconvex = d2 <= 0.0
+            if nonconvex.any():  # rare, so the flat-device bookkeeping waits for it
+                flat |= run & nonconvex
+                run &= ~nonconvex
             step = np.minimum(np.maximum(tau - d1 / d2, lo), hi)
             moved = ~(np.abs(step - tau) < tol)
             tau = np.where(run, step, tau)
@@ -147,10 +150,12 @@ class ScenarioEvaluator:
     """Device-vectorized cost evaluation for one scenario and objective.
 
     Static per-device quantities (payloads, sensing/compute times, sensing
-    and compute energies, the local branch's energy) are precomputed.  A
-    local update waits for the modalities scheduled ahead of it on the
-    device's processor; the edge processes all three in parallel, so its
-    system times have no waiting term but add the transmission time.  Two
+    and compute energies, the local branch's energy) are precomputed, each
+    per-modality model run once per modality over the ``profile_columns``
+    of the devices.  A local update waits for the modalities scheduled
+    ahead of it on the device's processor; the edge processes all three in
+    parallel, so its system times have no waiting term but add the
+    transmission time.  Two
     read-only entries are cached, each holding only its latest key:
 
     * per offload pattern, keyed on ``x.tobytes()``: its ``PatternState``
@@ -180,25 +185,23 @@ class ScenarioEvaluator:
             raise ValueError("need at least one device")
         self.n_devices = D
         self.lam = np.asarray(config.event_rates, dtype=float)
-        self.payload = np.array([total_data_bits(p) for p in self.profiles])
-        self.tx_power = np.array([p.tx_power for p in self.profiles])
-        self.rx_power = np.array([p.tx_power * p.channel_gain for p in self.profiles])
-        self.e_budget = np.array([p.energy_budget for p in self.profiles])
-        self.e_sens = np.array([energy_model.sensing_energy(p) for p in self.profiles])
-        self.e_comp = np.array([energy_model.computation_energy(p, config)
-                                for p in self.profiles])
+        cols = profile_columns(self.profiles)
+        self.payload = total_data_bits(cols)
+        self.tx_power = cols.tx_power
+        self.rx_power = cols.tx_power * cols.channel_gain
+        self.e_budget = cols.energy_budget
+        self.e_sens = energy_model.sensing_energy(cols)
+        self.e_comp = energy_model.computation_energy(cols, config)
         self.e_local = self.e_sens + self.e_comp  # per-update energy, local branch
-        self.psi_true = np.array([p.maoi_weights for p in self.profiles])
+        self.psi_true = cols.maoi_weights
         self.psi = (self.psi_true if objective == OBJECTIVE_MAOI
                     else np.zeros_like(self.psi_true))
-        sens = np.array([[sensing_time(p, m) for m in MODALITIES]
-                         for p in self.profiles])
-        wait = np.array([[local_waiting_time(p, config, m) for m in MODALITIES]
-                         for p in self.profiles])
-        t_lc = np.array([[compute_time(p, config, m, "local") for m in MODALITIES]
-                         for p in self.profiles])
-        t_ec = np.array([[compute_time(p, config, m, "edge") for m in MODALITIES]
-                         for p in self.profiles])
+        sens, wait, t_lc, t_ec = (np.empty((D, len(MODALITIES))) for _ in range(4))
+        for s, m in enumerate(MODALITIES):
+            sens[:, s] = sensing_time(cols, m)
+            wait[:, s] = local_waiting_time(cols, config, m)
+            t_lc[:, s] = compute_time(cols, config, m, "local")
+            t_ec[:, s] = compute_time(cols, config, m, "edge")
         self.lemma_gap = wait + t_lc - t_ec     # local minus edge compute path
         self.t_local = sens + wait + t_lc       # full local system times
         self.t_edge0 = sens + t_ec              # edge system times minus transmission

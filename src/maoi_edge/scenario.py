@@ -104,6 +104,9 @@ def generate_scenario(d_count: int, seed: int,
 
     profiles = []
     for i in range(d_count):
+        # the gain stays a scalar call per device: numpy's array power rounds
+        # differently from Python's float power on ~5% of inputs (exponents
+        # 2, 2.5 and 3.3), so a vectorized gain moves 8-19 of 320 devices
         distance = float(np.hypot(*positions[i]))
         gain = channel_gain_from_distance(max(distance, 1e-9), delta)
         kwargs = dict(device_kwargs)

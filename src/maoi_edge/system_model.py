@@ -4,17 +4,24 @@ Every device senses three modalities per status update: an image frame, an
 audio clip, and a frame-batched signal segment (e.g. radar).  Payload sizes
 follow directly from the media parameters; processing cost is expressed in
 FLOPs of a reference network per modality and scaled by the input size.
-All quantities are SI (seconds, bits, watts, joules, FLOP/s).
+Every per-device model takes one ``DeviceProfile`` or the
+``profile_columns`` of many devices.  All quantities are SI (seconds,
+bits, watts, joules, FLOP/s).
 """
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 import json
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 
@@ -111,9 +118,9 @@ class DeviceProfile:
         samples = self.aud_duration * self.aud_rate
         if abs(samples - round(samples)) > 1e-6 * max(1.0, samples):
             raise ValueError(f"aud_duration*aud_rate = {samples} is not an integer sample count")
-
-    def weight(self, modality: ModalityKind) -> float:
-        return self.maoi_weights[modality - 1]
+        frames = self.sig_frame_rate * self.sig_duration
+        if not math.isfinite(frames):
+            raise ValueError(f"sig_frame_rate*sig_duration = {frames} is not a finite frame count")
 
 
 @dataclass(frozen=True)
@@ -169,29 +176,62 @@ class SystemConfig:
             raise ValueError(f"unknown schedule_policy {self.schedule_policy!r}")
 
 
-def data_size_bits(profile: DeviceProfile, modality: ModalityKind) -> float:
-    """Payload size of one update of the given modality, in bits.
+_SCALAR_COLUMNS = tuple(f.name for f in fields(DeviceProfile)
+                        if f.name not in ("id", "maoi_weights"))
+_read_scalars = attrgetter(*_SCALAR_COLUMNS)
 
-    Signal frame counts are truncated toward zero: a partial frame is not
-    emitted.
-    """
+#: Every ``DeviceProfile`` field but ``id``, one array over the devices each.
+ProfileColumns = collections.namedtuple(
+    "ProfileColumns", _SCALAR_COLUMNS + ("maoi_weights",))
+ProfileColumns.__doc__ = """Device fields as read-only ``(D,)`` arrays, ``maoi_weights`` as ``(D, 3)``.
+
+The attribute names are the ``DeviceProfile`` field names, so every
+per-device formula below takes either one profile or the columns of many.
+Every column holds floats: the models multiply the ``int`` fields into
+counts and sizes, which floats hold exactly below 2**53, as Python's
+integers do.
+"""
+
+
+def profile_columns(profiles: Sequence[DeviceProfile]) -> ProfileColumns:
+    """Read ``profiles`` into ``ProfileColumns``."""
+    # one (D, fields) read, transposed so that each column is contiguous
+    scalars = np.array(list(map(_read_scalars, profiles)), dtype=float).T.copy()
+    weights = np.array([p.maoi_weights for p in profiles], dtype=float)
+    for arr in (scalars, weights):
+        arr.flags.writeable = False  # the row views below inherit this
+    return ProfileColumns(*scalars, weights)
+
+
+# ---------------------------------------------------------------------------
+# per-modality models
+#
+# Each takes one ``DeviceProfile`` or the ``ProfileColumns`` of many devices
+# and gives the same bits for a device either way.
+
+def _signal_frames(profile: DeviceProfile | ProfileColumns):
+    """Signal frames per update, truncated toward zero: a partial frame is not emitted."""
+    return np.trunc(profile.sig_frame_rate * profile.sig_duration)
+
+
+def data_size_bits(profile: DeviceProfile | ProfileColumns, modality: ModalityKind):
+    """Payload size of one update of the given modality, in bits."""
     if modality is ModalityKind.IMAGE:
-        return float(profile.img_height * profile.img_width * 3 * 8)
+        return profile.img_height * profile.img_width * profile.img_channels * 8.0
     if modality is ModalityKind.AUDIO:
-        return float(profile.aud_duration * profile.aud_rate
-                     * profile.aud_channels * profile.aud_bit_depth)
-    n_frames = int(profile.sig_frame_rate * profile.sig_duration)
-    return float(n_frames * profile.sig_points_per_frame
-                 * profile.sig_features_per_point * profile.sig_bits_per_feature)
+        return (profile.aud_duration * profile.aud_rate
+                * profile.aud_channels * profile.aud_bit_depth)
+    return (_signal_frames(profile) * profile.sig_points_per_frame
+            * profile.sig_features_per_point * profile.sig_bits_per_feature)
 
 
-def total_data_bits(profile: DeviceProfile) -> float:
+def total_data_bits(profile: DeviceProfile | ProfileColumns):
     """Total uplink payload of one full status update (all three modalities)."""
-    return sum(data_size_bits(profile, m) for m in MODALITIES)
+    return sum([data_size_bits(profile, m) for m in MODALITIES])
 
 
-def compute_flops(profile: DeviceProfile, config: SystemConfig,
-                  modality: ModalityKind) -> float:
+def compute_flops(profile: DeviceProfile | ProfileColumns, config: SystemConfig,
+                  modality: ModalityKind):
     """Inference cost of one update, scaled from the per-modality baseline.
 
     Image cost scales with pixel area, audio cost with clip duration, and
@@ -202,12 +242,15 @@ def compute_flops(profile: DeviceProfile, config: SystemConfig,
         return config.resnet_base_flops * scale
     if modality is ModalityKind.AUDIO:
         return config.ds2_base_flops_per_sec * profile.aud_duration
-    n_frames = int(profile.sig_frame_rate * profile.sig_duration)
-    return config.tft_base_flops * (n_frames / config.tft_base_len) ** 2
+    ratio = _signal_frames(profile) / config.tft_base_len
+    # numpy squares an array by multiplying but a scalar through libm's pow,
+    # which misrounds ~0.1% of squares by one ulp; the product is the
+    # correctly rounded square for a profile and for columns alike
+    return config.tft_base_flops * (ratio * ratio)
 
 
-def compute_time(profile: DeviceProfile, config: SystemConfig,
-                 modality: ModalityKind, location: str) -> float:
+def compute_time(profile: DeviceProfile | ProfileColumns, config: SystemConfig,
+                 modality: ModalityKind, location: str):
     """Processing time in seconds at ``location`` ("local" or "edge")."""
     if location == "local":
         f_c = config.f_local
@@ -218,7 +261,7 @@ def compute_time(profile: DeviceProfile, config: SystemConfig,
     return compute_flops(profile, config, modality) / f_c
 
 
-def sensing_time(profile: DeviceProfile, modality: ModalityKind) -> float:
+def sensing_time(profile: DeviceProfile | ProfileColumns, modality: ModalityKind):
     """Acquisition time: zero for a camera shot, clip/segment duration otherwise."""
     if modality is ModalityKind.IMAGE:
         return 0.0
@@ -227,29 +270,54 @@ def sensing_time(profile: DeviceProfile, modality: ModalityKind) -> float:
     return profile.sig_duration
 
 
+def _served_before(profile: DeviceProfile | ProfileColumns, config: SystemConfig,
+                   first: ModalityKind, then: ModalityKind):
+    """Whether the local processor serves modality ``first`` ahead of ``then``.
+
+    Under the ``by_weight`` policy each device serves its higher-weight
+    modalities first, ties in modality order, so the answer is one bool per
+    device; under the fixed policy it is one bool for all.
+    """
+    if config.schedule_policy == SCHEDULE_BY_WEIGHT:
+        weights = np.asarray(profile.maoi_weights)
+        w_first, w_then = weights[..., first - 1], weights[..., then - 1]
+        return w_first >= w_then if first < then else w_first > w_then
+    order = config.local_schedule_order
+    return order.index(first) < order.index(then)
+
+
 def schedule_order(profile: DeviceProfile, config: SystemConfig,
                    ) -> tuple[ModalityKind, ...]:
-    """Order in which the local processor serves the modalities.
+    """Order in which the local processor serves one device's modalities.
 
     Under the ``by_weight`` policy, higher-weight modalities are served
     first (ties broken by modality index); otherwise the configured fixed
     order applies.
     """
-    if config.schedule_policy == SCHEDULE_BY_WEIGHT:
-        return tuple(sorted(MODALITIES, key=lambda m: (-profile.weight(m), int(m))))
-    return config.local_schedule_order
+    def served_ahead(m: ModalityKind) -> int:
+        return sum(bool(_served_before(profile, config, k, m))
+                   for k in MODALITIES if k is not m)
+
+    return tuple(sorted(MODALITIES, key=served_ahead))
 
 
-def local_waiting_time(profile: DeviceProfile, config: SystemConfig,
-                       modality: ModalityKind) -> float:
+def local_waiting_time(profile: DeviceProfile | ProfileColumns, config: SystemConfig,
+                       modality: ModalityKind):
     """Queueing delay on the sequential local processor.
 
     Equals the summed local compute times of every modality scheduled ahead
-    of ``modality``.
+    of ``modality``.  That is at most two terms, and adding two floats in
+    either order gives the same bits, so summing in modality order serves
+    every device's own order.
     """
-    order = schedule_order(profile, config)
-    rank = order.index(modality)
-    return sum(compute_time(profile, config, m, "local") for m in order[:rank])
+    terms = []
+    for m in MODALITIES:
+        ahead = m is not modality and _served_before(profile, config, m, modality)
+        if ahead is True:  # the fixed policy: one order for every device
+            terms.append(compute_time(profile, config, m, "local"))
+        elif ahead is not False:  # by weight: one bool per device
+            terms.append(np.where(ahead, compute_time(profile, config, m, "local"), 0.0))
+    return sum(terms[1:], start=terms[0]) if terms else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +439,8 @@ def dump_config_document(profiles: list[DeviceProfile], config: SystemConfig,
 
 __all__ = [
     "ModalityKind", "MODALITIES", "SCHEDULE_FIXED", "SCHEDULE_BY_WEIGHT",
-    "DeviceProfile", "SystemConfig", "data_size_bits", "total_data_bits",
+    "DeviceProfile", "SystemConfig", "ProfileColumns", "profile_columns",
+    "data_size_bits", "total_data_bits",
     "compute_flops", "compute_time", "sensing_time", "schedule_order",
     "local_waiting_time", "NUMERIC_FIELDS", "coerce_numeric",
     "config_from_mapping", "profile_from_mapping", "load_config_document",

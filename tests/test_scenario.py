@@ -58,6 +58,14 @@ class TestGeneration:
             assert p.channel_gain == pytest.approx(
                 max(h, REFERENCE_DISTANCE) ** -2)
 
+    @pytest.mark.parametrize("delta", [2.0, 2.5, 3.3])
+    def test_gains_are_the_scalar_formula_exactly(self, delta):
+        # an array power over all devices rounds differently on ~5% of them
+        sc = generate_scenario(320, seed=0, overrides={"path_loss_exponent": delta})
+        for p, pos in zip(sc.profiles, sc.positions):
+            assert p.channel_gain == channel_gain_from_distance(
+                float(np.hypot(*pos)), delta)
+
     def test_weights_stratified_uniform(self):
         sc = generate_scenario(10, seed=0)
         psi = np.array([p.maoi_weights for p in sc.profiles])

@@ -6,11 +6,16 @@ import pytest
 import yaml
 from hypothesis import given, strategies as st
 
+from maoi_edge import energy, system_model
+from maoi_edge.energy import computation_energy, sensing_energy
+from maoi_edge.metric import OBJECTIVE_AOI, OBJECTIVE_MAOI
 from maoi_edge.optimizer import ScenarioEvaluator
+from maoi_edge.scenario import generate_scenario
 from maoi_edge.system_model import (
     MODALITIES,
     DeviceProfile,
     ModalityKind,
+    ProfileColumns,
     SystemConfig,
     compute_flops,
     compute_time,
@@ -19,6 +24,7 @@ from maoi_edge.system_model import (
     dump_config_document,
     load_config_document,
     local_waiting_time,
+    profile_columns,
     schedule_order,
     sensing_time,
     total_data_bits,
@@ -44,6 +50,11 @@ class TestTypes:
     def test_profile_rejects_fractional_sample_count(self):
         with pytest.raises(ValueError):
             DeviceProfile(id=0, aud_duration=1.00001, aud_rate=16_000.0)
+
+    @pytest.mark.parametrize("rate, duration", [(80.0, math.inf), (1e300, 1e300)])
+    def test_profile_rejects_infinite_frame_count(self, rate, duration):
+        with pytest.raises(ValueError, match="finite frame count"):
+            DeviceProfile(id=0, sig_frame_rate=rate, sig_duration=duration)
 
     def test_config_requires_edge_at_least_local(self):
         with pytest.raises(ValueError):
@@ -120,6 +131,13 @@ class TestDataSize:
     def test_total(self, profile):
         assert total_data_bits(profile) == 2_699_264
 
+    def test_image_counts_its_channels(self):
+        grey = DeviceProfile(id=0, img_channels=1)
+        assert data_size_bits(grey, IMG) == 401_408
+        sc = generate_scenario(2, seed=0, overrides={"img_channels": 1})
+        payload = ScenarioEvaluator(list(sc.profiles), sc.config).payload
+        assert (payload == 401_408 + 512_000 + 983_040).all()
+
     @given(h=st.integers(8, 512), w=st.integers(8, 512))
     def test_image_monotone_in_area(self, h, w):
         small = DeviceProfile(id=0, img_height=h, img_width=w)
@@ -182,6 +200,13 @@ class TestTiming:
         p_tie = DeviceProfile(id=0, maoi_weights=(1.0, 1.0, 1.0))
         assert schedule_order(p_tie, cfg) == (IMG, AUD, SIG)
 
+    def test_weight_priority_orders_each_device(self):
+        # one evaluator, two serving orders: (AUD, SIG, IMG) and the tie's (IMG, AUD, SIG)
+        profiles = [DeviceProfile(id=0, maoi_weights=(0.5, 2.0, 1.0)), DeviceProfile(id=1)]
+        ev = ScenarioEvaluator(profiles, SystemConfig(schedule_policy="by_weight"))
+        assert ev.t_local[0] == pytest.approx((14.648, 12.0, 13.648))
+        assert ev.t_local[1] == pytest.approx((4.0, 16.0, 17.648))
+
     # system times are built by the evaluator from the per-modality models
     def test_system_time_local_branch(self, profile, config):
         t_local = ScenarioEvaluator([profile], config).t_local[0]
@@ -203,6 +228,112 @@ class TestTiming:
         assert alone.trans[0] != jammed.trans[0]
         assert np.array_equal(alone.t_sys[0], ev.t_local[0])
         assert np.array_equal(jammed.t_sys[0], ev.t_local[0])
+
+
+#: Devices that differ in every input of the per-modality models; devices 2
+#: and 3 tie two weights each, and every audio clip holds whole samples.
+#: Device 3's 169 signal frames over a ``tft_base_len`` of 137 give a ratio
+#: whose square libm's pow rounds one ulp away from the product.
+HETEROGENEOUS_DEVICES = [
+    {"id": 0},
+    {"id": 1, "img_height": 480, "img_width": 640, "img_channels": 1,
+     "aud_rate": 44_100.0, "aud_channels": 2, "sig_duration": 2.37,
+     "sig_frame_rate": 30.0, "sig_points_per_frame": 32, "tx_power": 0.3,
+     "energy_budget": 2.5, "maoi_weights": [2.0, 0.5, 1.0]},
+    {"id": 2, "img_height": 96, "img_width": 128, "aud_duration": 0.5,
+     "aud_bit_depth": 24, "sig_features_per_point": 8, "sig_bits_per_feature": 8,
+     "tx_power": 0.05, "channel_gain": 3e-3, "energy_budget": 0.4,
+     "maoi_weights": [1.0, 1.0, 0.5]},
+    {"id": 3, "img_channels": 4, "aud_rate": 8_000.0, "sig_frame_rate": 13.0,
+     "sig_duration": 13.0, "per_pixel_energy": 4e-11, "energy_budget": 9.0,
+     "maoi_weights": [0.5, 1.5, 1.5]},
+]
+
+
+def per_profile_arrays(profiles, config, objective) -> dict:
+    """``ScenarioEvaluator``'s static arrays, built one profile at a time."""
+    def per_modality(formula):
+        return np.array([[formula(p, m) for m in MODALITIES] for p in profiles])
+
+    sens = per_modality(sensing_time)
+    wait = per_modality(lambda p, m: local_waiting_time(p, config, m))
+    t_lc = per_modality(lambda p, m: compute_time(p, config, m, "local"))
+    t_ec = per_modality(lambda p, m: compute_time(p, config, m, "edge"))
+    e_sens = np.array([sensing_energy(p) for p in profiles])
+    e_comp = np.array([computation_energy(p, config) for p in profiles])
+    psi_true = np.array([p.maoi_weights for p in profiles])
+    return {
+        "payload": np.array([total_data_bits(p) for p in profiles]),
+        "tx_power": np.array([p.tx_power for p in profiles]),
+        "rx_power": np.array([p.tx_power * p.channel_gain for p in profiles]),
+        "e_budget": np.array([p.energy_budget for p in profiles]),
+        "e_sens": e_sens,
+        "e_comp": e_comp,
+        "e_local": e_sens + e_comp,
+        "psi_true": psi_true,
+        "psi": psi_true if objective == OBJECTIVE_MAOI else np.zeros_like(psi_true),
+        "lemma_gap": wait + t_lc - t_ec,
+        "t_local": sens + wait + t_lc,
+        "t_edge0": sens + t_ec,
+    }
+
+
+class TestProfileColumns:
+    """The evaluator runs each model once over device columns, with a profile's bits."""
+
+    @staticmethod
+    def load(tmp_path, system, devices=HETEROGENEOUS_DEVICES):
+        path = tmp_path / "devices.yaml"
+        path.write_text(yaml.safe_dump({"system": system, "devices": devices}))
+        return load_config_document(path)
+
+    def test_columns_are_the_profile_fields(self, tmp_path):
+        profiles, _ = self.load(tmp_path, {})
+        cols = profile_columns(profiles)
+        for name in ProfileColumns._fields:
+            column = getattr(cols, name)
+            assert np.array_equal(column, [getattr(p, name) for p in profiles]), name
+            assert not column.flags.writeable, name
+        assert cols.maoi_weights.shape == (len(profiles), 3)
+
+    @pytest.mark.parametrize("system, objective, n_devices", [
+        ({}, OBJECTIVE_MAOI, 4),
+        ({"schedule_policy": "by_weight"}, OBJECTIVE_MAOI, 4),
+        ({"local_schedule_order": ["signal", "image", "audio"], "f_local": 7e8,
+          "tft_base_len": 137}, OBJECTIVE_MAOI, 4),
+        ({}, OBJECTIVE_AOI, 4),
+        ({"schedule_policy": "by_weight"}, OBJECTIVE_MAOI, 1),
+    ])
+    def test_arrays_match_the_per_profile_formulas(self, tmp_path, system, objective,
+                                                    n_devices):
+        profiles, config = self.load(tmp_path, system, HETEROGENEOUS_DEVICES[-n_devices:])
+        ev = ScenarioEvaluator(profiles, config, objective)
+        for name, expected in per_profile_arrays(profiles, config, objective).items():
+            actual = getattr(ev, name)
+            assert actual.shape == expected.shape, name
+            assert (actual == expected).all(), name
+
+    def test_formula_calls_do_not_grow_with_devices(self, monkeypatch):
+        calls = []
+
+        def counted(formula):
+            def wrapper(*args):
+                calls.append(formula.__name__)
+                return formula(*args)
+            return wrapper
+
+        flops = counted(system_model.compute_flops)
+        monkeypatch.setattr(system_model, "compute_flops", flops)
+        monkeypatch.setattr(energy, "compute_flops", flops)
+        monkeypatch.setattr(system_model, "data_size_bits",
+                            counted(system_model.data_size_bits))
+        counts = []
+        for n_devices in (1, 40):
+            sc = generate_scenario(n_devices, seed=0)
+            calls.clear()
+            ScenarioEvaluator(list(sc.profiles), sc.config)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 class TestConfigDocument:
