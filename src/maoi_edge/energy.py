@@ -11,8 +11,7 @@ that the budget constrains.  Both models take one profile or the
 
 from __future__ import annotations
 
-from .system_model import (MODALITIES, DeviceProfile, ProfileColumns, SystemConfig,
-                           compute_flops)
+from .system_model import DeviceProfile, ProfileColumns, SystemConfig, compute_flops
 
 
 def sensing_energy(profile: DeviceProfile | ProfileColumns):
@@ -30,8 +29,7 @@ def sensing_energy(profile: DeviceProfile | ProfileColumns):
 
 def computation_energy(profile: DeviceProfile | ProfileColumns, config: SystemConfig):
     """Joules for local inference over all three modalities."""
-    return config.energy_per_flop * sum([compute_flops(profile, config, m)
-                                         for m in MODALITIES])
+    return config.energy_per_flop * compute_flops(profile, config).sum(axis=-1)
 
 
 __all__ = ["sensing_energy", "computation_energy"]

@@ -47,10 +47,11 @@ from .system_model import (
     MODALITIES,
     DeviceProfile,
     SystemConfig,
-    compute_time,
+    compute_flops,
     local_waiting_time,
     profile_columns,
     sensing_time,
+    served_ahead,
     total_data_bits,
 )
 
@@ -151,12 +152,12 @@ class ScenarioEvaluator:
 
     Static per-device quantities (payloads, sensing/compute times, sensing
     and compute energies, the local branch's energy) are precomputed, each
-    per-modality model run once per modality over the ``profile_columns``
-    of the devices.  A local update waits for the modalities scheduled
-    ahead of it on the device's processor; the edge processes all three in
-    parallel, so its system times have no waiting term but add the
-    transmission time.  Two
-    read-only entries are cached, each holding only its latest key:
+    per-modality model run once over the ``profile_columns`` of the
+    devices, returning every modality in one call.  A local update waits
+    for the modalities scheduled ahead of it on the device's processor;
+    the edge processes all three in parallel, so its system times have no
+    waiting term but add the transmission time.  Two read-only entries are
+    cached, each holding only its latest key:
 
     * per offload pattern, keyed on ``x.tobytes()``: its ``PatternState``
       (transmission times, system times, per-update energies, the edge
@@ -196,12 +197,10 @@ class ScenarioEvaluator:
         self.psi_true = cols.maoi_weights
         self.psi = (self.psi_true if objective == OBJECTIVE_MAOI
                     else np.zeros_like(self.psi_true))
-        sens, wait, t_lc, t_ec = (np.empty((D, len(MODALITIES))) for _ in range(4))
-        for s, m in enumerate(MODALITIES):
-            sens[:, s] = sensing_time(cols, m)
-            wait[:, s] = local_waiting_time(cols, config, m)
-            t_lc[:, s] = compute_time(cols, config, m, "local")
-            t_ec[:, s] = compute_time(cols, config, m, "edge")
+        sens = sensing_time(cols)
+        flops = compute_flops(cols, config)
+        t_lc, t_ec = flops / config.f_local, flops / config.f_edge
+        wait = local_waiting_time(t_lc, served_ahead(cols, config))
         self.lemma_gap = wait + t_lc - t_ec     # local minus edge compute path
         self.t_local = sens + wait + t_lc       # full local system times
         self.t_edge0 = sens + t_ec              # edge system times minus transmission
@@ -538,10 +537,16 @@ class SolveTrace:
     max_violations: list[float] = field(default_factory=list)
     committed: list[list[int]] = field(default_factory=list)
     newton_iters: list[int] = field(default_factory=list)
-    converged: bool = False
     stop_reason: str = ""
-    n_iters: int = 0
     metrics: dict = field(default_factory=dict)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
+
+    @property
+    def n_iters(self) -> int:
+        return len(self.costs)
 
     def append(self, cost: float, violation: float, committed: list[int],
                newton: int) -> None:
@@ -551,7 +556,6 @@ class SolveTrace:
         self.max_violations.append(violation)
         self.committed.append(committed)
         self.newton_iters.append(newton)
-        self.n_iters += 1
 
 
 def default_decision(profiles: Sequence[DeviceProfile],
@@ -612,7 +616,7 @@ def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
         if key < best_key:
             best_key, best = key, (tau, x, mu, violation)
         if abs(cost - prev_cost) < cfg.convergence_eps and feasible:
-            trace.converged, trace.stop_reason = True, "converged"
+            trace.stop_reason = "converged"
             break
         prev_cost = cost
     else:

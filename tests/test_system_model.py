@@ -6,7 +6,7 @@ import pytest
 import yaml
 from hypothesis import given, strategies as st
 
-from maoi_edge import energy, system_model
+from maoi_edge import energy, optimizer, system_model
 from maoi_edge.energy import computation_energy, sensing_energy
 from maoi_edge.metric import OBJECTIVE_AOI, OBJECTIVE_MAOI
 from maoi_edge.optimizer import ScenarioEvaluator
@@ -18,7 +18,6 @@ from maoi_edge.system_model import (
     ProfileColumns,
     SystemConfig,
     compute_flops,
-    compute_time,
     config_from_mapping,
     data_size_bits,
     dump_config_document,
@@ -27,6 +26,7 @@ from maoi_edge.system_model import (
     profile_columns,
     schedule_order,
     sensing_time,
+    served_ahead,
     total_data_bits,
 )
 
@@ -114,26 +114,26 @@ class TestTypes:
 
 class TestDataSize:
     def test_image_reference_resolution(self, profile):
-        assert data_size_bits(profile, IMG) == 1_204_224
+        assert data_size_bits(profile)[IMG - 1] == 1_204_224
 
     def test_audio_two_seconds_mono(self, profile):
-        assert data_size_bits(profile, AUD) == 512_000
+        assert data_size_bits(profile)[AUD - 1] == 512_000
 
     def test_signal_frame_batch(self, profile):
         # 240 frames x 64 points x 4 features x 16 bits
-        assert data_size_bits(profile, SIG) == 983_040
+        assert data_size_bits(profile)[SIG - 1] == 983_040
 
     def test_fractional_frames_truncate(self, config):
         p = DeviceProfile(id=0, sig_duration=3.01, sig_frame_rate=80.0)
         # 240.8 frames -> 240 emitted
-        assert data_size_bits(p, SIG) == 983_040
+        assert data_size_bits(p)[SIG - 1] == 983_040
 
     def test_total(self, profile):
         assert total_data_bits(profile) == 2_699_264
 
     def test_image_counts_its_channels(self):
         grey = DeviceProfile(id=0, img_channels=1)
-        assert data_size_bits(grey, IMG) == 401_408
+        assert data_size_bits(grey)[IMG - 1] == 401_408
         sc = generate_scenario(2, seed=0, overrides={"img_channels": 1})
         payload = ScenarioEvaluator(list(sc.profiles), sc.config).payload
         assert (payload == 401_408 + 512_000 + 983_040).all()
@@ -142,55 +142,67 @@ class TestDataSize:
     def test_image_monotone_in_area(self, h, w):
         small = DeviceProfile(id=0, img_height=h, img_width=w)
         big = DeviceProfile(id=0, img_height=h + 1, img_width=w)
-        assert data_size_bits(big, IMG) > data_size_bits(small, IMG)
-        assert compute_flops(big, SystemConfig(), IMG) > compute_flops(small, SystemConfig(), IMG)
+        assert data_size_bits(big)[IMG - 1] > data_size_bits(small)[IMG - 1]
+        assert (compute_flops(big, SystemConfig())[IMG - 1]
+                > compute_flops(small, SystemConfig())[IMG - 1])
 
 
 class TestComputeModel:
     def test_image_flops_at_baseline(self, profile, config):
-        assert compute_flops(profile, config, IMG) == pytest.approx(4e9)
+        assert compute_flops(profile, config)[IMG - 1] == pytest.approx(4e9)
 
     def test_audio_flops_scale_with_duration(self, profile, config):
-        assert compute_flops(profile, config, AUD) == pytest.approx(1e10)
+        assert compute_flops(profile, config)[AUD - 1] == pytest.approx(1e10)
 
     def test_signal_flops_quadratic_in_frames(self, profile, config):
         # 0.45 GFLOP * (240/200)^2
-        assert compute_flops(profile, config, SIG) == pytest.approx(0.648e9)
+        assert compute_flops(profile, config)[SIG - 1] == pytest.approx(0.648e9)
 
     def test_local_and_edge_times(self, profile, config):
-        assert compute_time(profile, config, IMG, "local") == pytest.approx(4.0)
-        assert compute_time(profile, config, IMG, "edge") == pytest.approx(0.4)
+        # the image is served first and sensed at once: its times are its compute
+        ev = ScenarioEvaluator([profile], config)
+        assert ev.t_local[0, IMG - 1] == pytest.approx(4.0)
+        assert ev.t_edge0[0, IMG - 1] == pytest.approx(0.4)
 
     def test_edge_speedup_is_exact_frequency_ratio(self, profile, config):
         ratio = config.f_local / config.f_edge
-        for m in MODALITIES:
-            assert compute_time(profile, config, m, "edge") == pytest.approx(
-                compute_time(profile, config, m, "local") * ratio)
+        t_edge_compute = ScenarioEvaluator([profile], config).t_edge0[0] - sensing_time(profile)
+        assert t_edge_compute == pytest.approx(
+            compute_flops(profile, config) / config.f_local * ratio)
 
     def test_near_zero_audio_workload(self, config):
         p = DeviceProfile(id=0, aud_duration=1e-9, aud_rate=1e9)
-        assert compute_time(p, config, AUD, "local") == pytest.approx(0.0, abs=1e-8)
+        assert compute_flops(p, config)[AUD - 1] / config.f_local == pytest.approx(0.0, abs=1e-8)
 
-    def test_unknown_location_rejected(self, profile, config):
-        with pytest.raises(ValueError):
-            compute_time(profile, config, IMG, "cloud")
+    @pytest.mark.parametrize("profile_or_columns", [
+        lambda ps: ps[0], profile_columns], ids=["profile", "columns"])
+    def test_models_return_the_modality_axis(self, profile_or_columns, config):
+        p = profile_or_columns([DeviceProfile(id=0)])
+        lead = np.shape(p.tx_power)
+        for values in (data_size_bits(p), compute_flops(p, config), sensing_time(p)):
+            assert values.shape == lead + (len(MODALITIES),)
+        assert np.shape(total_data_bits(p)) == lead
 
 
 class TestTiming:
+    @staticmethod
+    def waits(profile, config):
+        t_local_compute = compute_flops(profile, config) / config.f_local
+        return local_waiting_time(t_local_compute, served_ahead(profile, config))
+
     def test_sensing_times(self, profile):
-        assert sensing_time(profile, IMG) == 0.0
-        assert sensing_time(profile, AUD) == 2.0
-        assert sensing_time(profile, SIG) == 3.0
+        assert sensing_time(profile).tolist() == [0.0, 2.0, 3.0]
 
     def test_waiting_follows_schedule_order(self, profile, config):
-        assert local_waiting_time(profile, config, IMG) == 0.0
-        assert local_waiting_time(profile, config, AUD) == pytest.approx(4.0)
-        assert local_waiting_time(profile, config, SIG) == pytest.approx(14.0)
+        wait = self.waits(profile, config)
+        assert wait[IMG - 1] == 0.0
+        assert wait[AUD - 1] == pytest.approx(4.0)
+        assert wait[SIG - 1] == pytest.approx(14.0)
 
     def test_waiting_respects_custom_order(self, profile):
-        cfg = SystemConfig(local_schedule_order=(SIG, AUD, IMG))
-        assert local_waiting_time(profile, cfg, SIG) == 0.0
-        assert local_waiting_time(profile, cfg, IMG) == pytest.approx(10.648)
+        wait = self.waits(profile, SystemConfig(local_schedule_order=(SIG, AUD, IMG)))
+        assert wait[SIG - 1] == 0.0
+        assert wait[IMG - 1] == pytest.approx(10.648)
 
     def test_weight_priority_order(self, config):
         p = DeviceProfile(id=0, maoi_weights=(0.5, 2.0, 1.0))
@@ -199,6 +211,25 @@ class TestTiming:
         # ties break by modality index
         p_tie = DeviceProfile(id=0, maoi_weights=(1.0, 1.0, 1.0))
         assert schedule_order(p_tie, cfg) == (IMG, AUD, SIG)
+
+    @given(st.lists(st.tuples(*[st.sampled_from((0.0, 0.5, 1.0, 2.0))] * 3),
+                    min_size=1, max_size=6))
+    def test_weight_priority_mask_is_a_strict_order(self, weights):
+        # few distinct weights, so ties are common
+        profiles = [DeviceProfile(id=d, maoi_weights=w) for d, w in enumerate(weights)]
+        ahead = served_ahead(profile_columns(profiles), SystemConfig(schedule_policy="by_weight"))
+        assert ahead.shape == (len(profiles), 3, 3)
+        behind = ahead.swapaxes(-1, -2)
+        assert not ahead.diagonal(axis1=-2, axis2=-1).any()  # irreflexive
+        assert not (ahead & behind).any()  # antisymmetric
+        assert (np.sort(ahead.sum(axis=-1), axis=-1) == [0, 1, 2]).all()
+        w = np.array(weights)
+        assert (ahead[w[:, None, :] > w[:, :, None]]).all()  # higher weight first
+
+    def test_weight_priority_rejects_a_fixed_order(self):
+        with pytest.raises(ValueError, match="schedule_policy.*local_schedule_order"):
+            SystemConfig(schedule_policy="by_weight", local_schedule_order=(SIG, AUD, IMG))
+        SystemConfig(schedule_policy="by_weight", local_schedule_order=MODALITIES)
 
     def test_weight_priority_orders_each_device(self):
         # one evaluator, two serving orders: (AUD, SIG, IMG) and the tie's (IMG, AUD, SIG)
@@ -252,13 +283,11 @@ HETEROGENEOUS_DEVICES = [
 
 def per_profile_arrays(profiles, config, objective) -> dict:
     """``ScenarioEvaluator``'s static arrays, built one profile at a time."""
-    def per_modality(formula):
-        return np.array([[formula(p, m) for m in MODALITIES] for p in profiles])
-
-    sens = per_modality(sensing_time)
-    wait = per_modality(lambda p, m: local_waiting_time(p, config, m))
-    t_lc = per_modality(lambda p, m: compute_time(p, config, m, "local"))
-    t_ec = per_modality(lambda p, m: compute_time(p, config, m, "edge"))
+    sens = np.array([sensing_time(p) for p in profiles])
+    flops = np.array([compute_flops(p, config) for p in profiles])
+    t_lc, t_ec = flops / config.f_local, flops / config.f_edge
+    wait = np.array([local_waiting_time(t, served_ahead(p, config))
+                     for p, t in zip(profiles, t_lc)])
     e_sens = np.array([sensing_energy(p) for p in profiles])
     e_comp = np.array([computation_energy(p, config) for p in profiles])
     psi_true = np.array([p.maoi_weights for p in profiles])
@@ -313,7 +342,8 @@ class TestProfileColumns:
             assert actual.shape == expected.shape, name
             assert (actual == expected).all(), name
 
-    def test_formula_calls_do_not_grow_with_devices(self, monkeypatch):
+    @pytest.mark.parametrize("policy", ["fixed", "by_weight"])
+    def test_formula_calls_do_not_grow_with_devices(self, monkeypatch, policy):
         calls = []
 
         def counted(formula):
@@ -323,21 +353,24 @@ class TestProfileColumns:
             return wrapper
 
         flops = counted(system_model.compute_flops)
-        monkeypatch.setattr(system_model, "compute_flops", flops)
-        monkeypatch.setattr(energy, "compute_flops", flops)
+        for module in (system_model, energy, optimizer):
+            monkeypatch.setattr(module, "compute_flops", flops)
         monkeypatch.setattr(system_model, "data_size_bits",
                             counted(system_model.data_size_bits))
         counts = []
         for n_devices in (1, 40):
-            sc = generate_scenario(n_devices, seed=0)
+            sc = generate_scenario(n_devices, seed=0, overrides={"schedule_policy": policy})
             calls.clear()
             ScenarioEvaluator(list(sc.profiles), sc.config)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+        assert 0 < calls.count("compute_flops") <= 2
 
 
 class TestConfigDocument:
-    def test_roundtrip(self, tmp_path, two_profiles, config):
+    @pytest.mark.parametrize("policy", ["fixed", "by_weight"])
+    def test_roundtrip(self, tmp_path, two_profiles, policy):
+        config = SystemConfig(schedule_policy=policy)
         path = tmp_path / "scenario.yaml"
         dump_config_document(two_profiles, config, path)
         profiles, cfg = load_config_document(path)
