@@ -127,9 +127,9 @@ def projected_newton(slopes: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray
 
 #: Pattern entries (trial rows x devices) per numpy pass of
 #: ``ScenarioEvaluator.best_flip``.  A block holds ``TRIAL_BLOCK_ENTRIES // D``
-#: trial patterns and their per-device cost matrix (32 kB each at any D)
-#: plus the edge entries alone, about k+1 per row for k offloaders.
-TRIAL_BLOCK_ENTRIES = 4096
+#: float trial patterns and their per-device cost matrix (128 kB each at
+#: any D) plus the edge entries alone, about k+1 per row for k offloaders.
+TRIAL_BLOCK_ENTRIES = 16384
 
 
 class PatternState(NamedTuple):
@@ -369,11 +369,13 @@ class ScenarioEvaluator:
 
         A trial's local devices cost what they cost on their own local
         branch, whatever the pattern, so every row starts as a copy of
-        those costs.  Only the edge entries of a trial (its offloaders,
-        ~k+1 per row for k current offloaders) get a rate, transmission
-        time, edge branch and penalized cost, under the row's interference
-        total, and are scattered in.  Every entry holds the bits that
-        ``system_cost``'s formulas give it, and each row is summed as
+        those costs.  Only the edge entries of a trial get a rate,
+        transmission time, edge branch and penalized cost, under the row's
+        interference total, and are scattered in.  They come from the
+        pattern, not from a scan of the trial block: x's offloaders other
+        than the row's device, plus that device when its target is the
+        edge (~k+1 per row for k offloaders).  Every entry holds the bits
+        that ``system_cost``'s formulas give it, and each row is summed as
         ``system_cost`` sums, so a gain equals
         ``system_cost(x) - system_cost(trial)`` exactly.  Ties go to the
         first device.  Returns ``(device, gain)``, or ``(None, 0.0)`` when
@@ -384,16 +386,27 @@ class ScenarioEvaluator:
             return best_d, best_gain
         cost_now = self.system_cost(tau, mu, x)
         cost_local = self._penalized_costs(tau, mu, self.t_local, self.e_local)
+        # float 0/1 rows, so the totals' matmul casts no int block
+        x_float = x.astype(float)
+        off = np.flatnonzero(x)
+        n_off = len(off)
         rows = max(1, TRIAL_BLOCK_ENTRIES // self.n_devices)
         for start in range(0, len(devices), rows):
-            block = devices[start:start + rows]
-            trials = np.repeat(x[None, :], len(block), axis=0)
-            trials[np.arange(len(block)), block] = targets[start:start + rows]
-            totals = self._received_totals(trials)
-            row, d = np.nonzero(trials)
+            block, to = devices[start:start + rows], targets[start:start + rows]
+            n = len(block)
+            trials = np.repeat(x_float[None, :], n, axis=0)
+            trials[np.arange(n), block] = to
+            totals = self._received_totals(trials)[:, 0]
+            # a row's edge entries: x's offloaders other than the row's
+            # device, then the device itself (last column) if it goes to the edge
+            cand = np.empty((n, n_off + 1), dtype=np.intp)
+            cand[:, :n_off], cand[:, n_off] = off, block
+            edge = cand != block[:, None]
+            edge[:, n_off] = to == 1
+            row, d = np.repeat(np.arange(n), edge.sum(axis=1)), cand[edge]
             # ``trans_times`` stays one call per pattern state, so trials bypass it
-            trans = self.trans_times_under(totals[row, 0] - self.rx_power[d], d)
-            costs = np.repeat(cost_local[None, :], len(block), axis=0)
+            trans = self.trans_times_under(totals[row] - self.rx_power[d], d)
+            costs = np.repeat(cost_local[None, :], n, axis=0)
             costs[row, d] = self._penalized_costs(tau, mu, *self.edge_branch(trans, d), d)
             gains = cost_now - costs.sum(axis=-1)
             k = int(np.argmax(gains))
@@ -492,13 +505,17 @@ class ScenarioEvaluator:
 # outer loop
 
 def as_offload_vector(x: Sequence[int] | np.ndarray, n_devices: int) -> np.ndarray:
-    """Validate and normalize an offload vector to an int array of 0/1."""
-    arr = np.asarray(x, dtype=np.int64)
+    """Validate and normalize an offload vector to an int array of 0/1.
+
+    The entries are checked before the cast, so 0.5 or 1.7 fails rather
+    than truncating to a flag.
+    """
+    arr = np.asarray(x)
     if arr.shape != (n_devices,):
         raise ValueError(f"offload vector has shape {arr.shape}, expected ({n_devices},)")
-    if not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValueError("offload vector entries must be 0 or 1")
-    return arr
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass
@@ -511,10 +528,12 @@ class Decision:
 
     def __post_init__(self) -> None:
         self.tau = np.asarray(self.tau, dtype=float)
-        self.x = np.asarray(self.x, dtype=np.int64)
         self.mu = np.asarray(self.mu, dtype=float)
-        if not (self.tau.shape == self.x.shape == self.mu.shape):
+        if not (self.tau.ndim == 1 and self.tau.shape == np.shape(self.x) == self.mu.shape):
             raise ValueError("tau, x, mu must have equal length")
+        self.x = as_offload_vector(self.x, len(self.tau))
+        if not (np.isfinite(self.tau).all() and np.isfinite(self.mu).all()):
+            raise ValueError("intervals and multipliers must be finite")
         if (self.mu < 0).any():
             raise ValueError("multipliers must be >= 0")
 

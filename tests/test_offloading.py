@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from maoi_edge import baselines
+from maoi_edge import baselines, optimizer
 from maoi_edge.energy import sensing_energy
 from maoi_edge.experiments import write_trace_csv
 from maoi_edge.optimizer import (
@@ -189,11 +189,9 @@ class TestBatchedTrials:
         assert best[0] is not None
         assert best == self.per_trial_flip(ev, tau, mu, x, devices, targets)
 
-    def test_rates_only_for_edge_entries(self, monkeypatch):
-        # a block prices the trials' offloaders alone, not every entry
-        d_count = 320
-        ev, tau, mu, x = self.instance(d_count, 4, seed=5)
-        devices, targets = np.arange(d_count), 1 - x
+    @staticmethod
+    def priced_entries(monkeypatch, ev, tau, mu, x, devices, targets):
+        """``best_flip``'s result and the entries it priced per block."""
         ev.system_cost(tau, mu, x)  # the start's own rates, before counting
         sizes = []
         original = ScenarioEvaluator.rates_under
@@ -203,22 +201,81 @@ class TestBatchedTrials:
             return original(self, interference, d)
 
         monkeypatch.setattr(ScenarioEvaluator, "rates_under", counting)
-        ev.best_flip(tau, mu, x, devices, targets)
-        rows = TRIAL_BLOCK_ENTRIES // d_count
-        expected = []
-        for start in range(0, d_count, rows):
+        best = ev.best_flip(tau, mu, x, devices, targets)
+        monkeypatch.undo()
+        return best, sizes
+
+    @staticmethod
+    def edge_entries(x, devices, targets):
+        """Offloaders of each block's trials, counted on the trial patterns."""
+        rows = TRIAL_BLOCK_ENTRIES // len(x)
+        counts = []
+        for start in range(0, len(devices), rows):
             block = devices[start:start + rows]
             trials = np.repeat(x[None, :], len(block), axis=0)
             trials[np.arange(len(block)), block] = targets[start:start + rows]
-            expected.append(np.count_nonzero(trials))
-        assert sizes == expected
+            counts.append(np.count_nonzero(trials))
+        return counts
+
+    def test_rates_only_for_edge_entries(self, monkeypatch):
+        # a block prices the trials' offloaders alone, not every entry
+        d_count = 320
+        ev, tau, mu, x = self.instance(d_count, 4, seed=5)
+        devices, targets = np.arange(d_count), 1 - x
+        _, sizes = self.priced_entries(monkeypatch, ev, tau, mu, x, devices, targets)
+        rows = TRIAL_BLOCK_ENTRIES // d_count
+        assert sizes == self.edge_entries(x, devices, targets)
         assert max(sizes) <= rows * (4 + 1) < rows * d_count
+
+    @pytest.mark.parametrize("d_count", [80, 160, 320])
+    def test_single_wide_block_mixing_joins_and_releases(self, d_count):
+        # every offloader releases and local devices join, in one block
+        ev, tau, mu, x = self.instance(d_count, 10, seed=d_count,
+                                       capacity_threshold=3e7)
+        rows = TRIAL_BLOCK_ENTRIES // d_count
+        devices = np.sort(np.concatenate((np.flatnonzero(x),
+                                          np.flatnonzero(x == 0)[:rows - 10])))
+        targets = 1 - x[devices]
+        assert len(devices) <= rows
+        assert 0 < targets.sum() < len(devices) - 9
+        best = ev.best_flip(tau, mu, x, devices, targets)
+        assert best[0] is not None
+        assert best == self.per_trial_flip(ev, tau, mu, x, devices, targets)
+
+    @pytest.mark.parametrize("capacity", [6e6, 3e7])
+    def test_targets_at_current_flags_are_priced_once(self, capacity, monkeypatch):
+        # a trial equal to x gains exactly 0, and its device is priced once
+        d_count = 160
+        ev, tau, mu, x = self.instance(d_count, 6, seed=11, capacity_threshold=capacity)
+        devices = np.arange(d_count)
+        stays = np.zeros(d_count, dtype=bool)  # every other offloader, every third local
+        stays[np.flatnonzero(x)[::2]] = stays[np.flatnonzero(x == 0)[::3]] = True
+        targets = np.where(stays, x, 1 - x)
+        best, sizes = self.priced_entries(monkeypatch, ev, tau, mu, x, devices, targets)
+        assert best == self.per_trial_flip(ev, tau, mu, x, devices, targets)
+        assert sizes == self.edge_entries(x, devices, targets)
+        assert ev.best_flip(tau, mu, x, devices, x) == (None, 0.0)
+
+    @pytest.mark.parametrize("d_count", [80, 320])
+    def test_all_local_start_matches(self, d_count):
+        profiles, config = scenario_lists(d_count, seed=2)
+        ev = ScenarioEvaluator(profiles, config)
+        tau, mu = np.full(d_count, config.tau_min), np.full(d_count, config.mu_init)
+        x = np.zeros(d_count, dtype=np.int64)
+        devices, targets = np.arange(d_count), np.ones(d_count, dtype=np.int64)
+        best = ev.best_flip(tau, mu, x, devices, targets)
+        assert best[0] is not None
+        assert best == self.per_trial_flip(ev, tau, mu, x, devices, targets)
+        assert ev.br_round(tau, mu, x)[1:] == self.per_trial_round(ev, tau, mu, x)
 
     @pytest.mark.parametrize("d_count, overrides", [
         (320, {}),
         (80, {"capacity_threshold": 3e7}),
     ])
-    def test_multi_block_round_matches_per_trial_loop(self, d_count, overrides):
+    def test_multi_block_round_matches_per_trial_loop(self, d_count, overrides,
+                                                      monkeypatch):
+        # narrow blocks, so the 80 deviators at D = 80 span several of them
+        monkeypatch.setattr(optimizer, "TRIAL_BLOCK_ENTRIES", 2048)
         profiles, config = scenario_lists(d_count, seed=1, **overrides)
         ev = ScenarioEvaluator(profiles, config)
         rng = np.random.default_rng(d_count)
@@ -226,7 +283,7 @@ class TestBatchedTrials:
         mu = rng.uniform(0.0, 10.0, d_count)
         x = np.zeros(d_count, dtype=np.int64)
         br = ev.best_responses(tau, mu, x)
-        assert np.count_nonzero(br != x) > TRIAL_BLOCK_ENTRIES // d_count
+        assert np.count_nonzero(br != x) > 2 * (optimizer.TRIAL_BLOCK_ENTRIES // d_count)
         for _ in range(3):
             expected = self.per_trial_round(ev, tau, mu, x)
             out, committed, gain = ev.br_round(tau, mu, x)
@@ -510,6 +567,21 @@ class TestDecisionAndTrace:
         with pytest.raises(ValueError):
             Decision(tau=[2.0], x=[0], mu=[-0.1])
 
+    @pytest.mark.parametrize("x", [[0.9, 1.2], [0.0, 0.5], [1, 2], [math.nan, 0]])
+    def test_decision_rejects_flags_outside_0_1(self, x):
+        # checked before the int cast, which would truncate 0.9 to 0
+        with pytest.raises(ValueError, match="0 or 1"):
+            Decision(tau=[2.0, 2.0], x=x, mu=[0.1, 0.1])
+
+    @pytest.mark.parametrize("field", ["tau", "mu"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_decision_rejects_nonfinite_start(self, field, value):
+        # a NaN mu passes ``mu < 0`` and used to fail only at iteration 1
+        values = {"tau": [2.0, 2.0], "x": [0, 0], "mu": [0.1, 0.1]}
+        values[field] = [2.0, value]
+        with pytest.raises(ValueError, match="finite"):
+            Decision(**values)
+
     def test_trace_rejects_nonfinite_cost(self):
         trace = SolveTrace()
         with pytest.raises(ValueError):
@@ -567,8 +639,8 @@ class TestOuterLoop:
         profiles, config = scenario_lists(3)
         for x, match in (([2, 0, 0], "0 or 1"), ([-1, 0, 0], "0 or 1"),
                          ([0, 0], "shape")):
-            init = Decision(tau=[2.0] * len(x), x=x, mu=[0.1] * len(x))
             with pytest.raises(ValueError, match=match):
+                init = Decision(tau=[2.0] * len(x), x=x, mu=[0.1] * len(x))
                 solve_jso(profiles, config, init=init)
 
     def test_converged_solution_is_feasible(self):

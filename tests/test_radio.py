@@ -35,9 +35,17 @@ class TestOffloadVector:
         with pytest.raises(ValueError):
             as_offload_vector([0, 1], 3)
 
-    def test_rejects_nonbinary(self):
-        with pytest.raises(ValueError):
-            as_offload_vector([0, 2], 2)
+    # fractions are rejected before the int cast, which would truncate
+    # [0.5, 1.7, 0] to [0, 1, 0]
+    @pytest.mark.parametrize("x", [[0, 2], [0.5, 1.7, 0], [0, 1, np.nan], [0, 1, -0.0001]])
+    def test_rejects_nonbinary(self, x):
+        with pytest.raises(ValueError, match="0 or 1"):
+            as_offload_vector(x, len(x))
+
+    def test_exact_float_flags_become_ints(self):
+        out = as_offload_vector(np.array([1.0, 0.0, 1.0]), 3)
+        assert out.dtype == np.int64
+        assert out.tolist() == [1, 0, 1]
 
 
 class TestUplinkRate:
