@@ -27,7 +27,9 @@ rules must never edit their inputs in place.
 ``ScenarioEvaluator.sampling_step`` is the package's only implementation
 of the sampling block (Algorithm 1).  Its Newton path runs
 ``projected_newton`` on ``cost_slopes``, the penalized cost's derivatives
-built on ``event_factors``, for every device with a convex region at once.
+built on ``event_factors``, for every device with a convex region at once:
+one projected Newton loop, stopped by the module constants ``NEWTON_TOL``
+and ``NEWTON_MAX_ITERS``.
 """
 
 from __future__ import annotations
@@ -55,6 +57,17 @@ from .system_model import (
     total_data_bits,
 )
 
+#: ``projected_newton`` stops a device once a step moves it less than
+#: ``NEWTON_TOL`` seconds, or after ``NEWTON_MAX_ITERS`` steps.
+NEWTON_TOL = 1e-8
+NEWTON_MAX_ITERS = 50
+#: Pattern entries (trial rows x devices) per numpy pass of
+#: ``ScenarioEvaluator.best_flip``.  A block holds ``TRIAL_BLOCK_ENTRIES // D``
+#: float trial patterns and their per-device cost matrix (128 kB each at
+#: any D) plus the edge entries alone, about k+1 per row for k offloaders.
+TRIAL_BLOCK_ENTRIES = 16384
+
+
 # ---------------------------------------------------------------------------
 # the sampling block's Newton path
 
@@ -76,61 +89,46 @@ def cost_slopes(psi, lam, tau, t_sys, mu, energy):
 
 
 def projected_newton(slopes: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                     tau_min: float, tau_th: np.ndarray, tol: float,
-                     max_iters: int) -> tuple[np.ndarray, np.ndarray]:
+                     tau_min: float, tau_th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Projected Newton solve on every convex region ``[tau_min, tau_th]`` at once.
 
     ``slopes(tau)`` returns the cost's first and second derivatives at the
     interval vector ``tau``.  Each device starts mid-region, is clipped to
     its region after every step and stops once a step moves it less than
-    ``tol``, or after ``max_iters`` steps.  A device whose curvature turns
-    non-positive bisects its slope on the whole region instead, until its
-    bracket is no wider than ``tol`` or holds no float between its ends.
+    ``NEWTON_TOL``, or after ``NEWTON_MAX_ITERS`` steps.  A device whose
+    curvature is not positive takes the end of its region that its slope
+    points away from (``tau_min`` when the slope is >= 0) and stops there.
     Returns the intervals and each device's iteration count.
+
+    For ``cost_slopes`` on a region below the convexity threshold
+    ``tau_th = min_s 2 (1 - lam_s t_s) / lam_s`` that end is the minimum:
+    every modality's curvature term ``psi lam e^(-lam tau) (1 - lam (tau/2
+    + t_s))`` is >= 0 there, and the penalty's ``2 mu E / tau**3`` is > 0
+    when ``mu > 0``, so the curvature is non-positive only where ``mu E``
+    is ~0.  There the slope is at least ``sum_s phi_s / 2 >= 1.5`` and the
+    device stops at ``tau_min``; a slope below 0 at ``tau_min`` needs
+    ``mu E > 1.5 tau_min**2``, which makes the curvature positive.
     """
-    lo, hi = np.full_like(tau_th, tau_min), tau_th
-    tau = 0.5 * (lo + hi)
+    tau = 0.5 * (tau_min + tau_th)
     iters = np.zeros(len(tau), dtype=np.int64)
-    run, flat = np.ones(len(tau), dtype=bool), np.zeros(len(tau), dtype=bool)
+    run = np.ones(len(tau), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_iters):
+        for _ in range(NEWTON_MAX_ITERS):
             iters += run
             d1, d2 = slopes(tau)
-            nonconvex = d2 <= 0.0
-            if nonconvex.any():  # rare, so the flat-device bookkeeping waits for it
-                flat |= run & nonconvex
-                run &= ~nonconvex
-            step = np.minimum(np.maximum(tau - d1 / d2, lo), hi)
-            moved = ~(np.abs(step - tau) < tol)
+            flat = d2 <= 0.0
+            step = np.where(flat, np.where(d1 >= 0.0, tau_min, tau_th),
+                            np.minimum(np.maximum(tau - d1 / d2, tau_min), tau_th))
+            moved = ~(np.abs(step - tau) < NEWTON_TOL)
             tau = np.where(run, step, tau)
-            run &= moved
+            run &= moved & ~flat
             if not run.any():
                 break
-    if flat.any():
-        d1_lo, d1_hi = slopes(lo)[0], slopes(hi)[0]
-        tau = np.where(flat, np.where(d1_lo >= 0.0, lo, hi), tau)
-        run = bracketed = flat & (d1_lo < 0.0) & (d1_hi > 0.0)
-        while True:
-            mid = 0.5 * (lo + hi)
-            # a bracket as narrow as the float spacing stops at any ``tol``
-            run = run & (hi - lo > tol) & (mid != lo) & (mid != hi)
-            if not run.any():
-                break
-            falling = slopes(mid)[0] < 0.0
-            lo, hi = np.where(run & falling, mid, lo), np.where(run & ~falling, mid, hi)
-        tau = np.where(bracketed, 0.5 * (lo + hi), tau)
     return tau, iters
 
 
 # ---------------------------------------------------------------------------
 # vectorized scenario evaluation
-
-#: Pattern entries (trial rows x devices) per numpy pass of
-#: ``ScenarioEvaluator.best_flip``.  A block holds ``TRIAL_BLOCK_ENTRIES // D``
-#: float trial patterns and their per-device cost matrix (128 kB each at
-#: any D) plus the edge entries alone, about k+1 per row for k offloaders.
-TRIAL_BLOCK_ENTRIES = 16384
-
 
 class PatternState(NamedTuple):
     """Everything an outer iteration needs that depends on the pattern alone."""
@@ -333,7 +331,7 @@ class ScenarioEvaluator:
         psi, t_sys, e, mu_d = self.psi[d], state.t_sys[d], state.energies[d], mu[d]
         tau_newton, iters = projected_newton(
             lambda tau: cost_slopes(psi, self.lam, tau, t_sys, mu_d, e),
-            cfg.tau_min, state.tau_th[d], cfg.newton_tol, cfg.newton_max_iters)
+            cfg.tau_min, state.tau_th[d])
         cand = np.stack([tau_newton, tau_star[d]])
         cost = (avg_maoi_modality(psi, self.lam, cand[..., None], t_sys).sum(axis=-1)
                 + mu_d * (e / cand - self.e_budget[d]))
@@ -659,7 +657,8 @@ def solve_jso(profiles: Sequence[DeviceProfile], config: SystemConfig,
 
 
 __all__ = [
-    "cost_slopes", "projected_newton", "TRIAL_BLOCK_ENTRIES", "PatternState",
+    "cost_slopes", "projected_newton", "NEWTON_TOL", "NEWTON_MAX_ITERS",
+    "TRIAL_BLOCK_ENTRIES", "PatternState",
     "ScenarioEvaluator", "as_offload_vector", "Decision", "SolveTrace",
     "default_decision", "run_outer_loop", "solve_jso",
 ]

@@ -39,7 +39,6 @@ class TrajectoryStats:
     mean_maoi: float
     std_error: float
     n_updates: int
-    seed: int
 
     def __post_init__(self) -> None:
         if not self.std_error >= 0:
@@ -102,9 +101,7 @@ def simulate_avg_maoi(psi: float, lam: float, tau: float, t_sys: float,
     se_floor = abs(psi) * math.sqrt(p_event * (1.0 - p_event) / n_updates) \
         * (0.5 * tau + t_sys)
     se = max(se, se_floor)
-    seed_int = seed if isinstance(seed, int) else hash(tuple(seed))
-    return TrajectoryStats(mean_maoi=mean, std_error=se,
-                           n_updates=n_updates, seed=seed_int)
+    return TrajectoryStats(mean_maoi=mean, std_error=se, n_updates=n_updates)
 
 
 def simulate_avg_maoi_device(ev: ScenarioEvaluator, d: int, tau: float,
@@ -123,7 +120,6 @@ def simulate_avg_maoi_device(ev: ScenarioEvaluator, d: int, tau: float,
         mean_maoi=sum(p.mean_maoi for p in parts),
         std_error=math.sqrt(sum(p.std_error**2 for p in parts)),
         n_updates=n_updates,
-        seed=seed,
     )
 
 

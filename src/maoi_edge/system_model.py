@@ -133,8 +133,6 @@ class SystemConfig:
     capacity_threshold: float = 6e6    # bits of offloaded payload the cell admits
     lagrange_step: float = 0.01
     convergence_eps: float = 1e-3
-    newton_max_iters: int = 50
-    newton_tol: float = 1e-8
     local_schedule_order: tuple[ModalityKind, ModalityKind, ModalityKind] = MODALITIES
     schedule_policy: str = SCHEDULE_FIXED
     # outer-loop settings
@@ -149,7 +147,7 @@ class SystemConfig:
                      "resnet_base_flops", "ds2_base_flops_per_sec",
                      "tft_base_flops", "tft_base_len", "tau_min",
                      "capacity_threshold", "lagrange_step", "convergence_eps",
-                     "newton_tol", "newton_max_iters", "max_outer_iters"):
+                     "max_outer_iters"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         _store_integers(self)
@@ -217,18 +215,24 @@ def _signal_frames(profile: DeviceProfile | ProfileColumns):
     return np.trunc(profile.sig_frame_rate * profile.sig_duration)
 
 
+def _payload_terms(profile: DeviceProfile | ProfileColumns):
+    """Image, audio and signal payload of one update, in bits."""
+    return (profile.img_height * profile.img_width * profile.img_channels * 8.0,
+            profile.aud_duration * profile.aud_rate * profile.aud_channels * profile.aud_bit_depth,
+            _signal_frames(profile) * profile.sig_points_per_frame
+            * profile.sig_features_per_point * profile.sig_bits_per_feature)
+
+
 def data_size_bits(profile: DeviceProfile | ProfileColumns) -> np.ndarray:
     """Payload size of one update of each modality, in bits."""
-    return _by_modality(
-        profile.img_height * profile.img_width * profile.img_channels * 8.0,
-        profile.aud_duration * profile.aud_rate * profile.aud_channels * profile.aud_bit_depth,
-        _signal_frames(profile) * profile.sig_points_per_frame
-        * profile.sig_features_per_point * profile.sig_bits_per_feature)
+    return _by_modality(*_payload_terms(profile))
 
 
 def total_data_bits(profile: DeviceProfile | ProfileColumns):
     """Total uplink payload of one full status update (all three modalities)."""
-    return data_size_bits(profile).sum(axis=-1)
+    # left to right, as numpy sums a row of three, without building the row
+    image, audio, signal = _payload_terms(profile)
+    return image + audio + signal
 
 
 def compute_flops(profile: DeviceProfile | ProfileColumns, config: SystemConfig,

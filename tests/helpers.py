@@ -131,6 +131,4 @@ def reference_simulate_avg_maoi(psi: float, lam: float, tau: float, t_sys: float
     se_floor = abs(psi) * math.sqrt(p_event * (1.0 - p_event) / n_updates) \
         * (0.5 * tau + t_sys)
     se = max(se, se_floor)
-    seed_int = seed if isinstance(seed, int) else hash(tuple(seed))
-    return TrajectoryStats(mean_maoi=mean, std_error=se,
-                           n_updates=n_updates, seed=seed_int)
+    return TrajectoryStats(mean_maoi=mean, std_error=se, n_updates=n_updates)

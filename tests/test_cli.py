@@ -302,6 +302,8 @@ class TestSolveCommand:
         (["--devices", "0"], "d_count"),
         (["--override", "path_loss_exponent=-2"], "path_loss_exponent must be"),
         (["--override", "img_height=224.5"], "img_height must be an integer, got 224.5"),
+        # the Newton settings are optimizer constants, not config fields
+        (["--override", "newton_tol=1e-9"], "unknown override fields: .'newton_tol'"),
     ])
     def test_bad_settings_rejected(self, tmp_path, args, match):
         with pytest.raises(SystemExit, match=match):
@@ -314,10 +316,10 @@ class TestSolveCommand:
                         "--out", str(tmp_path / "ok")])
         assert code == 0
         assert len((tmp_path / "ok" / "trace.csv").read_text().splitlines()) == 301
-        with pytest.raises(SystemExit, match="newton_max_iters must be an integer, got 2.5"):
+        with pytest.raises(SystemExit, match="tft_base_len must be an integer, got 2.5"):
             run_cli(["sweep", "--param", "device_count", "--grid", "2",
                      "--algorithms", "jso", "--seeds", "1",
-                     "--override", "newton_max_iters=2.5", "--out", str(tmp_path / "bad")])
+                     "--override", "tft_base_len=2.5", "--out", str(tmp_path / "bad")])
         assert not (tmp_path / "bad" / "results.csv").exists()
 
 

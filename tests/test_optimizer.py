@@ -13,7 +13,8 @@ from helpers import (
     slopes,
 )
 from maoi_edge.metric import OBJECTIVE_AOI
-from maoi_edge.optimizer import ScenarioEvaluator, projected_newton
+from maoi_edge import optimizer
+from maoi_edge.optimizer import ScenarioEvaluator, cost_slopes, projected_newton
 from maoi_edge.scenario import generate_scenario
 from maoi_edge.system_model import SystemConfig
 
@@ -51,10 +52,9 @@ def convex_terms(ev, mu):
     return device_terms(ev, 0, [mu], EDGE), float(ev.pattern_state(EDGE).tau_th[0])
 
 
-def newton(terms, th, tol=1e-8, max_iters=50):
+def newton(terms, th):
     """``projected_newton`` on one device's region ``[2, th]``: ``(tau, iterations)``."""
-    tau, iters = projected_newton(lambda t: slopes(terms, t), 2.0, np.array([th]),
-                                  tol, max_iters)
+    tau, iters = projected_newton(lambda t: slopes(terms, t), 2.0, np.array([th]))
     return float(tau[0]), int(iters[0])
 
 
@@ -183,41 +183,76 @@ class TestNewton:
             terms, th = convex_terms(rare_events, mu)
             seen = []
             projected_newton(lambda t: seen.append(t) or slopes(terms, t),
-                             2.0, np.array([th]), 1e-8, 50)
+                             2.0, np.array([th]))
             assert all(2.0 <= t[0] <= th for t in seen)
 
-    def test_bisection_fallback_matches_newton(self, rare_events):
-        # zero curvature sends the pass to bisect the true slope
-        terms, th = convex_terms(rare_events, 20.0)
-        flat, iters = projected_newton(lambda t: (slopes(terms, t)[0], np.zeros_like(t)),
-                                       2.0, np.array([th]), 1e-8, 50)
-        assert iters.tolist() == [1]
-        assert flat[0] == pytest.approx(newton(terms, th)[0], abs=1e-6)
+    def test_one_slope_pass_per_iteration(self, rare_events):
+        # a flat device beside Newton devices keeps its region end while
+        # they iterate on; no slope pass runs outside the loop
+        for mu in (0.0, 5.0, 60.0, 1e5):
+            terms, th = convex_terms(rare_events, mu)
+            calls = []
 
-    def test_stops_per_device_and_at_the_cap(self, rare_events):
+            def slopes_fn(t):
+                calls.append(t)
+                d1, d2 = slopes(terms, t)
+                return d1, np.where([True, True, False], d2, 0.0)
+
+            tau, iters = projected_newton(slopes_fn, 2.0, np.array([th, 2.0 + 1e-9, th]))
+            assert len(calls) == iters.max()
+            assert tau[0] == newton(terms, th)[0]
+            rising = slopes(terms, 0.5 * (2.0 + th))[0] >= 0.0  # at the start
+            assert iters[2] == 1 and tau[2] == (2.0 if rising else th)
+
+    def test_flat_curvature_takes_the_region_end(self):
+        # zero curvature: a rising slope stops at tau_min, a falling one at
+        # tau_th, both in the first iteration
+        calls = []
+
+        def slopes_fn(t):
+            calls.append(t)
+            return np.array([1.5, -1.0]), np.zeros_like(t)
+
+        tau, iters = projected_newton(slopes_fn, 2.0, np.array([30.0, 40.0]))
+        assert tau.tolist() == [2.0, 40.0]
+        assert iters.tolist() == [1, 1]
+        assert len(calls) == 1
+
+    def test_stops_per_device_and_at_the_cap(self, rare_events, monkeypatch):
         # stacked devices keep their own iteration counts; the cap binds
         terms, th = convex_terms(rare_events, 60.0)
         _, iters = newton(terms, th)
         assert iters > 2
-        pair = projected_newton(lambda t: slopes(terms, t), 2.0, np.array([th, 2.0 + 1e-9]),
-                                1e-8, 50)[1]
+        pair = projected_newton(lambda t: slopes(terms, t), 2.0, np.array([th, 2.0 + 1e-9]))[1]
         assert pair.tolist() == [iters, 1]
-        assert newton(terms, th, max_iters=2)[1] == 2
+        monkeypatch.setattr(optimizer, "NEWTON_MAX_ITERS", 2)
+        assert newton(terms, th)[1] == 2
 
-    def test_bisection_below_the_float_spacing_returns(self):
-        # no float lies strictly between adjacent bounds, so a tolerance
-        # below their spacing stops there; the guard fails a loop, not hangs
-        calls = []
 
-        def slopes_fn(t):
-            calls.append(1)
-            if len(calls) > 200:
-                raise AssertionError("bisection did not stop")
-            return t - 10.0, np.zeros_like(t)
-
-        tau, iters = projected_newton(slopes_fn, 2.0, np.array([30.0]), 1e-300, 50)
-        assert iters.tolist() == [1]
-        assert tau[0] == pytest.approx(10.0, abs=1e-14)
+def test_flat_curvature_only_where_the_slope_rises():
+    # the premise of projected_newton's flat rule on drawn convex regions
+    # [tau_min, tau_th], zero weights and zero multipliers included: the
+    # curvature is positive wherever mu > 0, and where it is not the slope
+    # is at least sum_s phi_s / 2 >= 1.5, so tau_min is the minimum
+    rng = np.random.default_rng(17)
+    n, tau_min = 4000, 2.0
+    psi = np.where(rng.random((n, 3)) < 0.3, 0.0, 10.0 ** rng.uniform(-3.0, 3.0, (n, 3)))
+    lam = 10.0 ** rng.uniform(math.log10(0.005), math.log10(0.5), (n, 3))
+    t_sys = rng.uniform(0.0, 20.0, (n, 3))
+    energy = 10.0 ** rng.uniform(-2.0, 2.0, n)
+    mu = np.where(rng.random(n) < 0.3, 0.0, 10.0 ** rng.uniform(-6.0, 4.0, n))
+    tau_th = (2.0 * (1.0 - lam * t_sys) / lam).min(axis=1)
+    keep = tau_th > tau_min
+    assert keep.sum() > n // 4
+    psi, lam, t_sys, energy, mu, tau_th = (
+        a[keep] for a in (psi, lam, t_sys, energy, mu, tau_th))
+    grid = np.linspace(tau_min, tau_th, 200)  # (200, devices), last row tau_th itself
+    assert (grid[-1] == tau_th).all()
+    d1, d2 = cost_slopes(psi, lam, grid, t_sys, mu, energy)
+    flat = d2 <= 0.0
+    assert flat.any()  # the weight-free zero-multiplier devices are flat
+    assert not flat[:, mu > 0].any()
+    assert (d1[flat] >= 1.5).all()
 
 
 class TestOptimalSamplingInterval:
@@ -301,8 +336,9 @@ class TestVectorizedSamplingStep:
         assert newton_iters > 0
         assert (tau_vec >= sc.config.tau_min).all()
 
+    # the AoI objective zeroes the weights, so a zero-multiplier device has
+    # curvature 0 and slope 1.5 everywhere: it takes tau_min in 1 iteration
     @pytest.mark.parametrize("mu, expected, iters", [
-        # zero multipliers and no weights: the curvature is exactly 0 everywhere
         ([0.0, 0.0, 0.0, 0.0], [2.0, 2.0, 2.0, 2.0], 4),
         ([0.0, 3.0, 0.0, 1e4], [2.0, 5.445020157523754, 2.0, 314.36838536892776], 7),
     ])

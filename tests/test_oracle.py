@@ -16,14 +16,14 @@ from maoi_edge.system_model import DeviceProfile
 class TestStats:
     def test_validation(self):
         with pytest.raises(ValueError):
-            TrajectoryStats(mean_maoi=1.0, std_error=-1.0, n_updates=10, seed=0)
+            TrajectoryStats(mean_maoi=1.0, std_error=-1.0, n_updates=10)
         with pytest.raises(ValueError):
-            TrajectoryStats(mean_maoi=1.0, std_error=0.0, n_updates=0, seed=0)
+            TrajectoryStats(mean_maoi=1.0, std_error=0.0, n_updates=0)
         with pytest.raises(ValueError, match="std_error"):
-            TrajectoryStats(mean_maoi=1.0, std_error=math.nan, n_updates=10, seed=0)
+            TrajectoryStats(mean_maoi=1.0, std_error=math.nan, n_updates=10)
 
     def test_ci_and_bracketing(self):
-        s = TrajectoryStats(mean_maoi=10.0, std_error=1.0, n_updates=100, seed=0)
+        s = TrajectoryStats(mean_maoi=10.0, std_error=1.0, n_updates=100)
         lo, hi = s.ci()
         assert lo == pytest.approx(10 - 2.576)
         assert hi == pytest.approx(10 + 2.576)
@@ -32,7 +32,7 @@ class TestStats:
 
     @pytest.mark.parametrize("z", [0.0, -1.0, float("nan")])
     def test_non_positive_z_rejected(self, z):
-        s = TrajectoryStats(mean_maoi=54.0, std_error=1e-5, n_updates=1000, seed=0)
+        s = TrajectoryStats(mean_maoi=54.0, std_error=1e-5, n_updates=1000)
         with pytest.raises(ValueError, match="z must be > 0"):
             s.ci(z)
         with pytest.raises(ValueError, match="z must be > 0"):

@@ -65,23 +65,27 @@ class TestTypes:
             SystemConfig(local_schedule_order=(IMG, IMG, SIG))
 
     @pytest.mark.parametrize("field, value", [
-        ("max_outer_iters", 0), ("newton_max_iters", 0),
-        ("energy_tol", -0.01), ("mu_init", -1.0),
-        ("max_outer_iters", 300.5), ("newton_max_iters", 2.5),
-        ("tft_base_len", 200.1), ("max_outer_iters", math.inf),
-        ("newton_max_iters", math.inf), ("tft_base_len", math.inf),
+        ("max_outer_iters", 0), ("energy_tol", -0.01), ("mu_init", -1.0),
+        ("max_outer_iters", 300.5), ("tft_base_len", 200.1),
+        ("max_outer_iters", math.inf), ("tft_base_len", math.inf),
     ])
     def test_config_rejects_unusable_solver_settings(self, field, value):
         with pytest.raises(ValueError, match=field):
             SystemConfig(**{field: value})
 
     def test_config_stores_integral_floats_as_integers(self):
-        config = SystemConfig(max_outer_iters=300.0, newton_max_iters=7.0,
-                              tft_base_len=200.0)
-        for name, value in (("max_outer_iters", 300), ("newton_max_iters", 7),
-                            ("tft_base_len", 200)):
+        config = SystemConfig(max_outer_iters=300.0, tft_base_len=200.0)
+        for name, value in (("max_outer_iters", 300), ("tft_base_len", 200)):
             assert getattr(config, name) == value
             assert type(getattr(config, name)) is int
+
+    @pytest.mark.parametrize("name", ["newton_tol", "newton_max_iters"])
+    def test_newton_settings_are_not_config_fields(self, name):
+        # the solve's Newton tolerance and cap are optimizer constants
+        with pytest.raises(TypeError, match=name):
+            SystemConfig(**{name: 1e-9})
+        with pytest.raises(ValueError, match="unknown system config fields"):
+            config_from_mapping({name: 1e-9})
 
     @pytest.mark.parametrize("name, value", [
         ("img_height", 224.5), ("aud_bit_depth", 15.5), ("sig_points_per_frame", 63.5)])
@@ -130,6 +134,14 @@ class TestDataSize:
 
     def test_total(self, profile):
         assert total_data_bits(profile) == 2_699_264
+
+    def test_total_adds_the_modalities_in_order(self, profile):
+        # the same bits as summing the modality axis, for a profile and columns
+        cols = profile_columns(generate_scenario(320, seed=0).profiles)
+        for source in (profile, cols):
+            total = total_data_bits(source)
+            assert np.array_equal(total, data_size_bits(source).sum(axis=-1))
+            assert np.shape(total) == np.shape(data_size_bits(source))[:-1]
 
     def test_image_counts_its_channels(self):
         grey = DeviceProfile(id=0, img_channels=1)
@@ -355,8 +367,8 @@ class TestProfileColumns:
         flops = counted(system_model.compute_flops)
         for module in (system_model, energy, optimizer):
             monkeypatch.setattr(module, "compute_flops", flops)
-        monkeypatch.setattr(system_model, "data_size_bits",
-                            counted(system_model.data_size_bits))
+        monkeypatch.setattr(system_model, "_payload_terms",
+                            counted(system_model._payload_terms))
         counts = []
         for n_devices in (1, 40):
             sc = generate_scenario(n_devices, seed=0, overrides={"schedule_policy": policy})
