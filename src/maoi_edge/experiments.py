@@ -22,7 +22,8 @@ import numpy as np
 from . import baselines, oracle
 from .metric import avg_maoi_modality
 from .optimizer import Decision, SolveTrace
-from .scenario import Scenario, generate_scenario, with_audio_weight_increment
+from .scenario import (Scenario, check_seed, generate_scenario,
+                       with_audio_weight_increment)
 
 log = logging.getLogger(__name__)
 
@@ -269,6 +270,7 @@ ORACLE_T_SYS = (0.0, 4.0)
 def validate_oracle(n_updates: int = 100_000, seed: int = 0,
                     z: float = 2.576) -> list[dict]:
     """Bracketing table: closed form vs simulation CI on the standard grid."""
+    seed = check_seed(seed)
     rows = []
     for i, (lam, psi, tau, t_sys) in enumerate(itertools.product(
             ORACLE_LAMBDAS, ORACLE_PSIS, ORACLE_TAUS, ORACLE_T_SYS)):

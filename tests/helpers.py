@@ -28,7 +28,7 @@ import numpy as np
 from maoi_edge.metric import avg_maoi_modality
 from maoi_edge.optimizer import ScenarioEvaluator, cost_slopes
 from maoi_edge.oracle import TrajectoryStats, _rng
-from maoi_edge.scenario import generate_scenario
+from maoi_edge.scenario import AREA_SIZE, generate_scenario
 from maoi_edge.system_model import SystemConfig
 
 
@@ -107,6 +107,20 @@ def grid_minimum(terms: dict, tau_min: float, tau_upper: float, tau: float,
     """
     grid = np.linspace(tau_min, max(10.0 * tau_upper, 2.0 * tau), n_points)
     return float(grid_costs(terms, grid).min())
+
+
+def reference_positions(seed: int, n: int) -> np.ndarray:
+    """(n, 2) device positions drawn one numpy generator per device.
+
+    The per-device loop ``generate_scenario`` ran before its one-pass
+    draw: device ``i`` takes ``uniform(-20, 20, size=2)`` from
+    ``Generator(PCG64(SeedSequence([seed, 17, i])))``.
+    """
+    positions = np.empty((n, 2))
+    for i in range(n):
+        rng_i = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 17, i])))
+        positions[i] = rng_i.uniform(-AREA_SIZE / 2, AREA_SIZE / 2, size=2)
+    return positions
 
 
 def reference_simulate_avg_maoi(psi: float, lam: float, tau: float, t_sys: float,

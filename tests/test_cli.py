@@ -323,6 +323,20 @@ class TestSolveCommand:
         assert not (tmp_path / "bad" / "results.csv").exists()
 
 
+class TestSeedOption:
+    @pytest.mark.parametrize("command", [
+        ["solve", "--devices", "2"],
+        ["sweep", "--param", "device_count", "--grid", "2", "--algorithms", "fmi",
+         "--seeds", "1"],
+        ["validate-oracle", "--updates", "2000"],
+    ])
+    def test_negative_seed_named(self, tmp_path, command):
+        with pytest.raises(SystemExit,
+                           match="seed must be a non-negative integer, got -1"):
+            run_cli([*command, "--seed", "-1", "--out", str(tmp_path)])
+        assert not any(tmp_path.iterdir())
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(

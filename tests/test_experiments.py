@@ -211,6 +211,11 @@ class TestOracleValidation:
         b = validate_oracle(n_updates=2000, seed=5)
         assert a == b
 
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), ("3", TypeError)])
+    def test_bad_seed_rejected_before_any_simulation(self, seed, error):
+        with pytest.raises(error):
+            validate_oracle(n_updates=2000, seed=seed)
+
 
 class TestTrendChecks:
     def test_monotone_with_slack(self):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from helpers import reference_positions
 from maoi_edge.scenario import (
     AREA_SIZE,
     DEFAULT_PSI_RANGE,
     REFERENCE_DISTANCE,
+    _device_uniforms,
     channel_gain_from_distance,
     generate_scenario,
     with_audio_weight_increment,
@@ -46,6 +48,44 @@ class TestGeneration:
         small = generate_scenario(4, seed=7)
         large = generate_scenario(9, seed=7)
         np.testing.assert_array_equal(small.positions, large.positions[:4])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64, 2**100 + 11])
+    @pytest.mark.parametrize("n", [1, 7, 320])
+    def test_one_pass_draw_is_numpys_per_device_draw(self, seed, n):
+        # seeds of one to four 32-bit words; 2**64 and up have entropy
+        # words past SeedSequence's 4-word pool
+        positions = -AREA_SIZE / 2 + AREA_SIZE * _device_uniforms(seed, n)
+        np.testing.assert_array_equal(positions, reference_positions(seed, n))
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_positions_and_gains_are_the_per_device_formulas(self, seed):
+        sc = generate_scenario(320, seed=seed)
+        reference = reference_positions(seed, 320)
+        np.testing.assert_array_equal(sc.positions, reference)
+        assert [p.channel_gain for p in sc.profiles] == [
+            channel_gain_from_distance(float(np.hypot(*pos))) for pos in reference]
+
+    def test_positions_are_read_only(self):
+        sc = generate_scenario(3, seed=0)
+        bumped = with_audio_weight_increment(sc, 0.5)  # shares the array
+        for positions in (sc.positions, bumped.positions):
+            with pytest.raises(ValueError, match="read-only"):
+                positions[0, 0] = 0.0
+
+    @pytest.mark.parametrize("seed, error, match", [
+        (-1, ValueError, "seed must be a non-negative integer, got -1"),
+        (1.5, TypeError, "cannot be interpreted as an integer"),
+        ("3", TypeError, "cannot be interpreted as an integer"),
+    ])
+    def test_bad_seed_rejected(self, seed, error, match):
+        with pytest.raises(error, match=match):
+            generate_scenario(2, seed=seed)
+
+    def test_numpy_integer_seed_matches_int(self):
+        a = generate_scenario(4, seed=np.int64(9))
+        b = generate_scenario(4, seed=9)
+        assert a.profiles == b.profiles
+        np.testing.assert_array_equal(a.positions, b.positions)
 
     def test_positions_inside_square(self):
         sc = generate_scenario(50, seed=3)
