@@ -62,6 +62,8 @@ class SweepSpec:
                              f"got {self.grid}")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        for seed in self.seeds:
+            check_seed(seed)
         if not self.algorithms:
             raise ValueError("need at least one algorithm")
         if not self.base_devices >= 1:

@@ -111,8 +111,6 @@ def quality_terms(profile: DeviceProfile,
                   norm: NormalizationConfig = NormalizationConfig(),
                   ) -> tuple[float, float]:
     """Audio and signal acquisition-quality attributes (rate x bit depth)."""
-    if profile.aud_bit_depth <= 0 or profile.sig_bit_depth <= 0:
-        raise ValueError("bit depths must be > 0")
     q_aud = (profile.aud_rate * profile.aud_bit_depth) / (norm.aud_ref_rate * norm.aud_ref_depth)
     q_sig = (profile.sig_rate * profile.sig_bit_depth) / (norm.sig_ref_rate * norm.sig_ref_depth)
     return q_aud, q_sig

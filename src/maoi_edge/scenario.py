@@ -27,21 +27,22 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .system_model import (NUMERIC_FIELDS, DeviceProfile, SystemConfig,
-                           coerce_numeric, config_from_mapping)
+from .system_model import (CONFIG_FIELD_TYPES, PROFILE_FIELD_TYPES, DeviceProfile,
+                           SystemConfig, parse_settings)
 
 AREA_SIZE = 40.0           # m, square side with the BS at the center
 REFERENCE_DISTANCE = 10.0  # m, close-in distance below which path loss is flat
 DEFAULT_PSI_RANGE = (0.5, 1.5)
 
-_CONFIG_FIELDS = {f.name for f in fields(SystemConfig)}
-_DEVICE_FIELDS = {f.name for f in fields(DeviceProfile)} - {"id", "channel_gain"}
-_SPECIAL_FIELDS = {"psi_range": "tuple[float, float]", "path_loss_exponent": "float"}
-_NUMERIC_OVERRIDES = {**NUMERIC_FIELDS, **_SPECIAL_FIELDS}
+#: Declared type of every override: the system fields, the device fields
+#: the generator does not draw itself, and the two that shape its draws.
+_OVERRIDE_TYPES = {**CONFIG_FIELD_TYPES, **PROFILE_FIELD_TYPES,
+                   "psi_range": "tuple[float, float]", "path_loss_exponent": "float"}
+del _OVERRIDE_TYPES["id"], _OVERRIDE_TYPES["channel_gain"]
 
 # numpy's SeedSequence (4-word pool, 32-bit hash) and PCG64 (128-bit LCG,
 # XSL-RR output) constants
@@ -201,28 +202,20 @@ def generate_scenario(d_count: int, seed: int,
     """Deterministically generate a scenario of ``d_count`` devices.
 
     ``overrides`` may set any SystemConfig field, any DeviceProfile field
-    (applied to all devices), plus ``psi_range`` and
-    ``path_loss_exponent``.
+    but ``id`` and ``channel_gain`` (applied to all devices), plus
+    ``psi_range`` and ``path_loss_exponent``.
     """
     if d_count < 1:
         raise ValueError(f"d_count must be >= 1, got {d_count}")
-    overrides = coerce_numeric(overrides or {}, _NUMERIC_OVERRIDES)
-    unknown = set(overrides) - _CONFIG_FIELDS - _DEVICE_FIELDS - set(_SPECIAL_FIELDS)
-    if unknown:
-        raise ValueError(f"unknown override fields: {sorted(unknown)}")
-    psi_range = overrides.pop("psi_range", DEFAULT_PSI_RANGE)
-    if not (isinstance(psi_range, (list, tuple)) and len(psi_range) == 2
-            and all(isinstance(v, (int, float)) for v in psi_range)
-            and 0 <= psi_range[0] <= psi_range[1] < np.inf):
-        raise ValueError(f"psi_range must be two finite numbers lo, hi with "
-                         f"0 <= lo <= hi, got {psi_range!r}")
-    psi_lo, psi_hi = psi_range
+    overrides = parse_settings(overrides or {}, _OVERRIDE_TYPES, "override")
+    psi_lo, psi_hi = overrides.pop("psi_range", DEFAULT_PSI_RANGE)
+    if not 0 <= psi_lo <= psi_hi < np.inf:
+        raise ValueError(f"psi_range must be finite with 0 <= lo <= hi, got {[psi_lo, psi_hi]}")
     delta = overrides.pop("path_loss_exponent", 2.0)
-    if not (isinstance(delta, (int, float)) and 0 < delta < np.inf):
+    if not 0 < delta < np.inf:
         raise ValueError(f"path_loss_exponent must be a finite number > 0, got {delta!r}")
-    config_kwargs = {k: v for k, v in overrides.items() if k in _CONFIG_FIELDS}
-    device_kwargs = {k: v for k, v in overrides.items() if k in _DEVICE_FIELDS}
-    config = config_from_mapping(config_kwargs)
+    config = SystemConfig(**{k: v for k, v in overrides.items() if k in CONFIG_FIELD_TYPES})
+    device_kwargs = {k: v for k, v in overrides.items() if k in PROFILE_FIELD_TYPES}
 
     # Generator.uniform(low, high) draws low + (high - low) * random()
     low, high = -AREA_SIZE / 2, AREA_SIZE / 2

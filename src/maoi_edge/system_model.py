@@ -8,16 +8,22 @@ Every per-device model takes one ``DeviceProfile`` or the
 ``profile_columns`` of many devices, and every per-modality model returns
 the three modalities as a trailing array axis.  All quantities are SI
 (seconds, bits, watts, joules, FLOP/s).
+
+Config documents and generator overrides go through one parser,
+``parse_settings``, which reads each value by its field's declared type and
+fails with a ``ValueError`` naming the field of a value it cannot read.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
 import enum
 import functools
 import json
 import math
-from collections.abc import Sequence
+import numbers
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
@@ -304,77 +310,61 @@ def local_waiting_time(t_local_compute: np.ndarray, ahead: np.ndarray) -> np.nda
 # ---------------------------------------------------------------------------
 # configuration documents
 
-_MODALITY_NAMES = {"image": ModalityKind.IMAGE, "audio": ModalityKind.AUDIO,
-                   "signal": ModalityKind.SIGNAL}
+#: Declared type of every field, as its annotation reads.
+CONFIG_FIELD_TYPES = {f.name: f.type for f in fields(SystemConfig)}
+PROFILE_FIELD_TYPES = {f.name: f.type for f in fields(DeviceProfile)}
+
+_EXPECTED = {"float": "a number", "int": "a number", "str": "a string",
+             "ModalityKind": "a modality: image, audio, signal or 1-3"}
 
 
-def _coerce_order(value) -> tuple[ModalityKind, ...]:
-    out = []
-    for item in value:
-        if isinstance(item, str):
-            out.append(_MODALITY_NAMES[item.lower()])
-        else:
-            out.append(ModalityKind(item))
-    return tuple(out)
-
-
-#: Declared type of every numeric SystemConfig/DeviceProfile field.  YAML
-#: 1.1 reads exponent forms without a dot (``3e7``, ``1e-13``) as strings,
-#: so documents and overrides are coerced field by field.
-NUMERIC_FIELDS = {
-    f.name: f.type for cls in (SystemConfig, DeviceProfile) for f in fields(cls)
-    if f.type in ("float", "int", "tuple[float, float, float]")}
-
-
-def _as_number(key: str, value, kind: str):
-    if isinstance(value, bool):  # YAML reads on/yes/true as True
-        raise ValueError(f"{key}: expected a number, got {value!r}")
-    if not isinstance(value, str):
+def _parse_value(key: str, kind: str, value):
+    """``value`` as field ``key`` of declared type ``kind`` takes it."""
+    if kind.startswith("tuple["):
+        kinds = kind[len("tuple["):-1].split(", ")
+        if isinstance(value, (list, tuple, np.ndarray)) and len(value) == len(kinds):
+            return tuple(_parse_value(key, k, v) for k, v in zip(kinds, value))
+        raise ValueError(f"{key}: expected a list of {len(kinds)} values, got {value!r}")
+    # YAML reads on/yes/true as True, which Python would count as 1
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if kind in ("float", "int"):
+        if number:
+            return value
+        if isinstance(value, str):
+            with contextlib.suppress(ValueError):
+                return float(value)
+    elif kind == "ModalityKind":
+        if isinstance(value, str) and value.upper() in ModalityKind.__members__:
+            return ModalityKind[value.upper()]
+        if number and value in MODALITIES:
+            return ModalityKind(int(value))
+    elif kind == "str" and isinstance(value, str):
         return value
-    try:
-        number = float(value)
-    except ValueError:
-        raise ValueError(f"{key}: expected a number, got {value!r}") from None
-    return int(number) if kind == "int" and number.is_integer() else number
+    raise ValueError(f"{key}: expected {_EXPECTED.get(kind, kind)}, got {value!r}")
 
 
-def coerce_numeric(doc: dict, kinds: dict[str, str] = NUMERIC_FIELDS) -> dict:
-    """Copy of ``doc`` with string values of the ``kinds`` fields parsed.
+def parse_settings(doc: Mapping, kinds: Mapping[str, str], what: str) -> dict:
+    """``doc``'s settings, each read by its declared type in ``kinds``.
 
-    A value that is not a number, a boolean included, raises ``ValueError``
-    naming the field.
+    A number is a real or a numeric string (YAML 1.1 reads ``3e7`` as one)
+    but not a boolean, a tuple a list of exactly its length, a modality its
+    name or number.  A key not in ``kinds`` raises ``ValueError("unknown
+    <what> fields: ...")``, a value of another shape ``ValueError("<field>: ...")``.
     """
-    out = dict(doc)
-    for key, value in doc.items():
-        kind = kinds.get(key)
-        if kind is None:
-            continue
-        if kind.startswith("tuple") and isinstance(value, (list, tuple)):
-            out[key] = [_as_number(key, v, "float") for v in value]
-        else:
-            out[key] = _as_number(key, value, kind)
-    return out
+    unknown = doc.keys() - kinds.keys()
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown, key=str)}")
+    return {key: _parse_value(key, kinds[key], value) for key, value in doc.items()}
 
 
-def config_from_mapping(doc: dict) -> SystemConfig:
+def config_from_mapping(doc: Mapping) -> SystemConfig:
     """Build a SystemConfig from the ``system`` section of a config document."""
-    known = {f.name for f in fields(SystemConfig)}
-    unknown = set(doc) - known
-    if unknown:
-        raise ValueError(f"unknown system config fields: {sorted(unknown)}")
-    kwargs = coerce_numeric(doc)
-    if "local_schedule_order" in kwargs:
-        kwargs["local_schedule_order"] = _coerce_order(kwargs["local_schedule_order"])
-    return SystemConfig(**kwargs)
+    return SystemConfig(**parse_settings(doc, CONFIG_FIELD_TYPES, "system config"))
 
 
-def profile_from_mapping(doc: dict) -> DeviceProfile:
+def profile_from_mapping(doc: Mapping) -> DeviceProfile:
     """Build a DeviceProfile from one device section of a config document."""
-    known = {f.name for f in fields(DeviceProfile)}
-    unknown = set(doc) - known
-    if unknown:
-        raise ValueError(f"unknown device fields: {sorted(unknown)}")
-    return DeviceProfile(**coerce_numeric(doc))
+    return DeviceProfile(**parse_settings(doc, PROFILE_FIELD_TYPES, "device"))
 
 
 def load_config_document(path: str | Path) -> tuple[list[DeviceProfile], SystemConfig]:
@@ -384,13 +374,14 @@ def load_config_document(path: str | Path) -> tuple[list[DeviceProfile], SystemC
     one section per device; field names match the dataclass fields.
     """
     path = Path(path)
-    text = path.read_text()
-    if path.suffix.lower() == ".json":
-        doc = json.loads(text)
-    else:
-        doc = yaml.safe_load(text)
+    doc = (json.loads if path.suffix.lower() == ".json" else yaml.safe_load)(path.read_text())
     if not isinstance(doc, dict) or "system" not in doc or "devices" not in doc:
         raise ValueError(f"{path}: expected a mapping with 'system' and 'devices' sections")
+    if not isinstance(doc["system"], dict):
+        raise ValueError(f"{path}: 'system' must be a mapping")
+    if not (isinstance(doc["devices"], list)
+            and all(isinstance(d, dict) for d in doc["devices"])):
+        raise ValueError(f"{path}: 'devices' must be a list of mappings")
     config = config_from_mapping(doc["system"])
     profiles = [profile_from_mapping(d) for d in doc["devices"]]
     if len({p.id for p in profiles}) != len(profiles):
@@ -398,24 +389,20 @@ def load_config_document(path: str | Path) -> tuple[list[DeviceProfile], SystemC
     return profiles, config
 
 
+def _dump_value(value):
+    """``value`` as ``parse_settings`` reads it back: tuples as lists, modalities by name."""
+    if isinstance(value, tuple):
+        return [_dump_value(v) for v in value]
+    return value.name.lower() if isinstance(value, ModalityKind) else value
+
+
 def dump_config_document(profiles: list[DeviceProfile], config: SystemConfig,
                          path: str | Path) -> None:
     """Write profiles and config back out as a YAML document."""
-    sys_doc = {}
-    for f in fields(SystemConfig):
-        value = getattr(config, f.name)
-        if f.name == "local_schedule_order":
-            value = [m.name.lower() for m in value]
-        elif f.name == "event_rates":
-            value = list(value)
-        sys_doc[f.name] = value
-    dev_docs = []
-    for p in profiles:
-        d = {f.name: getattr(p, f.name) for f in fields(DeviceProfile)}
-        d["maoi_weights"] = list(d["maoi_weights"])
-        dev_docs.append(d)
-    Path(path).write_text(yaml.safe_dump({"system": sys_doc, "devices": dev_docs},
-                                         sort_keys=False))
+    def section(obj) -> dict:
+        return {f.name: _dump_value(getattr(obj, f.name)) for f in fields(obj)}
+    doc = {"system": section(config), "devices": [section(p) for p in profiles]}
+    Path(path).write_text(yaml.safe_dump(doc, sort_keys=False))
 
 
 __all__ = [
@@ -423,7 +410,7 @@ __all__ = [
     "DeviceProfile", "SystemConfig", "ProfileColumns", "profile_columns",
     "data_size_bits", "total_data_bits",
     "compute_flops", "sensing_time", "served_ahead", "schedule_order",
-    "local_waiting_time", "NUMERIC_FIELDS", "coerce_numeric",
+    "local_waiting_time", "CONFIG_FIELD_TYPES", "PROFILE_FIELD_TYPES", "parse_settings",
     "config_from_mapping", "profile_from_mapping", "load_config_document",
     "dump_config_document",
 ]

@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 import maoi_edge
+from maoi_edge import baselines
 from maoi_edge.cli import _parse_overrides, main
 from maoi_edge.experiments import read_csv
 from maoi_edge.scenario import generate_scenario
@@ -321,6 +322,34 @@ class TestSolveCommand:
                      "--algorithms", "jso", "--seeds", "1",
                      "--override", "tft_base_len=2.5", "--out", str(tmp_path / "bad")])
         assert not (tmp_path / "bad" / "results.csv").exists()
+
+
+class TestMalformedOverrides:
+    """A setting of the wrong shape exits with one line naming its field."""
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--devices", "2"],
+        ["sweep", "--param", "device_count", "--grid", "2", "--algorithms", "fmi",
+         "--seeds", "1"],
+    ])
+    @pytest.mark.parametrize("override", [
+        "local_schedule_order=[sound,image,signal]",
+        "local_schedule_order=image",
+        "local_schedule_order=3",
+        "event_rates=0.5",
+        "maoi_weights=1",
+        "tx_power=[1,2]",
+        "tau_min=null",
+    ])
+    def test_exits_naming_the_field(self, tmp_path, monkeypatch, command, override):
+        monkeypatch.setattr(baselines, "solve", lambda *a, **k: pytest.fail("solved"))
+        field = override.split("=", 1)[0]
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*command, "--override", override, "--out", str(tmp_path)])
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"{field}: expected ")
+        assert not any(tmp_path.iterdir())
 
 
 class TestSeedOption:

@@ -64,6 +64,12 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="base_devices"):
             fast_spec(param="energy_budget", grid=(2.0,), base_devices=0)
 
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
+    def test_every_seed_checked_when_built(self, monkeypatch, seed, error):
+        monkeypatch.setattr(baselines, "solve", lambda *a, **k: pytest.fail("solved"))
+        with pytest.raises(error, match="seed|integer"):
+            run_sweep(fast_spec(seeds=(0, seed)))
+
     def test_fractional_grid_allowed_for_other_params(self):
         assert fast_spec(param="energy_budget", grid=(2.5,)).grid == (2.5,)
         assert fast_spec(grid=(1.0, 3)).grid == (1.0, 3)

@@ -115,6 +115,12 @@ class TestQualityAndWeights:
         assert q_aud == pytest.approx(256_000)
         assert q_sig == pytest.approx(1280)
 
+    @pytest.mark.parametrize("name", ["aud_bit_depth", "sig_bit_depth"])
+    def test_profile_holds_positive_bit_depths(self, name):
+        # quality_terms needs no check of its own: a profile holds positive depths
+        with pytest.raises(ValueError, match=f"{name} must be > 0"):
+            DeviceProfile(id=0, **{name: 0})
+
     def test_invalid_reference_rejected(self):
         with pytest.raises(ValueError):
             NormalizationConfig(aud_ref_depth=0)

@@ -7,11 +7,13 @@ import yaml
 from hypothesis import given, strategies as st
 
 from maoi_edge import energy, optimizer, system_model
+from maoi_edge.cli import _parse_overrides
 from maoi_edge.energy import computation_energy, sensing_energy
 from maoi_edge.metric import OBJECTIVE_AOI, OBJECTIVE_MAOI
 from maoi_edge.optimizer import ScenarioEvaluator
 from maoi_edge.scenario import generate_scenario
 from maoi_edge.system_model import (
+    CONFIG_FIELD_TYPES,
     MODALITIES,
     DeviceProfile,
     ModalityKind,
@@ -23,6 +25,7 @@ from maoi_edge.system_model import (
     dump_config_document,
     load_config_document,
     local_waiting_time,
+    parse_settings,
     profile_columns,
     schedule_order,
     sensing_time,
@@ -448,3 +451,46 @@ class TestConfigDocument:
     def test_non_numeric_value_names_the_field(self):
         with pytest.raises(ValueError, match="capacity_threshold"):
             config_from_mapping({"capacity_threshold": "lots"})
+
+    @pytest.mark.parametrize("doc, match", [
+        ({"system": None, "devices": [{"id": 0}]}, "'system' must be a mapping"),
+        ({"system": {}, "devices": None}, "'devices' must be a list of mappings"),
+        ({"system": {}, "devices": [1]}, "'devices' must be a list of mappings"),
+    ])
+    def test_malformed_sections_name_file_and_section(self, tmp_path, doc, match):
+        path = tmp_path / "shape.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ValueError, match=f"shape.yaml: {match}"):
+            load_config_document(path)
+
+    # a field whose declared type the parser cannot read fails here
+    @pytest.mark.parametrize("section, name", [
+        (section, f.name) for section, cls in (("system", SystemConfig),
+                                               ("devices", DeviceProfile))
+        for f in fields(cls)])
+    def test_every_default_reads_back_from_its_dumped_yaml(self, tmp_path, section, name):
+        profile, config = DeviceProfile(id=0), SystemConfig()
+        path = tmp_path / "defaults.yaml"
+        dump_config_document([profile], config, path)
+        assert load_config_document(path) == ([profile], config)
+        doc = yaml.safe_load(path.read_text())
+        dumped = (doc["system"] if section == "system" else doc["devices"][0])[name]
+        overrides = _parse_overrides([f"{name}={yaml.safe_dump(dumped)}"], None)
+        if name in ("id", "channel_gain"):  # the generator sets these itself
+            with pytest.raises(ValueError, match="unknown override fields"):
+                generate_scenario(1, 0, overrides)
+            return
+        sc = generate_scenario(1, 0, overrides)
+        owner, default = (sc.config, config) if section == "system" else (sc.profiles[0], profile)
+        assert getattr(owner, name) == getattr(default, name)
+        assert type(getattr(owner, name)) is type(getattr(default, name))
+
+    def test_numpy_scalars_read_as_numbers(self):
+        parsed = parse_settings(
+            {"capacity_threshold": np.float64(3e7), "max_outer_iters": np.int64(300),
+             "event_rates": np.array([0.5, 0.6, 0.7]),
+             "local_schedule_order": [np.int64(3), 1.0, "Audio"]},
+            CONFIG_FIELD_TYPES, "system config")
+        assert SystemConfig(**parsed) == SystemConfig(
+            capacity_threshold=3e7, max_outer_iters=300, event_rates=(0.5, 0.6, 0.7),
+            local_schedule_order=(SIG, IMG, AUD))
