@@ -24,6 +24,8 @@ from .optimizer import (
 from .system_model import DeviceProfile, SystemConfig
 
 DBRO_MAX_SWEEPS = 200
+#: Share of the other devices' received power that IDD assumes interferes.
+IDD_ASSUMED_SHARE = 0.5
 
 
 def solve_fmi(profiles: Sequence[DeviceProfile], config: SystemConfig,
@@ -78,25 +80,22 @@ def solve_gmo(profiles: Sequence[DeviceProfile], config: SystemConfig,
 
 
 def solve_idd(profiles: Sequence[DeviceProfile], config: SystemConfig,
-              init: Decision | None = None,
-              rho: float = 0.5) -> tuple[Decision, SolveTrace]:
+              init: Decision | None = None) -> tuple[Decision, SolveTrace]:
     """Independent distributed decisions under an assumed interference level.
 
     Each device takes its edge branch under the fixed prior
-    ``rho * sum_{j != d} P_j g_j`` instead of the real offload pattern, and
-    prices each branch at its own energy-feasible interval
-    ``tau = max(tau_min, e / budget)``: the age grows with tau, so that is
-    the branch's cheapest interval within budget.  It offloads if the edge
-    branch's age there is strictly lower.  The preference reads neither
+    ``IDD_ASSUMED_SHARE * sum_{j != d} P_j g_j`` instead of the real
+    offload pattern, and prices each branch at its own energy-feasible
+    interval ``tau = max(tau_min, e / budget)``: the age grows with tau, so
+    that is the branch's cheapest interval within budget.  It offloads if
+    the edge branch's age there is strictly lower.  The preference reads neither
     the multipliers nor the real pattern, so devices never react to each
     other.  Capacity admission is in device order, which fixes the pattern
     before the first iteration; intervals and multipliers are solved as
     usual.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
     ev = ScenarioEvaluator(profiles, config)
-    assumed = rho * (ev.rx_power.sum() - ev.rx_power)
+    assumed = IDD_ASSUMED_SHARE * (ev.rx_power.sum() - ev.rx_power)
     t_off, e_off = ev.edge_branch(ev.trans_times_under(assumed))
 
     def age_within_budget(t_sys, e):
@@ -178,4 +177,4 @@ def solve(name: str, profiles: Sequence[DeviceProfile], config: SystemConfig,
 
 
 __all__ = ["solve_fmi", "solve_flc", "solve_gmo", "solve_idd", "solve_dbro",
-           "solve_jso_a", "ALGORITHMS", "solve", "DBRO_MAX_SWEEPS"]
+           "solve_jso_a", "ALGORITHMS", "solve", "DBRO_MAX_SWEEPS", "IDD_ASSUMED_SHARE"]

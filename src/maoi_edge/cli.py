@@ -14,8 +14,9 @@ from pathlib import Path
 
 import yaml
 
-from . import baselines, experiments, trends
-from .scenario import generate_scenario
+from . import baselines, experiments, oracle, trends
+from .scenario import DEVICE_OVERRIDE_TYPES, generate_scenario
+from .system_model import CONFIG_FIELD_TYPES, parse_settings
 
 log = logging.getLogger("maoi_edge")
 
@@ -28,11 +29,12 @@ def _parse_list(text: str, kind: type, option: str) -> tuple:
                          f"values, got {text!r}") from None
 
 
-_CONFIG_KEYS = ("system", "device", "psi_range", "path_loss_exponent")
+_CONFIG_SECTIONS = {"system": CONFIG_FIELD_TYPES, "device": DEVICE_OVERRIDE_TYPES}
+_CONFIG_KEYS = (*_CONFIG_SECTIONS, "psi_range", "path_loss_exponent")
 
 
 def _parse_overrides(pairs: list[str], config_path: str | None) -> dict:
-    """``--config`` then ``--override`` values as YAML reads them; unchecked."""
+    """``--config`` then ``--override`` values; only the config's sections are checked here."""
     overrides: dict = {}
     if config_path:
         doc = yaml.safe_load(_read_or_exit(Path.read_text, Path(config_path)))
@@ -43,11 +45,14 @@ def _parse_overrides(pairs: list[str], config_path: str | None) -> dict:
             raise SystemExit(f"{config_path}: unknown top-level key {unknown[0]!r}; "
                              f"expected {', '.join(_CONFIG_KEYS)} (sweeps generate "
                              "their own device populations)")
-        for section in ("system", "device"):
+        for section, kinds in _CONFIG_SECTIONS.items():
             entries = doc.get(section)
             if not isinstance(entries, (dict, type(None))):
                 raise SystemExit(f"{config_path}: '{section}' must be a mapping")
-            overrides.update(entries or {})
+            try:
+                overrides.update(parse_settings(entries or {}, kinds, section))
+            except ValueError as exc:
+                raise SystemExit(f"{config_path}: {exc}") from None
         for key in ("psi_range", "path_loss_exponent"):
             if key in doc:
                 overrides[key] = doc[key]
@@ -203,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check the closed-form ages against the Monte-Carlo oracle")
     p.add_argument("--updates", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--z", type=float, default=2.576,
+    p.add_argument("--z", type=float, default=oracle.Z_99,
                    help="CI half-width in standard errors (default 99%%)")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_validate_oracle)

@@ -270,7 +270,7 @@ ORACLE_T_SYS = (0.0, 4.0)
 
 
 def validate_oracle(n_updates: int = 100_000, seed: int = 0,
-                    z: float = 2.576) -> list[dict]:
+                    z: float = oracle.Z_99) -> list[dict]:
     """Bracketing table: closed form vs simulation CI on the standard grid."""
     seed = check_seed(seed)
     rows = []

@@ -10,13 +10,12 @@ at slope ``1 + psi`` whenever at least one content event (Poisson, rate
 * signal: descriptor dynamics + (normalized) rate-times-depth quality.
 
 Weights may be supplied directly (the optimizer only ever consumes the
-numbers) or extracted from frame sequences via the functions below.
+numbers) or extracted from frame sequences by ``extract_weights``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -89,45 +88,17 @@ def signal_dynamics(frames: Sequence) -> float:
     return float(np.mean((z[1:] - z[:-1]) ** 2))
 
 
-@dataclass(frozen=True)
-class NormalizationConfig:
-    """Reference rate/depth products that scale the raw quality terms to O(1).
-
-    Setting all references to 1 recovers the raw rate-times-depth products.
-    """
-
-    aud_ref_rate: float = 16_000.0
-    aud_ref_depth: float = 16.0
-    sig_ref_rate: float = 80.0
-    sig_ref_depth: float = 16.0
-
-    def __post_init__(self) -> None:
-        for name in ("aud_ref_rate", "aud_ref_depth", "sig_ref_rate", "sig_ref_depth"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+#: Reference rate-times-depth products that scale the quality terms to O(1):
+#: 16 kHz, 16-bit audio and 80 Hz, 16-bit signal read 1.
+AUDIO_QUALITY_REF = 16_000.0 * 16.0
+SIGNAL_QUALITY_REF = 80.0 * 16.0
 
 
-def quality_terms(profile: DeviceProfile,
-                  norm: NormalizationConfig = NormalizationConfig(),
-                  ) -> tuple[float, float]:
+def quality_terms(profile: DeviceProfile) -> tuple[float, float]:
     """Audio and signal acquisition-quality attributes (rate x bit depth)."""
-    q_aud = (profile.aud_rate * profile.aud_bit_depth) / (norm.aud_ref_rate * norm.aud_ref_depth)
-    q_sig = (profile.sig_rate * profile.sig_bit_depth) / (norm.sig_ref_rate * norm.sig_ref_depth)
+    q_aud = (profile.aud_rate * profile.aud_bit_depth) / AUDIO_QUALITY_REF
+    q_sig = (profile.sig_rate * profile.sig_bit_depth) / SIGNAL_QUALITY_REF
     return q_aud, q_sig
-
-
-@dataclass(frozen=True)
-class ModalityWeights:
-    """Per-modality age-growth weights with their provenance."""
-
-    psi: tuple[float, float, float]
-    provenance: str = "direct"  # "direct" or "extracted"
-
-    def __post_init__(self) -> None:
-        if len(self.psi) != 3 or any(p < 0 for p in self.psi):
-            raise ValueError(f"psi must be 3 values >= 0, got {self.psi}")
-        if self.provenance not in ("direct", "extracted"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
 
 
 def extract_weights(profile: DeviceProfile,
@@ -135,15 +106,14 @@ def extract_weights(profile: DeviceProfile,
                     roi_area: float,
                     audio_frames: Sequence,
                     signal_frames: Sequence,
-                    norm: NormalizationConfig = NormalizationConfig(),
-                    ) -> ModalityWeights:
-    """Aggregate content attributes into the three modality weights."""
+                    ) -> tuple[float, float, float]:
+    """The ``(image, audio, signal)`` weights, as ``DeviceProfile(maoi_weights=...)`` takes them."""
     total_area = float(profile.img_height * profile.img_width)
     psi_img = image_dynamism(image_frames) + roi_ratio(roi_area, total_area)
-    q_aud, q_sig = quality_terms(profile, norm)
+    q_aud, q_sig = quality_terms(profile)
     psi_aud = q_aud + audio_semantic_variation(audio_frames)
     psi_sig = signal_dynamics(signal_frames) + q_sig
-    return ModalityWeights(psi=(psi_img, psi_aud, psi_sig), provenance="extracted")
+    return psi_img, psi_aud, psi_sig
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +170,7 @@ def read_signal_frames(path: str | Path, n_features: int) -> list[np.ndarray]:
 __all__ = [
     "OBJECTIVE_MAOI", "OBJECTIVE_AOI", "OBJECTIVES",
     "image_dynamism", "roi_ratio", "audio_semantic_variation", "signal_dynamics",
-    "NormalizationConfig", "quality_terms", "ModalityWeights", "extract_weights",
+    "AUDIO_QUALITY_REF", "SIGNAL_QUALITY_REF", "quality_terms", "extract_weights",
     "event_factors", "avg_maoi_modality",
     "read_frames", "read_signal_frames",
 ]

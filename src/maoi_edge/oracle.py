@@ -31,6 +31,9 @@ import numpy as np
 
 from .optimizer import ScenarioEvaluator
 
+#: Two-sided 99% normal quantile: the default CI half-width in standard errors.
+Z_99 = 2.576
+
 
 @dataclass(frozen=True)
 class TrajectoryStats:
@@ -46,14 +49,14 @@ class TrajectoryStats:
         if self.n_updates < 1:
             raise ValueError("n_updates must be >= 1")
 
-    def ci(self, z: float = 2.576) -> tuple[float, float]:
+    def ci(self, z: float = Z_99) -> tuple[float, float]:
         """Confidence interval at the given normal quantile (default 99%)."""
         if not z > 0:
             raise ValueError(f"z must be > 0, got {z}")
         return (self.mean_maoi - z * self.std_error,
                 self.mean_maoi + z * self.std_error)
 
-    def brackets(self, value: float, z: float = 2.576) -> bool:
+    def brackets(self, value: float, z: float = Z_99) -> bool:
         lo, hi = self.ci(z)
         return lo <= value <= hi
 
@@ -123,4 +126,4 @@ def simulate_avg_maoi_device(ev: ScenarioEvaluator, d: int, tau: float,
     )
 
 
-__all__ = ["TrajectoryStats", "simulate_avg_maoi", "simulate_avg_maoi_device"]
+__all__ = ["Z_99", "TrajectoryStats", "simulate_avg_maoi", "simulate_avg_maoi_device"]

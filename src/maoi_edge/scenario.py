@@ -38,11 +38,13 @@ AREA_SIZE = 40.0           # m, square side with the BS at the center
 REFERENCE_DISTANCE = 10.0  # m, close-in distance below which path loss is flat
 DEFAULT_PSI_RANGE = (0.5, 1.5)
 
+#: Declared type of every device field the generator does not draw itself.
+DEVICE_OVERRIDE_TYPES = {name: kind for name, kind in PROFILE_FIELD_TYPES.items()
+                         if name not in ("id", "channel_gain")}
 #: Declared type of every override: the system fields, the device fields
-#: the generator does not draw itself, and the two that shape its draws.
-_OVERRIDE_TYPES = {**CONFIG_FIELD_TYPES, **PROFILE_FIELD_TYPES,
+#: above, and the two that shape the generator's draws.
+_OVERRIDE_TYPES = {**CONFIG_FIELD_TYPES, **DEVICE_OVERRIDE_TYPES,
                    "psi_range": "tuple[float, float]", "path_loss_exponent": "float"}
-del _OVERRIDE_TYPES["id"], _OVERRIDE_TYPES["channel_gain"]
 
 # numpy's SeedSequence (4-word pool, 32-bit hash) and PCG64 (128-bit LCG,
 # XSL-RR output) constants
@@ -71,8 +73,7 @@ class Scenario:
         return len(self.profiles)
 
 
-def channel_gain_from_distance(distance: float, delta: float = 2.0,
-                               reference: float = REFERENCE_DISTANCE) -> float:
+def channel_gain_from_distance(distance: float, delta: float = 2.0) -> float:
     """Inverse power-law gain for a device at the given BS distance (m).
 
     Path loss is flat inside the close-in reference distance, the usual
@@ -80,7 +81,7 @@ def channel_gain_from_distance(distance: float, delta: float = 2.0,
     """
     if distance <= 0:
         raise ValueError(f"distance must be > 0, got {distance}")
-    return max(distance, reference) ** (-delta)
+    return max(distance, REFERENCE_DISTANCE) ** (-delta)
 
 
 def _stratified_uniform(rng: np.random.Generator, n: int, lo: float,
@@ -215,7 +216,7 @@ def generate_scenario(d_count: int, seed: int,
     if not 0 < delta < np.inf:
         raise ValueError(f"path_loss_exponent must be a finite number > 0, got {delta!r}")
     config = SystemConfig(**{k: v for k, v in overrides.items() if k in CONFIG_FIELD_TYPES})
-    device_kwargs = {k: v for k, v in overrides.items() if k in PROFILE_FIELD_TYPES}
+    device_kwargs = {k: v for k, v in overrides.items() if k in DEVICE_OVERRIDE_TYPES}
 
     # Generator.uniform(low, high) draws low + (high - low) * random()
     low, high = -AREA_SIZE / 2, AREA_SIZE / 2
@@ -253,5 +254,5 @@ def with_audio_weight_increment(scenario: Scenario, increment: float) -> Scenari
 
 
 __all__ = ["Scenario", "generate_scenario", "channel_gain_from_distance", "check_seed",
-           "with_audio_weight_increment", "AREA_SIZE", "REFERENCE_DISTANCE",
+           "DEVICE_OVERRIDE_TYPES", "with_audio_weight_increment", "AREA_SIZE", "REFERENCE_DISTANCE",
            "DEFAULT_PSI_RANGE"]

@@ -371,7 +371,8 @@ def load_config_document(path: str | Path) -> tuple[list[DeviceProfile], SystemC
     """Load profiles and system config from a YAML or JSON document.
 
     The document holds one ``system`` section plus a ``devices`` list with
-    one section per device; field names match the dataclass fields.
+    one section per device; field names match the dataclass fields.  An
+    error names the file and the section, ``system`` or ``devices[i]``.
     """
     path = Path(path)
     doc = (json.loads if path.suffix.lower() == ".json" else yaml.safe_load)(path.read_text())
@@ -382,11 +383,19 @@ def load_config_document(path: str | Path) -> tuple[list[DeviceProfile], SystemC
     if not (isinstance(doc["devices"], list)
             and all(isinstance(d, dict) for d in doc["devices"])):
         raise ValueError(f"{path}: 'devices' must be a list of mappings")
-    config = config_from_mapping(doc["system"])
-    profiles = [profile_from_mapping(d) for d in doc["devices"]]
-    if len({p.id for p in profiles}) != len(profiles):
-        raise ValueError(f"{path}: duplicate device ids")
-    return profiles, config
+    where = "system"
+    try:
+        config = config_from_mapping(doc["system"])
+        profiles: dict[int, DeviceProfile] = {}
+        for i, entry in enumerate(doc["devices"]):
+            where = f"devices[{i}]"
+            profile = profile_from_mapping(entry)
+            if profile.id in profiles:
+                raise ValueError(f"duplicate device id {profile.id}")
+            profiles[profile.id] = profile
+    except ValueError as exc:
+        raise ValueError(f"{path}: {where}: {exc}") from None
+    return list(profiles.values()), config
 
 
 def _dump_value(value):

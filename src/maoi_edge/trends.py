@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 
 @dataclass(frozen=True)
@@ -47,25 +48,27 @@ def _curve(rows: Sequence[dict], algorithm: str, metric: str,
 
 
 def check_monotone(xs: Sequence[float], ys: Sequence[float], direction: str,
-                   slack_frac: float = 0.05) -> tuple[bool, str]:
+                   slack: float = 0.05) -> tuple[bool, str]:
     """Monotone trend with slack: wrong-direction steps are tolerated up to
-    ``slack_frac`` of the curve's total range."""
+    ``slack`` of the curve's total range."""
     if direction not in ("increasing", "decreasing"):
         raise ValueError(f"direction must be increasing/decreasing, got {direction!r}")
     sign = 1.0 if direction == "increasing" else -1.0
-    span = max(ys) - min(ys)
-    slack = slack_frac * span
+    allowed = slack * (max(ys) - min(ys))
     for i in range(len(ys) - 1):
         step = sign * (ys[i + 1] - ys[i])
-        if step < -slack:
+        if step < -allowed:
             return False, (f"step {xs[i]}->{xs[i + 1]} moves {ys[i]:.6g}->"
-                           f"{ys[i + 1]:.6g} against {direction} beyond slack {slack:.3g}")
-    return True, f"{direction} over {len(ys)} points (slack {slack:.3g})"
+                           f"{ys[i + 1]:.6g} against {direction} beyond slack {allowed:.3g}")
+    return True, f"{direction} over {len(ys)} points (slack {allowed:.3g})"
 
 
 def check_dominance(rows: Sequence[dict], metric: str, reference: str,
-                    others: Sequence[str], tol: float = 1e-6) -> tuple[bool, str]:
-    """Reference curve at or below every other curve at every grid value."""
+                    others: Sequence[str] | None = None,
+                    tol: float = 1e-6) -> tuple[bool, str]:
+    """Reference curve at or below each of ``others`` (default: all) at every grid value."""
+    if not others:
+        others = sorted({r["algorithm"] for r in rows} - {reference})
     ref_xs, ref_ys = _curve(rows, reference, metric)
     ref = dict(zip(ref_xs, ref_ys))
     for alg in others:
@@ -101,42 +104,34 @@ def check_plateau(xs: Sequence[float], ys: Sequence[float],
                 f"(threshold {step_frac:.0%})")
 
 
+def _on_curve(check, rows, metric, algorithm, **params):
+    """``check(xs, ys, **params)`` on ``algorithm``'s ``metric`` curve."""
+    return check(*_curve(rows, algorithm, metric), **params)
+
+
+#: Each check type and its function; a spec's other keys are its arguments.
+_CHECKS = {"monotone": partial(_on_curve, check_monotone), "dominance": check_dominance,
+           "flat": check_flat, "plateau": partial(_on_curve, check_plateau)}
+
+
 def evaluate_checks(rows: Sequence[dict], checks: Sequence[dict]) -> TrendReport:
     """Evaluate declarative checks against an aggregate table.
 
     Each check is a mapping with a ``type`` of ``monotone``, ``dominance``,
-    ``flat`` or ``plateau`` plus the type's parameters; see the check
-    functions for semantics.
+    ``flat`` or ``plateau``, an optional ``name``, and the keyword arguments
+    of the type's check function; a bad argument fails as a check error.
     """
     results = []
     for spec in checks:
-        kind = spec.get("type")
-        name = spec.get("name", kind)
+        params = dict(spec)
+        kind = params.pop("type", None)
+        name = params.pop("name", kind)
         try:
-            if kind == "monotone":
-                xs, ys = _curve(rows, spec["algorithm"], spec["metric"])
-                ok, detail = check_monotone(xs, ys, spec["direction"],
-                                            spec.get("slack", 0.05))
-            elif kind == "dominance":
-                algorithms = sorted({r["algorithm"] for r in rows})
-                others = spec.get("others") or [a for a in algorithms
-                                                if a != spec["reference"]]
-                ok, detail = check_dominance(rows, spec["metric"],
-                                             spec["reference"], others,
-                                             spec.get("tol", 1e-6))
-            elif kind == "flat":
-                ok, detail = check_flat(rows, spec["metric"], spec["algorithm"],
-                                        spec["reference"],
-                                        spec.get("within_frac", 0.02))
-            elif kind == "plateau":
-                xs, ys = _curve(rows, spec["algorithm"], spec["metric"])
-                ok, detail = check_plateau(xs, ys, spec.get("step_frac", 0.01))
-            else:
+            if kind not in _CHECKS:
                 raise ValueError(f"unknown check type {kind!r}")
-        except (KeyError, ValueError) as exc:
-            results.append(TrendResult(name=name, passed=False,
-                                       detail=f"check error: {exc}"))
-            continue
+            ok, detail = _CHECKS[kind](rows, **params)
+        except (KeyError, TypeError, ValueError) as exc:
+            ok, detail = False, f"check error: {exc}"
         results.append(TrendResult(name=name, passed=ok, detail=detail))
     return TrendReport(results)
 

@@ -297,7 +297,7 @@ class TestCriterion8:
                   ("maoi_signal", "increasing")]
         for metric, direction in checks:
             ok, detail = trends.check_monotone(list(DW_GRID), curves[metric],
-                                               direction, slack_frac=0.05)
+                                               direction, slack=0.05)
             if not ok:
                 problems.append(f"{metric}: {detail}")
         report(8, not problems,

@@ -122,23 +122,23 @@ class TestIDD:
         exact = ev.best_responses(decision.tau, decision.mu, np.array([0]))
         assert decision.x[0] == exact[0]
 
-    def test_optimistic_prior_offloads_weakly_more(self):
+    def test_optimistic_prior_offloads_weakly_more(self, monkeypatch):
         counts = {}
-        for rho in (0.0, 1.0):
+        for share in (0.0, 1.0):
+            monkeypatch.setattr(baselines, "IDD_ASSUMED_SHARE", share)
             total = 0
             for seed in (0, 1, 2):
                 profiles, config = scenario_lists(8, seed=seed,
                                                   energy_budget=3.0)
-                decision, _ = baselines.solve_idd(profiles, config, rho=rho)
+                decision, _ = baselines.solve_idd(profiles, config)
                 total += int(decision.x.sum())
-            counts[rho] = total
+            counts[share] = total
         assert counts[0.0] >= counts[1.0]
 
-    def test_rho_validated_and_capacity_respected(self):
+    def test_capacity_respected_under_optimistic_prior(self, monkeypatch):
+        monkeypatch.setattr(baselines, "IDD_ASSUMED_SHARE", 0.0)
         profiles, config = scenario_lists(6, seed=8)
-        with pytest.raises(ValueError):
-            baselines.solve_idd(profiles, config, rho=1.5)
-        decision, _ = baselines.solve_idd(profiles, config, rho=0.0)
+        decision, _ = baselines.solve_idd(profiles, config)
         ev = ScenarioEvaluator(profiles, config)
         assert float(decision.x @ ev.payload) <= config.capacity_threshold
 

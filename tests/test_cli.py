@@ -130,6 +130,23 @@ class TestSweepCommand:
         cfg.write_text(f"{section}:\npsi_range: [1.0, 1.2]\n")
         assert _parse_overrides([], str(cfg)) == {"psi_range": [1.0, 1.2]}
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"device": {"tau_min": 3.0}}, "unknown device fields: ['tau_min']"),
+        ({"system": {"energy_budget": 2.0}}, "unknown system fields: ['energy_budget']"),
+        ({"device": {"channel_gain": 1e-3}}, "unknown device fields: ['channel_gain']"),
+        ({"system": {"capacity_threshold": "lots"}},
+         "capacity_threshold: expected a number, got 'lots'"),
+    ])
+    def test_config_sections_read_by_their_own_fields(self, tmp_path, monkeypatch,
+                                                      doc, message):
+        monkeypatch.setattr(baselines, "solve", lambda *a, **k: pytest.fail("solved"))
+        cfg = tmp_path / "conf.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["solve", "--devices", "2", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert str(exc.value) == f"{cfg}: {message}"
+
     def test_non_mapping_config_section_rejected(self, tmp_path):
         cfg = tmp_path / "conf.yaml"
         cfg.write_text("system: [1, 2]\n")
@@ -231,6 +248,16 @@ class TestAssertTrendsCommand:
         code = run_cli(["assert-trends", "--results", str(results),
                         "--trend-spec", str(spec)])
         assert code == 1
+
+    @pytest.mark.parametrize("param", [{"slak": 1.0}, {"slack": "5%"}])
+    def test_bad_check_parameter_fails_the_check(self, tmp_path, capsys, param):
+        results, spec = self.write_inputs(tmp_path, rising=True)
+        [check] = yaml.safe_load(spec.read_text())["checks"]
+        spec.write_text(yaml.safe_dump({"checks": [{**check, **param}]}))
+        code = run_cli(["assert-trends", "--results", str(results),
+                        "--trend-spec", str(spec)])
+        assert code == 1
+        assert "[FAIL] maoi-rises-with-d: check error: " in capsys.readouterr().out
 
     @pytest.mark.parametrize("missing", ["--results", "--trend-spec"])
     def test_missing_input_file_named(self, tmp_path, missing):

@@ -228,10 +228,10 @@ class TestTrendChecks:
         ok, _ = trends.check_monotone([1, 2, 3], [1.0, 1.5, 2.0], "increasing")
         assert ok
         ok, _ = trends.check_monotone([1, 2, 3], [1.0, 0.99, 2.0], "increasing",
-                                      slack_frac=0.05)
+                                      slack=0.05)
         assert ok  # dip within 5% of range
         ok, detail = trends.check_monotone([1, 2, 3], [1.0, 0.2, 2.0],
-                                           "increasing", slack_frac=0.05)
+                                           "increasing", slack=0.05)
         assert not ok and "against increasing" in detail
 
     def test_dominance(self):
@@ -275,6 +275,38 @@ class TestTrendChecks:
         assert by_name["rises"].passed
         assert not by_name["falls"].passed
         assert "FAIL" in report.render()
+
+    def test_dominance_defaults_to_every_other_algorithm(self):
+        rows = [{"value": 1.0, "algorithm": alg, "m": m}
+                for alg, m in (("jso", 1.0), ("flc", 2.0), ("fmi", 0.5))]
+        ok, detail = trends.check_dominance(rows, "m", "jso")
+        assert not ok and "exceeds fmi" in detail
+        report = trends.evaluate_checks(rows, [
+            {"type": "dominance", "metric": "m", "reference": "jso"},
+            {"type": "dominance", "metric": "m", "reference": "jso", "others": ["flc"]}])
+        assert [r.passed for r in report.results] == [False, True]
+
+    @pytest.mark.parametrize("check, bad", [
+        ({"type": "monotone", "algorithm": "jso", "direction": "decreasing"},
+         {"slak": 1.0}),
+        ({"type": "monotone", "algorithm": "jso", "direction": "decreasing"},
+         {"slack": "5%"}),
+        ({"type": "plateau", "algorithm": "jso"}, {"step": 0.5}),
+        ({"type": "plateau", "algorithm": "jso"}, {"step_frac": "1%"}),
+        ({"type": "flat", "algorithm": "flc", "reference": "jso"}, {"within": 0.5}),
+        ({"type": "flat", "algorithm": "flc", "reference": "jso"}, {"within_frac": [0.5]}),
+        ({"type": "dominance", "reference": "jso"}, {"tolerance": 1.0}),
+        ({"type": "dominance", "reference": "jso"}, {"tol": "1e-6"}),
+    ])
+    def test_bad_parameter_is_a_check_error(self, check, bad):
+        rows = [{"value": v, "algorithm": alg, "m": m}
+                for alg, ms in (("jso", (10.0, 5.0, 5.001)), ("flc", (20.0, 20.01, 20.02)))
+                for v, m in zip((1, 2, 3), ms)]
+        spec = {"name": "c", "metric": "m", **check}
+        assert trends.evaluate_checks(rows, [spec]).passed  # the well-formed check
+        [result] = trends.evaluate_checks(rows, [{**spec, **bad}]).results
+        assert not result.passed
+        assert result.line().startswith("[FAIL] c: check error: ")
 
     def test_unknown_check_type_reported(self):
         report = trends.evaluate_checks([], [{"type": "wavelet"}])

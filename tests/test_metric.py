@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from maoi_edge.metric import (
     OBJECTIVE_AOI,
     OBJECTIVE_MAOI,
-    ModalityWeights,
-    NormalizationConfig,
     audio_semantic_variation,
     avg_maoi_modality,
     event_factors,
@@ -108,28 +106,11 @@ class TestQualityAndWeights:
         assert q_aud == pytest.approx(1.0)
         assert q_sig == pytest.approx(1.0)
 
-    def test_raw_products_with_unit_references(self, profile):
-        norm = NormalizationConfig(aud_ref_rate=1, aud_ref_depth=1,
-                                   sig_ref_rate=1, sig_ref_depth=1)
-        q_aud, q_sig = quality_terms(profile, norm)
-        assert q_aud == pytest.approx(256_000)
-        assert q_sig == pytest.approx(1280)
-
     @pytest.mark.parametrize("name", ["aud_bit_depth", "sig_bit_depth"])
     def test_profile_holds_positive_bit_depths(self, name):
         # quality_terms needs no check of its own: a profile holds positive depths
         with pytest.raises(ValueError, match=f"{name} must be > 0"):
             DeviceProfile(id=0, **{name: 0})
-
-    def test_invalid_reference_rejected(self):
-        with pytest.raises(ValueError):
-            NormalizationConfig(aud_ref_depth=0)
-
-    def test_weights_validation(self):
-        with pytest.raises(ValueError):
-            ModalityWeights(psi=(1.0, -1.0, 0.0))
-        with pytest.raises(ValueError):
-            ModalityWeights(psi=(1.0, 1.0, 1.0), provenance="guessed")
 
     def test_extracted_weights_compose_attributes(self, profile):
         img = [np.zeros((2, 2)), np.full((2, 2), 10.0)]
@@ -137,10 +118,8 @@ class TestQualityAndWeights:
         sig = [np.array([[0.0]]), np.array([[2.0]])]
         w = extract_weights(profile, img, roi_area=0.25 * 224 * 224,
                             audio_frames=aud, signal_frames=sig)
-        assert w.provenance == "extracted"
-        assert w.psi[0] == pytest.approx(10.0 + 0.25)
-        assert w.psi[1] == pytest.approx(1.0 + 4.0)
-        assert w.psi[2] == pytest.approx(4.0 + 1.0)
+        assert w == pytest.approx((10.0 + 0.25, 1.0 + 4.0, 4.0 + 1.0))
+        assert DeviceProfile(id=1, maoi_weights=w).maoi_weights == w
 
 
 class TestGrowthModel:

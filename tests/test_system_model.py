@@ -422,6 +422,19 @@ class TestConfigDocument:
         with pytest.raises(ValueError, match="duplicate"):
             load_config_document(path)
 
+    @pytest.mark.parametrize("system, devices, message", [
+        ({}, [{"id": 0}, {"id": 1, "tx_power": "lots"}],
+         "devices[1]: tx_power: expected a number, got 'lots'"),
+        ({}, [{"id": 4}, {"id": 2}, {"id": 4}], "devices[2]: duplicate device id 4"),
+        ({"tau_min": "soon"}, [{"id": 0}], "system: tau_min: expected a number, got 'soon'"),
+    ])
+    def test_entry_errors_name_file_and_entry(self, tmp_path, system, devices, message):
+        path = tmp_path / "doc.yaml"
+        path.write_text(yaml.safe_dump({"system": system, "devices": devices}))
+        with pytest.raises(ValueError) as exc:
+            load_config_document(path)
+        assert str(exc.value) == f"{path}: {message}"
+
     def test_schedule_order_by_name(self, tmp_path):
         path = tmp_path / "order.yaml"
         path.write_text(yaml.safe_dump({
