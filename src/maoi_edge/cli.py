@@ -37,7 +37,7 @@ def _parse_overrides(pairs: list[str], config_path: str | None) -> dict:
     """``--config`` then ``--override`` values; only the config's sections are checked here."""
     overrides: dict = {}
     if config_path:
-        doc = yaml.safe_load(_read_or_exit(Path.read_text, Path(config_path)))
+        doc = _read_yaml(config_path)
         if not isinstance(doc, dict):
             raise SystemExit(f"{config_path}: expected a mapping")
         unknown = [key for key in doc if key not in _CONFIG_KEYS]
@@ -59,8 +59,11 @@ def _parse_overrides(pairs: list[str], config_path: str | None) -> dict:
     for pair in pairs or []:
         if "=" not in pair:
             raise SystemExit(f"--override needs key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        overrides[key.strip()] = yaml.safe_load(value)
+        key, value = (part.strip() for part in pair.split("=", 1))
+        try:
+            overrides[key] = yaml.safe_load(value)
+        except yaml.YAMLError as exc:
+            raise SystemExit(f"--override {key}: malformed value {value!r}: {exc}") from None
     return overrides
 
 
@@ -78,6 +81,14 @@ def _read_or_exit(read, path):
         return read(path)
     except OSError as exc:
         raise SystemExit(f"{path}: {exc.strerror}") from None
+
+
+def _read_yaml(path: str):
+    """The YAML document in file ``path``; a file that cannot be read or parsed exits naming it."""
+    try:
+        return yaml.safe_load(_read_or_exit(Path.read_text, Path(path)))
+    except yaml.YAMLError as exc:
+        raise SystemExit(f"{path}: malformed YAML: {exc}") from None
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -128,7 +139,7 @@ def cmd_validate_oracle(args: argparse.Namespace) -> int:
 
 def cmd_assert_trends(args: argparse.Namespace) -> int:
     rows = _read_or_exit(experiments.read_csv, args.results)
-    spec = yaml.safe_load(_read_or_exit(Path.read_text, Path(args.trend_spec)))
+    spec = _read_yaml(args.trend_spec)
     checks = spec.get("checks") if isinstance(spec, dict) else None
     if not (isinstance(checks, list) and checks
             and all(isinstance(check, dict) for check in checks)):

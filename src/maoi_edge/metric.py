@@ -16,7 +16,6 @@ numbers) or extracted from frame sequences by ``extract_weights``.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from pathlib import Path
 
 import numpy as np
 
@@ -122,8 +121,9 @@ def extract_weights(profile: DeviceProfile,
 def event_factors(psi, lam, tau):
     """Expected growth rate phi = 1 + psi * P(at least one event in tau).
 
-    The package's only form of the growth model: the solvers, the lemma and
-    the oracle validation table all call it.  Broadcasts over its arguments.
+    The package's only form of the growth model: the solvers' costs and
+    slopes, the baselines and the oracle validation table all call it.
+    Broadcasts over its arguments.
     """
     return 1.0 + psi * (1.0 - np.exp(-lam * tau))
 
@@ -137,40 +137,9 @@ def avg_maoi_modality(psi, lam, tau, t_sys):
     return event_factors(psi, lam, tau) * (0.5 * tau + t_sys)
 
 
-# ---------------------------------------------------------------------------
-# frame-sequence ingestion (columnar text, one frame per record)
-
-def read_frames(path: str | Path) -> list[np.ndarray]:
-    """Read flat frames from a text file: one whitespace-separated row each.
-
-    Blank lines and ``#`` comments are skipped.
-    """
-    frames = []
-    for line in Path(path).read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        frames.append(np.array([float(tok) for tok in line.split()]))
-    return frames
-
-
-def read_signal_frames(path: str | Path, n_features: int) -> list[np.ndarray]:
-    """Read signal frames, reshaping each record into (n_points, n_features)."""
-    if n_features <= 0:
-        raise ValueError(f"n_features must be > 0, got {n_features}")
-    frames = []
-    for i, flat in enumerate(read_frames(path)):
-        if flat.size % n_features != 0:
-            raise ValueError(f"record {i} has {flat.size} values, "
-                             f"not a multiple of {n_features}")
-        frames.append(flat.reshape(-1, n_features))
-    return frames
-
-
 __all__ = [
     "OBJECTIVE_MAOI", "OBJECTIVE_AOI", "OBJECTIVES",
     "image_dynamism", "roi_ratio", "audio_semantic_variation", "signal_dynamics",
     "AUDIO_QUALITY_REF", "SIGNAL_QUALITY_REF", "quality_terms", "extract_weights",
     "event_factors", "avg_maoi_modality",
-    "read_frames", "read_signal_frames",
 ]

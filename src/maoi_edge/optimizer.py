@@ -148,14 +148,14 @@ class PatternState(NamedTuple):
 class ScenarioEvaluator:
     """Device-vectorized cost evaluation for one scenario and objective.
 
-    Static per-device quantities (payloads, sensing/compute times, sensing
-    and compute energies, the local branch's energy) are precomputed, each
-    per-modality model run once over the ``profile_columns`` of the
-    devices, returning every modality in one call.  A local update waits
-    for the modalities scheduled ahead of it on the device's processor;
-    the edge processes all three in parallel, so its system times have no
-    waiting term but add the transmission time.  Two read-only entries are
-    cached, each holding only its latest key:
+    Static per-device arrays (payloads, radio powers, budgets, energies,
+    local system times, edge system times before transmission) are
+    precomputed from the ``profile_columns`` of the devices, each
+    per-modality model run once; the profiles are not kept.  A local
+    update waits for the modalities scheduled ahead of it on the device's
+    processor; the edge processes all three in parallel, so its system
+    times have no waiting term but add the transmission time.  Two
+    read-only entries are cached, each holding only its latest key:
 
     * per offload pattern, keyed on ``x.tobytes()``: its ``PatternState``
       (transmission times, system times, per-update energies, the edge
@@ -177,14 +177,12 @@ class ScenarioEvaluator:
                  objective: str = OBJECTIVE_MAOI):
         if objective not in metric.OBJECTIVES:
             raise ValueError(f"unknown objective {objective!r}")
-        self.profiles = list(profiles)
         self.config = config
-        D = len(self.profiles)
-        if D == 0:
+        self.n_devices = len(profiles)
+        if self.n_devices == 0:
             raise ValueError("need at least one device")
-        self.n_devices = D
         self.lam = np.asarray(config.event_rates, dtype=float)
-        cols = profile_columns(self.profiles)
+        cols = profile_columns(profiles)
         self.payload = total_data_bits(cols)
         self.tx_power = cols.tx_power
         self.rx_power = cols.tx_power * cols.channel_gain
@@ -199,7 +197,6 @@ class ScenarioEvaluator:
         flops = compute_flops(cols, config)
         t_lc, t_ec = flops / config.f_local, flops / config.f_edge
         wait = local_waiting_time(t_lc, served_ahead(cols, config))
-        self.lemma_gap = wait + t_lc - t_ec     # local minus edge compute path
         self.t_local = sens + wait + t_lc       # full local system times
         self.t_edge0 = sens + t_ec              # edge system times minus transmission
         self._pattern_key: bytes | None = None
@@ -443,36 +440,6 @@ class ScenarioEvaluator:
             committed.append(device)
             x = x_next
 
-    # -- diagnostics --------------------------------------------------------
-
-    def lemma_threshold(self, d: int, tau_d: float, mu_d: float) -> float:
-        """Interference threshold of the closed-form offloading rule.
-
-        Solving ``branch_costs``' edge-below-local comparison for the rate
-        gives offloading iff
-        ``log2(1 + SINR) > L (tau sum(phi) + mu P) / (B (tau phi . gap + mu e_comp))``;
-        the bandwidth ``B`` scales both denominator terms.  It serves as a
-        diagnostic cross-check of the canonical two-branch comparison, not
-        as the decision rule.
-        """
-        cfg = self.config
-        phi = event_factors(self.psi[d], self.lam, tau_d)
-        num = (phi.sum() * tau_d + mu_d * self.tx_power[d]) * self.payload[d]
-        den = cfg.bandwidth * (tau_d * float(phi @ self.lemma_gap[d])
-                               + mu_d * self.e_comp[d])
-        if den <= 0.0:
-            return -math.inf
-        exponent = num / den
-        if exponent > 600.0:  # 2**exponent overflows; threshold degenerates
-            return -cfg.noise_power
-        return float(self.rx_power[d] / (2.0**exponent - 1.0) - cfg.noise_power)
-
-    def lemma_best_response(self, d: int, tau_d: float, mu_d: float,
-                            x: np.ndarray) -> int:
-        total = float(x @ self.rx_power)
-        interference = total - float(x[d] * self.rx_power[d])
-        return int(interference <= self.lemma_threshold(d, tau_d, mu_d))
-
     # -- reporting ----------------------------------------------------------
 
     def achieved_metrics(self, tau: np.ndarray, x: np.ndarray) -> dict:
@@ -575,12 +542,10 @@ class SolveTrace:
         self.newton_iters.append(newton)
 
 
-def default_decision(profiles: Sequence[DeviceProfile],
-                     config: SystemConfig) -> Decision:
+def default_decision(n_devices: int, config: SystemConfig) -> Decision:
     """All-local start at the minimum interval with small uniform multipliers."""
-    D = len(profiles)
-    return Decision(tau=np.full(D, config.tau_min), x=np.zeros(D, dtype=np.int64),
-                    mu=np.full(D, config.mu_init))
+    tau, mu = np.full(n_devices, config.tau_min), np.full(n_devices, config.mu_init)
+    return Decision(tau=tau, x=np.zeros(n_devices, dtype=np.int64), mu=mu)
 
 
 TauRule = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, int]]
@@ -610,7 +575,7 @@ def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
     copies, so neither it nor ``init`` shares memory with the solve.
     """
     cfg = ev.config
-    init = init or default_decision(ev.profiles, cfg)
+    init = init or default_decision(ev.n_devices, cfg)
     # a Decision keeps tau and mu at x's shape, so this checks all three
     tau, x, mu = init.tau, as_offload_vector(init.x, ev.n_devices), init.mu
     if float(x @ ev.payload) > cfg.capacity_threshold:

@@ -283,18 +283,6 @@ def served_ahead(profile: DeviceProfile | ProfileColumns, config: SystemConfig,
     return rank[None, :] < rank[:, None]
 
 
-def schedule_order(profile: DeviceProfile, config: SystemConfig,
-                   ) -> tuple[ModalityKind, ...]:
-    """Order in which the local processor serves one device's modalities.
-
-    Under the ``by_weight`` policy, higher-weight modalities are served
-    first (ties broken by modality index); otherwise the configured fixed
-    order applies.
-    """
-    n_ahead = served_ahead(profile, config).sum(axis=-1)
-    return tuple(MODALITIES[i] for i in np.argsort(n_ahead, kind="stable"))
-
-
 def local_waiting_time(t_local_compute: np.ndarray, ahead: np.ndarray) -> np.ndarray:
     """Queueing delay of each modality on the sequential local processor.
 
@@ -315,6 +303,7 @@ CONFIG_FIELD_TYPES = {f.name: f.type for f in fields(SystemConfig)}
 PROFILE_FIELD_TYPES = {f.name: f.type for f in fields(DeviceProfile)}
 
 _EXPECTED = {"float": "a number", "int": "a number", "str": "a string",
+             "list[str]": "a list of strings",
              "ModalityKind": "a modality: image, audio, signal or 1-3"}
 
 
@@ -340,6 +329,9 @@ def _parse_value(key: str, kind: str, value):
             return ModalityKind(int(value))
     elif kind == "str" and isinstance(value, str):
         return value
+    elif kind == "list[str]" and isinstance(value, list) \
+            and all(isinstance(v, str) for v in value):
+        return value
     raise ValueError(f"{key}: expected {_EXPECTED.get(kind, kind)}, got {value!r}")
 
 
@@ -347,9 +339,10 @@ def parse_settings(doc: Mapping, kinds: Mapping[str, str], what: str) -> dict:
     """``doc``'s settings, each read by its declared type in ``kinds``.
 
     A number is a real or a numeric string (YAML 1.1 reads ``3e7`` as one)
-    but not a boolean, a tuple a list of exactly its length, a modality its
-    name or number.  A key not in ``kinds`` raises ``ValueError("unknown
-    <what> fields: ...")``, a value of another shape ``ValueError("<field>: ...")``.
+    but not a boolean, a tuple a list of exactly its length, a ``list[str]``
+    a list of strings, a modality its name or number.  A key not in
+    ``kinds`` raises ``ValueError("unknown <what> fields: ...")``, a value
+    of another shape ``ValueError("<field>: ...")``.
     """
     unknown = doc.keys() - kinds.keys()
     if unknown:
@@ -372,10 +365,15 @@ def load_config_document(path: str | Path) -> tuple[list[DeviceProfile], SystemC
 
     The document holds one ``system`` section plus a ``devices`` list with
     one section per device; field names match the dataclass fields.  An
-    error names the file and the section, ``system`` or ``devices[i]``.
+    error names the file and the section, ``system`` or ``devices[i]``, or
+    calls the file a ``malformed document``.
     """
     path = Path(path)
-    doc = (json.loads if path.suffix.lower() == ".json" else yaml.safe_load)(path.read_text())
+    parse = json.loads if path.suffix.lower() == ".json" else yaml.safe_load
+    try:
+        doc = parse(path.read_text())
+    except (ValueError, yaml.YAMLError) as exc:  # a JSONDecodeError is a ValueError
+        raise ValueError(f"{path}: malformed document: {exc}") from None
     if not isinstance(doc, dict) or "system" not in doc or "devices" not in doc:
         raise ValueError(f"{path}: expected a mapping with 'system' and 'devices' sections")
     if not isinstance(doc["system"], dict):
@@ -418,7 +416,7 @@ __all__ = [
     "ModalityKind", "MODALITIES", "SCHEDULE_FIXED", "SCHEDULE_BY_WEIGHT",
     "DeviceProfile", "SystemConfig", "ProfileColumns", "profile_columns",
     "data_size_bits", "total_data_bits",
-    "compute_flops", "sensing_time", "served_ahead", "schedule_order",
+    "compute_flops", "sensing_time", "served_ahead",
     "local_waiting_time", "CONFIG_FIELD_TYPES", "PROFILE_FIELD_TYPES", "parse_settings",
     "config_from_mapping", "profile_from_mapping", "load_config_document",
     "dump_config_document",

@@ -13,6 +13,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 
+from .system_model import parse_settings
+
 
 @dataclass(frozen=True)
 class TrendResult:
@@ -64,7 +66,7 @@ def check_monotone(xs: Sequence[float], ys: Sequence[float], direction: str,
 
 
 def check_dominance(rows: Sequence[dict], metric: str, reference: str,
-                    others: Sequence[str] | None = None,
+                    others: list[str] | None = None,
                     tol: float = 1e-6) -> tuple[bool, str]:
     """Reference curve at or below each of ``others`` (default: all) at every grid value."""
     if not others:
@@ -104,14 +106,25 @@ def check_plateau(xs: Sequence[float], ys: Sequence[float],
                 f"(threshold {step_frac:.0%})")
 
 
-def _on_curve(check, rows, metric, algorithm, **params):
+def _on_curve(check, rows, metric: str, algorithm: str, **params):
     """``check(xs, ys, **params)`` on ``algorithm``'s ``metric`` curve."""
     return check(*_curve(rows, algorithm, metric), **params)
 
 
-#: Each check type and its function; a spec's other keys are its arguments.
-_CHECKS = {"monotone": partial(_on_curve, check_monotone), "dominance": check_dominance,
-           "flat": check_flat, "plateau": partial(_on_curve, check_plateau)}
+def _spec_kinds(*fns) -> dict[str, str]:
+    """Declared type of each argument of ``fns`` that a spec gives (all but the data)."""
+    return {name: kind.removesuffix(" | None") for fn in fns for name, kind
+            in fn.__annotations__.items() if name not in ("rows", "xs", "ys", "return")}
+
+
+#: Each check type: its function, and the declared types of the arguments
+#: that a spec's other keys give it.
+_CHECKS = {
+    "monotone": (partial(_on_curve, check_monotone), _spec_kinds(_on_curve, check_monotone)),
+    "dominance": (check_dominance, _spec_kinds(check_dominance)),
+    "flat": (check_flat, _spec_kinds(check_flat)),
+    "plateau": (partial(_on_curve, check_plateau), _spec_kinds(_on_curve, check_plateau)),
+}
 
 
 def evaluate_checks(rows: Sequence[dict], checks: Sequence[dict]) -> TrendReport:
@@ -119,7 +132,8 @@ def evaluate_checks(rows: Sequence[dict], checks: Sequence[dict]) -> TrendReport
 
     Each check is a mapping with a ``type`` of ``monotone``, ``dominance``,
     ``flat`` or ``plateau``, an optional ``name``, and the keyword arguments
-    of the type's check function; a bad argument fails as a check error.
+    of the type's check function, each read by its declared type as config
+    values are; a bad argument fails as a check error.
     """
     results = []
     for spec in checks:
@@ -129,7 +143,8 @@ def evaluate_checks(rows: Sequence[dict], checks: Sequence[dict]) -> TrendReport
         try:
             if kind not in _CHECKS:
                 raise ValueError(f"unknown check type {kind!r}")
-            ok, detail = _CHECKS[kind](rows, **params)
+            check, kinds = _CHECKS[kind]
+            ok, detail = check(rows, **parse_settings(params, kinds, f"{kind} check"))
         except (KeyError, TypeError, ValueError) as exc:
             ok, detail = False, f"check error: {exc}"
         results.append(TrendResult(name=name, passed=ok, detail=detail))

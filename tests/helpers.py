@@ -19,17 +19,28 @@ One device's penalized cost enters the brute-force references as a dict of
 plain per-device values, keyed like ``cost_slopes``' arguments plus
 ``energy_budget``; the references evaluate it with the package's own
 growth model, ``avg_maoi_modality``.
+
+The paper's closed-form offloading lemma (``lemma_threshold``,
+``lemma_best_response``) is the reference that the best response's
+two-branch comparison is checked against, and ``schedule_order`` reads a
+device's local serving order from the ``served_ahead`` mask.
 """
 
 import math
 
 import numpy as np
 
-from maoi_edge.metric import avg_maoi_modality
+from maoi_edge.metric import avg_maoi_modality, event_factors
 from maoi_edge.optimizer import ScenarioEvaluator, cost_slopes
 from maoi_edge.oracle import TrajectoryStats, _rng
 from maoi_edge.scenario import AREA_SIZE, generate_scenario
-from maoi_edge.system_model import SystemConfig
+from maoi_edge.system_model import (
+    MODALITIES,
+    DeviceProfile,
+    ModalityKind,
+    SystemConfig,
+    served_ahead,
+)
 
 
 def draw_device_terms(rng: np.random.Generator) -> dict:
@@ -146,3 +157,43 @@ def reference_simulate_avg_maoi(psi: float, lam: float, tau: float, t_sys: float
         * (0.5 * tau + t_sys)
     se = max(se, se_floor)
     return TrajectoryStats(mean_maoi=mean, std_error=se, n_updates=n_updates)
+
+
+def lemma_threshold(ev: ScenarioEvaluator, d: int, tau_d: float, mu_d: float) -> float:
+    """Interference threshold of the closed-form offloading rule for device ``d``.
+
+    Solving ``branch_costs``' edge-below-local comparison for the rate
+    gives offloading iff
+    ``log2(1 + SINR) > L (tau sum(phi) + mu P) / (B (tau phi . gap + mu e_comp))``,
+    where ``gap`` is the local system time minus the edge system time
+    before transmission; the bandwidth ``B`` scales both denominator terms.
+    """
+    cfg = ev.config
+    phi = event_factors(ev.psi[d], ev.lam, tau_d)
+    gap = ev.t_local[d] - ev.t_edge0[d]
+    num = (phi.sum() * tau_d + mu_d * ev.tx_power[d]) * ev.payload[d]
+    den = cfg.bandwidth * (tau_d * float(phi @ gap) + mu_d * ev.e_comp[d])
+    if den <= 0.0:
+        return -math.inf
+    exponent = num / den
+    if exponent > 600.0:  # 2**exponent overflows; threshold degenerates
+        return -cfg.noise_power
+    return float(ev.rx_power[d] / (2.0**exponent - 1.0) - cfg.noise_power)
+
+
+def lemma_best_response(ev: ScenarioEvaluator, d: int, tau_d: float, mu_d: float,
+                        x: np.ndarray) -> int:
+    """Device ``d``'s flag by the lemma: offload iff its interference is within the threshold."""
+    total = float(x @ ev.rx_power)
+    interference = total - float(x[d] * ev.rx_power[d])
+    return int(interference <= lemma_threshold(ev, d, tau_d, mu_d))
+
+
+def schedule_order(profile: DeviceProfile, config: SystemConfig,
+                   ) -> tuple[ModalityKind, ...]:
+    """Order in which the local processor serves one device's modalities.
+
+    A modality with ``k`` modalities served ahead of it is served ``k``-th.
+    """
+    n_ahead = served_ahead(profile, config).sum(axis=-1)
+    return tuple(MODALITIES[i] for i in np.argsort(n_ahead, kind="stable"))

@@ -111,6 +111,23 @@ class TestSweepCommand:
             run_cli(["solve", "--devices", "2", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path)])
 
+    def test_malformed_config_file_named(self, tmp_path):
+        cfg = tmp_path / "conf.yaml"
+        cfg.write_text("system: {lagrange_step: 0.5\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["solve", "--devices", "2", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert str(exc.value).startswith(f"{cfg}: malformed YAML: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_override_named(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["solve", "--devices", "2", "--override", "event_rates=[0.5, 0.5",
+                     "--out", str(tmp_path / "out")])
+        assert str(exc.value).startswith(
+            "--override event_rates: malformed value '[0.5, 0.5': ")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("grid", ["a", "2,x", "1;2"])
     def test_non_numeric_grid_named(self, tmp_path, grid):
         with pytest.raises(SystemExit, match="--grid: expected comma-separated float"):
@@ -249,15 +266,27 @@ class TestAssertTrendsCommand:
                         "--trend-spec", str(spec)])
         assert code == 1
 
-    @pytest.mark.parametrize("param", [{"slak": 1.0}, {"slack": "5%"}])
-    def test_bad_check_parameter_fails_the_check(self, tmp_path, capsys, param):
+    @pytest.mark.parametrize("param, message", [
+        ("slak: 1.0", "unknown monotone check fields: ['slak']"),
+        ("slack: '5%'", "slack: expected a number, got '5%'"),
+        ("slack: yes", "slack: expected a number, got True"),
+    ])
+    def test_bad_check_parameter_fails_the_check(self, tmp_path, capsys, param, message):
         results, spec = self.write_inputs(tmp_path, rising=True)
-        [check] = yaml.safe_load(spec.read_text())["checks"]
-        spec.write_text(yaml.safe_dump({"checks": [{**check, **param}]}))
+        spec.write_text(spec.read_text() + f"  {param}\n")  # a key of the one check
         code = run_cli(["assert-trends", "--results", str(results),
                         "--trend-spec", str(spec)])
         assert code == 1
-        assert "[FAIL] maoi-rises-with-d: check error: " in capsys.readouterr().out
+        assert (f"[FAIL] maoi-rises-with-d: check error: {message}\n"
+                in capsys.readouterr().out)
+
+    def test_malformed_spec_named(self, tmp_path):
+        results, spec = self.write_inputs(tmp_path)
+        spec.write_text("checks:\n  - {type: monotone\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["assert-trends", "--results", str(results),
+                     "--trend-spec", str(spec)])
+        assert str(exc.value).startswith(f"{spec}: malformed YAML: ")
 
     @pytest.mark.parametrize("missing", ["--results", "--trend-spec"])
     def test_missing_input_file_named(self, tmp_path, missing):

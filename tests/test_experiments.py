@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import yaml
 
 from maoi_edge import baselines, experiments, trends
 from maoi_edge.experiments import (
@@ -224,6 +225,10 @@ class TestOracleValidation:
 
 
 class TestTrendChecks:
+    ROWS = [{"value": v, "algorithm": alg, "m": m}
+            for alg, ms in (("jso", (10.0, 5.0, 5.001)), ("flc", (20.0, 20.01, 20.02)))
+            for v, m in zip((1, 2, 3), ms)]
+
     def test_monotone_with_slack(self):
         ok, _ = trends.check_monotone([1, 2, 3], [1.0, 1.5, 2.0], "increasing")
         assert ok
@@ -291,22 +296,36 @@ class TestTrendChecks:
          {"slak": 1.0}),
         ({"type": "monotone", "algorithm": "jso", "direction": "decreasing"},
          {"slack": "5%"}),
+        ({"type": "monotone", "algorithm": "jso", "direction": "decreasing"},
+         {"slack": True}),  # YAML's ``slack: yes``
         ({"type": "plateau", "algorithm": "jso"}, {"step": 0.5}),
         ({"type": "plateau", "algorithm": "jso"}, {"step_frac": "1%"}),
         ({"type": "flat", "algorithm": "flc", "reference": "jso"}, {"within": 0.5}),
         ({"type": "flat", "algorithm": "flc", "reference": "jso"}, {"within_frac": [0.5]}),
         ({"type": "dominance", "reference": "jso"}, {"tolerance": 1.0}),
-        ({"type": "dominance", "reference": "jso"}, {"tol": "1e-6"}),
+        ({"type": "dominance", "reference": "jso"}, {"tol": "tiny"}),
+        ({"type": "dominance", "reference": "jso"}, {"others": "flc"}),
     ])
     def test_bad_parameter_is_a_check_error(self, check, bad):
-        rows = [{"value": v, "algorithm": alg, "m": m}
-                for alg, ms in (("jso", (10.0, 5.0, 5.001)), ("flc", (20.0, 20.01, 20.02)))
-                for v, m in zip((1, 2, 3), ms)]
         spec = {"name": "c", "metric": "m", **check}
-        assert trends.evaluate_checks(rows, [spec]).passed  # the well-formed check
-        [result] = trends.evaluate_checks(rows, [{**spec, **bad}]).results
+        assert trends.evaluate_checks(self.ROWS, [spec]).passed  # the well-formed check
+        [result] = trends.evaluate_checks(self.ROWS, [{**spec, **bad}]).results
         assert not result.passed
         assert result.line().startswith("[FAIL] c: check error: ")
+        [key] = bad  # a wrong type or an unknown key, named either way
+        assert f"{key}: expected " in result.detail or f"fields: ['{key}']" in result.detail
+
+    def test_numeric_string_reads_as_a_number(self):
+        # YAML 1.1 reads an unquoted 1e-6 as a string, as it does in configs
+        [spec] = yaml.safe_load("- {type: dominance, metric: m, reference: jso, tol: 1e-6}")
+        assert spec["tol"] == "1e-6"
+        [result] = trends.evaluate_checks(self.ROWS, [spec]).results
+        assert result.passed
+        # a dip of 0.5 is within a slack of "0.5" of the curve's range of 5
+        [result] = trends.evaluate_checks(self.ROWS, [
+            {"type": "monotone", "metric": "m", "algorithm": "jso",
+             "direction": "decreasing", "slack": "0.5"}]).results
+        assert result.passed and "(slack 2.5)" in result.detail
 
     def test_unknown_check_type_reported(self):
         report = trends.evaluate_checks([], [{"type": "wavelet"}])

@@ -13,8 +13,6 @@ from maoi_edge.metric import (
     extract_weights,
     image_dynamism,
     quality_terms,
-    read_frames,
-    read_signal_frames,
     roi_ratio,
     signal_dynamics,
 )
@@ -269,26 +267,3 @@ class TestSystemCost:
         hi = device_costs([p], config, [tau], [mu], [0], OBJECTIVE_MAOI)[0]
         lo = device_costs([p], config, [tau], [mu], [0], OBJECTIVE_AOI)[0]
         assert hi >= lo
-
-
-class TestFrameIO:
-    def test_read_flat_frames(self, tmp_path):
-        path = tmp_path / "frames.txt"
-        path.write_text("# mel features\n1 2 3\n\n4 5 6  # second frame\n")
-        frames = read_frames(path)
-        assert len(frames) == 2
-        np.testing.assert_allclose(frames[0], [1, 2, 3])
-        np.testing.assert_allclose(frames[1], [4, 5, 6])
-
-    def test_read_signal_frames_reshape(self, tmp_path):
-        path = tmp_path / "sig.txt"
-        path.write_text("1 2 3 4\n5 6 7 8\n")
-        frames = read_signal_frames(path, n_features=2)
-        assert frames[0].shape == (2, 2)
-        assert signal_dynamics(frames) >= 0.0
-
-    def test_read_signal_frames_bad_width(self, tmp_path):
-        path = tmp_path / "sig.txt"
-        path.write_text("1 2 3\n")
-        with pytest.raises(ValueError):
-            read_signal_frames(path, n_features=2)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import lemma_best_response, lemma_threshold
 from maoi_edge import baselines, optimizer
 from maoi_edge.energy import sensing_energy
 from maoi_edge.experiments import write_trace_csv
@@ -51,18 +52,18 @@ class TestBestResponse:
 
     def test_lemma_diagnostic_signs(self, profile, config):
         ev = ScenarioEvaluator([profile], config)
-        lam = ev.lemma_threshold(0, 2.0, 1.0)
+        lam = lemma_threshold(ev, 0, 2.0, 1.0)
         assert math.isfinite(lam) or lam == -math.inf
-        # single device, no interference: diagnostic and canonical agree
-        assert ev.lemma_best_response(0, 2.0, 1.0, np.array([0])) == \
+        # single device, no interference: the lemma and the canonical rule agree
+        assert lemma_best_response(ev, 0, 2.0, 1.0, np.array([0])) == \
             ev.best_responses(np.array([2.0]), np.array([1.0]), np.array([0]))[0]
 
     def test_lemma_negative_threshold_predicts_local(self, profile):
         # enormous noise power collapses the threshold below zero
         config = SystemConfig(noise_power=1e6)
         ev = ScenarioEvaluator([profile], config)
-        assert ev.lemma_threshold(0, 2.0, 0.5) < 0
-        assert ev.lemma_best_response(0, 2.0, 0.5, np.array([0])) == 0
+        assert lemma_threshold(ev, 0, 2.0, 0.5) < 0
+        assert lemma_best_response(ev, 0, 2.0, 0.5, np.array([0])) == 0
 
     def test_lemma_agrees_with_branch_costs(self):
         # interfering devices at random intervals, multipliers and patterns;
@@ -82,7 +83,7 @@ class TestBestResponse:
                 for d in range(d_count):
                     if abs(cost_off[d] - cost_loc[d]) <= 1e-9 * abs(cost_loc[d]):
                         continue  # a tie: the rounding of either form decides
-                    assert ev.lemma_best_response(d, tau[d], mu[d], x) == \
+                    assert lemma_best_response(ev, d, tau[d], mu[d], x) == \
                         int(cost_off[d] < cost_loc[d]), (seed, d)
                     checked += 1
         assert checked > 1000
@@ -405,7 +406,7 @@ class TestEvaluatorCaches:
         profiles, config = scenario_lists(5, seed=3, lagrange_step=0.5,
                                           max_outer_iters=300)
         ev = ScenarioEvaluator(profiles, config)
-        init = default_decision(profiles, config)
+        init = default_decision(len(profiles), config)
         decision, trace = run_outer_loop(ev, ev.sampling_step,
                                          ev.offloading_equilibrium, init)
         for out in (decision.tau, decision.x, decision.mu):
@@ -423,7 +424,7 @@ class TestEvaluatorCaches:
         decision.mu[:] = 0.0
         again, trace_again = run_outer_loop(ev, ev.sampling_step,
                                             ev.offloading_equilibrium,
-                                            default_decision(profiles, config))
+                                            default_decision(len(profiles), config))
         assert np.array_equal(again.tau, expected.tau)
         assert np.array_equal(again.x, expected.x)
         assert np.array_equal(again.mu, expected.mu)
@@ -684,7 +685,7 @@ class TestOuterLoop:
 
     def test_default_decision_shape(self):
         profiles, config = scenario_lists(4)
-        init = default_decision(profiles, config)
+        init = default_decision(len(profiles), config)
         assert (init.tau == config.tau_min).all()
         assert init.x.sum() == 0
         assert (init.mu == config.mu_init).all()

@@ -6,6 +6,7 @@ import pytest
 import yaml
 from hypothesis import given, strategies as st
 
+from helpers import schedule_order
 from maoi_edge import energy, optimizer, system_model
 from maoi_edge.cli import _parse_overrides
 from maoi_edge.energy import computation_energy, sensing_energy
@@ -27,7 +28,6 @@ from maoi_edge.system_model import (
     local_waiting_time,
     parse_settings,
     profile_columns,
-    schedule_order,
     sensing_time,
     served_ahead,
     total_data_bits,
@@ -316,7 +316,6 @@ def per_profile_arrays(profiles, config, objective) -> dict:
         "e_local": e_sens + e_comp,
         "psi_true": psi_true,
         "psi": psi_true if objective == OBJECTIVE_MAOI else np.zeros_like(psi_true),
-        "lemma_gap": wait + t_lc - t_ec,
         "t_local": sens + wait + t_lc,
         "t_edge0": sens + t_ec,
     }
@@ -434,6 +433,17 @@ class TestConfigDocument:
         with pytest.raises(ValueError) as exc:
             load_config_document(path)
         assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("name, text", [
+        ("doc.yaml", "system: {f_local: 7e8\ndevices: []\n"),
+        ("doc.json", '{"system": {}, "devices": [}'),
+    ])
+    def test_malformed_document_named(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_config_document(path)
+        assert str(exc.value).startswith(f"{path}: malformed document: ")
 
     def test_schedule_order_by_name(self, tmp_path):
         path = tmp_path / "order.yaml"
