@@ -15,8 +15,8 @@ from pathlib import Path
 import yaml
 
 from . import baselines, experiments, oracle, trends
-from .scenario import DEVICE_OVERRIDE_TYPES, generate_scenario
-from .system_model import CONFIG_FIELD_TYPES, parse_settings
+from .scenario import DEVICE_OVERRIDE_TYPES, GENERATOR_TYPES, generate_scenario
+from .system_model import CONFIG_FIELD_TYPES, parse_error_text, parse_settings
 
 log = logging.getLogger("maoi_edge")
 
@@ -30,11 +30,11 @@ def _parse_list(text: str, kind: type, option: str) -> tuple:
 
 
 _CONFIG_SECTIONS = {"system": CONFIG_FIELD_TYPES, "device": DEVICE_OVERRIDE_TYPES}
-_CONFIG_KEYS = (*_CONFIG_SECTIONS, "psi_range", "path_loss_exponent")
+_CONFIG_KEYS = (*_CONFIG_SECTIONS, *GENERATOR_TYPES)
 
 
 def _parse_overrides(pairs: list[str], config_path: str | None) -> dict:
-    """``--config`` then ``--override`` values; only the config's sections are checked here."""
+    """``--config`` then ``--override`` values; only the config's settings are checked here."""
     overrides: dict = {}
     if config_path:
         doc = _read_yaml(config_path)
@@ -45,17 +45,16 @@ def _parse_overrides(pairs: list[str], config_path: str | None) -> dict:
             raise SystemExit(f"{config_path}: unknown top-level key {unknown[0]!r}; "
                              f"expected {', '.join(_CONFIG_KEYS)} (sweeps generate "
                              "their own device populations)")
-        for section, kinds in _CONFIG_SECTIONS.items():
-            entries = doc.get(section)
-            if not isinstance(entries, (dict, type(None))):
-                raise SystemExit(f"{config_path}: '{section}' must be a mapping")
-            try:
+        try:
+            for section, kinds in _CONFIG_SECTIONS.items():
+                entries = doc.get(section)
+                if not isinstance(entries, (dict, type(None))):
+                    raise SystemExit(f"{config_path}: '{section}' must be a mapping")
                 overrides.update(parse_settings(entries or {}, kinds, section))
-            except ValueError as exc:
-                raise SystemExit(f"{config_path}: {exc}") from None
-        for key in ("psi_range", "path_loss_exponent"):
-            if key in doc:
-                overrides[key] = doc[key]
+            generator = {k: v for k, v in doc.items() if k in GENERATOR_TYPES}
+            overrides.update(parse_settings(generator, GENERATOR_TYPES, "generator"))
+        except ValueError as exc:
+            raise SystemExit(f"{config_path}: {exc}") from None
     for pair in pairs or []:
         if "=" not in pair:
             raise SystemExit(f"--override needs key=value, got {pair!r}")
@@ -63,7 +62,8 @@ def _parse_overrides(pairs: list[str], config_path: str | None) -> dict:
         try:
             overrides[key] = yaml.safe_load(value)
         except yaml.YAMLError as exc:
-            raise SystemExit(f"--override {key}: malformed value {value!r}: {exc}") from None
+            raise SystemExit(f"--override {key}: malformed value {value!r}: "
+                             f"{parse_error_text(exc)}") from None
     return overrides
 
 
@@ -88,7 +88,7 @@ def _read_yaml(path: str):
     try:
         return yaml.safe_load(_read_or_exit(Path.read_text, Path(path)))
     except yaml.YAMLError as exc:
-        raise SystemExit(f"{path}: malformed YAML: {exc}") from None
+        raise SystemExit(f"{path}: malformed YAML: {parse_error_text(exc)}") from None
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -284,7 +284,7 @@ def validate_oracle(n_updates: int = 100_000, seed: int = 0,
             "lambda": lam, "psi": psi, "tau": tau, "t_sys": t_sys,
             "closed_form": closed, "mc_mean": stats.mean_maoi,
             "mc_std_error": stats.std_error, "ci_low": lo, "ci_high": hi,
-            "bracketed": int(lo <= closed <= hi),
+            "bracketed": int(stats.brackets(closed, z)),
         })
     return rows
 

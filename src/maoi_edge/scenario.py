@@ -41,10 +41,10 @@ DEFAULT_PSI_RANGE = (0.5, 1.5)
 #: Declared type of every device field the generator does not draw itself.
 DEVICE_OVERRIDE_TYPES = {name: kind for name, kind in PROFILE_FIELD_TYPES.items()
                          if name not in ("id", "channel_gain")}
-#: Declared type of every override: the system fields, the device fields
-#: above, and the two that shape the generator's draws.
-_OVERRIDE_TYPES = {**CONFIG_FIELD_TYPES, **DEVICE_OVERRIDE_TYPES,
-                   "psi_range": "tuple[float, float]", "path_loss_exponent": "float"}
+#: Declared type of the two settings that shape the generator's draws.
+GENERATOR_TYPES = {"psi_range": "tuple[float, float]", "path_loss_exponent": "float"}
+#: Declared type of every override: the system, device and generator settings.
+_OVERRIDE_TYPES = {**CONFIG_FIELD_TYPES, **DEVICE_OVERRIDE_TYPES, **GENERATOR_TYPES}
 
 # numpy's SeedSequence (4-word pool, 32-bit hash) and PCG64 (128-bit LCG,
 # XSL-RR output) constants
@@ -254,5 +254,5 @@ def with_audio_weight_increment(scenario: Scenario, increment: float) -> Scenari
 
 
 __all__ = ["Scenario", "generate_scenario", "channel_gain_from_distance", "check_seed",
-           "DEVICE_OVERRIDE_TYPES", "with_audio_weight_increment", "AREA_SIZE", "REFERENCE_DISTANCE",
-           "DEFAULT_PSI_RANGE"]
+           "DEVICE_OVERRIDE_TYPES", "GENERATOR_TYPES", "with_audio_weight_increment",
+           "AREA_SIZE", "REFERENCE_DISTANCE", "DEFAULT_PSI_RANGE"]

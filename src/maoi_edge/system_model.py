@@ -1,4 +1,4 @@
-"""Device/system parameters and the per-modality time models.
+"""Device/system parameters and the per-device time and sensing-energy models.
 
 Every device senses three modalities per status update: an image frame, an
 audio clip, and a frame-batched signal segment (e.g. radar).  Payload sizes
@@ -11,7 +11,8 @@ the three modalities as a trailing array axis.  All quantities are SI
 
 Config documents and generator overrides go through one parser,
 ``parse_settings``, which reads each value by its field's declared type and
-fails with a ``ValueError`` naming the field of a value it cannot read.
+fails with a ``ValueError`` naming the field of a value it cannot read;
+``parse_error_text`` puts a document's YAML or JSON syntax error in one line.
 """
 
 from __future__ import annotations
@@ -266,6 +267,19 @@ def sensing_time(profile: DeviceProfile | ProfileColumns) -> np.ndarray:
                         profile.sig_duration)
 
 
+def sensing_energy(profile: DeviceProfile | ProfileColumns):
+    """Joules spent acquiring one full update (camera + ADC + radar-on time)."""
+    e_img = (profile.cam_overhead_energy
+             + profile.per_pixel_energy
+             * (profile.img_height * profile.img_width * profile.img_channels))
+    e_aud = ((profile.aud_baseline_power
+              + profile.adc_scaling * profile.aud_rate
+              * profile.aud_bit_depth * profile.aud_channels)
+             * profile.aud_duration)
+    e_sig = profile.sig_active_power * profile.sig_duration
+    return e_img + e_aud + e_sig
+
+
 def served_ahead(profile: DeviceProfile | ProfileColumns, config: SystemConfig,
                  ) -> np.ndarray:
     """Which modalities the local processor serves ahead of which.
@@ -350,6 +364,16 @@ def parse_settings(doc: Mapping, kinds: Mapping[str, str], what: str) -> dict:
     return {key: _parse_value(key, kinds[key], value) for key, value in doc.items()}
 
 
+def parse_error_text(exc: Exception) -> str:
+    """A YAML or JSON parse error in one line: ``line L, column C: <problem>``."""
+    if isinstance(exc, json.JSONDecodeError):
+        return f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
+    mark = getattr(exc, "problem_mark", None)
+    if mark is None:  # no position: the first of PyYAML's lines
+        return str(exc).partition("\n")[0]
+    return f"line {mark.line + 1}, column {mark.column + 1}: {exc.problem}"
+
+
 def config_from_mapping(doc: Mapping) -> SystemConfig:
     """Build a SystemConfig from the ``system`` section of a config document."""
     return SystemConfig(**parse_settings(doc, CONFIG_FIELD_TYPES, "system config"))
@@ -373,7 +397,7 @@ def load_config_document(path: str | Path) -> tuple[list[DeviceProfile], SystemC
     try:
         doc = parse(path.read_text())
     except (ValueError, yaml.YAMLError) as exc:  # a JSONDecodeError is a ValueError
-        raise ValueError(f"{path}: malformed document: {exc}") from None
+        raise ValueError(f"{path}: malformed document: {parse_error_text(exc)}") from None
     if not isinstance(doc, dict) or "system" not in doc or "devices" not in doc:
         raise ValueError(f"{path}: expected a mapping with 'system' and 'devices' sections")
     if not isinstance(doc["system"], dict):
@@ -416,8 +440,8 @@ __all__ = [
     "ModalityKind", "MODALITIES", "SCHEDULE_FIXED", "SCHEDULE_BY_WEIGHT",
     "DeviceProfile", "SystemConfig", "ProfileColumns", "profile_columns",
     "data_size_bits", "total_data_bits",
-    "compute_flops", "sensing_time", "served_ahead",
+    "compute_flops", "sensing_time", "sensing_energy", "served_ahead",
     "local_waiting_time", "CONFIG_FIELD_TYPES", "PROFILE_FIELD_TYPES", "parse_settings",
     "config_from_mapping", "profile_from_mapping", "load_config_document",
-    "dump_config_document",
+    "dump_config_document", "parse_error_text",
 ]

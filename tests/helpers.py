@@ -24,6 +24,8 @@ The paper's closed-form offloading lemma (``lemma_threshold``,
 ``lemma_best_response``) is the reference that the best response's
 two-branch comparison is checked against, and ``schedule_order`` reads a
 device's local serving order from the ``served_ahead`` mask.
+``assert_one_line_parse_error`` states what a malformed YAML or JSON
+source reads as, wherever it is reported.
 """
 
 import math
@@ -197,3 +199,12 @@ def schedule_order(profile: DeviceProfile, config: SystemConfig,
     """
     n_ahead = served_ahead(profile, config).sum(axis=-1)
     return tuple(MODALITIES[i] for i in np.argsort(n_ahead, kind="stable"))
+
+
+def assert_one_line_parse_error(message: str, prefix: str, line: int, column: int) -> None:
+    """``message`` is ``prefix`` and the parse error's position, in one line.
+
+    PyYAML's own text spans several lines and quotes ``<unicode string>``.
+    """
+    assert message.startswith(prefix + f"line {line}, column {column}: "), message
+    assert "\n" not in message and "<unicode string>" not in message, message

@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 import maoi_edge
+from helpers import assert_one_line_parse_error
 from maoi_edge import baselines
 from maoi_edge.cli import _parse_overrides, main
 from maoi_edge.experiments import read_csv
@@ -145,7 +146,31 @@ class TestSweepCommand:
     def test_empty_config_section_reads_as_no_overrides(self, tmp_path, section):
         cfg = tmp_path / "conf.yaml"
         cfg.write_text(f"{section}:\npsi_range: [1.0, 1.2]\n")
-        assert _parse_overrides([], str(cfg)) == {"psi_range": [1.0, 1.2]}
+        assert _parse_overrides([], str(cfg)) == {"psi_range": (1.0, 1.2)}
+
+    @pytest.mark.parametrize("text, message", [
+        ("psi_range: [a, 1]\n", "psi_range: expected a number, got 'a'"),
+        ("path_loss_exponent: yes\n", "path_loss_exponent: expected a number, got True"),
+    ])
+    def test_generator_key_error_names_the_file(self, tmp_path, text, message):
+        cfg = tmp_path / "conf.yaml"
+        cfg.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            _parse_overrides([], str(cfg))
+        assert str(exc.value) == f"{cfg}: {message}"
+
+    def test_malformed_config_file_reads_in_one_line(self, tmp_path):
+        cfg = tmp_path / "conf.yaml"
+        cfg.write_text("system: {a: 1\n")
+        with pytest.raises(SystemExit) as exc:
+            _parse_overrides([], str(cfg))
+        assert_one_line_parse_error(str(exc.value), f"{cfg}: malformed YAML: ", 2, 1)
+
+    def test_malformed_override_reads_in_one_line(self):
+        with pytest.raises(SystemExit) as exc:
+            _parse_overrides(["event_rates=[0.5, 0.5"], None)
+        assert_one_line_parse_error(
+            str(exc.value), "--override event_rates: malformed value '[0.5, 0.5': ", 1, 10)
 
     @pytest.mark.parametrize("doc, message", [
         ({"device": {"tau_min": 3.0}}, "unknown device fields: ['tau_min']"),
@@ -287,6 +312,14 @@ class TestAssertTrendsCommand:
             run_cli(["assert-trends", "--results", str(results),
                      "--trend-spec", str(spec)])
         assert str(exc.value).startswith(f"{spec}: malformed YAML: ")
+
+    def test_malformed_spec_reads_in_one_line(self, tmp_path):
+        results, spec = self.write_inputs(tmp_path)
+        spec.write_text("checks:\n  - {type: monotone\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["assert-trends", "--results", str(results),
+                     "--trend-spec", str(spec)])
+        assert_one_line_parse_error(str(exc.value), f"{spec}: malformed YAML: ", 3, 1)
 
     @pytest.mark.parametrize("missing", ["--results", "--trend-spec"])
     def test_missing_input_file_named(self, tmp_path, missing):

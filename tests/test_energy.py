@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from maoi_edge.energy import computation_energy, sensing_energy
 from maoi_edge.optimizer import ScenarioEvaluator
-from maoi_edge.system_model import DeviceProfile, SystemConfig
+from maoi_edge.scenario import generate_scenario
+from maoi_edge.system_model import DeviceProfile, SystemConfig, sensing_energy
 
 
 class TestSensingEnergy:
@@ -19,6 +19,11 @@ class TestSensingEnergy:
         assert e_aud == pytest.approx(21.12e-3)
         assert e_sig == pytest.approx(150e-3)
         assert sensing_energy(profile) == pytest.approx(e_img + e_aud + e_sig)
+
+
+def computation_energy(profile, config):
+    """The evaluator's local computation energy of one profile."""
+    return ScenarioEvaluator([profile], config).e_comp[0]
 
 
 class TestComputationEnergy:
@@ -87,6 +92,20 @@ class TestBranchEnergies:
         assert np.array_equal(t_off, state.t_sys)
         assert np.array_equal(e_off, state.e_off)
         assert np.array_equal(t_off, state.t_off)
+
+    def test_device_subsets_are_rows_of_the_full_call(self):
+        sc = generate_scenario(6, seed=3)
+        ev = ScenarioEvaluator(list(sc.profiles), sc.config)
+        x = np.array([1, 0, 1, 1, 0, 0])
+        interference = float(x @ ev.rx_power) - x * ev.rx_power
+        trans = ev.trans_times_under(interference)
+        d = np.array([4, 0, 2, 4, 1])  # out of order, device 4 twice
+        for full, rows in [
+                (ev.rates_under(interference), ev.rates_under(interference[d], d)),
+                (trans, ev.trans_times_under(interference[d], d)),
+                *zip(ev.edge_branch(trans), ev.edge_branch(trans[d], d))]:
+            assert rows.shape == full[d].shape
+            assert np.array_equal(rows, full[d])
 
     def test_edge_branch_of_stacked_trans_times(self, config, two_profiles):
         ev = ScenarioEvaluator(two_profiles, config)

@@ -16,9 +16,8 @@ from maoi_edge.metric import (
     roi_ratio,
     signal_dynamics,
 )
-from maoi_edge.energy import sensing_energy
 from maoi_edge.optimizer import ScenarioEvaluator
-from maoi_edge.system_model import DeviceProfile, SystemConfig
+from maoi_edge.system_model import DeviceProfile, SystemConfig, sensing_energy
 
 
 class TestImageAttributes:

@@ -7,7 +7,6 @@ import pytest
 
 from helpers import lemma_best_response, lemma_threshold
 from maoi_edge import baselines, optimizer
-from maoi_edge.energy import sensing_energy
 from maoi_edge.experiments import write_trace_csv
 from maoi_edge.optimizer import (
     TRIAL_BLOCK_ENTRIES,
@@ -19,7 +18,7 @@ from maoi_edge.optimizer import (
     solve_jso,
 )
 from maoi_edge.scenario import generate_scenario
-from maoi_edge.system_model import DeviceProfile, SystemConfig
+from maoi_edge.system_model import DeviceProfile, SystemConfig, sensing_energy
 
 
 def scenario_lists(d, seed=0, **overrides):
@@ -197,7 +196,7 @@ class TestBatchedTrials:
         sizes = []
         original = ScenarioEvaluator.rates_under
 
-        def counting(self, interference, d=None):
+        def counting(self, interference, d=slice(None)):
             sizes.append(np.size(interference))
             return original(self, interference, d)
 

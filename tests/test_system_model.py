@@ -6,10 +6,9 @@ import pytest
 import yaml
 from hypothesis import given, strategies as st
 
-from helpers import schedule_order
-from maoi_edge import energy, optimizer, system_model
+from helpers import assert_one_line_parse_error, schedule_order
+from maoi_edge import optimizer, system_model
 from maoi_edge.cli import _parse_overrides
-from maoi_edge.energy import computation_energy, sensing_energy
 from maoi_edge.metric import OBJECTIVE_AOI, OBJECTIVE_MAOI
 from maoi_edge.optimizer import ScenarioEvaluator
 from maoi_edge.scenario import generate_scenario
@@ -28,6 +27,7 @@ from maoi_edge.system_model import (
     local_waiting_time,
     parse_settings,
     profile_columns,
+    sensing_energy,
     sensing_time,
     served_ahead,
     total_data_bits,
@@ -304,7 +304,8 @@ def per_profile_arrays(profiles, config, objective) -> dict:
     wait = np.array([local_waiting_time(t, served_ahead(p, config))
                      for p, t in zip(profiles, t_lc)])
     e_sens = np.array([sensing_energy(p) for p in profiles])
-    e_comp = np.array([computation_energy(p, config) for p in profiles])
+    e_comp = np.array([config.energy_per_flop * compute_flops(p, config).sum()
+                       for p in profiles])
     psi_true = np.array([p.maoi_weights for p in profiles])
     return {
         "payload": np.array([total_data_bits(p) for p in profiles]),
@@ -367,7 +368,7 @@ class TestProfileColumns:
             return wrapper
 
         flops = counted(system_model.compute_flops)
-        for module in (system_model, energy, optimizer):
+        for module in (system_model, optimizer):
             monkeypatch.setattr(module, "compute_flops", flops)
         monkeypatch.setattr(system_model, "_payload_terms",
                             counted(system_model._payload_terms))
@@ -378,7 +379,7 @@ class TestProfileColumns:
             ScenarioEvaluator(list(sc.profiles), sc.config)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
-        assert 0 < calls.count("compute_flops") <= 2
+        assert calls.count("compute_flops") == 1
 
 
 class TestConfigDocument:
@@ -444,6 +445,18 @@ class TestConfigDocument:
         with pytest.raises(ValueError) as exc:
             load_config_document(path)
         assert str(exc.value).startswith(f"{path}: malformed document: ")
+
+    @pytest.mark.parametrize("name, text, line, column", [
+        ("doc.yaml", "system: {}\ndevices: [\n", 3, 1),
+        ("doc.json", '{"system": {}, "devices": [}', 1, 28),
+    ])
+    def test_malformed_document_reads_in_one_line(self, tmp_path, name, text, line, column):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_config_document(path)
+        assert_one_line_parse_error(str(exc.value), f"{path}: malformed document: ",
+                                    line, column)
 
     def test_schedule_order_by_name(self, tmp_path):
         path = tmp_path / "order.yaml"
