@@ -21,21 +21,21 @@ from .optimizer import (
     run_outer_loop,
     solve_jso,
 )
-from .system_model import DeviceProfile, SystemConfig
+from .system_model import DeviceProfile, DeviceTable, SystemConfig
 
 DBRO_MAX_SWEEPS = 200
 #: Share of the other devices' received power that IDD assumes interferes.
 IDD_ASSUMED_SHARE = 0.5
 
 
-def solve_fmi(profiles: Sequence[DeviceProfile], config: SystemConfig,
+def solve_fmi(devices: DeviceTable | Sequence[DeviceProfile], config: SystemConfig,
               init: Decision | None = None) -> tuple[Decision, SolveTrace]:
     """Fixed minimum-energy-feasible interval; offloading/multipliers as usual.
 
     The interval rule is re-evaluated every iteration, so a device that
     switches branch immediately re-tightens to its new minimum.
     """
-    ev = ScenarioEvaluator(profiles, config)
+    ev = ScenarioEvaluator(devices, config)
 
     def tau_rule(mu, x):
         return ev.budget_interval(ev.pattern_state(x).energies), 0
@@ -43,10 +43,10 @@ def solve_fmi(profiles: Sequence[DeviceProfile], config: SystemConfig,
     return run_outer_loop(ev, tau_rule, ev.offloading_equilibrium, init)
 
 
-def solve_flc(profiles: Sequence[DeviceProfile], config: SystemConfig,
+def solve_flc(devices: DeviceTable | Sequence[DeviceProfile], config: SystemConfig,
               init: Decision | None = None) -> tuple[Decision, SolveTrace]:
     """Full local computing: offloading disabled, intervals still optimized."""
-    ev = ScenarioEvaluator(profiles, config)
+    ev = ScenarioEvaluator(devices, config)
 
     def offload_rule(tau, mu, x):
         return np.zeros_like(x), []
@@ -54,7 +54,7 @@ def solve_flc(profiles: Sequence[DeviceProfile], config: SystemConfig,
     return run_outer_loop(ev, ev.sampling_step, offload_rule, init)
 
 
-def solve_gmo(profiles: Sequence[DeviceProfile], config: SystemConfig,
+def solve_gmo(devices: DeviceTable | Sequence[DeviceProfile], config: SystemConfig,
               init: Decision | None = None) -> tuple[Decision, SolveTrace]:
     """Greedy marginal-cost offloading: one irreversible fix per iteration.
 
@@ -64,7 +64,7 @@ def solve_gmo(profiles: Sequence[DeviceProfile], config: SystemConfig,
     decrease; fixed decisions, initial offloaders included, are never
     reverted.
     """
-    ev = ScenarioEvaluator(profiles, config)
+    ev = ScenarioEvaluator(devices, config)
 
     def offload_rule(tau, mu, x):
         # flags are never reverted, so the incoming pattern is the fixed set
@@ -79,7 +79,7 @@ def solve_gmo(profiles: Sequence[DeviceProfile], config: SystemConfig,
     return run_outer_loop(ev, ev.sampling_step, offload_rule, init)
 
 
-def solve_idd(profiles: Sequence[DeviceProfile], config: SystemConfig,
+def solve_idd(devices: DeviceTable | Sequence[DeviceProfile], config: SystemConfig,
               init: Decision | None = None) -> tuple[Decision, SolveTrace]:
     """Independent distributed decisions under an assumed interference level.
 
@@ -94,7 +94,7 @@ def solve_idd(profiles: Sequence[DeviceProfile], config: SystemConfig,
     before the first iteration; intervals and multipliers are solved as
     usual.
     """
-    ev = ScenarioEvaluator(profiles, config)
+    ev = ScenarioEvaluator(devices, config)
     assumed = IDD_ASSUMED_SHARE * (ev.rx_power.sum() - ev.rx_power)
     t_off, e_off = ev.edge_branch(ev.trans_times_under(assumed))
 
@@ -117,7 +117,7 @@ def solve_idd(profiles: Sequence[DeviceProfile], config: SystemConfig,
     return run_outer_loop(ev, ev.sampling_step, offload_rule, init)
 
 
-def solve_dbro(profiles: Sequence[DeviceProfile], config: SystemConfig,
+def solve_dbro(devices: DeviceTable | Sequence[DeviceProfile], config: SystemConfig,
                init: Decision | None = None) -> tuple[Decision, SolveTrace]:
     """Device-wise best response: sweep in index order, commit immediately.
 
@@ -125,7 +125,7 @@ def solve_dbro(profiles: Sequence[DeviceProfile], config: SystemConfig,
     predecessors; sweeps repeat until one full pass changes nothing.
     Unlike the joint solver there is no system-level commit rule.
     """
-    ev = ScenarioEvaluator(profiles, config)
+    ev = ScenarioEvaluator(devices, config)
 
     def offload_rule(tau, mu, x):
         out = x.copy()
@@ -147,10 +147,10 @@ def solve_dbro(profiles: Sequence[DeviceProfile], config: SystemConfig,
     return run_outer_loop(ev, ev.sampling_step, offload_rule, init)
 
 
-def solve_jso_a(profiles: Sequence[DeviceProfile], config: SystemConfig,
+def solve_jso_a(devices: DeviceTable | Sequence[DeviceProfile], config: SystemConfig,
                 init: Decision | None = None) -> tuple[Decision, SolveTrace]:
     """The joint solver with the plain (weight-free) age objective."""
-    return solve_jso(profiles, config, init, objective=OBJECTIVE_AOI)
+    return solve_jso(devices, config, init, objective=OBJECTIVE_AOI)
 
 
 #: Algorithm selector used by the CLI and the sweep runner.
@@ -165,15 +165,16 @@ ALGORITHMS = {
 }
 
 
-def solve(name: str, profiles: Sequence[DeviceProfile], config: SystemConfig,
-          init: Decision | None = None) -> tuple[Decision, SolveTrace]:
+def solve(name: str, devices: DeviceTable | Sequence[DeviceProfile],
+          config: SystemConfig, init: Decision | None = None,
+          ) -> tuple[Decision, SolveTrace]:
     """Run the named algorithm; see ``ALGORITHMS`` for valid names."""
     try:
         fn = ALGORITHMS[name]
     except KeyError:
         raise ValueError(f"unknown algorithm {name!r}; "
                          f"choose from {sorted(ALGORITHMS)}") from None
-    return fn(profiles, config, init)
+    return fn(devices, config, init)
 
 
 __all__ = ["solve_fmi", "solve_flc", "solve_gmo", "solve_idd", "solve_dbro",

@@ -16,7 +16,8 @@ import yaml
 
 from . import baselines, experiments, oracle, trends
 from .scenario import DEVICE_OVERRIDE_TYPES, GENERATOR_TYPES, generate_scenario
-from .system_model import CONFIG_FIELD_TYPES, parse_error_text, parse_settings
+from .system_model import (CONFIG_FIELD_TYPES, load_config_document, parse_error_text,
+                           parse_settings)
 
 log = logging.getLogger("maoi_edge")
 
@@ -156,9 +157,22 @@ def cmd_assert_trends(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    overrides = _parse_overrides(args.override, args.config)
-    sc = _or_exit(generate_scenario, args.devices, args.seed, overrides)
-    decision, trace = baselines.solve(args.algorithm, list(sc.profiles), sc.config)
+    if args.scenario:
+        conflicts = [option for option, value in (("--config", args.config),
+                                                   ("--override", args.override),
+                                                   ("--devices", args.devices))
+                     if value is not None]
+        if conflicts:
+            raise SystemExit(f"--scenario takes its devices and system section from "
+                             f"{args.scenario}; it cannot be combined with "
+                             f"{' or '.join(conflicts)}")
+        devices, config = _or_exit(_read_or_exit, load_config_document, args.scenario)
+    else:
+        overrides = _parse_overrides(args.override, args.config)
+        n_devices = 10 if args.devices is None else args.devices
+        sc = _or_exit(generate_scenario, n_devices, args.seed, overrides)
+        devices, config = sc.devices, sc.config
+    decision, trace = baselines.solve(args.algorithm, devices, config)
     metrics = trace.metrics
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -171,7 +185,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"{args.algorithm}: converged={trace.converged} stop={trace.stop_reason} "
           f"iters={trace.n_iters} "
           f"avg_maoi={metrics['avg_maoi']:.4f} avg_aoi={metrics['avg_aoi']:.4f} "
-          f"offloaded={metrics['n_offloaded']}/{len(sc.profiles)}")
+          f"offloaded={metrics['n_offloaded']}/{len(devices)}")
     return 0
 
 
@@ -231,10 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="directory for trend_report.txt")
     p.set_defaults(fn=cmd_assert_trends)
 
-    p = sub.add_parser("solve", help="solve one generated scenario and dump the trace")
+    p = sub.add_parser("solve", help="solve one scenario and dump the trace")
     common(p, workers=False)
     p.add_argument("--algorithm", default="jso", choices=sorted(baselines.ALGORITHMS))
-    p.add_argument("--devices", type=int, default=10)
+    p.add_argument("--devices", type=int,
+                   help="device count of the generated scenario (default: 10)")
+    p.add_argument("--scenario", metavar="FILE",
+                   help="solve the devices and system section of a config "
+                        "document instead of a generated scenario (--seed is unused)")
     p.set_defaults(fn=cmd_solve)
 
     return parser

@@ -96,7 +96,7 @@ def scenario_for(spec: SweepSpec, value: float, seed: int,
 def _execute_task(task: tuple[SweepSpec, float, int, str]) -> tuple[dict, Decision]:
     spec, value, seed, algorithm = task
     sc = scenario_for(spec, value, seed)
-    decision, trace = baselines.solve(algorithm, list(sc.profiles), sc.config)
+    decision, trace = baselines.solve(algorithm, sc.devices, sc.config)
     row = {"param": spec.param, "value": value, "seed": seed,
            "algorithm": algorithm}
     row.update(trace.metrics)

@@ -47,10 +47,11 @@ from .metric import OBJECTIVE_MAOI, avg_maoi_modality, event_factors
 from .system_model import (
     MODALITIES,
     DeviceProfile,
+    DeviceTable,
     SystemConfig,
+    as_device_table,
     compute_flops,
     local_waiting_time,
-    profile_columns,
     sensing_energy,
     sensing_time,
     served_ahead,
@@ -150,14 +151,15 @@ class ScenarioEvaluator:
 
     Static per-device arrays (payloads, radio powers, budgets, energies,
     local system times, edge system times before transmission) are
-    precomputed from the ``profile_columns`` of the devices, each model
-    run once; the profiles are not kept.  A local update waits for the
-    modalities scheduled ahead of it on the device's processor; the edge
-    processes all three in parallel, so its system times have no waiting
-    term but add the transmission time.  Sensing is charged once per
-    update, and a device pays either local computation or transmission,
-    never both.  Two read-only entries are cached, each holding only its
-    latest key:
+    precomputed from the columns of the devices' ``DeviceTable``, each
+    model run once; a ``DeviceProfile`` sequence is read into a table
+    first, by ``as_device_table``, and the table is not kept.  A local
+    update waits for the modalities scheduled ahead of it on the device's
+    processor; the edge processes all three in parallel, so its system
+    times have no waiting term but add the transmission time.  Sensing is
+    charged once per update, and a device pays either local computation
+    or transmission, never both.  Two read-only entries are cached, each
+    holding only its latest key:
 
     * per offload pattern, keyed on ``x.tobytes()``: its ``PatternState``
       (transmission times, system times, per-update energies, the edge
@@ -175,16 +177,15 @@ class ScenarioEvaluator:
     holds the rules it drives to the same contract.
     """
 
-    def __init__(self, profiles: Sequence[DeviceProfile], config: SystemConfig,
-                 objective: str = OBJECTIVE_MAOI):
+    def __init__(self, devices: DeviceTable | Sequence[DeviceProfile],
+                 config: SystemConfig, objective: str = OBJECTIVE_MAOI):
         if objective not in metric.OBJECTIVES:
             raise ValueError(f"unknown objective {objective!r}")
         self.config = config
-        self.n_devices = len(profiles)
-        if self.n_devices == 0:
-            raise ValueError("need at least one device")
+        devices = as_device_table(devices)
+        self.n_devices = len(devices)
         self.lam = np.asarray(config.event_rates, dtype=float)
-        cols = profile_columns(profiles)
+        cols = devices.columns
         self.payload = total_data_bits(cols)
         self.tx_power = cols.tx_power
         self.rx_power = cols.tx_power * cols.channel_gain
@@ -613,11 +614,11 @@ def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
     return decision, trace
 
 
-def solve_jso(profiles: Sequence[DeviceProfile], config: SystemConfig,
+def solve_jso(devices: DeviceTable | Sequence[DeviceProfile], config: SystemConfig,
               init: Decision | None = None, objective: str = OBJECTIVE_MAOI,
               ) -> tuple[Decision, SolveTrace]:
     """Full joint solve: Algorithm-1 intervals + best-response offloading."""
-    ev = ScenarioEvaluator(profiles, config, objective)
+    ev = ScenarioEvaluator(devices, config, objective)
     return run_outer_loop(ev, ev.sampling_step, ev.offloading_equilibrium, init)
 
 

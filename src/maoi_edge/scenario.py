@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .system_model import (CONFIG_FIELD_TYPES, PROFILE_FIELD_TYPES, DeviceProfile,
-                           SystemConfig, parse_settings)
+                           DeviceTable, SystemConfig, parse_settings)
 
 AREA_SIZE = 40.0           # m, square side with the BS at the center
 REFERENCE_DISTANCE = 10.0  # m, close-in distance below which path loss is flat
@@ -61,16 +61,21 @@ _PCG_MULT_LO_LIMBS = (_PCG_MULT_LO & np.uint64(_MASK32), _PCG_MULT_LO >> np.uint
 
 @dataclass(frozen=True)
 class Scenario:
-    """A concrete problem instance: devices, system constants, geometry."""
+    """A concrete problem instance: device table, system constants, geometry."""
 
-    profiles: tuple[DeviceProfile, ...]
+    devices: DeviceTable
     config: SystemConfig
     seed: int
     positions: np.ndarray  # (D, 2) coordinates relative to the BS
 
     @property
     def n_devices(self) -> int:
-        return len(self.profiles)
+        return len(self.devices)
+
+    @functools.cached_property
+    def profiles(self) -> tuple[DeviceProfile, ...]:
+        """The devices as ``DeviceProfile``s, ids ``0..D-1``, built on first access."""
+        return self.devices.profiles()
 
 
 def channel_gain_from_distance(distance: float, delta: float = 2.0) -> float:
@@ -227,30 +232,26 @@ def generate_scenario(d_count: int, seed: int,
     rng_psi = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 23])))
     psi = np.column_stack([_stratified_uniform(rng_psi, d_count, psi_lo, psi_hi)
                            for _ in range(3)])
-    weights = device_kwargs.pop("maoi_weights", None)
-    rows = psi.tolist() if weights is None else [weights] * d_count
+    weights = device_kwargs.pop("maoi_weights", psi)
 
     # the gain stays a scalar call per device: numpy's array power rounds
     # differently from Python's float power on ~5% of inputs (exponents
     # 2, 2.5 and 3.3), so a vectorized gain moves 8-19 of 320 devices
-    profiles = tuple(
-        DeviceProfile(id=i, channel_gain=channel_gain_from_distance(max(h, 1e-9), delta),
-                      maoi_weights=row, **device_kwargs)
-        for i, (h, row) in enumerate(zip(distances, rows)))
-    return Scenario(profiles=profiles, config=config, seed=seed, positions=positions)
+    gains = np.array([channel_gain_from_distance(max(h, 1e-9), delta) for h in distances])
+    devices = DeviceTable(d_count, channel_gain=gains, maoi_weights=weights,
+                          **device_kwargs)
+    return Scenario(devices=devices, config=config, seed=seed, positions=positions)
 
 
 def with_audio_weight_increment(scenario: Scenario, increment: float) -> Scenario:
     """Additively raise every device's audio weight; other weights unchanged."""
     if increment < 0:
         raise ValueError(f"increment must be >= 0, got {increment}")
-    profiles = tuple(
-        replace(p, maoi_weights=(p.maoi_weights[0],
-                                 p.maoi_weights[1] + increment,
-                                 p.maoi_weights[2]))
-        for p in scenario.profiles)
-    return Scenario(profiles=profiles, config=scenario.config,
-                    seed=scenario.seed, positions=scenario.positions)
+    columns = scenario.devices.columns
+    weights = columns.maoi_weights.copy()
+    weights[:, 1] += increment
+    devices = DeviceTable(len(weights), **columns._replace(maoi_weights=weights)._asdict())
+    return replace(scenario, devices=devices)
 
 
 __all__ = ["Scenario", "generate_scenario", "channel_gain_from_distance", "check_seed",

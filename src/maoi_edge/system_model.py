@@ -4,10 +4,11 @@ Every device senses three modalities per status update: an image frame, an
 audio clip, and a frame-batched signal segment (e.g. radar).  Payload sizes
 follow directly from the media parameters; processing cost is expressed in
 FLOPs of a reference network per modality and scaled by the input size.
-Every per-device model takes one ``DeviceProfile`` or the
-``profile_columns`` of many devices, and every per-modality model returns
-the three modalities as a trailing array axis.  All quantities are SI
-(seconds, bits, watts, joules, FLOP/s).
+A population is a ``DeviceTable``: validated, read-only device columns,
+which pass the same rule as a ``DeviceProfile``.  Every per-device model
+takes one profile, one device of a table or the table's ``columns``, and
+every per-modality model returns the three modalities as a trailing array
+axis.  All quantities are SI (seconds, bits, watts, joules, FLOP/s).
 
 Config documents and generator overrides go through one parser,
 ``parse_settings``, which reads each value by its field's declared type and
@@ -22,9 +23,8 @@ import contextlib
 import enum
 import functools
 import json
-import math
 import numbers
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
@@ -53,19 +53,38 @@ def _int_fields(cls) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls) if f.type == "int")
 
 
-def _store_integers(obj) -> None:
-    """Store every ``int`` field of dataclass ``obj`` as an ``int``.
+def _require(ok, message: str, *values) -> None:
+    """Raise ``ValueError(message.format(*values))`` unless ``ok`` holds everywhere.
+
+    ``ok`` and ``values`` are one device's or config's scalars, or columns
+    over devices; for columns the message shows the first failing device's
+    values.
+    """
+    if ok is True or np.all(ok):  # a Python check passes without a numpy call
+        return
+    if np.ndim(ok):
+        first = int(np.argmin(ok))
+        values = [np.asarray(v)[first].tolist() for v in values]
+    raise ValueError(message.format(*values))
+
+
+def _check_integers(obj, names) -> None:
+    """Fields ``names`` of ``obj`` hold whole numbers.
 
     YAML reads 300.0 as a float, which is taken; a fractional value is not,
     because the models use these fields as counts and sizes.
     """
+    for name in names:
+        value = getattr(obj, name)
+        _require(value % 1 == 0, f"{name} must be an integer, got {{}}", value)
+
+
+def _store_integers(obj) -> None:
+    """Store every ``int`` field of dataclass ``obj`` as an ``int``."""
     for name in _int_fields(type(obj)):
         value = getattr(obj, name)
-        if type(value) is int:
-            continue
-        if not float(value).is_integer():
-            raise ValueError(f"{name} must be an integer, got {value}")
-        object.__setattr__(obj, name, int(value))
+        if type(value) is not int:
+            object.__setattr__(obj, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -106,20 +125,10 @@ class DeviceProfile:
     def __post_init__(self) -> None:
         if not self.id >= 0:
             raise ValueError(f"device id must be >= 0, got {self.id}")
-        for name in _SCALAR_COLUMNS:  # every scalar field is a positive quantity
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        weights = tuple(float(w) for w in self.maoi_weights)
-        if len(weights) != 3 or not all(w >= 0 for w in weights):
-            raise ValueError(f"maoi_weights must be 3 values >= 0, got {self.maoi_weights}")
-        object.__setattr__(self, "maoi_weights", weights)
+        _check_integers(self, ("id",))
+        _check_devices(self)
+        object.__setattr__(self, "maoi_weights", tuple(float(w) for w in self.maoi_weights))
         _store_integers(self)
-        samples = self.aud_duration * self.aud_rate
-        if abs(samples - round(samples)) > 1e-6 * max(1.0, samples):
-            raise ValueError(f"aud_duration*aud_rate = {samples} is not an integer sample count")
-        frames = self.sig_frame_rate * self.sig_duration
-        if not math.isfinite(frames):
-            raise ValueError(f"sig_frame_rate*sig_duration = {frames} is not a finite frame count")
 
 
 @dataclass(frozen=True)
@@ -157,6 +166,7 @@ class SystemConfig:
                      "max_outer_iters"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        _check_integers(self, _int_fields(SystemConfig))
         _store_integers(self)
         for name in ("energy_tol", "mu_init"):
             if not getattr(self, name) >= 0:
@@ -178,6 +188,7 @@ class SystemConfig:
 
 _SCALAR_COLUMNS = tuple(f.name for f in fields(DeviceProfile)
                         if f.name not in ("id", "maoi_weights"))
+_INT_COLUMNS = tuple(name for name in _int_fields(DeviceProfile) if name != "id")
 _read_scalars = attrgetter(*_SCALAR_COLUMNS)
 
 #: Every ``DeviceProfile`` field but ``id``, one array over the devices each.
@@ -189,18 +200,103 @@ The attribute names are the ``DeviceProfile`` field names, so every
 per-device formula below takes either one profile or the columns of many.
 Every column holds floats: the models multiply the ``int`` fields into
 counts and sizes, which floats hold exactly below 2**53, as Python's
-integers do.
+integers do.  A ``DeviceTable`` yields one device's fields as a
+``ProfileColumns`` of Python scalars.
 """
+
+
+def _check_devices(devices: DeviceProfile | ProfileColumns) -> None:
+    """The device rule, over one ``DeviceProfile`` or ``ProfileColumns``.
+
+    A column may be one value shared by every device or an array over the
+    devices (``maoi_weights``: three values, or ``(D, 3)``).  Every scalar
+    field is a positive quantity, the weights are three values >= 0, the
+    ``int`` fields are whole, the audio clip holds a whole sample count and
+    the signal a finite frame count.  NaN fails every check.
+    """
+    for name in _SCALAR_COLUMNS:
+        value = getattr(devices, name)
+        _require(value > 0, f"{name} must be > 0, got {{}}", value)
+    weights = np.asarray(devices.maoi_weights, dtype=float)
+    valid = weights.shape[-1:] == (3,) and (weights >= 0).all(axis=-1)
+    _require(valid, "maoi_weights must be 3 values >= 0, got {}",
+             devices.maoi_weights if weights.ndim < 2 else weights)
+    # an infinite value makes ``% 1`` and the rounding error NaN, which fails
+    with np.errstate(invalid="ignore"):
+        _check_integers(devices, _INT_COLUMNS)
+        samples = devices.aud_duration * devices.aud_rate
+        _require(abs(samples - np.round(samples)) <= 1e-6 * np.maximum(1.0, samples),
+                 "aud_duration*aud_rate = {} is not an integer sample count", samples)
+    frames = devices.sig_frame_rate * devices.sig_duration
+    _require(np.isfinite(frames),
+             "sig_frame_rate*sig_duration = {} is not a finite frame count", frames)
+
+
+#: The value every device takes for a field a ``DeviceTable`` is not given.
+_COLUMN_DEFAULTS = {f.name: f.default for f in fields(DeviceProfile) if f.name != "id"}
+
+
+class DeviceTable:
+    """A device population as validated, read-only columns.
+
+    The scenario's and the evaluator's input.  ``columns`` holds the
+    ``ProfileColumns`` of the devices and ``len()`` is their count.  Each
+    keyword is a ``DeviceProfile`` field but ``id``: one value that every
+    device shares (checked once, so an error reads as ``DeviceProfile``'s)
+    or one per device, a ``(D,)`` array or ``(D, 3)`` for ``maoi_weights``.
+    A field not given takes ``DeviceProfile``'s default.  Every table
+    passes the rule ``DeviceProfile`` checks.
+
+    Iterating yields each device's fields as a ``ProfileColumns`` of Python
+    scalars, which every per-device model takes as it takes a profile;
+    ``profiles()`` builds the ``DeviceProfile``s, with ids ``0..D-1``.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, n_devices: int, **values) -> None:
+        if n_devices < 1:
+            raise ValueError("need at least one device")
+        given = ProfileColumns(**{**_COLUMN_DEFAULTS, **values})
+        _check_devices(given)
+        # one block, so each column is a contiguous row of it
+        block = np.empty((len(_SCALAR_COLUMNS), n_devices))
+        for row, value in zip(block, given):
+            row[...] = value
+        weights = np.empty((n_devices, 3))
+        weights[...] = given.maoi_weights
+        for arr in (block, weights):
+            arr.flags.writeable = False  # the row views below inherit this
+        self.columns = ProfileColumns(*block, weights)
+
+    def __len__(self) -> int:
+        return len(self.columns.maoi_weights)
+
+    def __iter__(self) -> Iterator[ProfileColumns]:
+        *scalars, weights = self.columns
+        rows = zip(*(col.tolist() for col in scalars), map(tuple, weights.tolist()))
+        return map(ProfileColumns._make, rows)
+
+    def profiles(self) -> tuple[DeviceProfile, ...]:
+        return tuple(DeviceProfile(id=i, **row._asdict()) for i, row in enumerate(self))
 
 
 def profile_columns(profiles: Sequence[DeviceProfile]) -> ProfileColumns:
     """Read ``profiles`` into ``ProfileColumns``."""
     # one (D, fields) read, transposed so that each column is contiguous
-    scalars = np.array(list(map(_read_scalars, profiles)), dtype=float).T.copy()
-    weights = np.array([p.maoi_weights for p in profiles], dtype=float)
+    scalars = np.array(list(map(_read_scalars, profiles)), dtype=float)
+    scalars = scalars.reshape(len(profiles), len(_SCALAR_COLUMNS)).T.copy()
+    weights = np.array([p.maoi_weights for p in profiles], dtype=float).reshape(-1, 3)
     for arr in (scalars, weights):
         arr.flags.writeable = False  # the row views below inherit this
     return ProfileColumns(*scalars, weights)
+
+
+def as_device_table(devices: DeviceTable | Sequence[DeviceProfile]) -> DeviceTable:
+    """``devices`` as a ``DeviceTable``: a table as it is, profiles read into one."""
+    if isinstance(devices, DeviceTable):
+        return devices
+    return DeviceTable(len(devices), **profile_columns(devices)._asdict())
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +535,7 @@ def dump_config_document(profiles: list[DeviceProfile], config: SystemConfig,
 __all__ = [
     "ModalityKind", "MODALITIES", "SCHEDULE_FIXED", "SCHEDULE_BY_WEIGHT",
     "DeviceProfile", "SystemConfig", "ProfileColumns", "profile_columns",
+    "DeviceTable", "as_device_table",
     "data_size_bits", "total_data_bits",
     "compute_flops", "sensing_time", "sensing_energy", "served_ahead",
     "local_waiting_time", "CONFIG_FIELD_TYPES", "PROFILE_FIELD_TYPES", "parse_settings",

@@ -12,6 +12,7 @@ from maoi_edge import baselines
 from maoi_edge.cli import _parse_overrides, main
 from maoi_edge.experiments import read_csv
 from maoi_edge.scenario import generate_scenario
+from maoi_edge.system_model import DeviceProfile, SystemConfig, dump_config_document
 
 FAST = ["--override", "energy_budget=50.0"]
 
@@ -411,6 +412,40 @@ class TestSolveCommand:
                      "--algorithms", "jso", "--seeds", "1",
                      "--override", "tft_base_len=2.5", "--out", str(tmp_path / "bad")])
         assert not (tmp_path / "bad" / "results.csv").exists()
+
+
+class TestSolveScenarioFile:
+    """``solve --scenario FILE`` solves a config document's devices and system."""
+
+    def test_document_solves_like_the_generated_scenario(self, tmp_path):
+        sc = generate_scenario(4, seed=2, overrides={"energy_budget": 50.0})
+        path = tmp_path / "scenario.yaml"
+        dump_config_document(list(sc.profiles), sc.config, path)
+        assert run_cli(["solve", "--scenario", str(path), "--out", str(tmp_path / "doc")]) == 0
+        assert run_cli(["solve", "--devices", "4", "--seed", "2", *FAST,
+                        "--out", str(tmp_path / "gen")]) == 0
+        for name in ("decision.csv", "trace.csv"):
+            assert (tmp_path / "doc" / name).read_bytes() == \
+                (tmp_path / "gen" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("args, option", [
+        (FAST, "--override"), (["--config", "conf.yaml"], "--config"),
+        (["--devices", "4"], "--devices")])
+    def test_generator_options_conflict(self, tmp_path, args, option):
+        path = tmp_path / "scenario.yaml"
+        dump_config_document([DeviceProfile(id=0)], SystemConfig(), path)
+        with pytest.raises(SystemExit, match=f"cannot be combined with {option}$"):
+            run_cli(["solve", "--scenario", str(path), *args, "--out", str(tmp_path)])
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_missing_and_bad_documents_named(self, tmp_path):
+        missing = tmp_path / "missing.yaml"
+        with pytest.raises(SystemExit, match=f"{missing}: No such file"):
+            run_cli(["solve", "--scenario", str(missing), "--out", str(tmp_path)])
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump({"system": {}, "devices": [{"id": 0, "tx_power": 0}]}))
+        with pytest.raises(SystemExit, match=r"bad.yaml: devices\[0\]: tx_power must be > 0"):
+            run_cli(["solve", "--scenario", str(bad), "--out", str(tmp_path)])
 
 
 class TestMalformedOverrides:

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from helpers import reference_positions
+from maoi_edge import experiments
+from maoi_edge.optimizer import ScenarioEvaluator
 from maoi_edge.scenario import (
     AREA_SIZE,
     DEFAULT_PSI_RANGE,
@@ -11,7 +15,17 @@ from maoi_edge.scenario import (
     generate_scenario,
     with_audio_weight_increment,
 )
-from maoi_edge.system_model import dump_config_document, load_config_document
+from maoi_edge.system_model import (
+    DeviceProfile,
+    DeviceTable,
+    ProfileColumns,
+    as_device_table,
+    dump_config_document,
+    load_config_document,
+    profile_columns,
+    profile_from_mapping,
+    total_data_bits,
+)
 
 
 class TestChannelGain:
@@ -203,3 +217,83 @@ class TestAudioWeightIncrement:
         sc = generate_scenario(2, seed=0)
         with pytest.raises(ValueError):
             with_audio_weight_increment(sc, -0.5)
+
+    def test_nan_increment_fails_the_weight_rule(self):
+        sc = generate_scenario(2, seed=0)
+        with pytest.raises(ValueError, match="maoi_weights must be 3 values >= 0"):
+            with_audio_weight_increment(sc, math.nan)
+
+
+class TestDeviceTable:
+    """The generator fills a validated column table and builds no profile."""
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"path_loss_exponent": 2.5}, {"path_loss_exponent": 3.3},
+        {"maoi_weights": [0.5, 2.0, 1.0]}, {"psi_range": [0.0, 4.0], "tx_power": 0.2},
+    ], ids=["default", "delta-2.5", "delta-3.3", "fixed-weights", "psi-0-4-tx"])
+    @pytest.mark.parametrize("n_devices", [1, 2, 5, 20, 80, 320])
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_columns_are_the_profiles_columns(self, overrides, n_devices, seed):
+        sc = generate_scenario(n_devices, seed, overrides)
+        assert len(sc.devices) == n_devices
+        expected = profile_columns(sc.profiles)
+        for name, column, reference in zip(ProfileColumns._fields, sc.devices.columns,
+                                           expected):
+            assert column.dtype == np.float64, name
+            assert column.shape == reference.shape, name
+            assert column.tobytes() == reference.tobytes(), name
+            assert not column.flags.writeable, name
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"tx_power": 0}, "tx_power must be > 0, got 0"),
+        ({"energy_budget": math.nan}, "energy_budget must be > 0, got nan"),
+        ({"img_height": 224.5}, "img_height must be an integer, got 224.5"),
+        ({"aud_duration": 1.00001}, "is not an integer sample count"),
+        ({"sig_frame_rate": 1e300, "sig_duration": 1e300},
+         "sig_frame_rate*sig_duration = inf is not a finite frame count"),
+        ({"maoi_weights": [1, -0.1, 1]}, "maoi_weights must be 3 values >= 0, got (1, -0.1, 1)"),
+    ])
+    def test_shared_values_fail_as_a_profile_does(self, overrides, message):
+        with pytest.raises(ValueError) as profile_error:
+            profile_from_mapping({"id": 0, **overrides})
+        with pytest.raises(ValueError) as generator_error:
+            generate_scenario(3, seed=0, overrides=overrides)
+        assert str(generator_error.value) == str(profile_error.value)
+        assert message in str(generator_error.value)
+
+    def test_per_device_values_fail_naming_the_first_bad_device(self):
+        with pytest.raises(ValueError, match="channel_gain must be > 0, got 0.0$"):
+            DeviceTable(3, channel_gain=np.array([1e-2, 0.0, -1.0]))
+        weights = np.ones((3, 3))
+        weights[2, 1] = math.nan
+        with pytest.raises(ValueError, match=r"maoi_weights .* got \[1.0, nan, 1.0\]$"):
+            DeviceTable(3, maoi_weights=weights)
+        with pytest.raises(ValueError, match="need at least one device"):
+            as_device_table([])
+
+    def test_unset_fields_take_the_profile_defaults(self):
+        table = DeviceTable(2)
+        assert table.profiles() == (DeviceProfile(id=0), DeviceProfile(id=1))
+        assert as_device_table(table) is table
+
+    def test_generation_and_a_sweep_task_build_no_profile(self, monkeypatch):
+        built = []
+        post_init = DeviceProfile.__post_init__
+
+        def counted(self):
+            built.append(self.id)
+            post_init(self)
+
+        monkeypatch.setattr(DeviceProfile, "__post_init__", counted)
+        sc = generate_scenario(320, 0)
+        spec = experiments.SweepSpec(param="device_count", grid=(20.0,),
+                                     algorithms=("fmi",), seeds=(0,))
+        experiments.run_sweep(spec)
+        assert built == []
+        # what a caller of ``baselines.solve`` may read of the devices it passes
+        assert len(sc.devices) == 320
+        assert [total_data_bits(p) for p in sc.devices] == \
+            ScenarioEvaluator(sc.devices, sc.config).payload.tolist()
+        assert built == []
+        assert len(sc.profiles) == 320 and sc.profiles is sc.profiles
+        assert len(built) == 320

@@ -54,6 +54,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             DeviceProfile(id=0, aud_duration=1.00001, aud_rate=16_000.0)
 
+    def test_profile_rejects_infinite_sample_count(self):
+        # a ValueError naming the count, not Python's OverflowError from round(inf)
+        with pytest.raises(ValueError, match="aud_duration.aud_rate = inf is not an integer"):
+            DeviceProfile(id=0, aud_duration=math.inf)
+
     @pytest.mark.parametrize("rate, duration", [(80.0, math.inf), (1e300, 1e300)])
     def test_profile_rejects_infinite_frame_count(self, rate, duration):
         with pytest.raises(ValueError, match="finite frame count"):
