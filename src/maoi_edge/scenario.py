@@ -59,9 +59,12 @@ _PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
 _PCG_MULT_LO_LIMBS = (_PCG_MULT_LO & np.uint64(_MASK32), _PCG_MULT_LO >> np.uint64(32))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """A concrete problem instance: device table, system constants, geometry."""
+    """A concrete problem instance: device table, system constants, geometry.
+
+    ``==`` and ``hash`` go by identity; contents compare by ``devices.columns``.
+    """
 
     devices: DeviceTable
     config: SystemConfig
@@ -75,7 +78,7 @@ class Scenario:
     @functools.cached_property
     def profiles(self) -> tuple[DeviceProfile, ...]:
         """The devices as ``DeviceProfile``s, ids ``0..D-1``, built on first access."""
-        return self.devices.profiles()
+        return tuple(DeviceProfile(id=i, **row._asdict()) for i, row in enumerate(self.devices))
 
 
 def channel_gain_from_distance(distance: float, delta: float = 2.0) -> float:

@@ -26,7 +26,6 @@ import json
 import numbers
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -133,7 +132,11 @@ class DeviceProfile:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Cell-wide constants and solver settings."""
+    """Cell-wide constants and solver settings.
+
+    ``schedule_policy`` orders the local processor: ``fixed`` serves image,
+    audio, signal (``MODALITIES``), ``by_weight`` the higher weights first.
+    """
 
     bandwidth: float = 1e6             # Hz
     noise_power: float = 1e-13         # W (-100 dBm)
@@ -149,7 +152,6 @@ class SystemConfig:
     capacity_threshold: float = 6e6    # bits of offloaded payload the cell admits
     lagrange_step: float = 0.01
     convergence_eps: float = 1e-3
-    local_schedule_order: tuple[ModalityKind, ModalityKind, ModalityKind] = MODALITIES
     schedule_policy: str = SCHEDULE_FIXED
     # outer-loop settings
     max_outer_iters: int = 40_000
@@ -175,21 +177,13 @@ class SystemConfig:
         if len(rates) != 3 or not all(lam > 0 for lam in rates):
             raise ValueError(f"event_rates must be 3 positive values, got {self.event_rates}")
         object.__setattr__(self, "event_rates", rates)
-        order = tuple(ModalityKind(m) for m in self.local_schedule_order)
-        if sorted(order) != list(MODALITIES):
-            raise ValueError(f"local_schedule_order must permute the three modalities, got {order}")
-        object.__setattr__(self, "local_schedule_order", order)
         if self.schedule_policy not in (SCHEDULE_FIXED, SCHEDULE_BY_WEIGHT):
             raise ValueError(f"unknown schedule_policy {self.schedule_policy!r}")
-        if self.schedule_policy == SCHEDULE_BY_WEIGHT and order != MODALITIES:
-            raise ValueError("schedule_policy 'by_weight' orders each device by its weights; "
-                             f"it takes no local_schedule_order, got {order}")
 
 
 _SCALAR_COLUMNS = tuple(f.name for f in fields(DeviceProfile)
                         if f.name not in ("id", "maoi_weights"))
 _INT_COLUMNS = tuple(name for name in _int_fields(DeviceProfile) if name != "id")
-_read_scalars = attrgetter(*_SCALAR_COLUMNS)
 
 #: Every ``DeviceProfile`` field but ``id``, one array over the devices each.
 ProfileColumns = collections.namedtuple(
@@ -248,8 +242,7 @@ class DeviceTable:
     passes the rule ``DeviceProfile`` checks.
 
     Iterating yields each device's fields as a ``ProfileColumns`` of Python
-    scalars, which every per-device model takes as it takes a profile;
-    ``profiles()`` builds the ``DeviceProfile``s, with ids ``0..D-1``.
+    scalars, which every per-device model takes as it takes a profile.
     """
 
     __slots__ = ("columns",)
@@ -277,26 +270,14 @@ class DeviceTable:
         rows = zip(*(col.tolist() for col in scalars), map(tuple, weights.tolist()))
         return map(ProfileColumns._make, rows)
 
-    def profiles(self) -> tuple[DeviceProfile, ...]:
-        return tuple(DeviceProfile(id=i, **row._asdict()) for i, row in enumerate(self))
-
-
-def profile_columns(profiles: Sequence[DeviceProfile]) -> ProfileColumns:
-    """Read ``profiles`` into ``ProfileColumns``."""
-    # one (D, fields) read, transposed so that each column is contiguous
-    scalars = np.array(list(map(_read_scalars, profiles)), dtype=float)
-    scalars = scalars.reshape(len(profiles), len(_SCALAR_COLUMNS)).T.copy()
-    weights = np.array([p.maoi_weights for p in profiles], dtype=float).reshape(-1, 3)
-    for arr in (scalars, weights):
-        arr.flags.writeable = False  # the row views below inherit this
-    return ProfileColumns(*scalars, weights)
-
 
 def as_device_table(devices: DeviceTable | Sequence[DeviceProfile]) -> DeviceTable:
     """``devices`` as a ``DeviceTable``: a table as it is, profiles read into one."""
     if isinstance(devices, DeviceTable):
         return devices
-    return DeviceTable(len(devices), **profile_columns(devices)._asdict())
+    return DeviceTable(len(devices), **{
+        name: np.array([getattr(p, name) for p in devices], dtype=float)
+        for name in ProfileColumns._fields})
 
 
 # ---------------------------------------------------------------------------
@@ -381,16 +362,16 @@ def served_ahead(profile: DeviceProfile | ProfileColumns, config: SystemConfig,
     """Which modalities the local processor serves ahead of which.
 
     ``ahead[..., m, k]`` is true when modality ``k`` is served before ``m``.
-    Under the ``by_weight`` policy each device serves its higher-weight
-    modalities first, ties in modality order, so the mask is ``(..., 3, 3)``;
-    under the fixed policy it is one ``(3, 3)`` mask for every device.
+    The ``fixed`` policy serves image, audio, signal (``MODALITIES``), one
+    ``(3, 3)`` mask for every device; ``by_weight`` serves each device's
+    higher-weight modalities first, ties in that order, ``(..., 3, 3)``.
     """
-    if config.schedule_policy == SCHEDULE_BY_WEIGHT:
-        w = np.asarray(profile.maoi_weights)
-        w_m, w_k = w[..., :, None], w[..., None, :]
-        return (w_k > w_m) | ((w_k == w_m) & np.tri(3, k=-1, dtype=bool))
-    rank = np.array([config.local_schedule_order.index(m) for m in MODALITIES])
-    return rank[None, :] < rank[:, None]
+    in_order = np.tri(3, k=-1, dtype=bool)
+    if config.schedule_policy == SCHEDULE_FIXED:
+        return in_order
+    w = np.asarray(profile.maoi_weights)
+    w_m, w_k = w[..., :, None], w[..., None, :]
+    return (w_k > w_m) | ((w_k == w_m) & in_order)
 
 
 def local_waiting_time(t_local_compute: np.ndarray, ahead: np.ndarray) -> np.ndarray:
@@ -413,8 +394,7 @@ CONFIG_FIELD_TYPES = {f.name: f.type for f in fields(SystemConfig)}
 PROFILE_FIELD_TYPES = {f.name: f.type for f in fields(DeviceProfile)}
 
 _EXPECTED = {"float": "a number", "int": "a number", "str": "a string",
-             "list[str]": "a list of strings",
-             "ModalityKind": "a modality: image, audio, signal or 1-3"}
+             "list[str]": "a list of strings"}
 
 
 def _parse_value(key: str, kind: str, value):
@@ -424,19 +404,13 @@ def _parse_value(key: str, kind: str, value):
         if isinstance(value, (list, tuple, np.ndarray)) and len(value) == len(kinds):
             return tuple(_parse_value(key, k, v) for k, v in zip(kinds, value))
         raise ValueError(f"{key}: expected a list of {len(kinds)} values, got {value!r}")
-    # YAML reads on/yes/true as True, which Python would count as 1
-    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
     if kind in ("float", "int"):
-        if number:
+        # YAML reads on/yes/true as True, which Python would count as 1
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
             return value
         if isinstance(value, str):
             with contextlib.suppress(ValueError):
                 return float(value)
-    elif kind == "ModalityKind":
-        if isinstance(value, str) and value.upper() in ModalityKind.__members__:
-            return ModalityKind[value.upper()]
-        if number and value in MODALITIES:
-            return ModalityKind(int(value))
     elif kind == "str" and isinstance(value, str):
         return value
     elif kind == "list[str]" and isinstance(value, list) \
@@ -450,9 +424,9 @@ def parse_settings(doc: Mapping, kinds: Mapping[str, str], what: str) -> dict:
 
     A number is a real or a numeric string (YAML 1.1 reads ``3e7`` as one)
     but not a boolean, a tuple a list of exactly its length, a ``list[str]``
-    a list of strings, a modality its name or number.  A key not in
-    ``kinds`` raises ``ValueError("unknown <what> fields: ...")``, a value
-    of another shape ``ValueError("<field>: ...")``.
+    a list of strings.  A key not in ``kinds`` raises
+    ``ValueError("unknown <what> fields: ...")``, a value of another shape
+    ``ValueError("<field>: ...")``.
     """
     unknown = doc.keys() - kinds.keys()
     if unknown:
@@ -517,10 +491,8 @@ def load_config_document(path: str | Path) -> tuple[list[DeviceProfile], SystemC
 
 
 def _dump_value(value):
-    """``value`` as ``parse_settings`` reads it back: tuples as lists, modalities by name."""
-    if isinstance(value, tuple):
-        return [_dump_value(v) for v in value]
-    return value.name.lower() if isinstance(value, ModalityKind) else value
+    """``value`` as ``parse_settings`` reads it back: tuples as lists."""
+    return list(value) if isinstance(value, tuple) else value
 
 
 def dump_config_document(profiles: list[DeviceProfile], config: SystemConfig,
@@ -534,7 +506,7 @@ def dump_config_document(profiles: list[DeviceProfile], config: SystemConfig,
 
 __all__ = [
     "ModalityKind", "MODALITIES", "SCHEDULE_FIXED", "SCHEDULE_BY_WEIGHT",
-    "DeviceProfile", "SystemConfig", "ProfileColumns", "profile_columns",
+    "DeviceProfile", "SystemConfig", "ProfileColumns",
     "DeviceTable", "as_device_table",
     "data_size_bits", "total_data_bits",
     "compute_flops", "sensing_time", "sensing_energy", "served_ahead",

@@ -395,6 +395,9 @@ class TestSolveCommand:
         (["--override", "img_height=224.5"], "img_height must be an integer, got 224.5"),
         # the Newton settings are optimizer constants, not config fields
         (["--override", "newton_tol=1e-9"], "unknown override fields: .'newton_tol'"),
+        # the fixed policy serves image, audio, signal; no other order is settable
+        (["--override", "local_schedule_order=[signal,image,audio]"],
+         r"unknown override fields: \['local_schedule_order'\]"),
     ])
     def test_bad_settings_rejected(self, tmp_path, args, match):
         with pytest.raises(SystemExit, match=match):
@@ -457,13 +460,14 @@ class TestMalformedOverrides:
          "--seeds", "1"],
     ])
     @pytest.mark.parametrize("override", [
-        "local_schedule_order=[sound,image,signal]",
-        "local_schedule_order=image",
-        "local_schedule_order=3",
         "event_rates=0.5",
         "maoi_weights=1",
         "tx_power=[1,2]",
         "tau_min=null",
+        # a string field, and a boolean where a number goes
+        "schedule_policy=[fixed]",
+        "schedule_policy=3",
+        "max_outer_iters=true",
     ])
     def test_exits_naming_the_field(self, tmp_path, monkeypatch, command, override):
         monkeypatch.setattr(baselines, "solve", lambda *a, **k: pytest.fail("solved"))

@@ -22,7 +22,6 @@ from maoi_edge.system_model import (
     as_device_table,
     dump_config_document,
     load_config_document,
-    profile_columns,
     profile_from_mapping,
     total_data_bits,
 )
@@ -52,6 +51,14 @@ class TestGeneration:
         b = generate_scenario(6, seed=42)
         assert a.profiles == b.profiles
         assert np.array_equal(a.positions, b.positions)
+
+    def test_equality_is_identity_and_contents_compare_by_columns(self):
+        a = generate_scenario(3, seed=0)
+        b = generate_scenario(3, seed=0)
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, a, b}) == 2
+        for column, other in zip(a.devices.columns, b.devices.columns):
+            assert np.array_equal(column, other)
 
     def test_seed_changes_draws(self):
         a = generate_scenario(6, seed=1)
@@ -236,7 +243,7 @@ class TestDeviceTable:
     def test_columns_are_the_profiles_columns(self, overrides, n_devices, seed):
         sc = generate_scenario(n_devices, seed, overrides)
         assert len(sc.devices) == n_devices
-        expected = profile_columns(sc.profiles)
+        expected = as_device_table(sc.profiles).columns
         for name, column, reference in zip(ProfileColumns._fields, sc.devices.columns,
                                            expected):
             assert column.dtype == np.float64, name
@@ -273,7 +280,8 @@ class TestDeviceTable:
 
     def test_unset_fields_take_the_profile_defaults(self):
         table = DeviceTable(2)
-        assert table.profiles() == (DeviceProfile(id=0), DeviceProfile(id=1))
+        rows = [DeviceProfile(id=i, **row._asdict()) for i, row in enumerate(table)]
+        assert rows == [DeviceProfile(id=0), DeviceProfile(id=1)]
         assert as_device_table(table) is table
 
     def test_generation_and_a_sweep_task_build_no_profile(self, monkeypatch):

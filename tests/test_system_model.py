@@ -19,6 +19,7 @@ from maoi_edge.system_model import (
     ModalityKind,
     ProfileColumns,
     SystemConfig,
+    as_device_table,
     compute_flops,
     config_from_mapping,
     data_size_bits,
@@ -26,7 +27,6 @@ from maoi_edge.system_model import (
     load_config_document,
     local_waiting_time,
     parse_settings,
-    profile_columns,
     sensing_energy,
     sensing_time,
     served_ahead,
@@ -67,10 +67,6 @@ class TestTypes:
     def test_config_requires_edge_at_least_local(self):
         with pytest.raises(ValueError):
             SystemConfig(f_local=2e9, f_edge=1e9)
-
-    def test_config_schedule_order_must_be_permutation(self):
-        with pytest.raises(ValueError):
-            SystemConfig(local_schedule_order=(IMG, IMG, SIG))
 
     @pytest.mark.parametrize("field, value", [
         ("max_outer_iters", 0), ("energy_tol", -0.01), ("mu_init", -1.0),
@@ -145,7 +141,7 @@ class TestDataSize:
 
     def test_total_adds_the_modalities_in_order(self, profile):
         # the same bits as summing the modality axis, for a profile and columns
-        cols = profile_columns(generate_scenario(320, seed=0).profiles)
+        cols = as_device_table(generate_scenario(320, seed=0).profiles).columns
         for source in (profile, cols):
             total = total_data_bits(source)
             assert np.array_equal(total, data_size_bits(source).sum(axis=-1))
@@ -195,7 +191,7 @@ class TestComputeModel:
         assert compute_flops(p, config)[AUD - 1] / config.f_local == pytest.approx(0.0, abs=1e-8)
 
     @pytest.mark.parametrize("profile_or_columns", [
-        lambda ps: ps[0], profile_columns], ids=["profile", "columns"])
+        lambda ps: ps[0], lambda ps: as_device_table(ps).columns], ids=["profile", "columns"])
     def test_models_return_the_modality_axis(self, profile_or_columns, config):
         p = profile_or_columns([DeviceProfile(id=0)])
         lead = np.shape(p.tx_power)
@@ -214,15 +210,11 @@ class TestTiming:
         assert sensing_time(profile).tolist() == [0.0, 2.0, 3.0]
 
     def test_waiting_follows_schedule_order(self, profile, config):
+        assert schedule_order(profile, config) == MODALITIES
         wait = self.waits(profile, config)
         assert wait[IMG - 1] == 0.0
         assert wait[AUD - 1] == pytest.approx(4.0)
         assert wait[SIG - 1] == pytest.approx(14.0)
-
-    def test_waiting_respects_custom_order(self, profile):
-        wait = self.waits(profile, SystemConfig(local_schedule_order=(SIG, AUD, IMG)))
-        assert wait[SIG - 1] == 0.0
-        assert wait[IMG - 1] == pytest.approx(10.648)
 
     def test_weight_priority_order(self, config):
         p = DeviceProfile(id=0, maoi_weights=(0.5, 2.0, 1.0))
@@ -237,7 +229,8 @@ class TestTiming:
     def test_weight_priority_mask_is_a_strict_order(self, weights):
         # few distinct weights, so ties are common
         profiles = [DeviceProfile(id=d, maoi_weights=w) for d, w in enumerate(weights)]
-        ahead = served_ahead(profile_columns(profiles), SystemConfig(schedule_policy="by_weight"))
+        ahead = served_ahead(as_device_table(profiles).columns,
+                             SystemConfig(schedule_policy="by_weight"))
         assert ahead.shape == (len(profiles), 3, 3)
         behind = ahead.swapaxes(-1, -2)
         assert not ahead.diagonal(axis1=-2, axis2=-1).any()  # irreflexive
@@ -246,10 +239,27 @@ class TestTiming:
         w = np.array(weights)
         assert (ahead[w[:, None, :] > w[:, :, None]]).all()  # higher weight first
 
-    def test_weight_priority_rejects_a_fixed_order(self):
-        with pytest.raises(ValueError, match="schedule_policy.*local_schedule_order"):
-            SystemConfig(schedule_policy="by_weight", local_schedule_order=(SIG, AUD, IMG))
-        SystemConfig(schedule_policy="by_weight", local_schedule_order=MODALITIES)
+    @pytest.mark.parametrize("weights", [(0.5, 2.0, 1.0), (3.0, 1.0, 2.0), (1.0, 1.0, 1.0)])
+    def test_fixed_policy_mask_ignores_the_weights(self, weights, config):
+        # image, audio, signal for every device, whatever its weights
+        columns = as_device_table([DeviceProfile(id=0, maoi_weights=weights),
+                                   DeviceProfile(id=1)]).columns
+        assert np.array_equal(served_ahead(columns, config), np.tri(3, k=-1, dtype=bool))
+
+    def test_equal_weights_serve_the_fixed_order(self, config):
+        # by_weight breaks ties in MODALITIES order, so equal weights give the fixed mask
+        columns = as_device_table([DeviceProfile(id=d, maoi_weights=(w, w, w))
+                                   for d, w in enumerate((0.5, 1.0, 2.0))]).columns
+        by_weight = served_ahead(columns, SystemConfig(schedule_policy="by_weight"))
+        assert by_weight.shape == (3, 3, 3)
+        assert (by_weight == served_ahead(columns, config)).all()
+
+    def test_fixed_policy_times_ignore_the_weights(self, config):
+        # the device that by_weight serves audio, signal, image keeps the fixed times
+        profiles = [DeviceProfile(id=0, maoi_weights=(0.5, 2.0, 1.0)), DeviceProfile(id=1)]
+        ev = ScenarioEvaluator(profiles, config)
+        assert ev.t_local[0] == pytest.approx((4.0, 16.0, 17.648))
+        assert np.array_equal(ev.t_local[0], ev.t_local[1])
 
     def test_weight_priority_orders_each_device(self):
         # one evaluator, two serving orders: (AUD, SIG, IMG) and the tie's (IMG, AUD, SIG)
@@ -338,7 +348,7 @@ class TestProfileColumns:
 
     def test_columns_are_the_profile_fields(self, tmp_path):
         profiles, _ = self.load(tmp_path, {})
-        cols = profile_columns(profiles)
+        cols = as_device_table(profiles).columns
         for name in ProfileColumns._fields:
             column = getattr(cols, name)
             assert np.array_equal(column, [getattr(p, name) for p in profiles]), name
@@ -348,8 +358,7 @@ class TestProfileColumns:
     @pytest.mark.parametrize("system, objective, n_devices", [
         ({}, OBJECTIVE_MAOI, 4),
         ({"schedule_policy": "by_weight"}, OBJECTIVE_MAOI, 4),
-        ({"local_schedule_order": ["signal", "image", "audio"], "f_local": 7e8,
-          "tft_base_len": 137}, OBJECTIVE_MAOI, 4),
+        ({"f_local": 7e8, "tft_base_len": 137}, OBJECTIVE_MAOI, 4),
         ({}, OBJECTIVE_AOI, 4),
         ({"schedule_policy": "by_weight"}, OBJECTIVE_MAOI, 1),
     ])
@@ -410,14 +419,17 @@ class TestConfigDocument:
         assert profiles[0].tx_power == 0.2
         assert profiles[0].maoi_weights == (1.0, 2.0, 3.0)
 
-    def test_unknown_field_rejected(self, tmp_path):
+    @pytest.mark.parametrize("system, key", [
+        ({"bandwidht": 1e6}, "bandwidht"),
+        # the fixed policy serves MODALITIES; no other order is settable
+        ({"local_schedule_order": ["signal", "image", "audio"]}, "local_schedule_order"),
+    ])
+    def test_unknown_field_rejected(self, tmp_path, system, key):
         path = tmp_path / "bad.yaml"
-        path.write_text(yaml.safe_dump({
-            "system": {"bandwidht": 1e6},
-            "devices": [{"id": 0}],
-        }))
-        with pytest.raises(ValueError, match="unknown system config fields"):
+        path.write_text(yaml.safe_dump({"system": system, "devices": [{"id": 0}]}))
+        with pytest.raises(ValueError) as exc:
             load_config_document(path)
+        assert str(exc.value) == f"{path}: system: unknown system config fields: [{key!r}]"
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "dup.yaml"
@@ -462,15 +474,6 @@ class TestConfigDocument:
             load_config_document(path)
         assert_one_line_parse_error(str(exc.value), f"{path}: malformed document: ",
                                     line, column)
-
-    def test_schedule_order_by_name(self, tmp_path):
-        path = tmp_path / "order.yaml"
-        path.write_text(yaml.safe_dump({
-            "system": {"local_schedule_order": ["signal", "image", "audio"]},
-            "devices": [{"id": 0}],
-        }))
-        _, cfg = load_config_document(path)
-        assert cfg.local_schedule_order == (SIG, IMG, AUD)
 
     def test_exponent_forms_without_a_dot(self, tmp_path):
         # YAML 1.1 reads 1e-13, 3e7 and 4e4 as strings
@@ -529,9 +532,7 @@ class TestConfigDocument:
     def test_numpy_scalars_read_as_numbers(self):
         parsed = parse_settings(
             {"capacity_threshold": np.float64(3e7), "max_outer_iters": np.int64(300),
-             "event_rates": np.array([0.5, 0.6, 0.7]),
-             "local_schedule_order": [np.int64(3), 1.0, "Audio"]},
+             "event_rates": np.array([0.5, 0.6, 0.7])},
             CONFIG_FIELD_TYPES, "system config")
         assert SystemConfig(**parsed) == SystemConfig(
-            capacity_threshold=3e7, max_outer_iters=300, event_rates=(0.5, 0.6, 0.7),
-            local_schedule_order=(SIG, IMG, AUD))
+            capacity_threshold=3e7, max_outer_iters=300, event_rates=(0.5, 0.6, 0.7))
