@@ -12,7 +12,7 @@ comparative trends against baseline policies.
 
 from .baselines import ALGORITHMS, solve
 from .metric import OBJECTIVE_AOI, OBJECTIVE_MAOI, avg_maoi_modality
-from .optimizer import Decision, ScenarioEvaluator, SolveTrace, solve_jso
+from .optimizer import Decision, ScenarioEvaluator, SolveTrace
 from .oracle import TrajectoryStats, simulate_avg_maoi, simulate_avg_maoi_device
 from .scenario import Scenario, generate_scenario
 from .system_model import (
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMS", "solve", "OBJECTIVE_AOI", "OBJECTIVE_MAOI", "avg_maoi_modality",
-    "Decision", "ScenarioEvaluator", "SolveTrace", "solve_jso",
+    "Decision", "ScenarioEvaluator", "SolveTrace",
     "TrajectoryStats", "simulate_avg_maoi", "simulate_avg_maoi_device",
     "Scenario", "generate_scenario", "DeviceProfile", "ModalityKind",
     "SystemConfig", "load_config_document", "__version__",

@@ -1,9 +1,9 @@
-"""Comparison schemes: FMI, FLC, GMO, IDD, DBRO and the age-only ablation.
+"""The algorithms: JSO, its age-only ablation, and FMI, FLC, GMO, IDD, DBRO.
 
-Every baseline shares the outer loop (interval solve, offloading block,
-multiplier update, joint stopping rule) and differs only in how it sets
-the sampling intervals (FMI) or the offload flags (the rest).  That keeps
-comparisons apples-to-apples: observed gaps come from the policy, not
+Each algorithm is a rule builder: given the solve's evaluator, it returns
+the ``(tau_rule, offload_rule)`` pair that ``run_outer_loop`` drives.  All
+share the outer loop (interval solve, offloading block, multiplier
+update, joint stopping rule), so observed gaps come from the policy, not
 from a different iteration scheme.
 """
 
@@ -13,13 +13,14 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .metric import OBJECTIVE_AOI, avg_maoi_modality
+from .metric import OBJECTIVE_AOI, OBJECTIVE_MAOI, avg_maoi_modality
 from .optimizer import (
     Decision,
+    OffloadRule,
     ScenarioEvaluator,
     SolveTrace,
+    TauRule,
     run_outer_loop,
-    solve_jso,
 )
 from .system_model import DeviceProfile, DeviceTable, SystemConfig
 
@@ -27,35 +28,35 @@ DBRO_MAX_SWEEPS = 200
 #: Share of the other devices' received power that IDD assumes interferes.
 IDD_ASSUMED_SHARE = 0.5
 
+Rules = tuple[TauRule, OffloadRule]
 
-def solve_fmi(devices: DeviceTable | Sequence[DeviceProfile], config: SystemConfig,
-              init: Decision | None = None) -> tuple[Decision, SolveTrace]:
+
+def jso_rules(ev: ScenarioEvaluator) -> Rules:
+    """Full joint solve: Algorithm-1 intervals + best-response offloading."""
+    return ev.sampling_step, ev.offloading_equilibrium
+
+
+def fmi_rules(ev: ScenarioEvaluator) -> Rules:
     """Fixed minimum-energy-feasible interval; offloading/multipliers as usual.
 
     The interval rule is re-evaluated every iteration, so a device that
     switches branch immediately re-tightens to its new minimum.
     """
-    ev = ScenarioEvaluator(devices, config)
-
     def tau_rule(mu, x):
         return ev.budget_interval(ev.pattern_state(x).energies), 0
 
-    return run_outer_loop(ev, tau_rule, ev.offloading_equilibrium, init)
+    return tau_rule, ev.offloading_equilibrium
 
 
-def solve_flc(devices: DeviceTable | Sequence[DeviceProfile], config: SystemConfig,
-              init: Decision | None = None) -> tuple[Decision, SolveTrace]:
+def flc_rules(ev: ScenarioEvaluator) -> Rules:
     """Full local computing: offloading disabled, intervals still optimized."""
-    ev = ScenarioEvaluator(devices, config)
-
     def offload_rule(tau, mu, x):
         return np.zeros_like(x), []
 
-    return run_outer_loop(ev, ev.sampling_step, offload_rule, init)
+    return ev.sampling_step, offload_rule
 
 
-def solve_gmo(devices: DeviceTable | Sequence[DeviceProfile], config: SystemConfig,
-              init: Decision | None = None) -> tuple[Decision, SolveTrace]:
+def gmo_rules(ev: ScenarioEvaluator) -> Rules:
     """Greedy marginal-cost offloading: one irreversible fix per iteration.
 
     From the initial pattern (all-local by default), each iteration trials
@@ -64,8 +65,6 @@ def solve_gmo(devices: DeviceTable | Sequence[DeviceProfile], config: SystemConf
     decrease; fixed decisions, initial offloaders included, are never
     reverted.
     """
-    ev = ScenarioEvaluator(devices, config)
-
     def offload_rule(tau, mu, x):
         # flags are never reverted, so the incoming pattern is the fixed set
         candidates = np.nonzero((x == 0) & ev.pattern_state(x).admissible)[0]
@@ -76,11 +75,10 @@ def solve_gmo(devices: DeviceTable | Sequence[DeviceProfile], config: SystemConf
         out[best_d] = 1
         return out, [best_d]
 
-    return run_outer_loop(ev, ev.sampling_step, offload_rule, init)
+    return ev.sampling_step, offload_rule
 
 
-def solve_idd(devices: DeviceTable | Sequence[DeviceProfile], config: SystemConfig,
-              init: Decision | None = None) -> tuple[Decision, SolveTrace]:
+def idd_rules(ev: ScenarioEvaluator) -> Rules:
     """Independent distributed decisions under an assumed interference level.
 
     Each device takes its edge branch under the fixed prior
@@ -94,7 +92,6 @@ def solve_idd(devices: DeviceTable | Sequence[DeviceProfile], config: SystemConf
     before the first iteration; intervals and multipliers are solved as
     usual.
     """
-    ev = ScenarioEvaluator(devices, config)
     assumed = IDD_ASSUMED_SHARE * (ev.rx_power.sum() - ev.rx_power)
     t_off, e_off = ev.edge_branch(ev.trans_times_under(assumed))
 
@@ -106,7 +103,7 @@ def solve_idd(devices: DeviceTable | Sequence[DeviceProfile], config: SystemConf
     pattern = np.zeros(ev.n_devices, dtype=np.int64)
     load = 0.0
     for d in range(ev.n_devices):
-        if prefers[d] and load + ev.payload[d] <= config.capacity_threshold:
+        if prefers[d] and load + ev.payload[d] <= ev.config.capacity_threshold:
             pattern[d] = 1
             load += ev.payload[d]
     pattern.flags.writeable = False
@@ -114,19 +111,16 @@ def solve_idd(devices: DeviceTable | Sequence[DeviceProfile], config: SystemConf
     def offload_rule(tau, mu, x):
         return pattern, []
 
-    return run_outer_loop(ev, ev.sampling_step, offload_rule, init)
+    return ev.sampling_step, offload_rule
 
 
-def solve_dbro(devices: DeviceTable | Sequence[DeviceProfile], config: SystemConfig,
-               init: Decision | None = None) -> tuple[Decision, SolveTrace]:
+def dbro_rules(ev: ScenarioEvaluator) -> Rules:
     """Device-wise best response: sweep in index order, commit immediately.
 
     Each device optimizes its own cost given the pattern left by its
     predecessors; sweeps repeat until one full pass changes nothing.
     Unlike the joint solver there is no system-level commit rule.
     """
-    ev = ScenarioEvaluator(devices, config)
-
     def offload_rule(tau, mu, x):
         out = x.copy()
         committed = []
@@ -144,24 +138,18 @@ def solve_dbro(devices: DeviceTable | Sequence[DeviceProfile], config: SystemCon
                 break
         return out, committed
 
-    return run_outer_loop(ev, ev.sampling_step, offload_rule, init)
+    return ev.sampling_step, offload_rule
 
 
-def solve_jso_a(devices: DeviceTable | Sequence[DeviceProfile], config: SystemConfig,
-                init: Decision | None = None) -> tuple[Decision, SolveTrace]:
-    """The joint solver with the plain (weight-free) age objective."""
-    return solve_jso(devices, config, init, objective=OBJECTIVE_AOI)
-
-
-#: Algorithm selector used by the CLI and the sweep runner.
+#: Each name's evaluator objective and rule builder; ``jso_a`` weighs the plain age.
 ALGORITHMS = {
-    "jso": solve_jso,
-    "jso_a": solve_jso_a,
-    "fmi": solve_fmi,
-    "flc": solve_flc,
-    "gmo": solve_gmo,
-    "idd": solve_idd,
-    "dbro": solve_dbro,
+    "jso": (OBJECTIVE_MAOI, jso_rules),
+    "jso_a": (OBJECTIVE_AOI, jso_rules),
+    "fmi": (OBJECTIVE_MAOI, fmi_rules),
+    "flc": (OBJECTIVE_MAOI, flc_rules),
+    "gmo": (OBJECTIVE_MAOI, gmo_rules),
+    "idd": (OBJECTIVE_MAOI, idd_rules),
+    "dbro": (OBJECTIVE_MAOI, dbro_rules),
 }
 
 
@@ -170,12 +158,12 @@ def solve(name: str, devices: DeviceTable | Sequence[DeviceProfile],
           ) -> tuple[Decision, SolveTrace]:
     """Run the named algorithm; see ``ALGORITHMS`` for valid names."""
     try:
-        fn = ALGORITHMS[name]
+        objective, rules = ALGORITHMS[name]
     except KeyError:
         raise ValueError(f"unknown algorithm {name!r}; "
                          f"choose from {sorted(ALGORITHMS)}") from None
-    return fn(devices, config, init)
+    ev = ScenarioEvaluator(devices, config, objective)
+    return run_outer_loop(ev, *rules(ev), init)
 
 
-__all__ = ["solve_fmi", "solve_flc", "solve_gmo", "solve_idd", "solve_dbro",
-           "solve_jso_a", "ALGORITHMS", "solve", "DBRO_MAX_SWEEPS", "IDD_ASSUMED_SHARE"]
+__all__ = ["ALGORITHMS", "solve", "DBRO_MAX_SWEEPS", "IDD_ASSUMED_SHARE"]

@@ -71,6 +71,12 @@ class SweepSpec:
         for alg in self.algorithms:
             if alg not in baselines.ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}")
+        # a repeat would solve its cells twice and count them as extra seeds
+        for name, values in (("grid", self.grid), ("seeds", self.seeds),
+                             ("algorithms", self.algorithms)):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"sweep {name} repeats {value!r}")
         # settings fail here, before the first solve: one device per grid value
         for value in self.grid:
             scenario_for(self, value, self.seeds[0], devices=1)

@@ -72,6 +72,12 @@ TRIAL_BLOCK_ENTRIES = 16384
 # ---------------------------------------------------------------------------
 # the sampling block's Newton path
 
+def penalized_cost(phi, half_tau, t_sys, tau, mu, energy, budget):
+    """Weighted age plus energy penalty per device, from ``phi = event_factors(...)``
+    and ``half_tau = 0.5 * tau`` on the trailing modality axis of ``t_sys``."""
+    return (phi * (half_tau + t_sys)).sum(axis=-1) + mu * (energy / tau - budget)
+
+
 def cost_slopes(psi, lam, tau, t_sys, mu, energy):
     """First and second tau-derivatives of the penalized cost.
 
@@ -293,8 +299,7 @@ class ScenarioEvaluator:
         # with every device, where five slicings a call cost ~2.5 us per iteration
         if d is not None:
             phi, half_tau, tau, mu, budget = phi[d], half_tau[d], tau[d], mu[d], budget[d]
-        age = (phi * (half_tau + t_sys)).sum(axis=-1)
-        return age + mu * (e / tau - budget)
+        return penalized_cost(phi, half_tau, t_sys, tau, mu, e, budget)
 
     def device_costs(self, tau: np.ndarray, mu: np.ndarray,
                      x: np.ndarray) -> np.ndarray:
@@ -331,8 +336,9 @@ class ScenarioEvaluator:
             lambda tau: cost_slopes(psi, self.lam, tau, t_sys, mu_d, e),
             cfg.tau_min, state.tau_th[d])
         cand = np.stack([tau_newton, tau_star[d]])
-        cost = (avg_maoi_modality(psi, self.lam, cand[..., None], t_sys).sum(axis=-1)
-                + mu_d * (e / cand - self.e_budget[d]))
+        cand_s = cand[..., None]
+        cost = penalized_cost(event_factors(psi, self.lam, cand_s), 0.5 * cand_s,
+                              t_sys, cand, mu_d, e, self.e_budget[d])
         wins = cost[0] < cost[1]
         tau_star[d[wins]] = tau_newton[wins]
         return tau_star, int(iters.sum())
@@ -614,17 +620,9 @@ def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
     return decision, trace
 
 
-def solve_jso(devices: DeviceTable | Sequence[DeviceProfile], config: SystemConfig,
-              init: Decision | None = None, objective: str = OBJECTIVE_MAOI,
-              ) -> tuple[Decision, SolveTrace]:
-    """Full joint solve: Algorithm-1 intervals + best-response offloading."""
-    ev = ScenarioEvaluator(devices, config, objective)
-    return run_outer_loop(ev, ev.sampling_step, ev.offloading_equilibrium, init)
-
-
 __all__ = [
-    "cost_slopes", "projected_newton", "NEWTON_TOL", "NEWTON_MAX_ITERS",
-    "TRIAL_BLOCK_ENTRIES", "PatternState",
+    "penalized_cost", "cost_slopes", "projected_newton", "NEWTON_TOL",
+    "NEWTON_MAX_ITERS", "TRIAL_BLOCK_ENTRIES", "PatternState",
     "ScenarioEvaluator", "as_offload_vector", "Decision", "SolveTrace",
-    "default_decision", "run_outer_loop", "solve_jso",
+    "default_decision", "run_outer_loop",
 ]

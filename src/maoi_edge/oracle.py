@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimizer import ScenarioEvaluator
+from .optimizer import ScenarioEvaluator, as_offload_vector
 
 #: Two-sided 99% normal quantile: the default CI half-width in standard errors.
 Z_99 = 2.576
@@ -115,7 +115,9 @@ def simulate_avg_maoi_device(ev: ScenarioEvaluator, d: int, tau: float,
     the weights from its true modality weights, so the estimate checks the
     closed form the solvers optimize.
     """
-    t_sys = ev.pattern_state(np.asarray(x, dtype=np.int64)).t_sys
+    if not 0 <= d < ev.n_devices:
+        raise ValueError(f"device index {d} out of range for {ev.n_devices} devices")
+    t_sys = ev.pattern_state(as_offload_vector(x, ev.n_devices)).t_sys
     parts = [simulate_avg_maoi(float(ev.psi_true[d, s]), float(ev.lam[s]), tau,
                                float(t_sys[d, s]), n_updates, seed=[seed, s])
              for s in range(3)]

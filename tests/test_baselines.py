@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from maoi_edge import baselines
-from maoi_edge.optimizer import Decision, ScenarioEvaluator, solve_jso
+from maoi_edge.optimizer import Decision, ScenarioEvaluator
 from maoi_edge.scenario import generate_scenario
 from maoi_edge.system_model import SystemConfig
 
@@ -34,7 +34,7 @@ class TestSelector:
 class TestFMI:
     def test_interval_pinned_to_energy_rule(self):
         profiles, config = scenario_lists(4, seed=1)
-        decision, trace = baselines.solve_fmi(profiles, config)
+        decision, trace = baselines.solve("fmi", profiles, config)
         assert trace.converged
         energies = ScenarioEvaluator(profiles, config).pattern_state(decision.x).energies
         for d in range(4):
@@ -44,28 +44,28 @@ class TestFMI:
 
     def test_offloaded_devices_clamp_to_minimum(self):
         profiles, config = scenario_lists(4, seed=1)
-        decision, _ = baselines.solve_fmi(profiles, config)
+        decision, _ = baselines.solve("fmi", profiles, config)
         assert decision.x.sum() > 0
         for d in np.nonzero(decision.x)[0]:
             assert decision.tau[d] == config.tau_min
 
     def test_generous_budget_clamps_everyone(self):
         profiles, config = scenario_lists(3, energy_budget=50.0)
-        decision, _ = baselines.solve_fmi(profiles, config)
+        decision, _ = baselines.solve("fmi", profiles, config)
         assert (decision.tau == config.tau_min).all()
 
 
 class TestFLC:
     def test_never_offloads(self):
         profiles, config = scenario_lists(5, seed=2)
-        decision, trace = baselines.solve_flc(profiles, config)
+        decision, trace = baselines.solve("flc", profiles, config)
         assert decision.x.sum() == 0
         assert trace.converged
 
     def test_matches_jso_when_offloading_is_disabled_by_capacity(self):
         profiles, config = scenario_lists(4, seed=3, capacity_threshold=1e5)
-        d_flc, _ = baselines.solve_flc(profiles, config)
-        d_jso, _ = solve_jso(profiles, config)
+        d_flc, _ = baselines.solve("flc", profiles, config)
+        d_jso, _ = baselines.solve("jso", profiles, config)
         assert d_jso.x.sum() == 0
         np.testing.assert_allclose(d_flc.tau, d_jso.tau, rtol=1e-12)
         np.testing.assert_allclose(d_flc.mu, d_jso.mu, rtol=1e-12)
@@ -74,7 +74,7 @@ class TestFLC:
 class TestGMO:
     def test_greedy_fixes_are_never_reverted(self):
         profiles, config = scenario_lists(8, seed=4)
-        decision, trace = baselines.solve_gmo(profiles, config)
+        decision, trace = baselines.solve("gmo", profiles, config)
         fixed = set()
         for committed in trace.committed:
             for d in committed:
@@ -85,7 +85,7 @@ class TestGMO:
     def test_first_fix_has_largest_marginal_gain(self):
         profiles, config = scenario_lists(6, seed=5)
         ev = ScenarioEvaluator(profiles, config)
-        decision, trace = baselines.solve_gmo(profiles, config)
+        decision, trace = baselines.solve("gmo", profiles, config)
         first = next(c[0] for c in trace.committed if c)
         # replay the first greedy evaluation by hand
         init_tau, _ = ev.sampling_step(np.full(6, config.mu_init),
@@ -103,21 +103,21 @@ class TestGMO:
         profiles, config = scenario_lists(6, seed=0, lagrange_step=0.5)
         init = Decision(tau=np.full(6, config.tau_min),
                         x=[0, 0, 0, 0, 0, 1], mu=np.full(6, config.mu_init))
-        decision, trace = baselines.solve_gmo(profiles, config, init)
+        decision, trace = baselines.solve("gmo", profiles, config, init)
         assert decision.x[5] == 1
         assert all(5 not in c for c in trace.committed)
 
     def test_stays_local_when_offloading_hurts(self):
         # drown the uplink in noise: transmission takes forever
         profiles, config = scenario_lists(4, seed=6, noise_power=1.0)
-        decision, _ = baselines.solve_gmo(profiles, config)
+        decision, _ = baselines.solve("gmo", profiles, config)
         assert decision.x.sum() == 0
 
 
 class TestIDD:
     def test_single_device_equals_exact_best_response(self, config):
         profiles, config = scenario_lists(1, seed=7)
-        decision, _ = baselines.solve_idd(profiles, config)
+        decision, _ = baselines.solve("idd", profiles, config)
         ev = ScenarioEvaluator(profiles, config)
         exact = ev.best_responses(decision.tau, decision.mu, np.array([0]))
         assert decision.x[0] == exact[0]
@@ -130,7 +130,7 @@ class TestIDD:
             for seed in (0, 1, 2):
                 profiles, config = scenario_lists(8, seed=seed,
                                                   energy_budget=3.0)
-                decision, _ = baselines.solve_idd(profiles, config)
+                decision, _ = baselines.solve("idd", profiles, config)
                 total += int(decision.x.sum())
             counts[share] = total
         assert counts[0.0] >= counts[1.0]
@@ -138,7 +138,7 @@ class TestIDD:
     def test_capacity_respected_under_optimistic_prior(self, monkeypatch):
         monkeypatch.setattr(baselines, "IDD_ASSUMED_SHARE", 0.0)
         profiles, config = scenario_lists(6, seed=8)
-        decision, _ = baselines.solve_idd(profiles, config)
+        decision, _ = baselines.solve("idd", profiles, config)
         ev = ScenarioEvaluator(profiles, config)
         assert float(decision.x @ ev.payload) <= config.capacity_threshold
 
@@ -150,7 +150,7 @@ class TestIDD:
         for mu0 in (0.0, 10.0):
             init = Decision(tau=np.full(5, config.tau_min),
                             x=np.zeros(5, dtype=np.int64), mu=np.full(5, mu0))
-            decision, trace = baselines.solve_idd(profiles, config, init)
+            decision, trace = baselines.solve("idd", profiles, config, init)
             assert trace.converged
             assert trace.metrics["max_energy_violation"] <= config.energy_tol
             patterns.append(decision.x)
@@ -160,7 +160,7 @@ class TestIDD:
 class TestDBRO:
     def test_final_pattern_is_individually_stable(self):
         profiles, config = scenario_lists(7, seed=9)
-        decision, _ = baselines.solve_dbro(profiles, config)
+        decision, _ = baselines.solve("dbro", profiles, config)
         ev = ScenarioEvaluator(profiles, config)
         br = ev.best_responses(decision.tau, decision.mu, decision.x)
         assert (br == decision.x).all()
@@ -212,8 +212,8 @@ class TestNearSaturationPocket:
                                              overrides={"energy_budget": 4.5})
             profiles, config = list(profiles_cfg.profiles), profiles_cfg.config
             ev = ScenarioEvaluator(profiles, config)
-            d_jso, _ = solve_jso(profiles, config)
-            d_idd, _ = baselines.solve_idd(profiles, config)
+            d_jso, _ = baselines.solve("jso", profiles, config)
+            d_idd, _ = baselines.solve("idd", profiles, config)
             gaps.append(ev.achieved_metrics(d_idd.tau, d_idd.x)["avg_maoi"]
                         - ev.achieved_metrics(d_jso.tau, d_jso.x)["avg_maoi"])
         assert min(gaps) < 0 < max(gaps)  # both signs: a statistical tie
@@ -224,15 +224,15 @@ class TestJSOA:
     def test_zero_weight_scenario_identical_to_jso(self):
         profiles, config = scenario_lists(4, seed=10, energy_budget=2.0,
                                           maoi_weights=(0.0, 0.0, 0.0))
-        d_a, _ = baselines.solve_jso_a(profiles, config)
-        d_j, _ = solve_jso(profiles, config)
+        d_a, _ = baselines.solve("jso_a", profiles, config)
+        d_j, _ = baselines.solve("jso", profiles, config)
         assert np.array_equal(d_a.x, d_j.x)
         np.testing.assert_allclose(d_a.tau, d_j.tau, rtol=1e-12)
 
     def test_deterministic(self):
         profiles, config = scenario_lists(5, seed=11, energy_budget=3.0)
-        d1, _ = baselines.solve_jso_a(profiles, config)
-        d2, _ = baselines.solve_jso_a(profiles, config)
+        d1, _ = baselines.solve("jso_a", profiles, config)
+        d2, _ = baselines.solve("jso_a", profiles, config)
         assert np.array_equal(d1.x, d2.x)
         assert np.array_equal(d1.tau, d2.tau)
 

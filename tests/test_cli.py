@@ -201,6 +201,10 @@ class TestSweepCommand:
             run_cli(["sweep", "--param", "energy_budget", "--grid", "1,-1",
                      "--algorithms", "fmi", "--seeds", "1", "--devices", "2",
                      "--out", str(tmp_path)])
+        with pytest.raises(SystemExit, match="sweep grid repeats 5.0"):
+            run_cli(["sweep", "--param", "energy_budget", "--grid", "5,5",
+                     "--algorithms", "fmi", "--seeds", "1", "--devices", "2",
+                     "--out", str(tmp_path)])
         assert not (tmp_path / "results.csv").exists()
 
     def test_zero_workers_rejected(self, tmp_path):

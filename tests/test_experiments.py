@@ -43,6 +43,12 @@ class TestSweepSpec:
             fast_spec(algorithms=())
         with pytest.raises(ValueError):
             fast_spec(algorithms=("sgd",))
+        with pytest.raises(ValueError, match="grid repeats 3.0"):
+            fast_spec(grid=(3.0, 2.0, 3.0))
+        with pytest.raises(ValueError, match="seeds repeats 0"):
+            fast_spec(seeds=(0, 0))
+        with pytest.raises(ValueError, match="algorithms repeats 'flc'"):
+            fast_spec(algorithms=("flc", "flc"))
 
     @pytest.mark.parametrize("value", [2.5, 0.0, -1.0, float("nan"), float("inf")])
     def test_device_count_grid_must_hold_counts(self, value):
@@ -136,7 +142,7 @@ class TestSolveSweep:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rows_match_run_sweep_and_decisions_match_solve(self, workers):
         spec = SweepSpec(param="device_count", grid=(4.0, 6.0),
-                         algorithms=("jso", "gmo", "idd"), seeds=(0, 1),
+                         algorithms=tuple(baselines.ALGORITHMS), seeds=(0, 1),
                          overrides={"max_outer_iters": 300})
         pairs = solve_sweep(spec, workers=workers)
         assert [row for row, _ in pairs] == run_sweep(spec, workers=workers)

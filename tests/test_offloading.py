@@ -15,7 +15,6 @@ from maoi_edge.optimizer import (
     SolveTrace,
     default_decision,
     run_outer_loop,
-    solve_jso,
 )
 from maoi_edge.scenario import generate_scenario
 from maoi_edge.system_model import DeviceProfile, SystemConfig, sensing_energy
@@ -603,14 +602,14 @@ class TestOuterLoop:
     def test_infinite_eps_feasible_scenario_stops_after_one_iteration(self):
         profiles, config = scenario_lists(3, energy_budget=50.0,
                                           convergence_eps=math.inf)
-        decision, trace = solve_jso(profiles, config)
+        decision, trace = baselines.solve("jso", profiles, config)
         assert trace.converged
         assert trace.n_iters == 1
 
     def test_deterministic_resolve(self):
         profiles, config = scenario_lists(5, seed=9, energy_budget=3.0)
-        d1, t1 = solve_jso(profiles, config)
-        d2, t2 = solve_jso(profiles, config)
+        d1, t1 = baselines.solve("jso", profiles, config)
+        d2, t2 = baselines.solve("jso", profiles, config)
         assert np.array_equal(d1.tau, d2.tau)
         assert np.array_equal(d1.x, d2.x)
         assert np.array_equal(d1.mu, d2.mu)
@@ -620,8 +619,8 @@ class TestOuterLoop:
     def test_aoi_objective_coincides_when_weights_vanish(self):
         profiles, config = scenario_lists(4, seed=2, energy_budget=2.0,
                                           maoi_weights=(0.0, 0.0, 0.0))
-        d_maoi, _ = solve_jso(profiles, config, objective="maoi")
-        d_aoi, _ = solve_jso(profiles, config, objective="aoi")
+        d_maoi, _ = baselines.solve("jso", profiles, config)
+        d_aoi, _ = baselines.solve("jso_a", profiles, config)
         assert np.array_equal(d_maoi.x, d_aoi.x)
         np.testing.assert_allclose(d_maoi.tau, d_aoi.tau, rtol=1e-12)
 
@@ -629,11 +628,11 @@ class TestOuterLoop:
         profiles, config = scenario_lists(2)
         bad_tau = Decision(tau=[1.0, 2.0], x=[0, 0], mu=[0.1, 0.1])
         with pytest.raises(ValueError, match="tau_min"):
-            solve_jso(profiles, config, init=bad_tau)
+            baselines.solve("jso", profiles, config, init=bad_tau)
         cfg_tiny = SystemConfig(capacity_threshold=1e6)
         bad_x = Decision(tau=[2.0, 2.0], x=[1, 1], mu=[0.1, 0.1])
         with pytest.raises(ValueError, match="capacity"):
-            solve_jso(profiles, cfg_tiny, init=bad_x)
+            baselines.solve("jso", profiles, cfg_tiny, init=bad_x)
         # flags outside {0, 1} and a decision for another device count fail
         # before the first iteration, not on NaN rates or a matmul shape
         profiles, config = scenario_lists(3)
@@ -641,11 +640,11 @@ class TestOuterLoop:
                          ([0, 0], "shape")):
             with pytest.raises(ValueError, match=match):
                 init = Decision(tau=[2.0] * len(x), x=x, mu=[0.1] * len(x))
-                solve_jso(profiles, config, init=init)
+                baselines.solve("jso", profiles, config, init=init)
 
     def test_converged_solution_is_feasible(self):
         profiles, config = scenario_lists(6, seed=4)
-        decision, trace = solve_jso(profiles, config)
+        decision, trace = baselines.solve("jso", profiles, config)
         ev = ScenarioEvaluator(profiles, config)
         assert trace.converged
         assert (decision.tau >= config.tau_min).all()
@@ -655,7 +654,7 @@ class TestOuterLoop:
 
     def test_trace_records_every_iteration(self):
         profiles, config = scenario_lists(3, energy_budget=10.0)
-        _, trace = solve_jso(profiles, config)
+        _, trace = baselines.solve("jso", profiles, config)
         assert trace.n_iters == len(trace.costs) == len(trace.max_violations)
         assert all(math.isfinite(c) for c in trace.costs)
         assert trace.n_iters >= 1

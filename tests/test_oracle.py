@@ -122,6 +122,12 @@ class TestDeviceSimulation:
             closed = ev.achieved_metrics(np.array([2.0]), np.array(x))["avg_maoi"]
             s = simulate_avg_maoi_device(ev, 0, 2.0, x, 100_000, seed=11)
             assert s.brackets(closed, z=3.0), x
+        # a flag that is not 0/1, or a device index out of range, is no pattern
+        for d, x, match in ((0, [0.7], "entries must be 0 or 1"),
+                            (0, [2], "entries must be 0 or 1"),
+                            (-1, [0], "device index -1"), (1, [0], "device index 1")):
+            with pytest.raises(ValueError, match=match):
+                simulate_avg_maoi_device(ev, d, 2.0, x, 1000, seed=11)
 
     def test_error_adds_in_quadrature(self, profile, config):
         ev = ScenarioEvaluator([profile], config)

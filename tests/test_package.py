@@ -22,8 +22,7 @@ def test_public_api_is_pinned():
     assert set(maoi_edge.__all__) == {
         "ALGORITHMS", "solve", "OBJECTIVE_AOI", "OBJECTIVE_MAOI",
         "avg_maoi_modality", "Decision", "ScenarioEvaluator", "SolveTrace",
-        "solve_jso", "TrajectoryStats", "simulate_avg_maoi",
-        "simulate_avg_maoi_device", "Scenario", "generate_scenario",
-        "DeviceProfile", "ModalityKind", "SystemConfig", "load_config_document",
-        "__version__",
+        "TrajectoryStats", "simulate_avg_maoi", "simulate_avg_maoi_device",
+        "Scenario", "generate_scenario", "DeviceProfile", "ModalityKind",
+        "SystemConfig", "load_config_document", "__version__",
     }
