@@ -1,7 +1,10 @@
 """The algorithms: JSO, its age-only ablation, and FMI, FLC, GMO, IDD, DBRO.
 
 Each algorithm is a rule builder: given the solve's evaluator, it returns
-the ``(tau_rule, offload_rule)`` pair that ``run_outer_loop`` drives.  All
+the ``(tau_rule, offload_rule, settled)`` triple that ``run_outer_loop``
+drives.  ``settled(x, cost_loc, cost_off)`` is True on each row of branch
+costs where the offloading rule would return ``x`` unchanged and commit
+nothing, so the loop can run those iterations in lookahead blocks.  All
 share the outer loop (interval solve, offloading block, multiplier
 update, joint stopping rule), so observed gaps come from the policy, not
 from a different iteration scheme.
@@ -18,6 +21,7 @@ from .optimizer import (
     Decision,
     OffloadRule,
     ScenarioEvaluator,
+    SettledRule,
     SolveTrace,
     TauRule,
     run_outer_loop,
@@ -28,12 +32,15 @@ DBRO_MAX_SWEEPS = 200
 #: Share of the other devices' received power that IDD assumes interferes.
 IDD_ASSUMED_SHARE = 0.5
 
-Rules = tuple[TauRule, OffloadRule]
+Rules = tuple[TauRule, OffloadRule, SettledRule]
 
 
 def jso_rules(ev: ScenarioEvaluator) -> Rules:
-    """Full joint solve: Algorithm-1 intervals + best-response offloading."""
-    return ev.sampling_step, ev.offloading_equilibrium
+    """Full joint solve: Algorithm-1 intervals + best-response offloading.
+
+    The equilibrium commits nothing on a row where no device deviates.
+    """
+    return ev.sampling_step, ev.offloading_equilibrium, ev.no_deviator
 
 
 def fmi_rules(ev: ScenarioEvaluator) -> Rules:
@@ -45,7 +52,7 @@ def fmi_rules(ev: ScenarioEvaluator) -> Rules:
     def tau_rule(mu, x):
         return ev.budget_interval(ev.pattern_state(x).energies), 0
 
-    return tau_rule, ev.offloading_equilibrium
+    return tau_rule, ev.offloading_equilibrium, ev.no_deviator
 
 
 def flc_rules(ev: ScenarioEvaluator) -> Rules:
@@ -53,7 +60,10 @@ def flc_rules(ev: ScenarioEvaluator) -> Rules:
     def offload_rule(tau, mu, x):
         return np.zeros_like(x), []
 
-    return ev.sampling_step, offload_rule
+    def settled(x, cost_loc, cost_off):
+        return np.full(len(cost_loc), not x.any())
+
+    return ev.sampling_step, offload_rule, settled
 
 
 def gmo_rules(ev: ScenarioEvaluator) -> Rules:
@@ -65,17 +75,23 @@ def gmo_rules(ev: ScenarioEvaluator) -> Rules:
     decrease; fixed decisions, initial offloaders included, are never
     reverted.
     """
-    def offload_rule(tau, mu, x):
+    def candidates(x):
         # flags are never reverted, so the incoming pattern is the fixed set
-        candidates = np.nonzero((x == 0) & ev.pattern_state(x).admissible)[0]
-        best_d, _ = ev.best_flip(tau, mu, x, candidates, np.ones_like(candidates))
+        return np.nonzero((x == 0) & ev.pattern_state(x).admissible)[0]
+
+    def offload_rule(tau, mu, x):
+        still_local = candidates(x)
+        best_d, _ = ev.best_flip(tau, mu, x, still_local, np.ones_like(still_local))
         if best_d is None:
             return x, []
         out = x.copy()
         out[best_d] = 1
         return out, [best_d]
 
-    return ev.sampling_step, offload_rule
+    def settled(x, cost_loc, cost_off):
+        return np.full(len(cost_loc), len(candidates(x)) == 0)
+
+    return ev.sampling_step, offload_rule, settled
 
 
 def idd_rules(ev: ScenarioEvaluator) -> Rules:
@@ -111,7 +127,10 @@ def idd_rules(ev: ScenarioEvaluator) -> Rules:
     def offload_rule(tau, mu, x):
         return pattern, []
 
-    return ev.sampling_step, offload_rule
+    def settled(x, cost_loc, cost_off):
+        return np.full(len(cost_loc), np.array_equal(x, pattern))
+
+    return ev.sampling_step, offload_rule, settled
 
 
 def dbro_rules(ev: ScenarioEvaluator) -> Rules:
@@ -138,7 +157,8 @@ def dbro_rules(ev: ScenarioEvaluator) -> Rules:
                 break
         return out, committed
 
-    return ev.sampling_step, offload_rule
+    # the first sweep changes nothing where no device deviates
+    return ev.sampling_step, offload_rule, ev.no_deviator
 
 
 #: Each name's evaluator objective and rule builder; ``jso_a`` weighs the plain age.

@@ -13,7 +13,6 @@ import csv
 import itertools
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -125,6 +124,9 @@ def solve_sweep(spec: SweepSpec, workers: int = 1) -> list[tuple[dict, Decision]
                                                        spec.algorithms)]
     started = time.perf_counter()
     if workers > 1:
+        # imported here: the process pool's modules hold ~2 MB that a
+        # sequential sweep never uses
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             pairs = list(pool.map(_execute_task, tasks, chunksize=1))
     else:
@@ -246,6 +248,10 @@ def convergence_grid(d_grid: tuple[int, ...], e_grid: tuple[float, ...],
     """Mean outer iterations per (device count, energy budget) cell."""
     if not d_grid or not e_grid:
         raise ValueError("grids must be non-empty")
+    # a repeat would solve its row twice and write it twice
+    for i, e_max in enumerate(e_grid):
+        if e_max in e_grid[:i]:
+            raise ValueError(f"energy budget grid repeats {e_max!r}")
     # every row's spec is checked before the first solve
     specs = [SweepSpec(param="device_count", grid=tuple(float(d) for d in d_grid),
                        algorithms=(algorithm,), seeds=seeds,

@@ -21,8 +21,12 @@ drives a solve on one evaluator and reports the decision's metrics from
 it.  The pattern changes in a few percent of outer iterations, so the
 evaluator computes everything that depends on the pattern alone once per
 pattern, as the ``PatternState`` every block reads, and phi(tau) once per
-interval vector.  The loop passes bare arrays between the blocks, so its
-rules must never edit their inputs in place.
+interval vector.  While the pattern holds, the loop runs iterations in
+lookahead blocks of up to ``LOOKAHEAD_ROWS``: it steps intervals and
+multipliers row by row and prices the block's costs, the offloading
+check and the stopping rule once, on ``(rows, D)`` arrays.  The loop
+passes bare arrays between the blocks, so its rules must never edit
+their inputs in place.
 
 ``ScenarioEvaluator.sampling_step`` is the package's only implementation
 of the sampling block (Algorithm 1).  Its Newton path runs
@@ -72,10 +76,20 @@ TRIAL_BLOCK_ENTRIES = 16384
 # ---------------------------------------------------------------------------
 # the sampling block's Newton path
 
+def age_term(phi, half_tau, t_sys):
+    """Weighted age per device, from ``phi = event_factors(...)`` and
+    ``half_tau = 0.5 * tau`` on the trailing modality axis of ``t_sys``."""
+    return (phi * (half_tau + t_sys)).sum(axis=-1)
+
+
+def overdraw(energy, tau, budget):
+    """Average power above the energy budget per device, ``energy / tau - budget``."""
+    return energy / tau - budget
+
+
 def penalized_cost(phi, half_tau, t_sys, tau, mu, energy, budget):
-    """Weighted age plus energy penalty per device, from ``phi = event_factors(...)``
-    and ``half_tau = 0.5 * tau`` on the trailing modality axis of ``t_sys``."""
-    return (phi * (half_tau + t_sys)).sum(axis=-1) + mu * (energy / tau - budget)
+    """``age_term`` plus the energy penalty ``mu`` times the ``overdraw``, per device."""
+    return age_term(phi, half_tau, t_sys) + mu * overdraw(energy, tau, budget)
 
 
 def cost_slopes(psi, lam, tau, t_sys, mu, energy):
@@ -137,6 +151,12 @@ def projected_newton(slopes: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray
 # ---------------------------------------------------------------------------
 # vectorized scenario evaluation
 
+#: ``achieved_metrics``' per-modality keys, built once: a sweep keeps every
+#: row's metrics, and a key built per row is a string per row.
+_MODALITY_METRICS = tuple((f"maoi_{m.name.lower()}", f"aoi_{m.name.lower()}")
+                          for m in MODALITIES)
+
+
 class PatternState(NamedTuple):
     """Everything an outer iteration needs that depends on the pattern alone."""
 
@@ -145,6 +165,7 @@ class PatternState(NamedTuple):
     energies: np.ndarray        # per-update energy per device
     t_off: np.ndarray           # edge-branch system times, ``edge_branch(trans)``
     e_off: np.ndarray           # edge-branch per-update energies
+    on_edge: np.ndarray         # x == 1
     admissible: np.ndarray      # devices that could (or do) offload within capacity
     tau_th: np.ndarray          # convexity threshold per device
     tau_upper: np.ndarray       # max(tau_min, tau_th)
@@ -267,7 +288,7 @@ class ScenarioEvaluator:
             tau_upper = np.maximum(cfg.tau_min, tau_th)
             sphi_up = event_factors(self.psi, self.lam, tau_upper[:, None]).sum(axis=1)
             state = PatternState(
-                trans, t_sys, energies, t_off, e_off, admissible, tau_th,
+                trans, t_sys, energies, t_off, e_off, on_edge, admissible, tau_th,
                 tau_upper, sphi_up, np.nonzero(cfg.tau_min < tau_th)[0])
             for arr in state:
                 arr.flags.writeable = False
@@ -312,7 +333,29 @@ class ScenarioEvaluator:
     def energy_violation(self, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Relative overdraw (Ebar - budget)/budget per device."""
         e = self.pattern_state(x).energies
-        return (e / tau - self.e_budget) / self.e_budget
+        return overdraw(e, tau, self.e_budget) / self.e_budget
+
+    def branch_terms(self, tau: np.ndarray, x: np.ndarray,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each branch's age term and energy overdraw, for stacked interval vectors.
+
+        ``tau`` has shape ``(rows, D)``; the edge branch is pattern ``x``'s.
+        Returns ``(age_loc, over_loc, age_off, over_off)``, each of ``tau``'s
+        shape, from one phi(tau).  ``age + mu * over`` is a branch's
+        penalized cost at multipliers ``mu`` with the bits ``branch_costs``
+        gives it, and picking a device's branch by ``x`` gives the bits of
+        ``device_costs``.
+        """
+        state = self.pattern_state(x)
+        tau_s = tau[..., None]
+        phi, half_tau = event_factors(self.psi, self.lam, tau_s), 0.5 * tau_s
+        budget = self.e_budget
+        return (age_term(phi, half_tau, self.t_local), overdraw(self.e_local, tau, budget),
+                age_term(phi, half_tau, state.t_off), overdraw(state.e_off, tau, budget))
+
+    def multiplier_step(self, mu: np.ndarray, rel_overdraw: np.ndarray) -> np.ndarray:
+        """Projected subgradient step on every energy budget."""
+        return np.maximum(0.0, mu + self.config.lagrange_step * rel_overdraw * self.e_budget)
 
     # -- sampling block ---------------------------------------------------
 
@@ -355,14 +398,28 @@ class ScenarioEvaluator:
         return (self._penalized_costs(tau, mu, self.t_local, self.e_local),
                 self._penalized_costs(tau, mu, t_off, e_off))
 
+    def deviating(self, x: np.ndarray, cost_loc: np.ndarray,
+                  cost_off: np.ndarray) -> np.ndarray:
+        """Devices whose best response is not their flag in ``x``, per row of branch costs.
+
+        A local device deviates when its edge branch is strictly cheaper
+        and admissible, an offloader when its local branch is strictly
+        cheaper.  ``cost_loc`` and ``cost_off`` have shape ``(..., D)``.
+        """
+        state = self.pattern_state(x)
+        return np.where(state.on_edge, cost_loc < cost_off,
+                        (cost_off < cost_loc) & state.admissible)
+
+    def no_deviator(self, x: np.ndarray, cost_loc: np.ndarray,
+                    cost_off: np.ndarray) -> np.ndarray:
+        """Per row of branch costs: no device of ``x`` deviates, so ``br_round`` commits nothing."""
+        return ~self.deviating(x, cost_loc, cost_off).any(axis=-1)
+
     def best_responses(self, tau: np.ndarray, mu: np.ndarray, x: np.ndarray,
                        ) -> np.ndarray:
         state = self.pattern_state(x)
         cost_loc, cost_off = self.branch_costs(tau, mu, state.t_off, state.e_off)
-        br = x.copy()
-        br[(cost_off < cost_loc) & state.admissible] = 1
-        br[cost_loc < cost_off] = 0
-        return br
+        return x ^ self.deviating(x, cost_loc, cost_off)  # flips the deviators
 
     def best_flip(self, tau: np.ndarray, mu: np.ndarray, x: np.ndarray,
                   devices: np.ndarray, targets: np.ndarray,
@@ -466,10 +523,9 @@ class ScenarioEvaluator:
             "n_offloaded": int(x.sum()),
             "offload_bits": float(x @ self.payload),
         }
-        for s, m in enumerate(MODALITIES):
-            name = m.name.lower()
-            out[f"maoi_{name}"] = float(maoi[:, s].mean())
-            out[f"aoi_{name}"] = float(aoi[:, s].mean())
+        for s, (maoi_key, aoi_key) in enumerate(_MODALITY_METRICS):
+            out[maoi_key] = float(maoi[:, s].mean())
+            out[aoi_key] = float(aoi[:, s].mean())
         return out
 
 
@@ -557,12 +613,24 @@ def default_decision(n_devices: int, config: SystemConfig) -> Decision:
 
 TauRule = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, int]]
 OffloadRule = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, list[int]]]
+SettledRule = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+#: Most outer iterations ``run_outer_loop`` steps ahead under one offload
+#: pattern.  A block is as long as the pattern has held so far, up to this
+#: many rows: the first two iterations after the start or a move of the
+#: pattern run alone, and blocks then take 2, 4, 8, ... rows.
+LOOKAHEAD_ROWS = 64
 
 log = logging.getLogger(__name__)
 
 
+def _moves(new: np.ndarray, x: np.ndarray) -> bool:
+    """Whether an offloading rule's pattern ``new`` differs from its input ``x``."""
+    return new is not x and bool((new != x).any())
+
+
 def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
-                   offload_rule: OffloadRule,
+                   offload_rule: OffloadRule, settled: SettledRule,
                    init: Decision | None = None) -> tuple[Decision, SolveTrace]:
     """Alternate interval, offloading, and multiplier blocks to convergence.
 
@@ -574,9 +642,29 @@ def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
     cheapest) and a warning is logged.  ``tau_rule(mu, x)`` returns the
     intervals and its Newton iteration count; ``offload_rule(tau, mu, x)``
     returns the pattern and the committed devices.
+    ``settled(x, cost_loc, cost_off)`` takes each branch's penalized cost
+    (``branch_costs``) for stacked rows of intervals and multipliers,
+    shape ``(rows, D)``, and is True on each row where ``offload_rule``
+    would return ``x`` unchanged and commit nothing.
+
+    Iterations run in lookahead blocks of up to ``LOOKAHEAD_ROWS`` rows
+    under the current pattern.  A block first steps the sequential
+    recurrence alone: intervals by ``tau_rule``, the relative overdraw and
+    the multiplier step.  It then prices every row at once: one phi(tau)
+    for both branches' costs, ``settled``, each row's system cost and
+    maximum violation.  The rows are then recorded in order under the
+    stopping rule and the best-iterate check.  A row that ``settled`` does
+    not clear runs the real offloading rule; if the pattern moves there,
+    that row is finished as an ordinary iteration under the new pattern
+    and the rows after it are dropped.  A block is as long as the
+    pattern has held so far: the first two iterations after the start or
+    a move run alone, as ordinary iterations, so a short solve prices no
+    rows past its stop, and blocks then double from 2 rows.  Every cost,
+    multiplier and trace entry has the bits that one iteration at a time
+    gives it.
 
     The loop carries ``tau``, ``x`` and ``mu`` as bare arrays and keeps the
-    best iterate by reference, so both rules must leave their inputs as
+    best iterate by reference, so the rules must leave their inputs as
     they are: a rule returns an array of its own (or an input unchanged)
     and never edits an input in place.  The returned ``Decision`` holds
     copies, so neither it nor ``init`` shares memory with the solve.
@@ -591,23 +679,75 @@ def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
         raise ValueError("initial intervals below tau_min")
     trace = SolveTrace()
     prev_cost = ev.system_cost(tau, mu, x)
-    best_key = (math.inf, math.inf)
-    for _ in range(cfg.max_outer_iters):
-        tau, newton = tau_rule(mu, x)
-        x, committed = offload_rule(tau, mu, x)
-        rel_overdraw = ev.energy_violation(tau, x)
-        mu = np.maximum(0.0, mu + cfg.lagrange_step * rel_overdraw * ev.e_budget)
-        cost = ev.system_cost(tau, mu, x)
-        violation = float(rel_overdraw.max())
+    best_key, best = (math.inf, math.inf), None
+
+    def record(cost, violation, committed, newton, tau, x, mu) -> bool:
+        """Append one iteration; True when it meets the stopping rule."""
+        nonlocal prev_cost, best_key, best
         trace.append(cost, violation, committed, newton)
         feasible = violation <= cfg.energy_tol
         key = (0.0 if feasible else violation, cost)
         if key < best_key:
             best_key, best = key, (tau, x, mu, violation)
         if abs(cost - prev_cost) < cfg.convergence_eps and feasible:
-            trace.stop_reason = "converged"
-            break
+            return True
         prev_cost = cost
+        return False
+
+    def finish(tau, mu, x, committed, newton):
+        """Multiplier step and record of a row whose offloading rule ran."""
+        rel = ev.energy_violation(tau, x)
+        mu = ev.multiplier_step(mu, rel)
+        return mu, record(ev.system_cost(tau, mu, x), float(rel.max()),
+                          committed, newton, tau, x, mu)
+
+    # iterations the pattern has held since the start or its last move
+    held, converged = 0, False
+    while not converged and trace.n_iters < cfg.max_outer_iters:
+        n = min(max(1, held), LOOKAHEAD_ROWS, cfg.max_outer_iters - trace.n_iters)
+        if n == 1:
+            # one row has nothing to price in a batch: an ordinary iteration
+            tau, newton = tau_rule(mu, x)
+            moved, committed = offload_rule(tau, mu, x)
+            held = 0 if _moves(moved, x) else held + 1
+            x = moved
+            mu, converged = finish(tau, mu, x, committed, newton)
+            continue
+        taus, rels = np.empty((n, ev.n_devices)), np.empty((n, ev.n_devices))
+        mus = np.empty((n + 1, ev.n_devices))
+        mus[0] = mu
+        newtons = []
+        for r in range(n):
+            taus[r], newton = tau_rule(mus[r], x)
+            newtons.append(newton)
+            rels[r] = ev.energy_violation(taus[r], x)
+            mus[r + 1] = ev.multiplier_step(mus[r], rels[r])
+        age_loc, over_loc, age_off, over_off = ev.branch_terms(taus, x)
+        mu_now, mu_next = mus[:-1], mus[1:]
+        quiet = settled(x, age_loc + mu_now * over_loc,
+                        age_off + mu_now * over_off).tolist()
+        on_edge = ev.pattern_state(x).on_edge
+        costs = (np.where(on_edge, age_off, age_loc)
+                 + mu_next * np.where(on_edge, over_off, over_loc)).sum(axis=-1).tolist()
+        violations = rels.max(axis=1).tolist()
+        for r in range(n):
+            tau, committed = taus[r], []
+            if not quiet[r]:
+                moved, committed = offload_rule(tau, mus[r], x)
+                if _moves(moved, x):
+                    # the rows after this one priced the old pattern
+                    x = moved
+                    mu, converged = finish(tau, mus[r], x, committed, newtons[r])
+                    held = 0
+                    break
+            mu = mus[r + 1]
+            converged = record(costs[r], violations[r], committed, newtons[r], tau, x, mu)
+            if converged:
+                break
+        else:
+            held += n
+    if converged:
+        trace.stop_reason = "converged"
     else:
         # trace.append rejects non-finite costs, so iteration 1 set best
         tau, x, mu, violation = best
@@ -621,8 +761,8 @@ def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
 
 
 __all__ = [
-    "penalized_cost", "cost_slopes", "projected_newton", "NEWTON_TOL",
+    "age_term", "overdraw", "penalized_cost", "cost_slopes", "projected_newton", "NEWTON_TOL",
     "NEWTON_MAX_ITERS", "TRIAL_BLOCK_ENTRIES", "PatternState",
     "ScenarioEvaluator", "as_offload_vector", "Decision", "SolveTrace",
-    "default_decision", "run_outer_loop",
+    "default_decision", "LOOKAHEAD_ROWS", "run_outer_loop",
 ]

@@ -26,14 +26,26 @@ two-branch comparison is checked against, and ``schedule_order`` reads a
 device's local serving order from the ``served_ahead`` mask.
 ``assert_one_line_parse_error`` states what a malformed YAML or JSON
 source reads as, wherever it is reported.
+
+``reference_outer_loop`` is the outer loop as it ran one iteration at a
+time, before settled iterations ran in lookahead blocks; the lookahead
+loop must reproduce its decisions and traces bit for bit.
 """
 
+import logging
 import math
 
 import numpy as np
 
 from maoi_edge.metric import avg_maoi_modality, event_factors
-from maoi_edge.optimizer import ScenarioEvaluator, cost_slopes
+from maoi_edge.optimizer import (
+    Decision,
+    ScenarioEvaluator,
+    SolveTrace,
+    as_offload_vector,
+    cost_slopes,
+    default_decision,
+)
 from maoi_edge.oracle import TrajectoryStats, _rng
 from maoi_edge.scenario import AREA_SIZE, generate_scenario
 from maoi_edge.system_model import (
@@ -208,3 +220,48 @@ def assert_one_line_parse_error(message: str, prefix: str, line: int, column: in
     """
     assert message.startswith(prefix + f"line {line}, column {column}: "), message
     assert "\n" not in message and "<unicode string>" not in message, message
+
+
+log = logging.getLogger(__name__)
+
+
+def reference_outer_loop(ev: ScenarioEvaluator, tau_rule, offload_rule,
+                         init: Decision | None = None) -> tuple[Decision, SolveTrace]:
+    """``run_outer_loop`` one iteration at a time: every rule runs on every iteration."""
+    cfg = ev.config
+    init = init or default_decision(ev.n_devices, cfg)
+    # a Decision keeps tau and mu at x's shape, so this checks all three
+    tau, x, mu = init.tau, as_offload_vector(init.x, ev.n_devices), init.mu
+    if float(x @ ev.payload) > cfg.capacity_threshold:
+        raise ValueError("initial offload pattern exceeds the capacity threshold")
+    if (tau < cfg.tau_min).any():
+        raise ValueError("initial intervals below tau_min")
+    trace = SolveTrace()
+    prev_cost = ev.system_cost(tau, mu, x)
+    best_key = (math.inf, math.inf)
+    for _ in range(cfg.max_outer_iters):
+        tau, newton = tau_rule(mu, x)
+        x, committed = offload_rule(tau, mu, x)
+        rel_overdraw = ev.energy_violation(tau, x)
+        mu = np.maximum(0.0, mu + cfg.lagrange_step * rel_overdraw * ev.e_budget)
+        cost = ev.system_cost(tau, mu, x)
+        violation = float(rel_overdraw.max())
+        trace.append(cost, violation, committed, newton)
+        feasible = violation <= cfg.energy_tol
+        key = (0.0 if feasible else violation, cost)
+        if key < best_key:
+            best_key, best = key, (tau, x, mu, violation)
+        if abs(cost - prev_cost) < cfg.convergence_eps and feasible:
+            trace.stop_reason = "converged"
+            break
+        prev_cost = cost
+    else:
+        # trace.append rejects non-finite costs, so iteration 1 set best
+        tau, x, mu, violation = best
+        trace.stop_reason = "max_iters_best"
+        log.warning("no convergence in %d outer iterations; returning the best "
+                    "iterate, max energy violation %.6g",
+                    cfg.max_outer_iters, violation)
+    decision = Decision(tau.copy(), x.copy(), mu.copy())
+    trace.metrics = ev.achieved_metrics(decision.tau, decision.x)
+    return decision, trace

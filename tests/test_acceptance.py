@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import device_terms, draw_device_terms, grid_costs, grid_minimum, slopes
-from maoi_edge import experiments, trends
+from maoi_edge import baselines, experiments, trends
 from maoi_edge.experiments import validate_oracle
 from maoi_edge.optimizer import ScenarioEvaluator, run_outer_loop
 from maoi_edge.scenario import generate_scenario
@@ -151,7 +151,7 @@ class TestCriterion3:
         for seed in range(50):
             sc = generate_scenario(1, seed=seed)
             ev = _CheckedEvaluator(list(sc.profiles), sc.config)
-            run_outer_loop(ev, ev.sampling_step, ev.offloading_equilibrium)
+            run_outer_loop(ev, *baselines.jso_rules(ev))
             worst = max(worst, max(ev.gaps))
             n_checks += len(ev.gaps)
         report(3, worst <= 1e-3,

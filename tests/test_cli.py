@@ -248,6 +248,13 @@ class TestConvergeGridCommand:
                      "--seeds", "1", "--out", str(tmp_path)])
         assert not (tmp_path / "convergence_grid.csv").exists()
 
+    def test_repeated_budget_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(baselines, "solve", lambda *a, **k: pytest.fail("solved"))
+        with pytest.raises(SystemExit, match="energy budget grid repeats 50.0"):
+            run_cli(["converge-grid", "--d-grid", "2", "--e-grid", "50,50",
+                     "--seeds", "1", "--out", str(tmp_path)])
+        assert not (tmp_path / "convergence_grid.csv").exists()
+
 
 class TestValidateOracleCommand:
     def test_wide_interval_passes(self, tmp_path):

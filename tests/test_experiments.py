@@ -200,6 +200,11 @@ class TestConvergenceGrid:
         with pytest.raises(ValueError, match="energy_budget"):
             convergence_grid((2,), (50.0, -1.0), seeds=(0,))
 
+    def test_repeated_budget_rejected_before_any_solve(self, monkeypatch):
+        monkeypatch.setattr(baselines, "solve", pytest.fail)
+        with pytest.raises(ValueError, match="energy budget grid repeats 50.0"):
+            convergence_grid((2,), (50.0, 20.0, 50.0), seeds=(0,))
+
     def test_reproducible(self):
         a = convergence_grid((2, 3), (20.0, 50.0), seeds=(0, 1))
         b = convergence_grid((2, 3), (20.0, 50.0), seeds=(0, 1))

@@ -1,0 +1,223 @@
+"""The lookahead outer loop against the loop that runs every rule on every iteration.
+
+``run_outer_loop`` steps settled iterations in blocks and prices them at
+once; ``helpers.reference_outer_loop`` runs the offloading rule, the
+violation, the multiplier step and the system cost one iteration at a
+time.  Every algorithm's decision and trace must come out bit for bit the
+same, wherever the pattern moves, the solve stops or the iteration cap
+falls.
+"""
+
+import logging
+
+import pytest
+
+from helpers import reference_outer_loop
+from maoi_edge import baselines, optimizer
+from maoi_edge.optimizer import Decision, ScenarioEvaluator, run_outer_loop
+from maoi_edge.scenario import generate_scenario
+
+ALGORITHMS = sorted(baselines.ALGORITHMS)
+MATCHED = {"lagrange_step": 0.5, "max_outer_iters": 1500}
+
+
+@pytest.fixture(autouse=True)
+def quiet_warnings(caplog):
+    # unconverged solves warn once per loop; these tests read the traces
+    caplog.set_level(logging.ERROR)
+
+
+class Blocks:
+    """Rules of one algorithm that record what the loop ran.
+
+    ``tau_rule`` runs once per row, and ``settled`` once per block of rows
+    after all of them, so a block that ``settled`` sees ``n`` rows of ends
+    at the interval solve it follows.  While the pattern holds, iterations
+    map one to one onto interval solves.  ``offloads`` counts the calls of
+    the real offloading rule.
+    """
+
+    def __init__(self, ev: ScenarioEvaluator, name: str):
+        tau_rule, offload_rule, settled = baselines.ALGORITHMS[name][1](ev)
+        self.solves, self.offloads, self.spans = 0, 0, []
+
+        def counted_tau_rule(mu, x):
+            self.solves += 1
+            return tau_rule(mu, x)
+
+        def counted_offload_rule(tau, mu, x):
+            self.offloads += 1
+            return offload_rule(tau, mu, x)
+
+        def recorded_settled(x, cost_loc, cost_off):
+            self.spans.append((self.solves - len(cost_loc), self.solves - 1))
+            return settled(x, cost_loc, cost_off)
+
+        self.rules = counted_tau_rule, counted_offload_rule, recorded_settled
+
+    def run(self, ev: ScenarioEvaluator, init: Decision | None = None):
+        return run_outer_loop(ev, *self.rules, init)
+
+    def block_of(self, iteration: int) -> tuple[int, int]:
+        """First and last iteration of the priced block that holds ``iteration``."""
+        (span,) = [s for s in self.spans if s[0] <= iteration <= s[1]]
+        return span
+
+
+def assert_bit_equal(got, want) -> None:
+    (decision, trace), (ref_decision, ref_trace) = got, want
+    for name in ("tau", "x", "mu"):
+        a, b = getattr(decision, name), getattr(ref_decision, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for name in ("costs", "max_violations", "committed", "newton_iters",
+                 "stop_reason", "metrics"):
+        assert getattr(trace, name) == getattr(ref_trace, name), name
+
+
+def solve_both(name: str, d: int, seed: int, overrides: dict,
+               init: Decision | None = None) -> tuple[tuple, tuple]:
+    """``baselines.solve`` and the reference loop on one scenario."""
+    sc = generate_scenario(d, seed, overrides)
+    objective, rules = baselines.ALGORITHMS[name]
+    ev = ScenarioEvaluator(sc.profiles, sc.config, objective)
+    tau_rule, offload_rule, _ = rules(ev)
+    want = reference_outer_loop(ev, tau_rule, offload_rule,
+                                init and init.copy())
+    got = baselines.solve(name, sc.profiles, sc.config, init and init.copy())
+    return got, want
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+@pytest.mark.parametrize("d", [5, 20])
+def test_matched_settings(name, d):
+    assert_bit_equal(*solve_both(name, d, 0, MATCHED))
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_persistent_deviators(name):
+    # at this capacity JSO's and GMO's deviators persist but commit on a
+    # handful of iterations: every row of every block runs the real rule
+    overrides = {**MATCHED, "capacity_threshold": 3e7}
+    got, want = solve_both(name, 10, 0, overrides)
+    assert_bit_equal(got, want)
+    if name in ("jso", "gmo"):
+        sc = generate_scenario(10, 0, overrides)
+        ev = ScenarioEvaluator(sc.profiles, sc.config)
+        blocks = Blocks(ev, name)
+        _, trace = blocks.run(ev)
+        assert blocks.spans and blocks.offloads == trace.n_iters
+        assert 0 < sum(map(len, trace.committed)) < 10
+
+
+MOVING = {**MATCHED, "capacity_threshold": 1.5e7}
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+@pytest.mark.parametrize("d, seed", [(5, 0), (10, 1)])
+def test_pattern_moves_inside_a_block(name, d, seed):
+    # at this capacity JSO, GMO and DBRO settle and later move again
+    assert_bit_equal(*solve_both(name, d, seed, MOVING))
+
+
+def test_a_commit_inside_a_priced_block():
+    # JSO settles, then commits again on iterations 307, 464 and 771.  The
+    # move on iteration 3 drops one priced row, so iteration 307 is
+    # interval solve 308, inside the block of solves 261..324: the rows
+    # before it are priced, the rows after it dropped.
+    sc = generate_scenario(10, 1, MOVING)
+    ev = ScenarioEvaluator(sc.profiles, sc.config)
+    blocks = Blocks(ev, "jso")
+    _, trace = blocks.run(ev)
+    assert [i for i, c in enumerate(trace.committed) if c] == [0, 3, 307, 464, 771]
+    assert blocks.spans[0] == (3, 4) and (261, 324) in blocks.spans
+    assert blocks.offloads < trace.n_iters
+
+
+def test_settled_prices_each_row_at_its_own_intervals_and_multipliers():
+    # the row of iteration i holds branch_costs(tau_i, mu_i), the costs
+    # the offloading rule would read there, before the multiplier step
+    sc = generate_scenario(10, 1, MOVING)
+    ev = ScenarioEvaluator(sc.profiles, sc.config)
+    tau_rule, offload_rule, settled = baselines.jso_rules(ev)
+    solved, priced = [], []
+
+    def recorded_tau_rule(mu, x):
+        tau, newton = tau_rule(mu, x)
+        solved.append((tau, mu.copy()))
+        return tau, newton
+
+    def checked_settled(x, cost_loc, cost_off):
+        state = ev.pattern_state(x)
+        for k, (tau, mu) in enumerate(solved[-len(cost_loc):]):
+            loc, off = ev.branch_costs(tau, mu, state.t_off, state.e_off)
+            assert loc.tobytes() == cost_loc[k].tobytes()
+            assert off.tobytes() == cost_off[k].tobytes()
+        priced.append(len(cost_loc))
+        return settled(x, cost_loc, cost_off)
+
+    run_outer_loop(ev, recorded_tau_rule, offload_rule, checked_settled)
+    assert sum(priced) > 500
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_newton_path(name):
+    # low event rates open convex regions: the interval rule runs Newton
+    overrides = {**MATCHED, "event_rates": (0.05, 0.05, 0.05)}
+    got, want = solve_both(name, 4, 1, overrides)
+    assert_bit_equal(got, want)
+    if name != "fmi":
+        assert sum(got[1].newton_iters) > 0
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_init_with_offloaders(name):
+    init = Decision(tau=[2.0] * 6, x=[1, 0, 1, 0, 0, 0], mu=[0.1] * 6)
+    got, want = solve_both(name, 6, 3, MATCHED, init)
+    assert_bit_equal(got, want)
+    if name == "flc":
+        assert got[1].n_iters > 1 and not got[0].x.any()
+
+
+@pytest.mark.parametrize("rows, row", [(47, "first"), (2, "last")])
+def test_stop_on_a_blocks_first_and_last_row(monkeypatch, rows, row):
+    # FLC from the all-local start never moves its pattern, so its
+    # iterations follow the block layout; with these block lengths the
+    # solve stops on iteration 581, the first or the last row of a block
+    monkeypatch.setattr(optimizer, "LOOKAHEAD_ROWS", rows)
+    sc = generate_scenario(5, 0, MATCHED)
+    ev = ScenarioEvaluator(sc.profiles, sc.config)
+    blocks = Blocks(ev, "flc")
+    got = blocks.run(ev)
+    stop = got[1].n_iters - 1
+    assert got[1].converged and stop == 581
+    first, last = blocks.block_of(stop)
+    assert first < last and stop == (first if row == "first" else last)
+    fresh = ScenarioEvaluator(sc.profiles, sc.config)
+    tau_rule, offload_rule, _ = baselines.flc_rules(fresh)
+    assert_bit_equal(got, reference_outer_loop(fresh, tau_rule, offload_rule))
+
+
+CAPPED = {**MATCHED, "max_outer_iters": 300}
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_iteration_cap_mid_block(name):
+    assert_bit_equal(*solve_both(name, 10, 2, CAPPED))
+
+
+def test_best_iterate_inside_a_capped_block():
+    # the cap cuts the block of iterations 256..319 after 299, and the
+    # best iterate, which the capped solve returns, is its iteration 285
+    sc = generate_scenario(10, 2, CAPPED)
+    ev = ScenarioEvaluator(sc.profiles, sc.config)
+    blocks = Blocks(ev, "flc")
+    decision, trace = blocks.run(ev)
+    assert trace.stop_reason == "max_iters_best" and trace.n_iters == 300
+    keys = [(0.0 if v <= sc.config.energy_tol else v, c)
+            for v, c in zip(trace.max_violations, trace.costs)]
+    best = keys.index(min(keys))
+    assert best == 285 and blocks.block_of(best) == (256, 299)
+    fresh = ScenarioEvaluator(sc.profiles, sc.config)
+    tau_rule, offload_rule, _ = baselines.flc_rules(fresh)
+    assert_bit_equal((decision, trace),
+                     reference_outer_loop(fresh, tau_rule, offload_rule))
