@@ -183,7 +183,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                                                  decision.mu.tolist()))]
     experiments.write_csv(rows, ("device", "tau", "x", "mu"), out / "decision.csv")
     print(f"{args.algorithm}: converged={trace.converged} stop={trace.stop_reason} "
-          f"iters={trace.n_iters} "
+          f"blocked={trace.blocked} iters={trace.n_iters} "
           f"avg_maoi={metrics['avg_maoi']:.4f} avg_aoi={metrics['avg_aoi']:.4f} "
           f"offloaded={metrics['n_offloaded']}/{len(devices)}")
     return 0

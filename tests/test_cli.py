@@ -381,6 +381,13 @@ class TestSolveCommand:
         assert code == 0
         assert f" stop={reason} " in capsys.readouterr().out
 
+    def test_summary_line_counts_blocked_iterations(self, tmp_path, capsys):
+        # the start and the one move run 3 iterations alone; lookahead
+        # blocks record the other 14 016
+        code = run_cli(["solve", "--devices", "10", "--seed", "0", "--out", str(tmp_path)])
+        assert code == 0
+        assert " stop=converged blocked=14016 iters=14019 " in capsys.readouterr().out
+
     def test_decision_csv_is_data_only(self, tmp_path):
         code = run_cli(["solve", "--algorithm", "fmi", "--devices", "4",
                         "--out", str(tmp_path)])

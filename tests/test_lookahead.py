@@ -5,16 +5,27 @@ once; ``helpers.reference_outer_loop`` runs the offloading rule, the
 violation, the multiplier step and the system cost one iteration at a
 time.  Every algorithm's decision and trace must come out bit for bit the
 same, wherever the pattern moves, the solve stops or the iteration cap
-falls.
+falls, and on both sides of ``CHAIN_MAX_DEVICES``, where a block's
+recurrence moves from ``interval_chain`` to the numpy rows.
 """
 
+import dataclasses
 import logging
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import reference_outer_loop
 from maoi_edge import baselines, optimizer
-from maoi_edge.optimizer import Decision, ScenarioEvaluator, run_outer_loop
+from maoi_edge.optimizer import (
+    CHAIN_MAX_DEVICES,
+    Decision,
+    ScenarioEvaluator,
+    interval_chain,
+    run_outer_loop,
+)
 from maoi_edge.scenario import generate_scenario
 
 ALGORITHMS = sorted(baselines.ALGORITHMS)
@@ -30,7 +41,9 @@ def quiet_warnings(caplog):
 class Blocks:
     """Rules of one algorithm that record what the loop ran.
 
-    ``tau_rule`` runs once per row, and ``settled`` once per block of rows
+    ``tau_rule`` runs once per row: a wrapped rule is not the evaluator's
+    own ``sampling_step``, so the loop steps its blocks on the numpy rows,
+    not by ``interval_chain``.  ``settled`` runs once per block of rows
     after all of them, so a block that ``settled`` sees ``n`` rows of ends
     at the interval solve it follows.  While the pattern holds, iterations
     map one to one onto interval solves.  ``offloads`` counts the calls of
@@ -88,9 +101,99 @@ def solve_both(name: str, d: int, seed: int, overrides: dict,
 
 
 @pytest.mark.parametrize("name", ALGORITHMS)
-@pytest.mark.parametrize("d", [5, 20])
+@pytest.mark.parametrize("d", [5, 20, CHAIN_MAX_DEVICES, CHAIN_MAX_DEVICES + 1])
 def test_matched_settings(name, d):
     assert_bit_equal(*solve_both(name, d, 0, MATCHED))
+
+
+@pytest.mark.parametrize("d, chains", [(CHAIN_MAX_DEVICES, True),
+                                       (CHAIN_MAX_DEVICES + 1, False)])
+def test_chains_up_to_the_crossover(monkeypatch, d, chains):
+    # a counting sampling_step on the class is still the evaluator's own
+    # rule, so the loop picks the recurrence as it does for a plain solve
+    calls = []
+    step = ScenarioEvaluator.sampling_step
+
+    def counted(self, mu, x):
+        calls.append(1)
+        return step(self, mu, x)
+
+    monkeypatch.setattr(ScenarioEvaluator, "sampling_step", counted)
+    sc = generate_scenario(d, 0, MATCHED)
+    _, trace = baselines.solve("jso", sc.devices, sc.config)
+    assert trace.blocked > 0.9 * trace.n_iters
+    if chains:
+        # only the iterations that run alone solve intervals by the rule
+        assert len(calls) <= trace.n_iters - trace.blocked
+    else:
+        assert len(calls) >= trace.n_iters
+
+
+class ChainRows(ScenarioEvaluator):
+    """A one-device evaluator whose pattern state a test sets."""
+
+    def pattern_state(self, x):
+        return self.state
+
+
+def numpy_rows(rows, mu, energy, budget, tau_upper, sphi_up, step):
+    """``sampling_step``, ``energy_violation`` and ``multiplier_step`` on one device."""
+    sc = generate_scenario(1, 0)
+    ev = ChainRows(sc.devices, dataclasses.replace(sc.config, lagrange_step=step))
+    ev.e_budget = np.array([budget])
+    x = np.zeros(1, dtype=np.int64)
+    ev.state = ScenarioEvaluator.pattern_state(ev, x)._replace(
+        energies=np.array([energy]), tau_upper=np.array([tau_upper]),
+        sphi_up=np.array([sphi_up]), newton_devices=np.array([], dtype=np.intp))
+    mu, out = np.array([mu]), ([], [], [])
+    for _ in range(rows):
+        tau, _ = ev.sampling_step(mu, x)
+        rel = ev.energy_violation(tau, x)
+        mu = ev.multiplier_step(mu, rel)
+        for col, value in zip(out, (tau, rel, mu)):
+            col.append(value)
+    return tuple(np.concatenate(col) for col in out)
+
+
+def assert_chain_matches(*case):
+    for got, want in zip(interval_chain(*case), numpy_rows(*case)):
+        assert np.array(got).tobytes() == want.tobytes()
+
+
+@st.composite
+def chain_cases(draw):
+    """Chains whose surrogate interval crosses ``tau_upper`` or whose multiplier clamps at 0."""
+    energy, budget = draw(st.floats(1e-3, 50.0)), draw(st.floats(1e-3, 10.0))
+    sphi_up, step = draw(st.floats(3.0, 10.0)), draw(st.floats(1e-4, 2.0))
+    mu = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e3)))
+    # tau_upper near the first row's surrogate interval, where the clamp switches
+    start = math.sqrt(2.0 * mu * energy / sphi_up)
+    tau_upper = max(1e-3, start * draw(st.floats(0.25, 4.0))) if start > 0 else \
+        draw(st.floats(1e-3, 100.0))
+    return draw(st.integers(1, 64)), mu, energy, budget, tau_upper, sphi_up, step
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_cases())
+def test_chain_equals_numpy_rows(case):
+    assert_chain_matches(*case)
+
+
+def test_chain_crosses_tau_upper_inside_a_block():
+    # overdrawn: mu climbs, and the surrogate interval passes tau_upper on row 4
+    case = (64, 0.1, 2.0, 0.1, 3.0, 3.5, 5.0)
+    taus, _, _ = interval_chain(*case)
+    assert taus[:3] == [3.0] * 3 and taus[3] > 3.0
+    assert_chain_matches(*case)
+
+
+def test_slack_chain_clamps_at_zero():
+    # slack: mu falls to 0 inside the block and stays there, at tau_upper
+    case = (64, 0.5, 0.5, 0.2, 3.0, 3.5, 0.5)
+    taus, _, mus = interval_chain(*case)
+    k = mus.index(0.0)
+    assert 0 < k < 63 and set(mus[k:]) == {0.0} and set(taus[k + 1:]) == {3.0}
+    assert_chain_matches(*case)
 
 
 @pytest.mark.parametrize("name", ALGORITHMS)
