@@ -55,15 +55,22 @@ def fmi_rules(ev: ScenarioEvaluator) -> Rules:
     return tau_rule, ev.offloading_equilibrium, ev.no_deviator
 
 
-def flc_rules(ev: ScenarioEvaluator) -> Rules:
-    """Full local computing: offloading disabled, intervals still optimized."""
+def fixed_pattern_rules(ev: ScenarioEvaluator, pattern: np.ndarray) -> Rules:
+    """Algorithm-1 intervals; offloading holds ``pattern`` (made read-only), committing nothing."""
+    pattern.flags.writeable = False
+
     def offload_rule(tau, mu, x):
-        return np.zeros_like(x), []
+        return pattern, []
 
     def settled(x, cost_loc, cost_off):
-        return np.full(len(cost_loc), not x.any())
+        return np.full(len(cost_loc), np.array_equal(x, pattern))
 
     return ev.sampling_step, offload_rule, settled
+
+
+def flc_rules(ev: ScenarioEvaluator) -> Rules:
+    """Full local computing: offloading disabled, intervals still optimized."""
+    return fixed_pattern_rules(ev, np.zeros(ev.n_devices, dtype=np.int64))
 
 
 def gmo_rules(ev: ScenarioEvaluator) -> Rules:
@@ -122,15 +129,7 @@ def idd_rules(ev: ScenarioEvaluator) -> Rules:
         if prefers[d] and load + ev.payload[d] <= ev.config.capacity_threshold:
             pattern[d] = 1
             load += ev.payload[d]
-    pattern.flags.writeable = False
-
-    def offload_rule(tau, mu, x):
-        return pattern, []
-
-    def settled(x, cost_loc, cost_off):
-        return np.full(len(cost_loc), np.array_equal(x, pattern))
-
-    return ev.sampling_step, offload_rule, settled
+    return fixed_pattern_rules(ev, pattern)
 
 
 def dbro_rules(ev: ScenarioEvaluator) -> Rules:

@@ -23,6 +23,7 @@ from .metric import avg_maoi_modality
 from .optimizer import Decision, SolveTrace
 from .scenario import (Scenario, check_seed, generate_scenario,
                        with_audio_weight_increment)
+from .system_model import check_device_count
 
 log = logging.getLogger(__name__)
 
@@ -65,8 +66,7 @@ class SweepSpec:
             check_seed(seed)
         if not self.algorithms:
             raise ValueError("need at least one algorithm")
-        if not self.base_devices >= 1:
-            raise ValueError(f"base_devices must be >= 1, got {self.base_devices}")
+        check_device_count(self.base_devices, "base_devices")
         for alg in self.algorithms:
             if alg not in baselines.ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}")

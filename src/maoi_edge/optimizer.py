@@ -161,10 +161,9 @@ _MODALITY_METRICS = tuple((f"maoi_{m.name.lower()}", f"aoi_{m.name.lower()}")
 class PatternState(NamedTuple):
     """Everything an outer iteration needs that depends on the pattern alone."""
 
-    trans: np.ndarray           # edge transmission time per device
     t_sys: np.ndarray           # system time per device and modality
     energies: np.ndarray        # per-update energy per device
-    t_off: np.ndarray           # edge-branch system times, ``edge_branch(trans)``
+    t_off: np.ndarray           # edge-branch system times, ``edge_branch(trans_times(x))``
     e_off: np.ndarray           # edge-branch per-update energies
     on_edge: np.ndarray         # x == 1
     admissible: np.ndarray      # devices that could (or do) offload within capacity
@@ -195,10 +194,11 @@ class ScenarioEvaluator:
       sampling block's invariants: convexity threshold, the surrogate's
       event-factor sum at ``max(tau_min, tau_th)`` and the devices with a
       convex region);
-    * per interval vector, keyed on ``tau.tobytes()``: the event factors
-      phi(tau) under the evaluator's own weights and ``0.5 * tau``.
+    * per interval array, ``(D,)`` or a block's ``(rows, D)``, keyed on its
+      shape and ``tau.tobytes()``: phi(tau) under the evaluator's own
+      weights and ``0.5 * tau``, which every full-device price reads.
 
-    Keys are contents, not identities, so a pattern or interval vector
+    Keys are contents, not identities, so a pattern or interval array
     edited in place misses the cache instead of reading stale entries.
     The blocks of an outer iteration then share one evaluation of each.
     No method edits its array arguments in place; ``run_outer_loop``
@@ -232,7 +232,7 @@ class ScenarioEvaluator:
         self.t_edge0 = sens + t_ec              # edge system times minus transmission
         self._pattern_key: bytes | None = None
         self._pattern: PatternState | None = None
-        self._tau_key: bytes | None = None
+        self._tau_key: tuple[tuple[int, ...], bytes] | None = None
         self._tau_terms: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- pattern-dependent quantities ------------------------------------
@@ -289,7 +289,7 @@ class ScenarioEvaluator:
             tau_upper = np.maximum(cfg.tau_min, tau_th)
             sphi_up = event_factors(self.psi, self.lam, tau_upper[:, None]).sum(axis=1)
             state = PatternState(
-                trans, t_sys, energies, t_off, e_off, on_edge, admissible, tau_th,
+                t_sys, energies, t_off, e_off, on_edge, admissible, tau_th,
                 tau_upper, sphi_up, np.nonzero(cfg.tau_min < tau_th)[0])
             for arr in state:
                 arr.flags.writeable = False
@@ -299,10 +299,11 @@ class ScenarioEvaluator:
     # -- costs ------------------------------------------------------------
 
     def _tau_state(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(phi(tau), 0.5 * tau)`` under ``self.psi``, cached for the latest tau."""
-        key = tau.tobytes()
+        """``(phi(tau), 0.5 * tau)`` of ``(..., D)`` intervals, cached by shape and bytes."""
+        key = (tau.shape, tau.tobytes())
         if key != self._tau_key:
-            terms = (event_factors(self.psi, self.lam, tau[:, None]), 0.5 * tau[:, None])
+            tau_s = tau[..., None]
+            terms = (event_factors(self.psi, self.lam, tau_s), 0.5 * tau_s)
             for arr in terms:
                 arr.flags.writeable = False
             self._tau_key, self._tau_terms = key, terms
@@ -312,21 +313,11 @@ class ScenarioEvaluator:
         """Shortest interval, at least ``tau_min``, that keeps energies ``e`` in budget."""
         return np.maximum(self.config.tau_min, e / self.e_budget)
 
-    def _penalized_costs(self, tau: np.ndarray, mu: np.ndarray,
-                         t_sys: np.ndarray, e: np.ndarray, d=None) -> np.ndarray:
-        """Weighted age plus energy penalty of every device, or of devices ``d``."""
-        phi, half_tau = self._tau_state(tau)
-        budget = self.e_budget
-        # no ``d=slice(None)`` default here: it runs three times per outer iteration
-        # with every device, where five slicings a call cost ~2.5 us per iteration
-        if d is not None:
-            phi, half_tau, tau, mu, budget = phi[d], half_tau[d], tau[d], mu[d], budget[d]
-        return penalized_cost(phi, half_tau, t_sys, tau, mu, e, budget)
-
     def device_costs(self, tau: np.ndarray, mu: np.ndarray,
                      x: np.ndarray) -> np.ndarray:
         state = self.pattern_state(x)
-        return self._penalized_costs(tau, mu, state.t_sys, state.energies)
+        return penalized_cost(*self._tau_state(tau), state.t_sys, tau, mu,
+                              state.energies, self.e_budget)
 
     def system_cost(self, tau: np.ndarray, mu: np.ndarray, x: np.ndarray) -> float:
         return float(self.device_costs(tau, mu, x).sum())
@@ -338,18 +329,16 @@ class ScenarioEvaluator:
 
     def branch_terms(self, tau: np.ndarray, x: np.ndarray,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Each branch's age term and energy overdraw, for stacked interval vectors.
+        """Each device's age term and energy overdraw locally and on pattern ``x``'s edge.
 
-        ``tau`` has shape ``(rows, D)``; the edge branch is pattern ``x``'s.
-        Returns ``(age_loc, over_loc, age_off, over_off)``, each of ``tau``'s
-        shape, from one phi(tau).  ``age + mu * over`` is a branch's
-        penalized cost at multipliers ``mu`` with the bits ``branch_costs``
-        gives it, and picking a device's branch by ``x`` gives the bits of
-        ``device_costs``.
+        The one pricing of the two branches, from the cached phi(tau) of
+        intervals ``(D,)`` or a block's ``(rows, D)``.  Returns ``(age_loc,
+        over_loc, age_off, over_off)`` at ``tau``'s shape; a branch's
+        penalized cost is ``age + mu * over`` (``branch_costs``), and picking
+        each device's branch by ``x`` gives the bits of ``device_costs``.
         """
         state = self.pattern_state(x)
-        tau_s = tau[..., None]
-        phi, half_tau = event_factors(self.psi, self.lam, tau_s), 0.5 * tau_s
+        phi, half_tau = self._tau_state(tau)
         budget = self.e_budget
         return (age_term(phi, half_tau, self.t_local), overdraw(self.e_local, tau, budget),
                 age_term(phi, half_tau, state.t_off), overdraw(state.e_off, tau, budget))
@@ -389,15 +378,15 @@ class ScenarioEvaluator:
 
     # -- offloading block ---------------------------------------------------
 
-    def branch_costs(self, tau: np.ndarray, mu: np.ndarray, t_off: np.ndarray,
-                     e_off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Own penalized cost of every device locally and on the ``edge_branch``.
+    def branch_costs(self, tau: np.ndarray, mu: np.ndarray,
+                     x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Own penalized cost of every device locally and on pattern ``x``'s edge branch.
 
         A device's own rate does not depend on its own flag, so under a
         pattern's edge branch both costs hold for the others' fixed pattern.
         """
-        return (self._penalized_costs(tau, mu, self.t_local, self.e_local),
-                self._penalized_costs(tau, mu, t_off, e_off))
+        age_loc, over_loc, age_off, over_off = self.branch_terms(tau, x)
+        return age_loc + mu * over_loc, age_off + mu * over_off
 
     def deviating(self, x: np.ndarray, cost_loc: np.ndarray,
                   cost_off: np.ndarray) -> np.ndarray:
@@ -418,9 +407,7 @@ class ScenarioEvaluator:
 
     def best_responses(self, tau: np.ndarray, mu: np.ndarray, x: np.ndarray,
                        ) -> np.ndarray:
-        state = self.pattern_state(x)
-        cost_loc, cost_off = self.branch_costs(tau, mu, state.t_off, state.e_off)
-        return x ^ self.deviating(x, cost_loc, cost_off)  # flips the deviators
+        return x ^ self.deviating(x, *self.branch_costs(tau, mu, x))  # flips the deviators
 
     def best_flip(self, tau: np.ndarray, mu: np.ndarray, x: np.ndarray,
                   devices: np.ndarray, targets: np.ndarray,
@@ -445,7 +432,9 @@ class ScenarioEvaluator:
         if len(devices) == 0:
             return best_d, best_gain
         cost_now = self.system_cost(tau, mu, x)
-        cost_local = self._penalized_costs(tau, mu, self.t_local, self.e_local)
+        phi, half_tau = self._tau_state(tau)
+        budget = self.e_budget
+        cost_local = penalized_cost(phi, half_tau, self.t_local, tau, mu, self.e_local, budget)
         # float 0/1 rows, so the totals' matmul casts no int block
         x_float = x.astype(float)
         off = np.flatnonzero(x)
@@ -467,7 +456,9 @@ class ScenarioEvaluator:
             # ``trans_times`` stays one call per pattern state, so trials bypass it
             trans = self.trans_times_under(totals[row] - self.rx_power[d], d)
             costs = np.repeat(cost_local[None, :], n, axis=0)
-            costs[row, d] = self._penalized_costs(tau, mu, *self.edge_branch(trans, d), d)
+            t_off, e_off = self.edge_branch(trans, d)
+            costs[row, d] = penalized_cost(phi[d], half_tau[d], t_off, tau[d], mu[d],
+                                           e_off, budget[d])
             gains = cost_now - costs.sum(axis=-1)
             k = int(np.argmax(gains))
             if gains[k] > best_gain:

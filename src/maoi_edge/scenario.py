@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .system_model import (CONFIG_FIELD_TYPES, PROFILE_FIELD_TYPES, DeviceProfile,
-                           DeviceTable, SystemConfig, parse_settings)
+                           DeviceTable, SystemConfig, check_device_count, parse_settings)
 
 AREA_SIZE = 40.0           # m, square side with the BS at the center
 REFERENCE_DISTANCE = 10.0  # m, close-in distance below which path loss is flat
@@ -214,8 +214,7 @@ def generate_scenario(d_count: int, seed: int,
     but ``id`` and ``channel_gain`` (applied to all devices), plus
     ``psi_range`` and ``path_loss_exponent``.
     """
-    if d_count < 1:
-        raise ValueError(f"d_count must be >= 1, got {d_count}")
+    d_count = check_device_count(d_count, "d_count")
     overrides = parse_settings(overrides or {}, _OVERRIDE_TYPES, "override")
     psi_lo, psi_hi = overrides.pop("psi_range", DEFAULT_PSI_RANGE)
     if not 0 <= psi_lo <= psi_hi < np.inf:

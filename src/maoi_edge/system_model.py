@@ -226,6 +226,13 @@ def _check_devices(devices: DeviceProfile | ProfileColumns) -> None:
              "sig_frame_rate*sig_duration = {} is not a finite frame count", frames)
 
 
+def check_device_count(count, name: str = "n_devices") -> int:
+    """``count`` as a Python int; anything but an integer >= 1 raises ValueError naming it."""
+    if isinstance(count, bool) or not (isinstance(count, numbers.Integral) and count >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+    return int(count)
+
+
 #: The value every device takes for a field a ``DeviceTable`` is not given.
 _COLUMN_DEFAULTS = {f.name: f.default for f in fields(DeviceProfile) if f.name != "id"}
 
@@ -248,8 +255,7 @@ class DeviceTable:
     __slots__ = ("columns",)
 
     def __init__(self, n_devices: int, **values) -> None:
-        if n_devices < 1:
-            raise ValueError("need at least one device")
+        n_devices = check_device_count(n_devices)
         given = ProfileColumns(**{**_COLUMN_DEFAULTS, **values})
         _check_devices(given)
         # one block, so each column is a contiguous row of it
@@ -475,6 +481,8 @@ def load_config_document(path: str | Path) -> tuple[list[DeviceProfile], SystemC
     if not (isinstance(doc["devices"], list)
             and all(isinstance(d, dict) for d in doc["devices"])):
         raise ValueError(f"{path}: 'devices' must be a list of mappings")
+    if not doc["devices"]:
+        raise ValueError(f"{path}: 'devices' lists no device")
     where = "system"
     try:
         config = config_from_mapping(doc["system"])
@@ -507,7 +515,7 @@ def dump_config_document(profiles: list[DeviceProfile], config: SystemConfig,
 __all__ = [
     "ModalityKind", "MODALITIES", "SCHEDULE_FIXED", "SCHEDULE_BY_WEIGHT",
     "DeviceProfile", "SystemConfig", "ProfileColumns",
-    "DeviceTable", "as_device_table",
+    "DeviceTable", "as_device_table", "check_device_count",
     "data_size_bits", "total_data_bits",
     "compute_flops", "sensing_time", "sensing_energy", "served_ahead",
     "local_waiting_time", "CONFIG_FIELD_TYPES", "PROFILE_FIELD_TYPES", "parse_settings",

@@ -467,6 +467,10 @@ class TestSolveScenarioFile:
         bad.write_text(yaml.safe_dump({"system": {}, "devices": [{"id": 0, "tx_power": 0}]}))
         with pytest.raises(SystemExit, match=r"bad.yaml: devices\[0\]: tx_power must be > 0"):
             run_cli(["solve", "--scenario", str(bad), "--out", str(tmp_path)])
+        empty = tmp_path / "empty.yaml"
+        empty.write_text(yaml.safe_dump({"system": {}, "devices": []}))
+        with pytest.raises(SystemExit, match="empty.yaml: 'devices' lists no device"):
+            run_cli(["solve", "--scenario", str(empty), "--out", str(tmp_path)])
 
 
 class TestMalformedOverrides:

@@ -44,7 +44,7 @@ class TestComputationEnergy:
 
 def energies(profiles, config, x):
     """Per-update energies of every device under pattern ``x``."""
-    return ScenarioEvaluator(profiles, config).pattern_state(np.array(x))[2]
+    return ScenarioEvaluator(profiles, config).pattern_state(np.array(x)).energies
 
 
 def power_draw(profile, config, tau):
@@ -86,8 +86,9 @@ class TestBranchEnergies:
 
     def test_edge_branch_matches_pattern_state(self, config, two_profiles):
         ev = ScenarioEvaluator(two_profiles, config)
-        state = ev.pattern_state(np.array([1, 1]))
-        t_off, e_off = ev.edge_branch(state.trans)
+        x = np.array([1, 1])
+        state = ev.pattern_state(x)
+        t_off, e_off = ev.edge_branch(ev.trans_times(x))
         assert np.array_equal(e_off, state.energies)
         assert np.array_equal(t_off, state.t_sys)
         assert np.array_equal(e_off, state.e_off)

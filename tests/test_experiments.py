@@ -49,6 +49,9 @@ class TestSweepSpec:
             fast_spec(seeds=(0, 0))
         with pytest.raises(ValueError, match="algorithms repeats 'flc'"):
             fast_spec(algorithms=("flc", "flc"))
+        # a count fails when the spec is built, not at its first solve
+        with pytest.raises(ValueError, match="base_devices must be an integer >= 1, got 2.5"):
+            fast_spec(param="energy_budget", grid=(2.0,), base_devices=2.5)
 
     @pytest.mark.parametrize("value", [2.5, 0.0, -1.0, float("nan"), float("inf")])
     def test_device_count_grid_must_hold_counts(self, value):

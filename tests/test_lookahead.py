@@ -250,9 +250,8 @@ def test_settled_prices_each_row_at_its_own_intervals_and_multipliers():
         return tau, newton
 
     def checked_settled(x, cost_loc, cost_off):
-        state = ev.pattern_state(x)
         for k, (tau, mu) in enumerate(solved[-len(cost_loc):]):
-            loc, off = ev.branch_costs(tau, mu, state.t_off, state.e_off)
+            loc, off = ev.branch_costs(tau, mu, x)
             assert loc.tobytes() == cost_loc[k].tobytes()
             assert off.tobytes() == cost_off[k].tobytes()
         priced.append(len(cost_loc))

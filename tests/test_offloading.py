@@ -48,7 +48,7 @@ class TestBestResponse:
         ev = ScenarioEvaluator(profiles, config)
         equal = np.ones(3)
         monkeypatch.setattr(ev, "branch_costs",
-                            lambda tau, mu, t_off, e_off: (equal, equal))
+                            lambda tau, mu, x: (equal, equal))
         x = np.array([1, 0, 1])
         br = ev.best_responses(np.full(3, 2.0), np.zeros(3), x)
         assert (br == x).all()
@@ -81,8 +81,7 @@ class TestBestResponse:
                 tau = rng.uniform(2.0, 15.0, d_count)
                 mu = rng.uniform(0.0, 10.0, d_count)
                 x = rng.integers(0, 2, d_count)
-                state = ev.pattern_state(x)
-                cost_loc, cost_off = ev.branch_costs(tau, mu, state.t_off, state.e_off)
+                cost_loc, cost_off = ev.branch_costs(tau, mu, x)
                 for d in range(d_count):
                     if abs(cost_off[d] - cost_loc[d]) <= 1e-9 * abs(cost_loc[d]):
                         continue  # a tie: the rounding of either form decides
@@ -311,12 +310,12 @@ class TestPatternState:
         profiles, config = scenario_lists(6, seed=2)
         ev = ScenarioEvaluator(profiles, config)
         x = np.zeros(6, dtype=np.int64)
-        trans_before = ev.pattern_state(x).trans.copy()
+        t_off_before = ev.pattern_state(x).t_off.copy()
         x[2] = 1
         state = ev.pattern_state(x)
         fresh = ScenarioEvaluator(profiles, config)
-        assert not np.array_equal(state.trans, trans_before)
-        assert np.array_equal(state.trans, fresh.trans_times(x))
+        assert not np.array_equal(state.t_off, t_off_before)
+        assert np.array_equal(state.t_off, fresh.edge_branch(fresh.trans_times(x))[0])
         for got, want in zip(state, fresh.pattern_state(x)):
             assert np.array_equal(got, want)
 
@@ -375,20 +374,33 @@ class TestEvaluatorCaches:
         tau = np.full(6, 3.0)
         mu = np.linspace(0.5, 5.0, 6)
         x = np.array([0, 1, 0, 0, 1, 0])
-        state = ev.pattern_state(x)
-        before = ev.branch_costs(tau, mu, state.t_off, state.e_off)
+        before = ev.branch_costs(tau, mu, x)
         cost_before = ev.system_cost(tau, mu, x)
         tau[2] = 7.5  # same object, new contents
-        after = ev.branch_costs(tau, mu, state.t_off, state.e_off)
-        fresh = ScenarioEvaluator(profiles, config)
-        fresh_state = fresh.pattern_state(x)
-        for got, want in zip(after, fresh.branch_costs(tau, mu, fresh_state.t_off,
-                                                       fresh_state.e_off)):
+        after = ev.branch_costs(tau, mu, x)
+        for got, want in zip(after, ScenarioEvaluator(profiles, config).branch_costs(tau, mu, x)):
             assert np.array_equal(got, want)
         assert not np.array_equal(before[0], after[0])
         assert ev.system_cost(tau, mu, x) == \
             ScenarioEvaluator(profiles, config).system_cost(tau, mu, x)
         assert ev.system_cost(tau, mu, x) != cost_before
+        # a block of (rows, D) intervals: an in-place edit of one row misses
+        block = np.stack([np.full(6, t) for t in (3.0, 4.0, 5.0)])
+        before = ev.branch_terms(block, x)
+        block[1, 3] = 9.0
+        after = ev.branch_terms(block, x)
+        for got, was, want in zip(after, before,
+                                  ScenarioEvaluator(profiles, config).branch_terms(block, x)):
+            assert got.tobytes() == want.tobytes()
+            assert got[[0, 2]].tobytes() == was[[0, 2]].tobytes()
+            assert got[1].tobytes() != was[1].tobytes()
+        # a (1, D) block holds its (D,) row's bytes, and prices as a block
+        ev.system_cost(tau, mu, x)
+        row = tau[None, :].copy()
+        terms = ev.branch_terms(row, x)
+        assert [t.shape for t in terms] == [(1, 6)] * 4
+        for got, want in zip(terms, ScenarioEvaluator(profiles, config).branch_terms(row, x)):
+            assert got.tobytes() == want.tobytes()
 
     def test_newton_devices_rerun_for_a_cached_pattern(self):
         sc = generate_scenario(4, seed=1,

@@ -105,7 +105,7 @@ class TestGeneration:
     def test_numpy_integer_seed_matches_int(self):
         a = generate_scenario(4, seed=np.int64(9))
         b = generate_scenario(4, seed=9)
-        assert a.profiles == b.profiles
+        assert a.profiles == b.profiles == generate_scenario(np.int64(4), seed=9).profiles
         np.testing.assert_array_equal(a.positions, b.positions)
 
     def test_positions_inside_square(self):
@@ -137,9 +137,12 @@ class TestGeneration:
             strata = np.floor((np.sort(psi[:, s]) - lo) / (hi - lo) * 10)
             assert strata.tolist() == list(range(10))
 
-    def test_zero_devices_rejected(self):
-        with pytest.raises(ValueError):
-            generate_scenario(0, seed=0)
+    @pytest.mark.parametrize("count", [0, -1, 2.5, 3.0, "3", None, True])
+    def test_bad_device_count_rejected(self, count):
+        with pytest.raises(ValueError, match=f"d_count must be an integer >= 1, got {count!r}"):
+            generate_scenario(count, seed=0)
+        with pytest.raises(ValueError, match=f"n_devices must be an integer >= 1, got {count!r}"):
+            DeviceTable(count)
 
     def test_unknown_override_rejected(self):
         with pytest.raises(ValueError, match="unknown override"):
@@ -275,7 +278,7 @@ class TestDeviceTable:
         weights[2, 1] = math.nan
         with pytest.raises(ValueError, match=r"maoi_weights .* got \[1.0, nan, 1.0\]$"):
             DeviceTable(3, maoi_weights=weights)
-        with pytest.raises(ValueError, match="need at least one device"):
+        with pytest.raises(ValueError, match="n_devices must be an integer >= 1, got 0"):
             as_device_table([])
 
     def test_unset_fields_take_the_profile_defaults(self):

@@ -278,7 +278,7 @@ class TestTiming:
         t_off, _ = ev.edge_branch(np.array([0.0813]))
         assert t_off[0, AUD - 1] == pytest.approx(2 + 0.0813 + 1.0)
         state = ev.pattern_state(np.array([1]))
-        trans = state.trans[0]
+        trans = ev.trans_times(np.array([1]))[0]
         assert state.t_sys[0] == pytest.approx((0.0 + trans + 0.4, 2 + trans + 1.0,
                                                 3 + trans + 0.0648))
 
@@ -286,7 +286,7 @@ class TestTiming:
         # device 0 stays local while device 1's flag moves its transmission time
         ev = ScenarioEvaluator(two_profiles, config)
         alone, jammed = (ev.pattern_state(np.array(x)) for x in ([0, 0], [0, 1]))
-        assert alone.trans[0] != jammed.trans[0]
+        assert ev.trans_times(np.array([0, 0]))[0] != ev.trans_times(np.array([0, 1]))[0]
         assert np.array_equal(alone.t_sys[0], ev.t_local[0])
         assert np.array_equal(jammed.t_sys[0], ev.t_local[0])
 
@@ -500,6 +500,7 @@ class TestConfigDocument:
         ({"system": None, "devices": [{"id": 0}]}, "'system' must be a mapping"),
         ({"system": {}, "devices": None}, "'devices' must be a list of mappings"),
         ({"system": {}, "devices": [1]}, "'devices' must be a list of mappings"),
+        ({"system": {}, "devices": []}, "'devices' lists no device"),
     ])
     def test_malformed_sections_name_file_and_section(self, tmp_path, doc, match):
         path = tmp_path / "shape.yaml"
