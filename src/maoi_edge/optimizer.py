@@ -25,9 +25,9 @@ interval vector.  While the pattern holds, the loop runs iterations in
 lookahead blocks of up to ``LOOKAHEAD_ROWS``: it steps intervals and
 multipliers row by row (at small D as one ``interval_chain`` of Python
 floats per device) and prices the block's costs, the offloading
-check and the stopping rule once, on ``(rows, D)`` arrays.  The loop
-passes bare arrays between the blocks, so its rules must never edit
-their inputs in place.
+check and the stopping rule once, on ``(rows, D)`` arrays, recording
+the rows a segment at a time.  The loop passes bare arrays between the
+blocks, so its rules must never edit their inputs in place.
 
 ``ScenarioEvaluator.sampling_step`` is the package's only implementation
 of the sampling block (Algorithm 1).  Its Newton path runs
@@ -354,7 +354,9 @@ class ScenarioEvaluator:
         """Algorithm-1 interval update for every device; returns Newton total.
 
         A tie in true cost between the Newton and surrogate candidates goes
-        to the surrogate.
+        to the surrogate.  Under a pattern without a Newton device ``mu``
+        may stack rows of multipliers, shape ``(rows, D)``, as a lookahead
+        block passes them.
         """
         cfg = self.config
         state = self.pattern_state(x)
@@ -591,12 +593,18 @@ class SolveTrace:
 
     def append(self, cost: float, violation: float, committed: list[int],
                newton: int) -> None:
-        if not math.isfinite(cost):
-            raise ValueError(f"non-finite system cost {cost}")
-        self.costs.append(cost)
-        self.max_violations.append(violation)
-        self.committed.append(committed)
-        self.newton_iters.append(newton)
+        self.extend([cost], [violation], [committed], [newton])
+
+    def extend(self, costs: list[float], violations: list[float],
+               committed: list[list[int]], newtons: list[int]) -> None:
+        """Append one iteration per entry; a non-finite cost raises before any is kept."""
+        if not all(map(math.isfinite, costs)):
+            bad = next(c for c in costs if not math.isfinite(c))
+            raise ValueError(f"non-finite system cost {bad}")
+        self.costs += costs
+        self.max_violations += violations
+        self.committed += committed
+        self.newton_iters += newtons
 
 
 def default_decision(n_devices: int, config: SystemConfig) -> Decision:
@@ -626,18 +634,18 @@ log = logging.getLogger(__name__)
 
 
 def interval_chain(rows: int, mu: float, energy: float, budget: float,
-                   tau_upper: float, sphi_up: float, step: float,
-                   ) -> tuple[list[float], list[float], list[float]]:
-    """``rows`` steps of one device's interval/multiplier recurrence in Python floats.
+                   tau_upper: float, sphi_up: float, step: float) -> list[float]:
+    """``rows`` steps of one device's multiplier recurrence in Python floats.
 
     A row is ``sampling_step`` on a device without a convex region,
     ``energy_violation`` and ``multiplier_step``, written with the numpy
     forms' operand order and ``np.maximum``'s choice on ties and NaN, so for
     a multiplier ``mu >= 0`` each value holds their bits.  Returns each
-    row's interval, relative overdraw and stepped multiplier.
+    row's stepped multiplier; a block forms the rows' intervals and
+    overdraws from the multipliers by the numpy forms themselves.
     """
     sqrt = math.sqrt
-    taus, rels, mus = [0.0] * rows, [0.0] * rows, [0.0] * rows
+    mus = [0.0] * rows
     for r in range(rows):
         tau = sqrt(2.0 * mu * energy / sphi_up)
         if tau < tau_upper:
@@ -646,8 +654,8 @@ def interval_chain(rows: int, mu: float, energy: float, budget: float,
         mu = mu + step * rel * budget
         if mu <= 0.0:
             mu = 0.0
-        taus[r], rels[r], mus[r] = tau, rel, mu
-    return taus, rels, mus
+        mus[r] = mu
+    return mus
 
 
 def _moves(new: np.ndarray, x: np.ndarray) -> bool:
@@ -679,10 +687,14 @@ def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
     the multiplier step.  It then prices every row at once: one phi(tau)
     for both branches' costs, ``settled``, each row's system cost and
     maximum violation.  The rows are then recorded in order under the
-    stopping rule and the best-iterate check.  A row that ``settled`` does
-    not clear runs the real offloading rule; if the pattern moves there,
-    that row is finished as an ordinary iteration under the new pattern
-    and the rows after it are dropped.  A block is as long as the
+    stopping rule and the best-iterate check, one segment at a time: a
+    segment runs up to the next row that ``settled`` does not clear, and
+    one scan of it finds its stopping row and best iterate before the
+    trace takes its rows at once.  That row then runs the real offloading
+    rule.  If the pattern holds, the row opens the next segment, with the
+    devices the rule committed; if it moves, the row is finished as an
+    ordinary iteration under the new pattern and the rows after it are
+    dropped.  A block is as long as the
     pattern has held so far: the first two iterations after the start or
     a move run alone, as ordinary iterations, so a short solve prices no
     rows past its stop, and blocks then double from 2 rows.  Every cost,
@@ -692,11 +704,14 @@ def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
     Under a pattern without a Newton device the recurrence is elementwise:
     a block is D independent scalar chains.  When ``tau_rule`` is the
     evaluator's own ``sampling_step`` and D is at most
-    ``CHAIN_MAX_DEVICES``, the block steps them one device at a time in
+    ``CHAIN_MAX_DEVICES``, the block steps each device's multipliers in
     Python floats (``interval_chain``), with the bits of the numpy rows,
     and Python's per-row cost (~0.3 us per device) undercuts numpy's
-    (~9 us per row at any D).  FMI's rule, patterns with Newton devices,
-    larger D and iterations that run alone keep the numpy rows.
+    (~9 us per row at any D).  The block then forms every row's intervals
+    from the multipliers by one ``sampling_step`` on ``(rows, D)`` arrays.
+    FMI's rule, patterns with Newton devices, larger D and iterations that
+    run alone keep the numpy rows.  Either way, every row's overdraw comes
+    from one ``energy_violation`` on the block's intervals.
 
     The loop carries ``tau``, ``x`` and ``mu`` as bare arrays and keeps the
     best iterate by reference, so the rules must leave their inputs as
@@ -716,25 +731,41 @@ def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
     prev_cost = ev.system_cost(tau, mu, x)
     best_key, best = (math.inf, math.inf), None
 
-    def record(cost, violation, committed, newton, tau, x, mu) -> bool:
-        """Append one iteration; True when it meets the stopping rule."""
+    def record(costs, violations, committed, newtons, taus, x, mus) -> int | None:
+        """Append rows in order up to the first that meets the stopping rule.
+
+        Row ``r`` is one iteration: its system cost, maximum violation,
+        committed devices and Newton count, and its decision ``taus[r]``,
+        ``x``, ``mus[r]``.  One scan finds the stopping row and the rows'
+        best iterate (the first smallest key), and the trace takes the rows
+        up to the stop at once.  Returns the stopping row, or None.
+        """
         nonlocal prev_cost, best_key, best
-        trace.append(cost, violation, committed, newton)
-        feasible = violation <= cfg.energy_tol
-        key = (0.0 if feasible else violation, cost)
-        if key < best_key:
-            best_key, best = key, (tau, x, mu, violation)
-        if abs(cost - prev_cost) < cfg.convergence_eps and feasible:
-            return True
-        prev_cost = cost
-        return False
+        tol, eps, prev = cfg.energy_tol, cfg.convergence_eps, prev_cost
+        stop = best_row = None
+        for r, (cost, violation) in enumerate(zip(costs, violations)):
+            feasible = violation <= tol
+            key = (0.0 if feasible else violation, cost)
+            if key < best_key:
+                best_key, best_row = key, r
+            if abs(cost - prev) < eps and feasible:
+                stop = r
+                break
+            prev = cost
+        rows = len(costs) if stop is None else stop + 1
+        trace.extend(costs[:rows], violations[:rows], committed[:rows], newtons[:rows])
+        prev_cost = prev
+        if best_row is not None:
+            best = (taus[best_row], x, mus[best_row], violations[best_row])
+        return stop
 
     def finish(tau, mu, x, committed, newton):
         """Multiplier step and record of a row whose offloading rule ran."""
         rel = ev.energy_violation(tau, x)
         mu = ev.multiplier_step(mu, rel)
-        return mu, record(ev.system_cost(tau, mu, x), float(rel.max()),
-                          committed, newton, tau, x, mu)
+        stop = record([ev.system_cost(tau, mu, x)], [float(rel.max())], [committed],
+                      [newton], [tau], x, [mu])
+        return mu, stop is not None
 
     # chains stand in for the evaluator's own sampling_step only: an
     # override or a wrapping function still runs on every row
@@ -754,52 +785,56 @@ def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
             mu, converged = finish(tau, mu, x, committed, newton)
             continue
         state = ev.pattern_state(x)
-        taus, rels = np.empty((n, ev.n_devices)), np.empty((n, ev.n_devices))
         mus = np.empty((n + 1, ev.n_devices))
         mus[0] = mu
         if chains and len(state.newton_devices) == 0:
             devices = zip(mu.tolist(), state.energies.tolist(), ev.e_budget.tolist(),
                           state.tau_upper.tolist(), state.sphi_up.tolist())
             for d, device in enumerate(devices):
-                taus[:, d], rels[:, d], mus[1:, d] = interval_chain(
-                    n, *device, cfg.lagrange_step)
+                mus[1:, d] = interval_chain(n, *device, cfg.lagrange_step)
+            # each row's intervals by the numpy form whose bits the chain holds
+            taus, _ = ev.sampling_step(mus[:-1], x)
             newtons = [0] * n
         else:
-            newtons = []
+            taus, newtons = np.empty((n, ev.n_devices)), []
             for r in range(n):
                 taus[r], newton = tau_rule(mus[r], x)
                 newtons.append(newton)
-                rels[r] = ev.energy_violation(taus[r], x)
-                mus[r + 1] = ev.multiplier_step(mus[r], rels[r])
+                mus[r + 1] = ev.multiplier_step(mus[r], ev.energy_violation(taus[r], x))
         age_loc, over_loc, age_off, over_off = ev.branch_terms(taus, x)
         mu_now, mu_next = mus[:-1], mus[1:]
-        quiet = settled(x, age_loc + mu_now * over_loc,
-                        age_off + mu_now * over_off).tolist()
+        quiet = settled(x, age_loc + mu_now * over_loc, age_off + mu_now * over_off)
         on_edge = state.on_edge
         costs = (np.where(on_edge, age_off, age_loc)
                  + mu_next * np.where(on_edge, over_off, over_loc)).sum(axis=-1).tolist()
-        violations = rels.max(axis=1).tolist()
-        for r in range(n):
-            tau, committed = taus[r], []
-            if not quiet[r]:
-                moved, committed = offload_rule(tau, mus[r], x)
-                if _moves(moved, x):
-                    # the rows after this one priced the old pattern
-                    x = moved
-                    mu, converged = finish(tau, mus[r], x, committed, newtons[r])
-                    held = 0
-                    break
-            mu = mus[r + 1]
-            trace.blocked += 1
-            converged = record(costs[r], violations[r], committed, newtons[r], tau, x, mu)
-            if converged:
+        violations = ev.energy_violation(taus, x).max(axis=1).tolist()
+        # Rows are recorded a segment at a time.  A row that ``settled`` does
+        # not clear runs the offloading rule once the rows before it are
+        # recorded; while the pattern holds, it opens the next segment.
+        commits = [[] for _ in range(n)]
+        recorded, start = trace.n_iters, 0
+        for r in np.flatnonzero(np.logical_not(quiet)).tolist() + [n]:
+            stop = record(costs[start:r], violations[start:r], commits[start:r],
+                          newtons[start:r], taus[start:r], x, mus[start + 1:r + 1])
+            if stop is not None or r == n:
                 break
+            moved, commits[r] = offload_rule(taus[r], mus[r], x)
+            if _moves(moved, x):
+                break
+            start = r
+        trace.blocked += trace.n_iters - recorded
+        if stop is not None:
+            tau, mu, converged = taus[start + stop], mus[start + stop + 1], True
+        elif r == n:
+            mu, held = mus[n], held + n
         else:
-            held += n
+            # the rows after this one priced the old pattern
+            tau, x, held = taus[r], moved, 0
+            mu, converged = finish(tau, mus[r], x, commits[r], newtons[r])
     if converged:
         trace.stop_reason = "converged"
     else:
-        # trace.append rejects non-finite costs, so iteration 1 set best
+        # trace.extend rejects non-finite costs, so iteration 1 set best
         tau, x, mu, violation = best
         trace.stop_reason = "max_iters_best"
         log.warning("no convergence in %d outer iterations; returning the best "

@@ -100,7 +100,12 @@ def _stratified_uniform(rng: np.random.Generator, n: int, lo: float,
 
 
 def check_seed(seed) -> int:
-    """``seed`` as a Python int; a non-integer raises TypeError, a negative one ValueError."""
+    """``seed`` as a Python int; a non-integer raises TypeError, a negative one ValueError.
+
+    A bool is not a seed: ``operator.index`` would take ``True`` as 1.
+    """
+    if isinstance(seed, bool):
+        raise TypeError(f"seed must be an integer, not a bool ({seed!r})")
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")

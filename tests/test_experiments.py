@@ -47,6 +47,9 @@ class TestSweepSpec:
             fast_spec(grid=(3.0, 2.0, 3.0))
         with pytest.raises(ValueError, match="seeds repeats 0"):
             fast_spec(seeds=(0, 0))
+        # a bool would build, and run_sweep would write True as the seed
+        with pytest.raises(TypeError, match="not a bool"):
+            fast_spec(seeds=(True,))
         with pytest.raises(ValueError, match="algorithms repeats 'flc'"):
             fast_spec(algorithms=("flc", "flc"))
         # a count fails when the spec is built, not at its first solve

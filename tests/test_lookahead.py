@@ -115,7 +115,7 @@ def test_chains_up_to_the_crossover(monkeypatch, d, chains):
     step = ScenarioEvaluator.sampling_step
 
     def counted(self, mu, x):
-        calls.append(1)
+        calls.append(np.ndim(mu))
         return step(self, mu, x)
 
     monkeypatch.setattr(ScenarioEvaluator, "sampling_step", counted)
@@ -123,10 +123,12 @@ def test_chains_up_to_the_crossover(monkeypatch, d, chains):
     _, trace = baselines.solve("jso", sc.devices, sc.config)
     assert trace.blocked > 0.9 * trace.n_iters
     if chains:
-        # only the iterations that run alone solve intervals by the rule
-        assert len(calls) <= trace.n_iters - trace.blocked
+        # only the iterations that run alone solve one interval vector by
+        # the rule; a chained block forms all its rows' intervals in one call
+        assert calls.count(1) <= trace.n_iters - trace.blocked
+        assert 2 in calls
     else:
-        assert len(calls) >= trace.n_iters
+        assert calls.count(1) >= trace.n_iters and 2 not in calls
 
 
 class ChainRows(ScenarioEvaluator):
@@ -136,8 +138,8 @@ class ChainRows(ScenarioEvaluator):
         return self.state
 
 
-def numpy_rows(rows, mu, energy, budget, tau_upper, sphi_up, step):
-    """``sampling_step``, ``energy_violation`` and ``multiplier_step`` on one device."""
+def chain_evaluator(energy, budget, tau_upper, sphi_up, step):
+    """A one-device evaluator with these values, no Newton device, and its pattern."""
     sc = generate_scenario(1, 0)
     ev = ChainRows(sc.devices, dataclasses.replace(sc.config, lagrange_step=step))
     ev.e_budget = np.array([budget])
@@ -145,6 +147,12 @@ def numpy_rows(rows, mu, energy, budget, tau_upper, sphi_up, step):
     ev.state = ScenarioEvaluator.pattern_state(ev, x)._replace(
         energies=np.array([energy]), tau_upper=np.array([tau_upper]),
         sphi_up=np.array([sphi_up]), newton_devices=np.array([], dtype=np.intp))
+    return ev, x
+
+
+def numpy_rows(rows, mu, *device):
+    """``sampling_step``, ``energy_violation`` and ``multiplier_step`` on one device, by rows."""
+    ev, x = chain_evaluator(*device)
     mu, out = np.array([mu]), ([], [], [])
     for _ in range(rows):
         tau, _ = ev.sampling_step(mu, x)
@@ -155,9 +163,19 @@ def numpy_rows(rows, mu, energy, budget, tau_upper, sphi_up, step):
     return tuple(np.concatenate(col) for col in out)
 
 
+def block_rows(rows, mu, *device):
+    """A chained block's rows: ``interval_chain``'s multipliers, then every
+    row's intervals and overdraws by ``sampling_step`` and ``energy_violation``
+    on the ``(rows, D)`` arrays, as ``run_outer_loop`` forms them."""
+    ev, x = chain_evaluator(*device)
+    mus = np.array([mu, *interval_chain(rows, mu, *device)])[:, None]
+    taus, _ = ev.sampling_step(mus[:-1], x)
+    return taus[:, 0], ev.energy_violation(taus, x)[:, 0], mus[1:, 0]
+
+
 def assert_chain_matches(*case):
-    for got, want in zip(interval_chain(*case), numpy_rows(*case)):
-        assert np.array(got).tobytes() == want.tobytes()
+    for got, want in zip(block_rows(*case), numpy_rows(*case), strict=True):
+        assert got.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -182,17 +200,18 @@ def test_chain_equals_numpy_rows(case):
 def test_chain_crosses_tau_upper_inside_a_block():
     # overdrawn: mu climbs, and the surrogate interval passes tau_upper on row 4
     case = (64, 0.1, 2.0, 0.1, 3.0, 3.5, 5.0)
-    taus, _, _ = interval_chain(*case)
-    assert taus[:3] == [3.0] * 3 and taus[3] > 3.0
+    taus, _, _ = block_rows(*case)
+    assert taus[:3].tolist() == [3.0] * 3 and taus[3] > 3.0
     assert_chain_matches(*case)
 
 
 def test_slack_chain_clamps_at_zero():
     # slack: mu falls to 0 inside the block and stays there, at tau_upper
     case = (64, 0.5, 0.5, 0.2, 3.0, 3.5, 0.5)
-    taus, _, mus = interval_chain(*case)
+    mus = interval_chain(*case)
+    taus, _, _ = block_rows(*case)
     k = mus.index(0.0)
-    assert 0 < k < 63 and set(mus[k:]) == {0.0} and set(taus[k + 1:]) == {3.0}
+    assert 0 < k < 63 and set(mus[k:]) == {0.0} and set(taus[k + 1:].tolist()) == {3.0}
     assert_chain_matches(*case)
 
 
@@ -323,3 +342,114 @@ def test_best_iterate_inside_a_capped_block():
     tau_rule, offload_rule, _ = baselines.flc_rules(fresh)
     assert_bit_equal((decision, trace),
                      reference_outer_loop(fresh, tau_rule, offload_rule))
+
+
+class Segments:
+    """Rules that hold the all-local pattern while ``settled`` marks the rows a test picks.
+
+    The offloading rule returns its input pattern and reports the first
+    device as committed where the five lowest bits of its edge-branch cost
+    are clear, an arbitrary pick on ~6% of rows.  ``settled`` clears a row
+    only where the device is not picked and ``loud(first, rows)``, given a
+    block's first iteration and length, leaves it unmarked; ``marked``
+    collects the iterations it does not clear.  The pattern never moves, so
+    blocks start at iteration 2.
+    """
+
+    def __init__(self, ev: ScenarioEvaluator, tau_rule, loud):
+        self.marked = []
+        first = 2
+
+        def picked(cost_off):
+            return (cost_off[..., 0].view(np.int64) & 31) == 0
+
+        def offload_rule(tau, mu, x):
+            _, off = ev.branch_costs(tau, mu, x)
+            return x, [0] if picked(off) else []
+
+        def settled(x, cost_loc, cost_off):
+            nonlocal first
+            rows = len(cost_loc)
+            quiet = ~picked(cost_off) & ~np.array(loud(first, rows), dtype=bool)
+            self.marked += (first + np.flatnonzero(~quiet)).tolist()
+            first += rows
+            return quiet
+
+        self.rules = tau_rule, offload_rule, settled
+
+    def run(self, ev: ScenarioEvaluator):
+        """The loop's solve and the reference loop's, on the same rules."""
+        return run_outer_loop(ev, *self.rules), reference_outer_loop(ev, *self.rules[:2])
+
+
+def converging():
+    """FLC's intervals on 5 devices; the solve stops on iteration 581."""
+    sc = generate_scenario(5, 0, MATCHED)
+    ev = ScenarioEvaluator(sc.devices, sc.config)
+    return ev, ev.sampling_step
+
+
+def tied():
+    """Intervals that grow with the multipliers up to a cap with a 1e-9 overdraw.
+
+    Every row is infeasible at ``energy_tol`` 0, so the solve runs to its
+    cap.  From the first capped row on, the violation holds and each
+    row's multiplier step moves the cost less than its last bit, so the
+    best-iterate keys tie while the multipliers still differ.
+    """
+    sc = generate_scenario(3, 0, {**MATCHED, "max_outer_iters": 300, "energy_tol": 0.0})
+    ev = ScenarioEvaluator(sc.devices, sc.config)
+    cap = ev.e_local / (ev.e_budget * (1 + 1e-9))
+
+    def tau_rule(mu, x):
+        return np.minimum(cap, cap * (0.5 + mu)), 0
+
+    return ev, tau_rule
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([converging, tied]), st.data())
+def test_segments_equal_the_reference(scenario, data):
+    ev, tau_rule = scenario()
+
+    def loud(first, rows):
+        return data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+
+    assert_bit_equal(*Segments(ev, tau_rule, loud).run(ev))
+
+
+@pytest.mark.parametrize("loud_rows, stop_row", [
+    ({580}, "first quiet row after a marked row"),
+    ({582}, "quiet row before a marked row"),
+    ({581}, "marked row"),
+])
+def test_stop_on_a_segments_first_and_last_row(loud_rows, stop_row):
+    ev, tau_rule = converging()
+    segments = Segments(ev, tau_rule, lambda first, rows: [first + r in loud_rows
+                                                         for r in range(rows)])
+    got, want = segments.run(ev)
+    assert got[1].converged and got[1].n_iters - 1 == 581
+    marked = {i for i in segments.marked if 580 <= i <= 582}
+    assert marked == loud_rows, stop_row
+    assert_bit_equal(got, want)
+
+
+@pytest.mark.parametrize("every", [1, 7, 1000])
+def test_first_of_tied_best_iterates_wins(every):
+    ev, tau_rule = tied()
+    steps = []
+
+    def recorded_tau_rule(mu, x):
+        steps.append(mu)
+        return tau_rule(mu, x)
+
+    segments = Segments(ev, recorded_tau_rule, lambda first, rows: [(first + r) % every == 0
+                                                                  for r in range(rows)])
+    got, want = segments.run(ev)
+    trace = got[1]
+    keys = list(zip(trace.max_violations, trace.costs))
+    best = keys.index(min(keys))
+    assert trace.stop_reason == "max_iters_best" and keys.count(keys[best]) > 100
+    # iteration i steps the multipliers it was given into steps[i + 1]
+    assert got[0].mu.tobytes() == steps[best + 1].tobytes() != steps[best + 2].tobytes()
+    assert_bit_equal(got, want)

@@ -97,6 +97,9 @@ class TestGeneration:
         (-1, ValueError, "seed must be a non-negative integer, got -1"),
         (1.5, TypeError, "cannot be interpreted as an integer"),
         ("3", TypeError, "cannot be interpreted as an integer"),
+        (True, TypeError, "not a bool"),
+        (False, TypeError, "not a bool"),
+        (np.bool_(True), TypeError, "cannot be interpreted as an integer"),
     ])
     def test_bad_seed_rejected(self, seed, error, match):
         with pytest.raises(error, match=match):
