@@ -16,7 +16,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .metric import OBJECTIVE_AOI, OBJECTIVE_MAOI, avg_maoi_modality
+from .metric import OBJECTIVE_AOI, OBJECTIVE_MAOI, avg_maoi_modality, modality_sum
 from .optimizer import (
     Decision,
     OffloadRule,
@@ -119,8 +119,8 @@ def idd_rules(ev: ScenarioEvaluator) -> Rules:
     t_off, e_off = ev.edge_branch(ev.trans_times_under(assumed))
 
     def age_within_budget(t_sys, e):
-        tau = ev.budget_interval(e)[:, None]
-        return avg_maoi_modality(ev.psi, ev.lam, tau, t_sys).sum(axis=1)
+        tau = ev.budget_interval(e)
+        return modality_sum(avg_maoi_modality(ev.psi, ev.lam[:, None], tau, t_sys))
 
     prefers = age_within_budget(t_off, e_off) < age_within_budget(ev.t_local, ev.e_local)
     pattern = np.zeros(ev.n_devices, dtype=np.int64)

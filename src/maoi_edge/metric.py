@@ -137,9 +137,20 @@ def avg_maoi_modality(psi, lam, tau, t_sys):
     return event_factors(psi, lam, tau) * (0.5 * tau + t_sys)
 
 
+def modality_sum(planes):
+    """Sum over the leading modality axis of ``planes``, written ``(s0 + s1) + s2``.
+
+    The package's one order for a sum over the three modalities: every
+    weighted age, slope and event-factor sum adds its image, audio and
+    signal planes in this order.  It is the order numpy's ``sum`` takes
+    over a trailing length-3 axis, so both layouts give the same bits.
+    """
+    return (planes[0] + planes[1]) + planes[2]
+
+
 __all__ = [
     "OBJECTIVE_MAOI", "OBJECTIVE_AOI", "OBJECTIVES",
     "image_dynamism", "roi_ratio", "audio_semantic_variation", "signal_dynamics",
     "AUDIO_QUALITY_REF", "SIGNAL_QUALITY_REF", "quality_terms", "extract_weights",
-    "event_factors", "avg_maoi_modality",
+    "event_factors", "avg_maoi_modality", "modality_sum",
 ]

@@ -21,12 +21,13 @@ drives a solve on one evaluator and reports the decision's metrics from
 it.  The pattern changes in a few percent of outer iterations, so the
 evaluator computes everything that depends on the pattern alone once per
 pattern, as the ``PatternState`` every block reads, and phi(tau) once per
-interval vector.  While the pattern holds, the loop runs iterations in
-lookahead blocks of up to ``LOOKAHEAD_ROWS``: it steps intervals and
-multipliers row by row (at small D as one ``interval_chain`` of Python
-floats per device) and prices the block's costs, the offloading
-check and the stopping rule once, on ``(rows, D)`` arrays, recording
-the rows a segment at a time.  The loop passes bare arrays between the
+interval vector.  Its per-modality arrays are ``(3, D)`` planes, and each
+price adds them in one written order, ``metric.modality_sum``.  While the
+pattern holds, the loop runs iterations in lookahead blocks of up to
+``LOOKAHEAD_ROWS``: it steps intervals and multipliers row by row (at
+small D as one ``interval_chain`` of Python floats per device) and prices
+the block's costs, the offloading check and the stopping rule once, on
+``(rows, D)`` arrays, recording the rows a segment at a time.  The loop passes bare arrays between the
 blocks, so its rules must never edit their inputs in place.
 
 ``ScenarioEvaluator.sampling_step`` is the package's only implementation
@@ -48,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metric
-from .metric import OBJECTIVE_MAOI, avg_maoi_modality, event_factors
+from .metric import OBJECTIVE_MAOI, avg_maoi_modality, event_factors, modality_sum
 from .system_model import (
     MODALITIES,
     DeviceProfile,
@@ -77,10 +78,20 @@ TRIAL_BLOCK_ENTRIES = 16384
 # ---------------------------------------------------------------------------
 # the sampling block's Newton path
 
+def planes_for(planes: np.ndarray, ndim: int) -> np.ndarray:
+    """Modality planes ``(3, D)`` (or ``(3,)``) viewed to broadcast against
+    ``(..., D)`` arrays of ``ndim`` axes: ``(3, 1, ..., 1, D)``."""
+    return planes.reshape(planes.shape[:1] + (1,) * (ndim + 1 - planes.ndim) + planes.shape[1:])
+
+
 def age_term(phi, half_tau, t_sys):
-    """Weighted age per device, from ``phi = event_factors(...)`` and
-    ``half_tau = 0.5 * tau`` on the trailing modality axis of ``t_sys``."""
-    return (phi * (half_tau + t_sys)).sum(axis=-1)
+    """Weighted age per device, ``modality_sum(phi * (half_tau + t_sys))``.
+
+    ``half_tau = 0.5 * tau`` for intervals ``(..., D)``, ``phi =
+    event_factors(...)`` on modality planes ``(3, ..., D)``, and ``t_sys``
+    holds ``(3, D)`` planes, broadcast over the intervals' leading axes.
+    """
+    return modality_sum(phi * (half_tau + planes_for(t_sys, half_tau.ndim)))
 
 
 def overdraw(energy, tau, budget):
@@ -98,16 +109,16 @@ def cost_slopes(psi, lam, tau, t_sys, mu, energy):
 
     The cost is ``sum_s phi_s(tau) (tau/2 + t_s) + mu (energy/tau - budget)``
     with phi from ``event_factors``.  ``tau``, ``mu`` and ``energy`` are per
-    device; ``psi``, ``lam`` and ``t_sys`` carry a trailing modality axis.
-    Every argument broadcasts.
+    device; ``psi``, ``lam`` and ``t_sys`` are modality planes on a leading
+    axis, shaped to broadcast against ``tau`` (``planes_for``).  Each
+    derivative's modalities are added by ``modality_sum``.
     """
-    tau_s = np.asarray(tau)[..., None]
-    age = 0.5 * tau_s + t_sys
-    decay = psi * lam * np.exp(-lam * tau_s)  # d phi / d tau
-    d1 = decay * age + 0.5 * event_factors(psi, lam, tau_s)
+    age = 0.5 * tau + t_sys
+    decay = psi * lam * np.exp(-lam * tau)  # d phi / d tau
+    d1 = decay * age + 0.5 * event_factors(psi, lam, tau)
     d2 = decay * (1.0 - lam * age)
     penalty = mu * energy / tau**2
-    return d1.sum(axis=-1) - penalty, d2.sum(axis=-1) + 2.0 * penalty / tau
+    return modality_sum(d1) - penalty, modality_sum(d2) + 2.0 * penalty / tau
 
 
 def projected_newton(slopes: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
@@ -159,11 +170,14 @@ _MODALITY_METRICS = tuple((f"maoi_{m.name.lower()}", f"aoi_{m.name.lower()}")
 
 
 class PatternState(NamedTuple):
-    """Everything an outer iteration needs that depends on the pattern alone."""
+    """Everything an outer iteration needs that depends on the pattern alone.
 
-    t_sys: np.ndarray           # system time per device and modality
+    System times are ``(3, D)`` modality planes; every other entry is per device.
+    """
+
+    t_sys: np.ndarray           # system time planes, (3, D)
     energies: np.ndarray        # per-update energy per device
-    t_off: np.ndarray           # edge-branch system times, ``edge_branch(trans_times(x))``
+    t_off: np.ndarray           # edge-branch system time planes, ``edge_branch(trans_times(x))``
     e_off: np.ndarray           # edge-branch per-update energies
     on_edge: np.ndarray         # x == 1
     admissible: np.ndarray      # devices that could (or do) offload within capacity
@@ -185,15 +199,21 @@ class ScenarioEvaluator:
     processor; the edge processes all three in parallel, so its system
     times have no waiting term but add the transmission time.  Sensing is
     charged once per update, and a device pays either local computation
-    or transmission, never both.  Two read-only entries are cached, each
-    holding only its latest key:
+    or transmission, never both.
+
+    Every per-modality array is stored modality-major, as ``(3, D)``
+    planes: the weights ``psi``/``psi_true``, the system times
+    ``t_local``/``t_edge0`` and the pattern state's ``t_sys``/``t_off``;
+    phi(tau) of intervals ``(..., D)`` is ``(3, ..., D)``.  A price adds
+    its modalities by ``metric.modality_sum``, image plus audio, then
+    signal, over contiguous planes.  Two read-only entries are cached,
+    each holding only its latest key:
 
     * per offload pattern, keyed on ``x.tobytes()``: its ``PatternState``
-      (transmission times, system times, per-update energies, the edge
-      branch's times and energies, the capacity-admissible devices, and the
-      sampling block's invariants: convexity threshold, the surrogate's
-      event-factor sum at ``max(tau_min, tau_th)`` and the devices with a
-      convex region);
+      (system times, per-update energies, the edge branch's times and
+      energies, the capacity-admissible devices, and the sampling block's
+      invariants: convexity threshold, the surrogate's event-factor sum at
+      ``max(tau_min, tau_th)`` and the devices with a convex region);
     * per interval array, ``(D,)`` or a block's ``(rows, D)``, keyed on its
       shape and ``tau.tobytes()``: phi(tau) under the evaluator's own
       weights and ``0.5 * tau``, which every full-device price reads.
@@ -214,22 +234,30 @@ class ScenarioEvaluator:
         self.n_devices = len(devices)
         self.lam = np.asarray(config.event_rates, dtype=float)
         cols = devices.columns
-        self.payload = total_data_bits(cols)
-        self.tx_power = cols.tx_power
-        self.rx_power = cols.tx_power * cols.channel_gain
-        self.e_budget = cols.energy_budget
-        flops = compute_flops(cols, config)
-        self.e_sens = sensing_energy(cols)
-        self.e_comp = config.energy_per_flop * flops.sum(axis=-1)
+        # the models return a trailing modality axis; ``.T`` views it as planes
+        flops = compute_flops(cols, config).T
+        sens = sensing_time(cols).T
+        t_lc, t_ec = flops / config.f_local, flops / config.f_edge
+        wait = local_waiting_time(t_lc.T, served_ahead(cols, config)).T
+        # The per-device columns that the edge branch and ``best_flip`` read,
+        # one row each: received power, payload, transmit power, sensing
+        # energy, energy budget, then the three planes of the edge system
+        # times before transmission.  The named arrays are views of its rows,
+        # each contiguous: ``x @ rx_power`` sums a strided row differently.
+        self.edge_columns = np.vstack((cols.tx_power * cols.channel_gain,
+                                       total_data_bits(cols), cols.tx_power,
+                                       sensing_energy(cols), cols.energy_budget,
+                                       np.ascontiguousarray(sens + t_ec)))
+        self.edge_columns.flags.writeable = False
+        self.rx_power, self.payload, self.tx_power, self.e_sens, self.e_budget = \
+            self.edge_columns[:5]
+        self.t_edge0 = self.edge_columns[5:8]   # edge system times minus transmission
+        self.e_comp = config.energy_per_flop * modality_sum(flops)
         self.e_local = self.e_sens + self.e_comp  # per-update energy, local branch
-        self.psi_true = cols.maoi_weights
+        self.psi_true = np.ascontiguousarray(cols.maoi_weights.T)
         self.psi = (self.psi_true if objective == OBJECTIVE_MAOI
                     else np.zeros_like(self.psi_true))
-        sens = sensing_time(cols)
-        t_lc, t_ec = flops / config.f_local, flops / config.f_edge
-        wait = local_waiting_time(t_lc, served_ahead(cols, config))
-        self.t_local = sens + wait + t_lc       # full local system times
-        self.t_edge0 = sens + t_ec              # edge system times minus transmission
+        self.t_local = np.ascontiguousarray(sens + wait + t_lc)  # full local system times
         self._pattern_key: bytes | None = None
         self._pattern: PatternState | None = None
         self._tau_key: tuple[tuple[int, ...], bytes] | None = None
@@ -248,23 +276,30 @@ class ScenarioEvaluator:
         """Uplink rate every device would see, given the others' flags."""
         return self.rates_under(self._received_totals(x) - x * self.rx_power)
 
-    # ``d`` picks the devices on the other arguments' last axis: all of them
-    # by default (a basic slice, so views), or those of an index array.
+    # ``cols`` is ``edge_columns`` (every device, the default) or a gather
+    # of its columns, ``edge_columns[:, d]``, whose devices the other
+    # arguments' last axis then holds.
 
-    def rates_under(self, interference: np.ndarray, d=slice(None)) -> np.ndarray:
-        """Uplink rate of devices ``d`` under ``interference``."""
-        sinr = self.rx_power[d] / (self.config.noise_power + interference)
+    def rates_under(self, interference: np.ndarray, cols: np.ndarray | None = None,
+                    ) -> np.ndarray:
+        """Uplink rate of the devices of ``cols`` under ``interference``."""
+        rx_power = (self.edge_columns if cols is None else cols)[0]
+        sinr = rx_power / (self.config.noise_power + interference)
         return self.config.bandwidth * np.log2(1.0 + sinr)
 
     def trans_times(self, x: np.ndarray) -> np.ndarray:
         return self.payload / self.rates(x)
 
-    def trans_times_under(self, interference: np.ndarray, d=slice(None)) -> np.ndarray:
-        return self.payload[d] / self.rates_under(interference, d)
+    def trans_times_under(self, interference: np.ndarray, cols: np.ndarray | None = None,
+                          ) -> np.ndarray:
+        payload = (self.edge_columns if cols is None else cols)[1]
+        return payload / self.rates_under(interference, cols)
 
-    def edge_branch(self, trans: np.ndarray, d=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """System times and per-update energies of devices ``d`` on the edge."""
-        return self.t_edge0[d] + trans[..., None], self.e_sens[d] + self.tx_power[d] * trans
+    def edge_branch(self, trans: np.ndarray, cols: np.ndarray | None = None,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """System time planes ``(3, *trans.shape)`` and per-update energies on the edge."""
+        cols = self.edge_columns if cols is None else cols
+        return planes_for(cols[5:8], trans.ndim) + trans, cols[3] + cols[2] * trans
 
     def pattern_state(self, x: np.ndarray) -> PatternState:
         """The read-only ``PatternState`` of pattern ``x``, computed on a miss.
@@ -276,18 +311,17 @@ class ScenarioEvaluator:
         key = x.tobytes()
         if key != self._pattern_key:
             cfg = self.config
-            trans = self.trans_times(x)
-            t_off, e_off = self.edge_branch(trans)
+            lam = self.lam[:, None]
+            t_off, e_off = self.edge_branch(self.trans_times(x))
             on_edge = x == 1
-            t_sys = np.where(on_edge[:, None], t_off, self.t_local)
+            t_sys = np.where(on_edge, t_off, self.t_local)
             energies = np.where(on_edge, e_off, self.e_local)
             load = float(x @ self.payload)
             admissible = np.where(on_edge, True,
                                   load + self.payload <= cfg.capacity_threshold)
-            tau_th = (2.0 * (1.0 - self.lam[None, :] * t_sys)
-                      / self.lam[None, :]).min(axis=1)
+            tau_th = (2.0 * (1.0 - lam * t_sys) / lam).min(axis=0)
             tau_upper = np.maximum(cfg.tau_min, tau_th)
-            sphi_up = event_factors(self.psi, self.lam, tau_upper[:, None]).sum(axis=1)
+            sphi_up = modality_sum(event_factors(self.psi, lam, tau_upper))
             state = PatternState(
                 t_sys, energies, t_off, e_off, on_edge, admissible, tau_th,
                 tau_upper, sphi_up, np.nonzero(cfg.tau_min < tau_th)[0])
@@ -299,11 +333,14 @@ class ScenarioEvaluator:
     # -- costs ------------------------------------------------------------
 
     def _tau_state(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(phi(tau), 0.5 * tau)`` of ``(..., D)`` intervals, cached by shape and bytes."""
+        """``(phi(tau), 0.5 * tau)`` of ``(..., D)`` intervals, cached by shape and bytes.
+
+        phi has shape ``(3, *tau.shape)``.
+        """
         key = (tau.shape, tau.tobytes())
         if key != self._tau_key:
-            tau_s = tau[..., None]
-            terms = (event_factors(self.psi, self.lam, tau_s), 0.5 * tau_s)
+            terms = (event_factors(planes_for(self.psi, tau.ndim),
+                                   planes_for(self.lam, tau.ndim), tau), 0.5 * tau)
             for arr in terms:
                 arr.flags.writeable = False
             self._tau_key, self._tau_terms = key, terms
@@ -366,14 +403,14 @@ class ScenarioEvaluator:
         d = state.newton_devices
         if len(d) == 0:
             return tau_star, 0
-        psi, t_sys, e, mu_d = self.psi[d], state.t_sys[d], state.energies[d], mu[d]
+        psi, t_sys, e, mu_d = self.psi[:, d], state.t_sys[:, d], state.energies[d], mu[d]
+        lam = self.lam[:, None]
         tau_newton, iters = projected_newton(
-            lambda tau: cost_slopes(psi, self.lam, tau, t_sys, mu_d, e),
+            lambda tau: cost_slopes(psi, lam, tau, t_sys, mu_d, e),
             cfg.tau_min, state.tau_th[d])
         cand = np.stack([tau_newton, tau_star[d]])
-        cand_s = cand[..., None]
-        cost = penalized_cost(event_factors(psi, self.lam, cand_s), 0.5 * cand_s,
-                              t_sys, cand, mu_d, e, self.e_budget[d])
+        phi = event_factors(psi[:, None], lam[:, None], cand)
+        cost = penalized_cost(phi, 0.5 * cand, t_sys, cand, mu_d, e, self.e_budget[d])
         wins = cost[0] < cost[1]
         tau_star[d[wins]] = tau_newton[wins]
         return tau_star, int(iters.sum())
@@ -413,19 +450,25 @@ class ScenarioEvaluator:
 
     def best_flip(self, tau: np.ndarray, mu: np.ndarray, x: np.ndarray,
                   devices: np.ndarray, targets: np.ndarray,
+                  costs: tuple[np.ndarray, np.ndarray] | None = None,
                   ) -> tuple[int | None, float]:
         """Single flip ``x[devices[k]] = targets[k]`` that lowers the system cost most.
 
-        A trial's local devices cost what they cost on their own local
-        branch, whatever the pattern, so every row starts as a copy of
+        ``costs`` is ``branch_costs(tau, mu, x)`` when the caller has it;
+        otherwise it is priced here.  The current system cost is each
+        device's branch under ``x`` summed, which has ``system_cost``'s
+        bits.  A trial's local devices cost what they cost on their own
+        local branch, whatever the pattern, so every row starts as a copy of
         those costs.  Only the edge entries of a trial get a rate,
         transmission time, edge branch and penalized cost, under the row's
         interference total, and are scattered in.  They come from the
         pattern, not from a scan of the trial block: x's offloaders other
         than the row's device, plus that device when its target is the
-        edge (~k+1 per row for k offloaders).  Every entry holds the bits
-        that ``system_cost``'s formulas give it, and each row is summed as
-        ``system_cost`` sums, so a gain equals
+        edge (~k+1 per row for k offloaders).  A block reads its entries'
+        per-device values from one table, ``edge_columns`` stacked with
+        phi(tau), ``0.5 * tau``, ``tau`` and ``mu``, by one column gather.
+        Every entry holds the bits that ``system_cost``'s formulas give it,
+        and each row is summed as ``system_cost`` sums, so a gain equals
         ``system_cost(x) - system_cost(trial)`` exactly.  Ties go to the
         first device.  Returns ``(device, gain)``, or ``(None, 0.0)`` when
         no flip lowers the cost strictly.
@@ -433,10 +476,10 @@ class ScenarioEvaluator:
         best_d, best_gain = None, 0.0
         if len(devices) == 0:
             return best_d, best_gain
-        cost_now = self.system_cost(tau, mu, x)
+        cost_local, cost_off = self.branch_costs(tau, mu, x) if costs is None else costs
+        cost_now = float(np.where(self.pattern_state(x).on_edge, cost_off, cost_local).sum())
         phi, half_tau = self._tau_state(tau)
-        budget = self.e_budget
-        cost_local = penalized_cost(phi, half_tau, self.t_local, tau, mu, self.e_local, budget)
+        table = np.concatenate((self.edge_columns, phi, half_tau[None], tau[None], mu[None]))
         # float 0/1 rows, so the totals' matmul casts no int block
         x_float = x.astype(float)
         off = np.flatnonzero(x)
@@ -455,31 +498,36 @@ class ScenarioEvaluator:
             edge = cand != block[:, None]
             edge[:, n_off] = to == 1
             row, d = np.repeat(np.arange(n), edge.sum(axis=1)), cand[edge]
+            cols = table[:, d]
+            # ``edge_columns``' eight rows, then the entries' phi, half tau, tau and mu
+            phi_d, (half_tau_d, tau_d, mu_d) = cols[8:11], cols[11:]
             # ``trans_times`` stays one call per pattern state, so trials bypass it
-            trans = self.trans_times_under(totals[row] - self.rx_power[d], d)
-            costs = np.repeat(cost_local[None, :], n, axis=0)
-            t_off, e_off = self.edge_branch(trans, d)
-            costs[row, d] = penalized_cost(phi[d], half_tau[d], t_off, tau[d], mu[d],
-                                           e_off, budget[d])
-            gains = cost_now - costs.sum(axis=-1)
-            k = int(np.argmax(gains))
-            if gains[k] > best_gain:
-                best_d, best_gain = int(block[k]), float(gains[k])
+            trans = self.trans_times_under(totals[row] - cols[0], cols)
+            t_off, e_off = self.edge_branch(trans, cols)
+            trial_costs = np.repeat(cost_local[None, :], n, axis=0)
+            trial_costs[row, d] = penalized_cost(phi_d, half_tau_d, t_off, tau_d, mu_d,
+                                                 e_off, cols[4])
+            gains = cost_now - trial_costs.sum(axis=-1)
+            j = int(np.argmax(gains))
+            if gains[j] > best_gain:
+                best_d, best_gain = int(block[j]), float(gains[j])
         return best_d, best_gain
 
     def br_round(self, tau: np.ndarray, mu: np.ndarray, x: np.ndarray,
                  ) -> tuple[np.ndarray, int | None, float]:
         """One best-response round: commit the largest system-cost reduction.
 
-        Returns ``(x_next, committed_device_or_None, reduction)``.
+        The round's branch costs are priced once: they give the deviators
+        and feed ``best_flip``.  Returns ``(x_next,
+        committed_device_or_None, reduction)``.
         """
-        br = self.best_responses(tau, mu, x)
-        deviators = np.nonzero(br != x)[0]
-        best_d, best_gain = self.best_flip(tau, mu, x, deviators, br[deviators])
+        costs = self.branch_costs(tau, mu, x)
+        deviators = np.flatnonzero(self.deviating(x, *costs))
+        best_d, best_gain = self.best_flip(tau, mu, x, deviators, 1 - x[deviators], costs)
         if best_d is None:
             return x, None, 0.0
         out = x.copy()
-        out[best_d] = br[best_d]
+        out[best_d] = 1 - x[best_d]
         return out, best_d, best_gain
 
     def offloading_equilibrium(self, tau: np.ndarray, mu: np.ndarray,
@@ -507,19 +555,19 @@ class ScenarioEvaluator:
         evaluator optimizes.
         """
         t_sys = self.pattern_state(x).t_sys
-        aoi = 0.5 * tau[:, None] + t_sys
-        maoi = avg_maoi_modality(self.psi_true, self.lam, tau[:, None], t_sys)
+        aoi = 0.5 * tau + t_sys
+        maoi = avg_maoi_modality(self.psi_true, self.lam[:, None], tau, t_sys)
         viol = self.energy_violation(tau, x)
         out = {
-            "avg_maoi": float(maoi.sum(axis=1).mean()),
-            "avg_aoi": float(aoi.sum(axis=1).mean()),
+            "avg_maoi": float(modality_sum(maoi).mean()),
+            "avg_aoi": float(modality_sum(aoi).mean()),
             "max_energy_violation": float(viol.max()),
             "n_offloaded": int(x.sum()),
             "offload_bits": float(x @ self.payload),
         }
         for s, (maoi_key, aoi_key) in enumerate(_MODALITY_METRICS):
-            out[maoi_key] = float(maoi[:, s].mean())
-            out[aoi_key] = float(aoi[:, s].mean())
+            out[maoi_key] = float(maoi[s].mean())
+            out[aoi_key] = float(aoi[s].mean())
         return out
 
 
@@ -625,9 +673,10 @@ LOOKAHEAD_ROWS = 64
 #: Most devices for which a lookahead block steps its recurrence as one
 #: ``interval_chain`` per device instead of ~12 numpy calls per row.  The
 #: chains cost ~0.3 us per device and row, the numpy rows ~9 us per row at
-#: any D.  In-process A/B of JSO solves (matched settings, 2-core x86 host,
-#: CHANGES.md), chains time over numpy time: 0.74 at D=16, 0.96 at D=24,
-#: 1.03 at D=28, 1.07 at D=32, 1.17 at D=40.
+#: any D.  In-process A/B of JSO solves (matched settings, seeds 0-2,
+#: 2-core x86 host, CHANGES.md), chains time over numpy time in two runs:
+#: 0.63-0.64 at D=16, 0.76-0.79 at D=24, 0.85-0.86 at D=28, 0.87-0.92 at
+#: D=32, 1.00-1.20 at D=40.
 CHAIN_MAX_DEVICES = 24
 
 log = logging.getLogger(__name__)
@@ -641,8 +690,9 @@ def interval_chain(rows: int, mu: float, energy: float, budget: float,
     ``energy_violation`` and ``multiplier_step``, written with the numpy
     forms' operand order and ``np.maximum``'s choice on ties and NaN, so for
     a multiplier ``mu >= 0`` each value holds their bits.  Returns each
-    row's stepped multiplier; a block forms the rows' intervals and
-    overdraws from the multipliers by the numpy forms themselves.
+    row's stepped multiplier; a block forms the rows' intervals by
+    ``sampling_step`` and their overdraws by ``branch_terms``, the numpy
+    forms themselves.
     """
     sqrt = math.sqrt
     mus = [0.0] * rows
@@ -710,8 +760,8 @@ def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
     (~9 us per row at any D).  The block then forms every row's intervals
     from the multipliers by one ``sampling_step`` on ``(rows, D)`` arrays.
     FMI's rule, patterns with Newton devices, larger D and iterations that
-    run alone keep the numpy rows.  Either way, every row's overdraw comes
-    from one ``energy_violation`` on the block's intervals.
+    run alone keep the numpy rows.  Either way, every row's violation
+    comes from the overdraws ``branch_terms`` priced for its pattern.
 
     The loop carries ``tau``, ``x`` and ``mu`` as bare arrays and keeps the
     best iterate by reference, so the rules must leave their inputs as
@@ -805,9 +855,10 @@ def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
         mu_now, mu_next = mus[:-1], mus[1:]
         quiet = settled(x, age_loc + mu_now * over_loc, age_off + mu_now * over_off)
         on_edge = state.on_edge
-        costs = (np.where(on_edge, age_off, age_loc)
-                 + mu_next * np.where(on_edge, over_off, over_loc)).sum(axis=-1).tolist()
-        violations = ev.energy_violation(taus, x).max(axis=1).tolist()
+        over = np.where(on_edge, over_off, over_loc)  # the pattern's overdraws
+        costs = (np.where(on_edge, age_off, age_loc) + mu_next * over).sum(axis=-1).tolist()
+        # ``energy_violation``'s relative overdraw, from the overdraws picked above
+        violations = (over / ev.e_budget).max(axis=1).tolist()
         # Rows are recorded a segment at a time.  A row that ``settled`` does
         # not clear runs the offloading rule once the rows before it are
         # recorded; while the pattern holds, it opens the next segment.
@@ -846,7 +897,7 @@ def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
 
 
 __all__ = [
-    "age_term", "overdraw", "penalized_cost", "cost_slopes", "projected_newton", "NEWTON_TOL",
+    "planes_for", "age_term", "overdraw", "penalized_cost", "cost_slopes", "projected_newton", "NEWTON_TOL",
     "NEWTON_MAX_ITERS", "TRIAL_BLOCK_ENTRIES", "PatternState",
     "ScenarioEvaluator", "as_offload_vector", "Decision", "SolveTrace",
     "default_decision", "LOOKAHEAD_ROWS", "CHAIN_MAX_DEVICES", "interval_chain",

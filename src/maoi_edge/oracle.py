@@ -118,8 +118,8 @@ def simulate_avg_maoi_device(ev: ScenarioEvaluator, d: int, tau: float,
     if not 0 <= d < ev.n_devices:
         raise ValueError(f"device index {d} out of range for {ev.n_devices} devices")
     t_sys = ev.pattern_state(as_offload_vector(x, ev.n_devices)).t_sys
-    parts = [simulate_avg_maoi(float(ev.psi_true[d, s]), float(ev.lam[s]), tau,
-                               float(t_sys[d, s]), n_updates, seed=[seed, s])
+    parts = [simulate_avg_maoi(float(ev.psi_true[s, d]), float(ev.lam[s]), tau,
+                               float(t_sys[s, d]), n_updates, seed=[seed, s])
              for s in range(3)]
     return TrajectoryStats(
         mean_maoi=sum(p.mean_maoi for p in parts),

@@ -313,11 +313,6 @@ def _payload_terms(profile: DeviceProfile | ProfileColumns):
             * profile.sig_features_per_point * profile.sig_bits_per_feature)
 
 
-def data_size_bits(profile: DeviceProfile | ProfileColumns) -> np.ndarray:
-    """Payload size of one update of each modality, in bits."""
-    return _by_modality(*_payload_terms(profile))
-
-
 def total_data_bits(profile: DeviceProfile | ProfileColumns):
     """Total uplink payload of one full status update (all three modalities)."""
     # left to right, as numpy sums a row of three, without building the row
@@ -498,27 +493,13 @@ def load_config_document(path: str | Path) -> tuple[list[DeviceProfile], SystemC
     return list(profiles.values()), config
 
 
-def _dump_value(value):
-    """``value`` as ``parse_settings`` reads it back: tuples as lists."""
-    return list(value) if isinstance(value, tuple) else value
-
-
-def dump_config_document(profiles: list[DeviceProfile], config: SystemConfig,
-                         path: str | Path) -> None:
-    """Write profiles and config back out as a YAML document."""
-    def section(obj) -> dict:
-        return {f.name: _dump_value(getattr(obj, f.name)) for f in fields(obj)}
-    doc = {"system": section(config), "devices": [section(p) for p in profiles]}
-    Path(path).write_text(yaml.safe_dump(doc, sort_keys=False))
-
-
 __all__ = [
     "ModalityKind", "MODALITIES", "SCHEDULE_FIXED", "SCHEDULE_BY_WEIGHT",
     "DeviceProfile", "SystemConfig", "ProfileColumns",
     "DeviceTable", "as_device_table", "check_device_count",
-    "data_size_bits", "total_data_bits",
+    "total_data_bits",
     "compute_flops", "sensing_time", "sensing_energy", "served_ahead",
     "local_waiting_time", "CONFIG_FIELD_TYPES", "PROFILE_FIELD_TYPES", "parse_settings",
     "config_from_mapping", "profile_from_mapping", "load_config_document",
-    "dump_config_document", "parse_error_text",
+    "parse_error_text",
 ]

@@ -17,8 +17,15 @@ exact there.
 
 One device's penalized cost enters the brute-force references as a dict of
 plain per-device values, keyed like ``cost_slopes``' arguments plus
-``energy_budget``; the references evaluate it with the package's own
-growth model, ``avg_maoi_modality``.
+``energy_budget``, with the modalities on a trailing axis; the references
+evaluate it with the package's own growth model, ``avg_maoi_modality``,
+and ``slopes`` hands it to ``cost_slopes`` as modality planes.
+
+The evaluator stores its per-modality arrays as ``(3, D)`` planes and adds
+modalities in one written order.  ``reference_age_term`` and
+``reference_cost_slopes`` are the trailing-axis forms, summed by numpy over
+the last axis; the planes must give their bits.  ``data_size_bits`` and
+``dump_config_document`` are references that only the tests call.
 
 The paper's closed-form offloading lemma (``lemma_threshold``,
 ``lemma_best_response``) is the reference that the best response's
@@ -34,8 +41,11 @@ loop must reproduce its decisions and traces bit for bit.
 
 import logging
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
+import yaml
 
 from maoi_edge.metric import avg_maoi_modality, event_factors
 from maoi_edge.optimizer import (
@@ -45,6 +55,7 @@ from maoi_edge.optimizer import (
     as_offload_vector,
     cost_slopes,
     default_decision,
+    planes_for,
 )
 from maoi_edge.oracle import TrajectoryStats, _rng
 from maoi_edge.scenario import AREA_SIZE, generate_scenario
@@ -52,7 +63,10 @@ from maoi_edge.system_model import (
     MODALITIES,
     DeviceProfile,
     ModalityKind,
+    ProfileColumns,
     SystemConfig,
+    _by_modality,
+    _payload_terms,
     served_ahead,
 )
 
@@ -72,15 +86,37 @@ def draw_device_terms(rng: np.random.Generator) -> dict:
 def device_terms(ev: ScenarioEvaluator, d: int, mu: np.ndarray, x: np.ndarray) -> dict:
     """Cost terms of device ``d`` of ``ev`` under multipliers ``mu`` and pattern ``x``."""
     state = ev.pattern_state(x)
-    return {"psi": ev.psi[d], "lam": ev.lam, "t_sys": state.t_sys[d],
+    return {"psi": ev.psi[:, d], "lam": ev.lam, "t_sys": state.t_sys[:, d],
             "energy": float(state.energies[d]),
             "energy_budget": float(ev.e_budget[d]), "mu": float(mu[d])}
 
 
+def as_planes(values, tau) -> np.ndarray:
+    """Trailing-axis per-modality ``values`` as planes that broadcast against ``tau``."""
+    return planes_for(np.moveaxis(np.asarray(values, dtype=float), -1, 0), np.ndim(tau))
+
+
 def slopes(terms: dict, tau) -> tuple[np.ndarray, np.ndarray]:
-    """``cost_slopes`` of one device's terms at the interval(s) ``tau``."""
-    return cost_slopes(terms["psi"], terms["lam"], np.asarray(tau, dtype=float),
-                       terms["t_sys"], terms["mu"], terms["energy"])
+    """``cost_slopes`` of one device's terms (or stacked devices') at the interval(s) ``tau``."""
+    tau = np.asarray(tau, dtype=float)
+    psi, lam, t_sys = (as_planes(terms[k], tau) for k in ("psi", "lam", "t_sys"))
+    return cost_slopes(psi, lam, tau, t_sys, terms["mu"], terms["energy"])
+
+
+def reference_age_term(phi, half_tau, t_sys):
+    """Weighted age on a trailing modality axis: ``phi`` ``(..., D, 3)``, ``half_tau`` ``(..., D, 1)``."""
+    return (phi * (half_tau + t_sys)).sum(axis=-1)
+
+
+def reference_cost_slopes(psi, lam, tau, t_sys, mu, energy):
+    """``cost_slopes`` on a trailing modality axis of ``psi``, ``lam`` and ``t_sys``."""
+    tau_s = np.asarray(tau)[..., None]
+    age = 0.5 * tau_s + t_sys
+    decay = psi * lam * np.exp(-lam * tau_s)
+    d1 = decay * age + 0.5 * event_factors(psi, lam, tau_s)
+    d2 = decay * (1.0 - lam * age)
+    penalty = mu * energy / tau**2
+    return d1.sum(axis=-1) - penalty, d2.sum(axis=-1) + 2.0 * penalty / tau
 
 
 def draw_interval_instance(rng: np.random.Generator,
@@ -183,8 +219,8 @@ def lemma_threshold(ev: ScenarioEvaluator, d: int, tau_d: float, mu_d: float) ->
     before transmission; the bandwidth ``B`` scales both denominator terms.
     """
     cfg = ev.config
-    phi = event_factors(ev.psi[d], ev.lam, tau_d)
-    gap = ev.t_local[d] - ev.t_edge0[d]
+    phi = event_factors(ev.psi[:, d], ev.lam, tau_d)
+    gap = ev.t_local[:, d] - ev.t_edge0[:, d]
     num = (phi.sum() * tau_d + mu_d * ev.tx_power[d]) * ev.payload[d]
     den = cfg.bandwidth * (tau_d * float(phi @ gap) + mu_d * ev.e_comp[d])
     if den <= 0.0:
@@ -211,6 +247,23 @@ def schedule_order(profile: DeviceProfile, config: SystemConfig,
     """
     n_ahead = served_ahead(profile, config).sum(axis=-1)
     return tuple(MODALITIES[i] for i in np.argsort(n_ahead, kind="stable"))
+
+
+def data_size_bits(profile: DeviceProfile | ProfileColumns) -> np.ndarray:
+    """Payload size of one update of each modality, in bits, on a trailing axis."""
+    return _by_modality(*_payload_terms(profile))
+
+
+def dump_config_document(profiles: list[DeviceProfile], config: SystemConfig,
+                         path: str | Path) -> None:
+    """Write profiles and config out as a YAML document that ``load_config_document`` reads."""
+    def value(v):
+        return list(v) if isinstance(v, tuple) else v
+
+    def section(obj) -> dict:
+        return {f.name: value(getattr(obj, f.name)) for f in fields(obj)}
+    doc = {"system": section(config), "devices": [section(p) for p in profiles]}
+    Path(path).write_text(yaml.safe_dump(doc, sort_keys=False))
 
 
 def assert_one_line_parse_error(message: str, prefix: str, line: int, column: int) -> None:

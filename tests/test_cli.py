@@ -7,12 +7,12 @@ import pytest
 import yaml
 
 import maoi_edge
-from helpers import assert_one_line_parse_error
+from helpers import assert_one_line_parse_error, dump_config_document
 from maoi_edge import baselines
 from maoi_edge.cli import _parse_overrides, main
 from maoi_edge.experiments import read_csv
 from maoi_edge.scenario import generate_scenario
-from maoi_edge.system_model import DeviceProfile, SystemConfig, dump_config_document
+from maoi_edge.system_model import DeviceProfile, SystemConfig
 
 FAST = ["--override", "energy_budget=50.0"]
 

@@ -101,21 +101,22 @@ class TestBranchEnergies:
         interference = float(x @ ev.rx_power) - x * ev.rx_power
         trans = ev.trans_times_under(interference)
         d = np.array([4, 0, 2, 4, 1])  # out of order, device 4 twice
+        cols = ev.edge_columns[:, d]
         for full, rows in [
-                (ev.rates_under(interference), ev.rates_under(interference[d], d)),
-                (trans, ev.trans_times_under(interference[d], d)),
-                *zip(ev.edge_branch(trans), ev.edge_branch(trans[d], d))]:
-            assert rows.shape == full[d].shape
-            assert np.array_equal(rows, full[d])
+                (ev.rates_under(interference), ev.rates_under(interference[d], cols)),
+                (trans, ev.trans_times_under(interference[d], cols)),
+                *zip(ev.edge_branch(trans), ev.edge_branch(trans[d], cols))]:
+            assert rows.shape == full[..., d].shape
+            assert np.array_equal(rows, full[..., d])
 
     def test_edge_branch_of_stacked_trans_times(self, config, two_profiles):
         ev = ScenarioEvaluator(two_profiles, config)
         stack = np.array([[0.05, 0.1], [0.2, 0.4], [1.0, 3.0]])
         t_off, e_off = ev.edge_branch(stack)
-        assert t_off.shape == (3, 2, 3) and e_off.shape == (3, 2)
+        assert t_off.shape == (3, 3, 2) and e_off.shape == (3, 2)
         for k, trans in enumerate(stack):
             t_row, e_row = ev.edge_branch(trans)
-            assert np.array_equal(t_off[k], t_row)
+            assert np.array_equal(t_off[:, k], t_row)
             assert np.array_equal(e_off[k], e_row)
 
 

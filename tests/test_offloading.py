@@ -194,14 +194,18 @@ class TestBatchedTrials:
 
     @staticmethod
     def priced_entries(monkeypatch, ev, tau, mu, x, devices, targets):
-        """``best_flip``'s result and the entries it priced per block."""
+        """``best_flip``'s result and the entries it priced per block.
+
+        The spy counts the interference entries of ``rates_under``, the one
+        rate formula, which the gathered edge columns feed.
+        """
         ev.system_cost(tau, mu, x)  # the start's own rates, before counting
         sizes = []
         original = ScenarioEvaluator.rates_under
 
-        def counting(self, interference, d=slice(None)):
+        def counting(self, interference, cols=None):
             sizes.append(np.size(interference))
-            return original(self, interference, d)
+            return original(self, interference, cols)
 
         monkeypatch.setattr(ScenarioEvaluator, "rates_under", counting)
         best = ev.best_flip(tau, mu, x, devices, targets)

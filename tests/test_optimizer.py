@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    as_planes,
     device_terms,
     draw_device_terms,
     draw_interval_instance,
@@ -109,12 +110,12 @@ class TestConvexityThreshold:
         # at equal rates tau_th = 2 / lam - 2 * max t_sys: 2.5 s at zero delay
         for x in (LOCAL, EDGE):
             state = device.pattern_state(x)
-            assert state.tau_th[0] + 2.0 * state.t_sys[0].max() == pytest.approx(2.5)
+            assert state.tau_th[0] + 2.0 * state.t_sys[:, 0].max() == pytest.approx(2.5)
 
     def test_unit_event_delay_product_forces_nonpositive(self, device, config):
         for x in (LOCAL, EDGE):
             state = device.pattern_state(x)
-            assert (np.asarray(config.event_rates) * state.t_sys[0]).max() >= 1.0
+            assert (np.asarray(config.event_rates) * state.t_sys[:, 0]).max() >= 1.0
             assert state.tau_th[0] <= 0.0
             assert len(state.newton_devices) == 0
 
@@ -248,7 +249,8 @@ def test_flat_curvature_only_where_the_slope_rises():
         a[keep] for a in (psi, lam, t_sys, energy, mu, tau_th))
     grid = np.linspace(tau_min, tau_th, 200)  # (200, devices), last row tau_th itself
     assert (grid[-1] == tau_th).all()
-    d1, d2 = cost_slopes(psi, lam, grid, t_sys, mu, energy)
+    d1, d2 = cost_slopes(as_planes(psi, grid), as_planes(lam, grid), grid,
+                         as_planes(t_sys, grid), mu, energy)
     flat = d2 <= 0.0
     assert flat.any()  # the weight-free zero-multiplier devices are flat
     assert not flat[:, mu > 0].any()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import reference_positions
+from helpers import dump_config_document, reference_positions
 from maoi_edge import experiments
 from maoi_edge.optimizer import ScenarioEvaluator
 from maoi_edge.scenario import (
@@ -20,7 +20,6 @@ from maoi_edge.system_model import (
     DeviceTable,
     ProfileColumns,
     as_device_table,
-    dump_config_document,
     load_config_document,
     profile_from_mapping,
     total_data_bits,

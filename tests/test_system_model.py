@@ -6,7 +6,12 @@ import pytest
 import yaml
 from hypothesis import given, strategies as st
 
-from helpers import assert_one_line_parse_error, schedule_order
+from helpers import (
+    assert_one_line_parse_error,
+    data_size_bits,
+    dump_config_document,
+    schedule_order,
+)
 from maoi_edge import optimizer, system_model
 from maoi_edge.cli import _parse_overrides
 from maoi_edge.metric import OBJECTIVE_AOI, OBJECTIVE_MAOI
@@ -22,8 +27,6 @@ from maoi_edge.system_model import (
     as_device_table,
     compute_flops,
     config_from_mapping,
-    data_size_bits,
-    dump_config_document,
     load_config_document,
     local_waiting_time,
     parse_settings,
@@ -177,12 +180,12 @@ class TestComputeModel:
     def test_local_and_edge_times(self, profile, config):
         # the image is served first and sensed at once: its times are its compute
         ev = ScenarioEvaluator([profile], config)
-        assert ev.t_local[0, IMG - 1] == pytest.approx(4.0)
-        assert ev.t_edge0[0, IMG - 1] == pytest.approx(0.4)
+        assert ev.t_local[IMG - 1, 0] == pytest.approx(4.0)
+        assert ev.t_edge0[IMG - 1, 0] == pytest.approx(0.4)
 
     def test_edge_speedup_is_exact_frequency_ratio(self, profile, config):
         ratio = config.f_local / config.f_edge
-        t_edge_compute = ScenarioEvaluator([profile], config).t_edge0[0] - sensing_time(profile)
+        t_edge_compute = ScenarioEvaluator([profile], config).t_edge0[:, 0] - sensing_time(profile)
         assert t_edge_compute == pytest.approx(
             compute_flops(profile, config) / config.f_local * ratio)
 
@@ -258,28 +261,28 @@ class TestTiming:
         # the device that by_weight serves audio, signal, image keeps the fixed times
         profiles = [DeviceProfile(id=0, maoi_weights=(0.5, 2.0, 1.0)), DeviceProfile(id=1)]
         ev = ScenarioEvaluator(profiles, config)
-        assert ev.t_local[0] == pytest.approx((4.0, 16.0, 17.648))
-        assert np.array_equal(ev.t_local[0], ev.t_local[1])
+        assert ev.t_local[:, 0] == pytest.approx((4.0, 16.0, 17.648))
+        assert np.array_equal(ev.t_local[:, 0], ev.t_local[:, 1])
 
     def test_weight_priority_orders_each_device(self):
         # one evaluator, two serving orders: (AUD, SIG, IMG) and the tie's (IMG, AUD, SIG)
         profiles = [DeviceProfile(id=0, maoi_weights=(0.5, 2.0, 1.0)), DeviceProfile(id=1)]
         ev = ScenarioEvaluator(profiles, SystemConfig(schedule_policy="by_weight"))
-        assert ev.t_local[0] == pytest.approx((14.648, 12.0, 13.648))
-        assert ev.t_local[1] == pytest.approx((4.0, 16.0, 17.648))
+        assert ev.t_local[:, 0] == pytest.approx((14.648, 12.0, 13.648))
+        assert ev.t_local[:, 1] == pytest.approx((4.0, 16.0, 17.648))
 
     # system times are built by the evaluator from the per-modality models
     def test_system_time_local_branch(self, profile, config):
-        t_local = ScenarioEvaluator([profile], config).t_local[0]
+        t_local = ScenarioEvaluator([profile], config).t_local[:, 0]
         assert t_local == pytest.approx((4.0, 16.0, 17.648))
 
     def test_system_time_edge_branch(self, profile, config):
         ev = ScenarioEvaluator([profile], config)
         t_off, _ = ev.edge_branch(np.array([0.0813]))
-        assert t_off[0, AUD - 1] == pytest.approx(2 + 0.0813 + 1.0)
+        assert t_off[AUD - 1, 0] == pytest.approx(2 + 0.0813 + 1.0)
         state = ev.pattern_state(np.array([1]))
         trans = ev.trans_times(np.array([1]))[0]
-        assert state.t_sys[0] == pytest.approx((0.0 + trans + 0.4, 2 + trans + 1.0,
+        assert state.t_sys[:, 0] == pytest.approx((0.0 + trans + 0.4, 2 + trans + 1.0,
                                                 3 + trans + 0.0648))
 
     def test_local_branch_ignores_trans_time(self, config, two_profiles):
@@ -287,8 +290,8 @@ class TestTiming:
         ev = ScenarioEvaluator(two_profiles, config)
         alone, jammed = (ev.pattern_state(np.array(x)) for x in ([0, 0], [0, 1]))
         assert ev.trans_times(np.array([0, 0]))[0] != ev.trans_times(np.array([0, 1]))[0]
-        assert np.array_equal(alone.t_sys[0], ev.t_local[0])
-        assert np.array_equal(jammed.t_sys[0], ev.t_local[0])
+        assert np.array_equal(alone.t_sys[:, 0], ev.t_local[:, 0])
+        assert np.array_equal(jammed.t_sys[:, 0], ev.t_local[:, 0])
 
 
 #: Devices that differ in every input of the per-modality models; devices 2
@@ -312,7 +315,10 @@ HETEROGENEOUS_DEVICES = [
 
 
 def per_profile_arrays(profiles, config, objective) -> dict:
-    """``ScenarioEvaluator``'s static arrays, built one profile at a time."""
+    """``ScenarioEvaluator``'s static arrays, built one profile at a time.
+
+    The per-modality arrays are transposed to the evaluator's ``(3, D)`` planes.
+    """
     sens = np.array([sensing_time(p) for p in profiles])
     flops = np.array([compute_flops(p, config) for p in profiles])
     t_lc, t_ec = flops / config.f_local, flops / config.f_edge
@@ -330,10 +336,10 @@ def per_profile_arrays(profiles, config, objective) -> dict:
         "e_sens": e_sens,
         "e_comp": e_comp,
         "e_local": e_sens + e_comp,
-        "psi_true": psi_true,
-        "psi": psi_true if objective == OBJECTIVE_MAOI else np.zeros_like(psi_true),
-        "t_local": sens + wait + t_lc,
-        "t_edge0": sens + t_ec,
+        "psi_true": psi_true.T,
+        "psi": (psi_true if objective == OBJECTIVE_MAOI else np.zeros_like(psi_true)).T,
+        "t_local": (sens + wait + t_lc).T,
+        "t_edge0": (sens + t_ec).T,
     }
 
 
