@@ -2,12 +2,14 @@
 
 Each algorithm is a rule builder: given the solve's evaluator, it returns
 the ``(tau_rule, offload_rule, settled)`` triple that ``run_outer_loop``
-drives.  ``settled(x, cost_loc, cost_off)`` is True on each row of branch
-costs where the offloading rule would return ``x`` unchanged and commit
-nothing, so the loop can run those iterations in lookahead blocks.  All
-share the outer loop (interval solve, offloading block, multiplier
-update, joint stopping rule), so observed gaps come from the policy, not
-from a different iteration scheme.
+drives.  ``offload_rule(tau, mu, x, costs)`` reads ``costs``, the row's
+``branch_costs(tau, mu, x)`` as the loop priced it, and prices again only
+a pattern it has moved to.  ``settled(x, cost_loc, cost_off)`` is True on
+each row of branch costs where the offloading rule would return ``x``
+unchanged and commit nothing, so the loop can run those iterations in
+lookahead blocks.  All share the outer loop (interval solve, offloading
+block, multiplier update, joint stopping rule), so observed gaps come
+from the policy, not from a different iteration scheme.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ def fixed_pattern_rules(ev: ScenarioEvaluator, pattern: np.ndarray) -> Rules:
     """Algorithm-1 intervals; offloading holds ``pattern`` (made read-only), committing nothing."""
     pattern.flags.writeable = False
 
-    def offload_rule(tau, mu, x):
+    def offload_rule(tau, mu, x, costs):
         return pattern, []
 
     def settled(x, cost_loc, cost_off):
@@ -86,9 +88,9 @@ def gmo_rules(ev: ScenarioEvaluator) -> Rules:
         # flags are never reverted, so the incoming pattern is the fixed set
         return np.nonzero((x == 0) & ev.pattern_state(x).admissible)[0]
 
-    def offload_rule(tau, mu, x):
+    def offload_rule(tau, mu, x, costs):
         still_local = candidates(x)
-        best_d, _ = ev.best_flip(tau, mu, x, still_local, np.ones_like(still_local))
+        best_d, _ = ev.best_flip(tau, mu, x, still_local, np.ones_like(still_local), costs)
         if best_d is None:
             return x, []
         out = x.copy()
@@ -136,23 +138,23 @@ def dbro_rules(ev: ScenarioEvaluator) -> Rules:
     """Device-wise best response: sweep in index order, commit immediately.
 
     Each device optimizes its own cost given the pattern left by its
-    predecessors; sweeps repeat until one full pass changes nothing.
+    predecessors; sweeps repeat until every device's response is its flag.
+    The first responses come from the row's costs, and each flip re-prices
+    them, so every sweep starts with the current pattern's responses.
     Unlike the joint solver there is no system-level commit rule.
     """
-    def offload_rule(tau, mu, x):
+    def offload_rule(tau, mu, x, costs):
         out = x.copy()
         committed = []
+        responses = x ^ ev.deviating(x, *costs)
         for _ in range(DBRO_MAX_SWEEPS):
-            changed = False
-            responses = ev.best_responses(tau, mu, out)
             for d in range(ev.n_devices):
                 br = int(responses[d])
                 if br != out[d]:
                     out[d] = br
                     committed.append(d)
-                    changed = True
                     responses = ev.best_responses(tau, mu, out)
-            if not changed:
+            if (responses == out).all():
                 break
         return out, committed
 

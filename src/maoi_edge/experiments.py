@@ -56,6 +56,10 @@ class SweepSpec:
             raise ValueError(f"param must be one of {SWEEP_PARAMS}, got {self.param!r}")
         if not self.grid:
             raise ValueError("sweep grid is empty")
+        # a bool is an int to numpy and to sorting: True would solve as 1
+        for value in self.grid:
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"sweep grid value {value!r} is a bool, not a number")
         if self.param == "device_count" and not all(
                 float(v).is_integer() and v >= 1 for v in self.grid):
             raise ValueError(f"device_count grid values must be integers >= 1, "

@@ -27,8 +27,12 @@ pattern holds, the loop runs iterations in lookahead blocks of up to
 ``LOOKAHEAD_ROWS``: it steps intervals and multipliers row by row (at
 small D as one ``interval_chain`` of Python floats per device) and prices
 the block's costs, the offloading check and the stopping rule once, on
-``(rows, D)`` arrays, recording the rows a segment at a time.  The loop passes bare arrays between the
-blocks, so its rules must never edit their inputs in place.
+``(rows, D)`` arrays, recording the rows a segment at a time.  The loop
+is the one place that prices a row's branch costs: each offloading rule
+is called as ``offload_rule(tau, mu, x, costs)`` with the row's
+``branch_costs(tau, mu, x)`` and prices again only after it commits.  The
+loop passes bare arrays between the blocks, so its rules must never edit
+their inputs in place.
 
 ``ScenarioEvaluator.sampling_step`` is the package's only implementation
 of the sampling block (Algorithm 1).  Its Newton path runs
@@ -450,18 +454,16 @@ class ScenarioEvaluator:
 
     def best_flip(self, tau: np.ndarray, mu: np.ndarray, x: np.ndarray,
                   devices: np.ndarray, targets: np.ndarray,
-                  costs: tuple[np.ndarray, np.ndarray] | None = None,
-                  ) -> tuple[int | None, float]:
+                  costs: tuple[np.ndarray, np.ndarray]) -> tuple[int | None, float]:
         """Single flip ``x[devices[k]] = targets[k]`` that lowers the system cost most.
 
-        ``costs`` is ``branch_costs(tau, mu, x)`` when the caller has it;
-        otherwise it is priced here.  The current system cost is each
-        device's branch under ``x`` summed, which has ``system_cost``'s
-        bits.  A trial's local devices cost what they cost on their own
-        local branch, whatever the pattern, so every row starts as a copy of
-        those costs.  Only the edge entries of a trial get a rate,
-        transmission time, edge branch and penalized cost, under the row's
-        interference total, and are scattered in.  They come from the
+        ``costs`` is ``branch_costs(tau, mu, x)``, as the caller priced it.
+        The current system cost is each device's branch under ``x`` summed,
+        which has ``system_cost``'s bits.  A trial's local devices cost what
+        they cost on their own local branch, whatever the pattern, so every
+        row starts as a copy of those costs.  Only the edge entries of a
+        trial get a rate, transmission time, edge branch and penalized cost,
+        under the row's interference total, and are scattered in.  They come from the
         pattern, not from a scan of the trial block: x's offloaders other
         than the row's device, plus that device when its target is the
         edge (~k+1 per row for k offloaders).  A block reads its entries'
@@ -476,7 +478,7 @@ class ScenarioEvaluator:
         best_d, best_gain = None, 0.0
         if len(devices) == 0:
             return best_d, best_gain
-        cost_local, cost_off = self.branch_costs(tau, mu, x) if costs is None else costs
+        cost_local, cost_off = costs
         cost_now = float(np.where(self.pattern_state(x).on_edge, cost_off, cost_local).sum())
         phi, half_tau = self._tau_state(tau)
         table = np.concatenate((self.edge_columns, phi, half_tau[None], tau[None], mu[None]))
@@ -514,14 +516,14 @@ class ScenarioEvaluator:
         return best_d, best_gain
 
     def br_round(self, tau: np.ndarray, mu: np.ndarray, x: np.ndarray,
+                 costs: tuple[np.ndarray, np.ndarray],
                  ) -> tuple[np.ndarray, int | None, float]:
         """One best-response round: commit the largest system-cost reduction.
 
-        The round's branch costs are priced once: they give the deviators
-        and feed ``best_flip``.  Returns ``(x_next,
+        ``costs`` is the round's ``branch_costs(tau, mu, x)``: it gives the
+        deviators and feeds ``best_flip``.  Returns ``(x_next,
         committed_device_or_None, reduction)``.
         """
-        costs = self.branch_costs(tau, mu, x)
         deviators = np.flatnonzero(self.deviating(x, *costs))
         best_d, best_gain = self.best_flip(tau, mu, x, deviators, 1 - x[deviators], costs)
         if best_d is None:
@@ -530,21 +532,25 @@ class ScenarioEvaluator:
         out[best_d] = 1 - x[best_d]
         return out, best_d, best_gain
 
-    def offloading_equilibrium(self, tau: np.ndarray, mu: np.ndarray,
-                               x: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """Run rounds until no strictly improving commit remains.
+    def offloading_equilibrium(self, tau: np.ndarray, mu: np.ndarray, x: np.ndarray,
+                               costs: tuple[np.ndarray, np.ndarray],
+                               ) -> tuple[np.ndarray, list[int]]:
+        """Run rounds from ``x``'s ``branch_costs`` until no strictly improving commit remains.
 
-        Returns the final pattern and the committed devices in order.
-        Terminates because every commit strictly decreases the system cost
-        over a finite strategy space (finite improvement property).
+        Each commit prices the new pattern's branch costs for the next
+        round.  Returns the final pattern and the committed devices in
+        order.  Terminates because every commit strictly decreases the
+        system cost over a finite strategy space (finite improvement
+        property).
         """
         committed: list[int] = []
         while True:
-            x_next, device, _ = self.br_round(tau, mu, x)
+            x_next, device, _ = self.br_round(tau, mu, x, costs)
             if device is None:
                 return x, committed
             committed.append(device)
             x = x_next
+            costs = self.branch_costs(tau, mu, x)
 
     # -- reporting ----------------------------------------------------------
 
@@ -639,10 +645,6 @@ class SolveTrace:
     def n_iters(self) -> int:
         return len(self.costs)
 
-    def append(self, cost: float, violation: float, committed: list[int],
-               newton: int) -> None:
-        self.extend([cost], [violation], [committed], [newton])
-
     def extend(self, costs: list[float], violations: list[float],
                committed: list[list[int]], newtons: list[int]) -> None:
         """Append one iteration per entry; a non-finite cost raises before any is kept."""
@@ -662,7 +664,8 @@ def default_decision(n_devices: int, config: SystemConfig) -> Decision:
 
 
 TauRule = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, int]]
-OffloadRule = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, list[int]]]
+OffloadRule = Callable[[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]],
+                       tuple[np.ndarray, list[int]]]
 SettledRule = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 #: Most outer iterations ``run_outer_loop`` steps ahead under one offload
@@ -724,12 +727,14 @@ def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
     cost criterion alone would stop at infeasible points.  Without
     convergence the best iterate is returned (feasible first, then
     cheapest) and a warning is logged.  ``tau_rule(mu, x)`` returns the
-    intervals and its Newton iteration count; ``offload_rule(tau, mu, x)``
-    returns the pattern and the committed devices.
-    ``settled(x, cost_loc, cost_off)`` takes each branch's penalized cost
-    (``branch_costs``) for stacked rows of intervals and multipliers,
-    shape ``(rows, D)``, and is True on each row where ``offload_rule``
-    would return ``x`` unchanged and commit nothing.
+    intervals and its Newton iteration count.  ``offload_rule(tau, mu, x,
+    costs)`` returns the pattern and the committed devices, where ``costs``
+    is the row's ``branch_costs(tau, mu, x)``: an iteration that runs alone
+    prices it for the rule, and a block hands over the row it priced for
+    ``settled``.  ``settled(x, cost_loc, cost_off)`` takes each branch's
+    penalized cost for stacked rows of intervals and multipliers, shape
+    ``(rows, D)``, and is True on each row where ``offload_rule`` would
+    return ``x`` unchanged and commit nothing.
 
     Iterations run in lookahead blocks of up to ``LOOKAHEAD_ROWS`` rows
     under the current pattern.  A block first steps the sequential
@@ -741,15 +746,14 @@ def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
     segment runs up to the next row that ``settled`` does not clear, and
     one scan of it finds its stopping row and best iterate before the
     trace takes its rows at once.  That row then runs the real offloading
-    rule.  If the pattern holds, the row opens the next segment, with the
-    devices the rule committed; if it moves, the row is finished as an
-    ordinary iteration under the new pattern and the rows after it are
-    dropped.  A block is as long as the
-    pattern has held so far: the first two iterations after the start or
-    a move run alone, as ordinary iterations, so a short solve prices no
-    rows past its stop, and blocks then double from 2 rows.  Every cost,
-    multiplier and trace entry has the bits that one iteration at a time
-    gives it.
+    rule on its priced branch costs.  If the pattern holds, the row opens
+    the next segment, with the devices the rule committed; if it moves,
+    the row is finished as an ordinary iteration under the new pattern and
+    the rows after it are dropped.  A block is as long as the pattern has
+    held so far: the first two iterations after the start or a move run
+    alone, as ordinary iterations, so a short solve prices no rows past its
+    stop, and blocks then double from 2 rows.  Every cost, multiplier and
+    trace entry has the bits that one iteration at a time gives it.
 
     Under a pattern without a Newton device the recurrence is elementwise:
     a block is D independent scalar chains.  When ``tau_rule`` is the
@@ -829,7 +833,7 @@ def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
         if n == 1:
             # one row has nothing to price in a batch: an ordinary iteration
             tau, newton = tau_rule(mu, x)
-            moved, committed = offload_rule(tau, mu, x)
+            moved, committed = offload_rule(tau, mu, x, ev.branch_costs(tau, mu, x))
             held = 0 if _moves(moved, x) else held + 1
             x = moved
             mu, converged = finish(tau, mu, x, committed, newton)
@@ -852,11 +856,11 @@ def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
                 newtons.append(newton)
                 mus[r + 1] = ev.multiplier_step(mus[r], ev.energy_violation(taus[r], x))
         age_loc, over_loc, age_off, over_off = ev.branch_terms(taus, x)
-        mu_now, mu_next = mus[:-1], mus[1:]
-        quiet = settled(x, age_loc + mu_now * over_loc, age_off + mu_now * over_off)
+        cost_loc, cost_off = age_loc + mus[:-1] * over_loc, age_off + mus[:-1] * over_off
+        quiet = settled(x, cost_loc, cost_off)
         on_edge = state.on_edge
         over = np.where(on_edge, over_off, over_loc)  # the pattern's overdraws
-        costs = (np.where(on_edge, age_off, age_loc) + mu_next * over).sum(axis=-1).tolist()
+        costs = (np.where(on_edge, age_off, age_loc) + mus[1:] * over).sum(axis=-1).tolist()
         # ``energy_violation``'s relative overdraw, from the overdraws picked above
         violations = (over / ev.e_budget).max(axis=1).tolist()
         # Rows are recorded a segment at a time.  A row that ``settled`` does
@@ -869,7 +873,7 @@ def run_outer_loop(ev: ScenarioEvaluator, tau_rule: TauRule,
                           newtons[start:r], taus[start:r], x, mus[start + 1:r + 1])
             if stop is not None or r == n:
                 break
-            moved, commits[r] = offload_rule(taus[r], mus[r], x)
+            moved, commits[r] = offload_rule(taus[r], mus[r], x, (cost_loc[r], cost_off[r]))
             if _moves(moved, x):
                 break
             start = r

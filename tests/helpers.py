@@ -280,7 +280,11 @@ log = logging.getLogger(__name__)
 
 def reference_outer_loop(ev: ScenarioEvaluator, tau_rule, offload_rule,
                          init: Decision | None = None) -> tuple[Decision, SolveTrace]:
-    """``run_outer_loop`` one iteration at a time: every rule runs on every iteration."""
+    """``run_outer_loop`` one iteration at a time: every rule runs on every iteration.
+
+    Each iteration prices its row's ``branch_costs`` and hands them to the
+    offloading rule, as the loop's contract says.
+    """
     cfg = ev.config
     init = init or default_decision(ev.n_devices, cfg)
     # a Decision keeps tau and mu at x's shape, so this checks all three
@@ -294,12 +298,12 @@ def reference_outer_loop(ev: ScenarioEvaluator, tau_rule, offload_rule,
     best_key = (math.inf, math.inf)
     for _ in range(cfg.max_outer_iters):
         tau, newton = tau_rule(mu, x)
-        x, committed = offload_rule(tau, mu, x)
+        x, committed = offload_rule(tau, mu, x, ev.branch_costs(tau, mu, x))
         rel_overdraw = ev.energy_violation(tau, x)
         mu = np.maximum(0.0, mu + cfg.lagrange_step * rel_overdraw * ev.e_budget)
         cost = ev.system_cost(tau, mu, x)
         violation = float(rel_overdraw.max())
-        trace.append(cost, violation, committed, newton)
+        trace.extend([cost], [violation], [committed], [newton])
         feasible = violation <= cfg.energy_tol
         key = (0.0 if feasible else violation, cost)
         if key < best_key:
@@ -309,7 +313,7 @@ def reference_outer_loop(ev: ScenarioEvaluator, tau_rule, offload_rule,
             break
         prev_cost = cost
     else:
-        # trace.append rejects non-finite costs, so iteration 1 set best
+        # trace.extend rejects non-finite costs, so iteration 1 set best
         tau, x, mu, violation = best
         trace.stop_reason = "max_iters_best"
         log.warning("no convergence in %d outer iterations; returning the best "

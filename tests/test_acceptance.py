@@ -173,7 +173,7 @@ class TestCriterion4:
             x = np.zeros(d_count, dtype=np.int64)
             costs = [ev.system_cost(tau, mu, x)]
             for _ in range(10_000):
-                x, committed, _ = ev.br_round(tau, mu, x)
+                x, committed, _ = ev.br_round(tau, mu, x, ev.branch_costs(tau, mu, x))
                 if committed is None:
                     break
                 costs.append(ev.system_cost(tau, mu, x))

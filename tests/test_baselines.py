@@ -176,7 +176,8 @@ class TestDBRO:
             mu = rng.uniform(0.0, 10.0, 6)
             x_jso = np.zeros(6, dtype=np.int64)
             while True:
-                x_jso, committed, _ = ev.br_round(tau, mu, x_jso)
+                x_jso, committed, _ = ev.br_round(tau, mu, x_jso,
+                                                  ev.branch_costs(tau, mu, x_jso))
                 if committed is None:
                     break
             x_dbro = np.zeros(6, dtype=np.int64)

@@ -58,9 +58,9 @@ class Blocks:
             self.solves += 1
             return tau_rule(mu, x)
 
-        def counted_offload_rule(tau, mu, x):
+        def counted_offload_rule(tau, mu, x, costs):
             self.offloads += 1
-            return offload_rule(tau, mu, x)
+            return offload_rule(tau, mu, x, costs)
 
         def recorded_settled(x, cost_loc, cost_off):
             self.spans.append((self.solves - len(cost_loc), self.solves - 1))
@@ -280,6 +280,43 @@ def test_settled_prices_each_row_at_its_own_intervals_and_multipliers():
     assert sum(priced) > 500
 
 
+@pytest.mark.parametrize("capacity", [3e7, 1.5e7])
+@pytest.mark.parametrize("name", ["jso", "gmo", "dbro"])
+def test_offloading_rule_reads_its_rows_branch_costs(monkeypatch, name, capacity):
+    # every call of the rule gets branch_costs of its own tau, mu and x, bit
+    # for bit, whether its iteration runs alone or as a row of a priced block
+    step = ScenarioEvaluator.sampling_step
+    last, calls = None, {"alone": 0, "block": 0}
+
+    def traced_step(self, mu, x):
+        # on the class, so a block still steps its rows by the chains
+        nonlocal last
+        last = "alone"
+        return step(self, mu, x)
+
+    monkeypatch.setattr(ScenarioEvaluator, "sampling_step", traced_step)
+    sc = generate_scenario(10, 1, {**MATCHED, "capacity_threshold": capacity})
+    objective, rules = baselines.ALGORITHMS[name]
+    ev = ScenarioEvaluator(sc.profiles, sc.config, objective)
+    fresh = ScenarioEvaluator(sc.profiles, sc.config, objective)
+    tau_rule, offload_rule, settled = rules(ev)
+
+    def traced_settled(x, cost_loc, cost_off):
+        nonlocal last
+        last = "block"
+        return settled(x, cost_loc, cost_off)
+
+    def checked_offload_rule(tau, mu, x, costs):
+        for got, want in zip(costs, fresh.branch_costs(tau, mu, x), strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        calls[last] += 1
+        return offload_rule(tau, mu, x, costs)
+
+    _, trace = run_outer_loop(ev, tau_rule, checked_offload_rule, traced_settled)
+    assert calls["alone"] > 0 and calls["block"] > 0
+    assert calls["alone"] + calls["block"] <= trace.n_iters
+
+
 @pytest.mark.parametrize("name", ALGORITHMS)
 def test_newton_path(name):
     # low event rates open convex regions: the interval rule runs Newton
@@ -363,8 +400,8 @@ class Segments:
         def picked(cost_off):
             return (cost_off[..., 0].view(np.int64) & 31) == 0
 
-        def offload_rule(tau, mu, x):
-            _, off = ev.branch_costs(tau, mu, x)
+        def offload_rule(tau, mu, x, costs):
+            _, off = costs
             return x, [0] if picked(off) else []
 
         def settled(x, cost_loc, cost_off):

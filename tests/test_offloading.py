@@ -96,14 +96,15 @@ class TestBestResponseRound:
         profiles, config = scenario_lists(4, capacity_threshold=1e5)
         ev = ScenarioEvaluator(profiles, config)
         x = np.zeros(4, dtype=np.int64)  # nobody may offload
-        out, committed, _ = ev.br_round(np.full(4, 2.0), np.zeros(4), x)
+        tau, mu = np.full(4, 2.0), np.zeros(4)
+        out, committed, _ = ev.br_round(tau, mu, x, ev.branch_costs(tau, mu, x))
         assert committed is None
         assert (out == x).all()
 
     def test_single_improving_device_commits(self, profile, config):
         ev = ScenarioEvaluator([profile], config)
-        out, committed, _ = ev.br_round(np.array([2.0]), np.array([1.0]),
-                                        np.array([0]))
+        tau, mu, x = np.array([2.0]), np.array([1.0]), np.array([0])
+        out, committed, _ = ev.br_round(tau, mu, x, ev.branch_costs(tau, mu, x))
         assert committed == 0
         assert out.tolist() == [1]
 
@@ -122,7 +123,7 @@ class TestBestResponseRound:
             trial = x.copy()
             trial[d] = br[d]
             gains[int(d)] = base - ev.system_cost(tau, mu, trial)
-        out, committed, gain = ev.br_round(tau, mu, x)
+        out, committed, gain = ev.br_round(tau, mu, x, ev.branch_costs(tau, mu, x))
         assert committed == max(gains, key=gains.get)
         assert gain == pytest.approx(max(gains.values()))
         assert out[committed] == br[committed]
@@ -168,12 +169,13 @@ class TestBatchedTrials:
         ev, tau, mu, x = self.instance(20, n_offloaders, seed=n_offloaders,
                                        capacity_threshold=capacity)
         devices, targets = np.arange(20), 1 - x
-        assert ev.best_flip(tau, mu, x, devices, targets) == \
+        assert ev.best_flip(tau, mu, x, devices, targets, ev.branch_costs(tau, mu, x)) == \
             self.per_trial_flip(ev, tau, mu, x, devices, targets)
         # one flip per call: every positive gain is compared, not only the best
         for d in devices:
             one = (devices[d:d + 1], targets[d:d + 1])
-            assert ev.best_flip(tau, mu, x, *one) == self.per_trial_flip(ev, tau, mu, x, *one)
+            assert ev.best_flip(tau, mu, x, *one, ev.branch_costs(tau, mu, x)) == \
+                self.per_trial_flip(ev, tau, mu, x, *one)
 
     @pytest.mark.parametrize("capacity", [6e6, 3e7])
     def test_all_ones_targets_match(self, capacity):
@@ -181,14 +183,14 @@ class TestBatchedTrials:
         ev, tau, mu, x = self.instance(40, 3, seed=7, capacity_threshold=capacity)
         candidates = np.nonzero(x == 0)[0]
         targets = np.ones_like(candidates)
-        assert ev.best_flip(tau, mu, x, candidates, targets) == \
+        assert ev.best_flip(tau, mu, x, candidates, targets, ev.branch_costs(tau, mu, x)) == \
             self.per_trial_flip(ev, tau, mu, x, candidates, targets)
 
     def test_multi_block_call_with_offloaders_matches(self):
         ev, tau, mu, x = self.instance(320, 5, seed=3, capacity_threshold=3e7)
         devices, targets = np.arange(320), 1 - x
         assert len(devices) > 2 * (TRIAL_BLOCK_ENTRIES // 320)
-        best = ev.best_flip(tau, mu, x, devices, targets)
+        best = ev.best_flip(tau, mu, x, devices, targets, ev.branch_costs(tau, mu, x))
         assert best[0] is not None
         assert best == self.per_trial_flip(ev, tau, mu, x, devices, targets)
 
@@ -208,7 +210,7 @@ class TestBatchedTrials:
             return original(self, interference, cols)
 
         monkeypatch.setattr(ScenarioEvaluator, "rates_under", counting)
-        best = ev.best_flip(tau, mu, x, devices, targets)
+        best = ev.best_flip(tau, mu, x, devices, targets, ev.branch_costs(tau, mu, x))
         monkeypatch.undo()
         return best, sizes
 
@@ -245,7 +247,7 @@ class TestBatchedTrials:
         targets = 1 - x[devices]
         assert len(devices) <= rows
         assert 0 < targets.sum() < len(devices) - 9
-        best = ev.best_flip(tau, mu, x, devices, targets)
+        best = ev.best_flip(tau, mu, x, devices, targets, ev.branch_costs(tau, mu, x))
         assert best[0] is not None
         assert best == self.per_trial_flip(ev, tau, mu, x, devices, targets)
 
@@ -261,7 +263,7 @@ class TestBatchedTrials:
         best, sizes = self.priced_entries(monkeypatch, ev, tau, mu, x, devices, targets)
         assert best == self.per_trial_flip(ev, tau, mu, x, devices, targets)
         assert sizes == self.edge_entries(x, devices, targets)
-        assert ev.best_flip(tau, mu, x, devices, x) == (None, 0.0)
+        assert ev.best_flip(tau, mu, x, devices, x, ev.branch_costs(tau, mu, x)) == (None, 0.0)
 
     @pytest.mark.parametrize("d_count", [80, 320])
     def test_all_local_start_matches(self, d_count):
@@ -270,10 +272,11 @@ class TestBatchedTrials:
         tau, mu = np.full(d_count, config.tau_min), np.full(d_count, config.mu_init)
         x = np.zeros(d_count, dtype=np.int64)
         devices, targets = np.arange(d_count), np.ones(d_count, dtype=np.int64)
-        best = ev.best_flip(tau, mu, x, devices, targets)
+        best = ev.best_flip(tau, mu, x, devices, targets, ev.branch_costs(tau, mu, x))
         assert best[0] is not None
         assert best == self.per_trial_flip(ev, tau, mu, x, devices, targets)
-        assert ev.br_round(tau, mu, x)[1:] == self.per_trial_round(ev, tau, mu, x)
+        assert ev.br_round(tau, mu, x, ev.branch_costs(tau, mu, x))[1:] == \
+            self.per_trial_round(ev, tau, mu, x)
 
     @pytest.mark.parametrize("d_count, overrides", [
         (320, {}),
@@ -293,7 +296,7 @@ class TestBatchedTrials:
         assert np.count_nonzero(br != x) > 2 * (optimizer.TRIAL_BLOCK_ENTRIES // d_count)
         for _ in range(3):
             expected = self.per_trial_round(ev, tau, mu, x)
-            out, committed, gain = ev.br_round(tau, mu, x)
+            out, committed, gain = ev.br_round(tau, mu, x, ev.branch_costs(tau, mu, x))
             assert (committed, gain) == expected
             if committed is None:
                 break
@@ -306,7 +309,7 @@ class TestBatchedTrials:
         tau, mu = np.full(5, 2.0), np.ones(5)
         x = np.zeros(5, dtype=np.int64)
         assert self.per_trial_round(ev, tau, mu, x)[0] == 0
-        assert ev.br_round(tau, mu, x)[1] == 0
+        assert ev.br_round(tau, mu, x, ev.branch_costs(tau, mu, x))[1] == 0
 
 
 class TestPatternState:
@@ -453,7 +456,7 @@ class TestEvaluatorCaches:
         ev = ScenarioEvaluator(profiles, config)
         init = Decision(tau=[2.0, 3.0, 4.0], x=[0, 1, 0], mu=[0.1, 0.2, 0.3])
         decision, _ = run_outer_loop(ev, lambda mu, x: (init.tau, 0),
-                                     lambda tau, mu, x: (x, []), never_moves, init)
+                                     lambda tau, mu, x, costs: (x, []), never_moves, init)
         for out in (decision.tau, decision.x, decision.mu):
             for given in (init.tau, init.x, init.mu):
                 assert not np.shares_memory(out, given)
@@ -466,8 +469,8 @@ class TestEvaluatorCaches:
 class TestSolveOffloading:
     def test_single_device_at_most_one_commit(self, profile, config):
         ev = ScenarioEvaluator([profile], config)
-        x_star, committed = ev.offloading_equilibrium(
-            np.array([2.0]), np.array([1.0]), np.array([0]))
+        tau, mu, x = np.array([2.0]), np.array([1.0]), np.array([0])
+        x_star, committed = ev.offloading_equilibrium(tau, mu, x, ev.branch_costs(tau, mu, x))
         assert committed == [0]
         assert x_star.tolist() == [1]
 
@@ -479,7 +482,7 @@ class TestSolveOffloading:
         x = np.zeros(8, dtype=np.int64)
         costs = [ev.system_cost(tau, mu, x)]
         while True:
-            x, committed, _ = ev.br_round(tau, mu, x)
+            x, committed, _ = ev.br_round(tau, mu, x, ev.branch_costs(tau, mu, x))
             if committed is None:
                 break
             costs.append(ev.system_cost(tau, mu, x))
@@ -493,7 +496,8 @@ class TestSolveOffloading:
         rng = np.random.default_rng(seed)
         tau = rng.uniform(2.0, 15.0, 8)
         mu = rng.uniform(0.0, 10.0, 8)
-        x_star, _ = ev.offloading_equilibrium(tau, mu, np.zeros(8, dtype=np.int64))
+        x = np.zeros(8, dtype=np.int64)
+        x_star, _ = ev.offloading_equilibrium(tau, mu, x, ev.branch_costs(tau, mu, x))
         costs = ev.device_costs(tau, mu, x_star)
         for d in range(8):
             trial = x_star.copy()
@@ -519,7 +523,8 @@ class TestSolveOffloading:
         rng = np.random.default_rng(5)
         tau = rng.uniform(2.0, 15.0, 4)
         mu = rng.uniform(0.0, 10.0, 4)
-        x, _ = ev.offloading_equilibrium(tau, mu, np.zeros(4, dtype=np.int64))
+        x = np.zeros(4, dtype=np.int64)
+        x, _ = ev.offloading_equilibrium(tau, mu, x, ev.branch_costs(tau, mu, x))
         own = ev.device_costs(tau, mu, x)
         improving = []
         for d in range(4):
@@ -543,7 +548,7 @@ class TestSolveOffloading:
         mu = np.full(8, 5.0)
         x = np.zeros(8, dtype=np.int64)
         while True:
-            x, committed, _ = ev.br_round(tau, mu, x)
+            x, committed, _ = ev.br_round(tau, mu, x, ev.branch_costs(tau, mu, x))
             assert float(x @ ev.payload) <= config.capacity_threshold
             if committed is None:
                 break
@@ -558,7 +563,7 @@ class TestMultiplierUpdate:
                                dataclasses.replace(config, max_outer_iters=1))
         init = Decision(tau=[tau], x=[0], mu=[mu])
         decision, trace = run_outer_loop(ev, lambda mu, x: (init.tau, 0),
-                                         lambda tau, mu, x: (x, []), never_moves, init)
+                                         lambda tau, mu, x, costs: (x, []), never_moves, init)
         assert trace.n_iters == 1
         return decision.mu[0]
 
@@ -603,12 +608,12 @@ class TestDecisionAndTrace:
     def test_trace_rejects_nonfinite_cost(self):
         trace = SolveTrace()
         with pytest.raises(ValueError):
-            trace.append(math.nan, 0.0, [], 0)
+            trace.extend([math.nan], [0.0], [[]], [0])
 
     def test_trace_csv_schema(self, tmp_path):
         trace = SolveTrace()
-        trace.append(10.0, 0.5, [3, 1], 7)
-        trace.append(9.5, 0.04, [], 0)
+        trace.extend([10.0], [0.5], [[3, 1]], [7])
+        trace.extend([9.5], [0.04], [[]], [0])
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
         lines = path.read_text().strip().split("\n")

@@ -72,4 +72,5 @@ def test_planes_price_with_the_trailing_axis_bits(case):
             trial[d] = 1 - x[d]
             gain = cost_now - trailing_cost(ev, tau, mu, trial).sum()
             expected_flip = (d, float(gain)) if gain > 0.0 else (None, 0.0)
-            assert ev.best_flip(tau, mu, x, np.array([d]), trial[[d]]) == expected_flip
+            assert ev.best_flip(tau, mu, x, np.array([d]), trial[[d]],
+                                ev.branch_costs(tau, mu, x)) == expected_flip
