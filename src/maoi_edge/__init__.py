@@ -17,6 +17,7 @@ from .oracle import TrajectoryStats, simulate_avg_maoi, simulate_avg_maoi_device
 from .scenario import Scenario, generate_scenario
 from .system_model import (
     DeviceProfile,
+    DeviceTable,
     ModalityKind,
     SystemConfig,
     load_config_document,
@@ -28,6 +29,6 @@ __all__ = [
     "ALGORITHMS", "solve", "OBJECTIVE_AOI", "OBJECTIVE_MAOI", "avg_maoi_modality",
     "Decision", "ScenarioEvaluator", "SolveTrace",
     "TrajectoryStats", "simulate_avg_maoi", "simulate_avg_maoi_device",
-    "Scenario", "generate_scenario", "DeviceProfile", "ModalityKind",
+    "Scenario", "generate_scenario", "DeviceProfile", "DeviceTable", "ModalityKind",
     "SystemConfig", "load_config_document", "__version__",
 ]

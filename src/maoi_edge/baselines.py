@@ -28,7 +28,7 @@ from .optimizer import (
     TauRule,
     run_outer_loop,
 )
-from .system_model import DeviceProfile, DeviceTable, SystemConfig
+from .system_model import DeviceProfile, DeviceTable, SystemConfig, as_device_table
 
 DBRO_MAX_SWEEPS = 200
 #: Share of the other devices' received power that IDD assumes interferes.
@@ -177,13 +177,18 @@ ALGORITHMS = {
 def solve(name: str, devices: DeviceTable | Sequence[DeviceProfile],
           config: SystemConfig, init: Decision | None = None,
           ) -> tuple[Decision, SolveTrace]:
-    """Run the named algorithm; see ``ALGORITHMS`` for valid names."""
+    """Run the named algorithm; see ``ALGORITHMS`` for valid names.
+
+    ``devices`` is a ``DeviceTable``; a ``DeviceProfile`` list is read into
+    one here, a conversion that stays only while perfbench's tests pass
+    ``list(sc.profiles)``.
+    """
     try:
         objective, rules = ALGORITHMS[name]
     except KeyError:
         raise ValueError(f"unknown algorithm {name!r}; "
                          f"choose from {sorted(ALGORITHMS)}") from None
-    ev = ScenarioEvaluator(devices, config, objective)
+    ev = ScenarioEvaluator(as_device_table(devices), config, objective)
     return run_outer_loop(ev, *rules(ev), init)
 
 

@@ -56,10 +56,8 @@ from . import metric
 from .metric import OBJECTIVE_MAOI, avg_maoi_modality, event_factors, modality_sum
 from .system_model import (
     MODALITIES,
-    DeviceProfile,
     DeviceTable,
     SystemConfig,
-    as_device_table,
     compute_flops,
     local_waiting_time,
     sensing_energy,
@@ -197,8 +195,8 @@ class ScenarioEvaluator:
     Static per-device arrays (payloads, radio powers, budgets, energies,
     local system times, edge system times before transmission) are
     precomputed from the columns of the devices' ``DeviceTable``, each
-    model run once; a ``DeviceProfile`` sequence is read into a table
-    first, by ``as_device_table``, and the table is not kept.  A local
+    model run once, and the table is not kept; anything else raises a
+    ``TypeError`` (``as_device_table`` reads profiles into one).  A local
     update waits for the modalities scheduled ahead of it on the device's
     processor; the edge processes all three in parallel, so its system
     times have no waiting term but add the transmission time.  Sensing is
@@ -229,12 +227,12 @@ class ScenarioEvaluator:
     holds the rules it drives to the same contract.
     """
 
-    def __init__(self, devices: DeviceTable | Sequence[DeviceProfile],
-                 config: SystemConfig, objective: str = OBJECTIVE_MAOI):
+    def __init__(self, devices: DeviceTable, config: SystemConfig, objective: str = OBJECTIVE_MAOI):
+        if not isinstance(devices, DeviceTable):
+            raise TypeError("devices must be a DeviceTable (as_device_table reads profiles)")
         if objective not in metric.OBJECTIVES:
             raise ValueError(f"unknown objective {objective!r}")
         self.config = config
-        devices = as_device_table(devices)
         self.n_devices = len(devices)
         self.lam = np.asarray(config.event_rates, dtype=float)
         cols = devices.columns

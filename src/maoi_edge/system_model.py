@@ -23,6 +23,7 @@ import contextlib
 import enum
 import functools
 import json
+import math
 import numbers
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
@@ -179,6 +180,14 @@ class SystemConfig:
         object.__setattr__(self, "event_rates", rates)
         if self.schedule_policy not in (SCHEDULE_FIXED, SCHEDULE_BY_WEIGHT):
             raise ValueError(f"unknown schedule_policy {self.schedule_policy!r}")
+        # a solve runs at an infinite bandwidth, f_edge, capacity_threshold,
+        # convergence_eps or energy_tol, and at no other infinite number
+        for name in ("noise_power", "f_local", "energy_per_flop", "resnet_base_flops",
+                     "ds2_base_flops_per_sec", "tft_base_flops", "event_rates", "tau_min",
+                     "lagrange_step", "mu_init"):
+            value = getattr(self, name)
+            if not max(value if name == "event_rates" else (value,)) < math.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 _SCALAR_COLUMNS = tuple(f.name for f in fields(DeviceProfile)
@@ -206,7 +215,8 @@ def _check_devices(devices: DeviceProfile | ProfileColumns) -> None:
     devices (``maoi_weights``: three values, or ``(D, 3)``).  Every scalar
     field is a positive quantity, the weights are three values >= 0, the
     ``int`` fields are whole, the audio clip holds a whole sample count and
-    the signal a finite frame count.  NaN fails every check.
+    the signal a finite frame count.  Every value is finite, and NaN
+    fails every check.
     """
     for name in _SCALAR_COLUMNS:
         value = getattr(devices, name)
@@ -224,6 +234,12 @@ def _check_devices(devices: DeviceProfile | ProfileColumns) -> None:
     frames = devices.sig_frame_rate * devices.sig_duration
     _require(np.isfinite(frames),
              "sig_frame_rate*sig_duration = {} is not a finite frame count", frames)
+    # infinity passes every check above, and no solve can run on it
+    for name in _SCALAR_COLUMNS:
+        value = getattr(devices, name)
+        _require(value < math.inf, f"{name} must be finite, got {{}}", value)
+    _require((weights < math.inf).all(axis=-1), "maoi_weights must be finite, got {}",
+             devices.maoi_weights if weights.ndim < 2 else weights)
 
 
 def check_device_count(count, name: str = "n_devices") -> int:
@@ -244,9 +260,10 @@ class DeviceTable:
     ``ProfileColumns`` of the devices and ``len()`` is their count.  Each
     keyword is a ``DeviceProfile`` field but ``id``: one value that every
     device shares (checked once, so an error reads as ``DeviceProfile``'s)
-    or one per device, a ``(D,)`` array or ``(D, 3)`` for ``maoi_weights``.
-    A field not given takes ``DeviceProfile``'s default.  Every table
-    passes the rule ``DeviceProfile`` checks.
+    or one per device, a ``(D,)`` array or ``(D, 3)`` for ``maoi_weights``;
+    a value of another shape raises a ``ValueError`` naming its field and
+    ``n_devices``.  A field not given takes ``DeviceProfile``'s default.
+    Every table passes the rule ``DeviceProfile`` checks.
 
     Iterating yields each device's fields as a ``ProfileColumns`` of Python
     scalars, which every per-device model takes as it takes a profile.
@@ -257,6 +274,13 @@ class DeviceTable:
     def __init__(self, n_devices: int, **values) -> None:
         n_devices = check_device_count(n_devices)
         given = ProfileColumns(**{**_COLUMN_DEFAULTS, **values})
+        for name, value in given._asdict().items():
+            one = (3,) if name == "maoi_weights" else ()
+            # a Python number is one value, and np.shape takes ~2 us to say so
+            shape = () if isinstance(value, (int, float)) else np.shape(value)
+            if shape not in (one, (n_devices, *one)):
+                raise ValueError(f"{name} must have shape {one} or {(n_devices, *one)} "
+                                 f"(n_devices = {n_devices}), got {shape}")
         _check_devices(given)
         # one block, so each column is a contiguous row of it
         block = np.empty((len(_SCALAR_COLUMNS), n_devices))
@@ -455,11 +479,12 @@ def profile_from_mapping(doc: Mapping) -> DeviceProfile:
     return DeviceProfile(**parse_settings(doc, PROFILE_FIELD_TYPES, "device"))
 
 
-def load_config_document(path: str | Path) -> tuple[list[DeviceProfile], SystemConfig]:
-    """Load profiles and system config from a YAML or JSON document.
+def load_config_document(path: str | Path) -> tuple[DeviceTable, SystemConfig]:
+    """A YAML or JSON document's devices, a table in document order, and system config.
 
     The document holds one ``system`` section plus a ``devices`` list with
-    one section per device; field names match the dataclass fields.  An
+    one section per device; field names match the dataclass fields, and
+    each device passes as a ``DeviceProfile`` whose id no other repeats.  An
     error names the file and the section, ``system`` or ``devices[i]``, or
     calls the file a ``malformed document``.
     """
@@ -490,7 +515,7 @@ def load_config_document(path: str | Path) -> tuple[list[DeviceProfile], SystemC
             profiles[profile.id] = profile
     except ValueError as exc:
         raise ValueError(f"{path}: {where}: {exc}") from None
-    return list(profiles.values()), config
+    return as_device_table(list(profiles.values())), config
 
 
 __all__ = [

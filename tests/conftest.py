@@ -1,6 +1,6 @@
 import pytest
 
-from maoi_edge.system_model import DeviceProfile, SystemConfig
+from maoi_edge.system_model import DeviceProfile, DeviceTable, SystemConfig
 
 
 @pytest.fixture
@@ -15,5 +15,6 @@ def config():
 
 
 @pytest.fixture
-def two_profiles():
-    return [DeviceProfile(id=0), DeviceProfile(id=1)]
+def two_devices():
+    """Two default-parameter devices."""
+    return DeviceTable(2)

@@ -32,7 +32,8 @@ The paper's closed-form offloading lemma (``lemma_threshold``,
 two-branch comparison is checked against, and ``schedule_order`` reads a
 device's local serving order from the ``served_ahead`` mask.
 ``assert_one_line_parse_error`` states what a malformed YAML or JSON
-source reads as, wherever it is reported.
+source reads as, wherever it is reported, and ``same_devices`` compares
+two ``DeviceTable``s bit for bit.
 
 ``reference_outer_loop`` is the outer loop as it ran one iteration at a
 time, before settled iterations ran in lookahead blocks; the lookahead
@@ -62,6 +63,7 @@ from maoi_edge.scenario import AREA_SIZE, generate_scenario
 from maoi_edge.system_model import (
     MODALITIES,
     DeviceProfile,
+    DeviceTable,
     ModalityKind,
     ProfileColumns,
     SystemConfig,
@@ -123,7 +125,7 @@ def draw_interval_instance(rng: np.random.Generator,
                            ) -> tuple[ScenarioEvaluator, np.ndarray, np.ndarray, str]:
     """One single-device interval-solve instance: ``(ev, mu, x, regime)``."""
     sc = generate_scenario(1, seed=int(rng.integers(1 << 30)))
-    profiles, config = list(sc.profiles), sc.config
+    devices, config = sc.devices, sc.config
     offloaded = bool(rng.integers(2))
     x = np.array([1 if offloaded else 0])
     kind = ("convex", "energy_bound", "slack")[rng.integers(3)]
@@ -134,12 +136,12 @@ def draw_interval_instance(rng: np.random.Generator,
         config = SystemConfig(event_rates=(lam, lam, lam))
         mu = float(rng.uniform(0.05, 2.0))
     elif kind == "energy_bound":
-        mu = float(fixed_point_multiplier(ScenarioEvaluator(profiles, config), x)[0]
+        mu = float(fixed_point_multiplier(ScenarioEvaluator(devices, config), x)[0]
                    * rng.uniform(0.2, 1.8))
     else:
         # slack budget: interval should clamp to the minimum
         mu = float(rng.uniform(0.0, 0.05))
-    return ScenarioEvaluator(profiles, config), np.array([mu]), x, kind
+    return ScenarioEvaluator(devices, config), np.array([mu]), x, kind
 
 
 def fixed_point_multiplier(ev: ScenarioEvaluator, x: np.ndarray) -> np.ndarray:
@@ -264,6 +266,12 @@ def dump_config_document(profiles: list[DeviceProfile], config: SystemConfig,
         return {f.name: value(getattr(obj, f.name)) for f in fields(obj)}
     doc = {"system": section(config), "devices": [section(p) for p in profiles]}
     Path(path).write_text(yaml.safe_dump(doc, sort_keys=False))
+
+
+def same_devices(a: DeviceTable, b: DeviceTable) -> bool:
+    """Whether two tables hold the same devices in the same order, bit for bit."""
+    return len(a) == len(b) and all(
+        x.tobytes() == y.tobytes() for x, y in zip(a.columns, b.columns))
 
 
 def assert_one_line_parse_error(message: str, prefix: str, line: int, column: int) -> None:

@@ -130,8 +130,8 @@ class TestCriterion2:
 class _CheckedEvaluator(ScenarioEvaluator):
     """Grid-checks every interval solve the outer loop performs."""
 
-    def __init__(self, profiles, config):
-        super().__init__(profiles, config)
+    def __init__(self, devices, config):
+        super().__init__(devices, config)
         self.gaps: list[float] = []
 
     def sampling_step(self, mu, x):
@@ -150,7 +150,7 @@ class TestCriterion3:
         worst, n_checks = -math.inf, 0
         for seed in range(50):
             sc = generate_scenario(1, seed=seed)
-            ev = _CheckedEvaluator(list(sc.profiles), sc.config)
+            ev = _CheckedEvaluator(sc.devices, sc.config)
             run_outer_loop(ev, *baselines.jso_rules(ev))
             worst = max(worst, max(ev.gaps))
             n_checks += len(ev.gaps)
@@ -166,7 +166,7 @@ class TestCriterion4:
         for seed in range(100):
             d_count = 4 + seed % 9  # 4..12
             sc = generate_scenario(d_count, seed=seed)
-            ev = ScenarioEvaluator(list(sc.profiles), sc.config)
+            ev = ScenarioEvaluator(sc.devices, sc.config)
             rng = np.random.default_rng(seed)
             tau = rng.uniform(2.0, 15.0, d_count)
             mu = rng.uniform(0.0, 10.0, d_count)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from maoi_edge.optimizer import ScenarioEvaluator
 from maoi_edge.scenario import generate_scenario
-from maoi_edge.system_model import DeviceProfile, SystemConfig, sensing_energy
+from maoi_edge.system_model import DeviceProfile, SystemConfig, as_device_table, sensing_energy
 
 
 class TestSensingEnergy:
@@ -23,7 +23,7 @@ class TestSensingEnergy:
 
 def computation_energy(profile, config):
     """The evaluator's local computation energy of one profile."""
-    return ScenarioEvaluator([profile], config).e_comp[0]
+    return ScenarioEvaluator(as_device_table([profile]), config).e_comp[0]
 
 
 class TestComputationEnergy:
@@ -42,14 +42,14 @@ class TestComputationEnergy:
         assert double - base == pytest.approx(expected_delta)
 
 
-def energies(profiles, config, x):
+def energies(devices, config, x):
     """Per-update energies of every device under pattern ``x``."""
-    return ScenarioEvaluator(profiles, config).pattern_state(np.array(x)).energies
+    return ScenarioEvaluator(devices, config).pattern_state(np.array(x)).energies
 
 
 def power_draw(profile, config, tau):
     """Average power draw (J/s) of a local device at interval ``tau``."""
-    ev = ScenarioEvaluator([profile], config)
+    ev = ScenarioEvaluator(as_device_table([profile]), config)
     x, tau = np.array([0]), np.array([tau])
     # energy_violation is the relative overdraw (e / tau - budget) / budget
     return float(ev.energy_violation(tau, x)[0] + 1.0) * profile.energy_budget
@@ -57,35 +57,35 @@ def power_draw(profile, config, tau):
 
 class TestBranchEnergies:
     def test_transmission_energy_is_power_times_time(self, profile, config):
-        ev = ScenarioEvaluator([profile], config)
+        ev = ScenarioEvaluator(as_device_table([profile]), config)
         x = np.array([1])
         t = ev.trans_times(x)[0]
-        assert energies([profile], config, x)[0] - sensing_energy(profile) == \
+        assert energies(as_device_table([profile]), config, x)[0] - sensing_energy(profile) == \
             pytest.approx(0.1 * t)
 
     def test_total_energy_local_branch(self, profile, config):
-        e = energies([profile], config, [0])[0]
+        e = energies(as_device_table([profile]), config, [0])[0]
         assert e == pytest.approx(sensing_energy(profile) + 14.648)
         assert e == pytest.approx(14.824, rel=1e-4)
 
     def test_total_energy_offload_branch(self, profile, config):
-        e = energies([profile], config, [1])[0]
+        e = energies(as_device_table([profile]), config, [1])[0]
         # sensing plus 0.1 W for 2 699 264 bit / (1e6 log2(1 + 1e10)) bit/s
         t = 2_699_264 / (1e6 * math.log2(1 + 1e10))
         assert e == pytest.approx(sensing_energy(profile) + 0.1 * t)
         assert e == pytest.approx(0.18427, rel=1e-3)
 
-    def test_interferer_raises_offload_energy(self, config, two_profiles):
-        alone = energies(two_profiles, config, [1, 0])[0]
-        jammed = energies(two_profiles, config, [1, 1])[0]
+    def test_interferer_raises_offload_energy(self, config, two_devices):
+        alone = energies(two_devices, config, [1, 0])[0]
+        jammed = energies(two_devices, config, [1, 1])[0]
         assert jammed > alone
 
-    def test_local_branch_ignores_others(self, config, two_profiles):
-        assert energies(two_profiles, config, [0, 0])[0] == \
-            energies(two_profiles, config, [0, 1])[0]
+    def test_local_branch_ignores_others(self, config, two_devices):
+        assert energies(two_devices, config, [0, 0])[0] == \
+            energies(two_devices, config, [0, 1])[0]
 
-    def test_edge_branch_matches_pattern_state(self, config, two_profiles):
-        ev = ScenarioEvaluator(two_profiles, config)
+    def test_edge_branch_matches_pattern_state(self, config, two_devices):
+        ev = ScenarioEvaluator(two_devices, config)
         x = np.array([1, 1])
         state = ev.pattern_state(x)
         t_off, e_off = ev.edge_branch(ev.trans_times(x))
@@ -96,7 +96,7 @@ class TestBranchEnergies:
 
     def test_device_subsets_are_rows_of_the_full_call(self):
         sc = generate_scenario(6, seed=3)
-        ev = ScenarioEvaluator(list(sc.profiles), sc.config)
+        ev = ScenarioEvaluator(sc.devices, sc.config)
         x = np.array([1, 0, 1, 1, 0, 0])
         interference = float(x @ ev.rx_power) - x * ev.rx_power
         trans = ev.trans_times_under(interference)
@@ -109,8 +109,8 @@ class TestBranchEnergies:
             assert rows.shape == full[..., d].shape
             assert np.array_equal(rows, full[..., d])
 
-    def test_edge_branch_of_stacked_trans_times(self, config, two_profiles):
-        ev = ScenarioEvaluator(two_profiles, config)
+    def test_edge_branch_of_stacked_trans_times(self, config, two_devices):
+        ev = ScenarioEvaluator(two_devices, config)
         stack = np.array([[0.05, 0.1], [0.2, 0.4], [1.0, 3.0]])
         t_off, e_off = ev.edge_branch(stack)
         assert t_off.shape == (3, 3, 2) and e_off.shape == (3, 2)
@@ -122,7 +122,7 @@ class TestBranchEnergies:
 
 class TestAvgEnergyRate:
     def test_division_by_interval(self, profile, config):
-        e = energies([profile], config, [0])[0]
+        e = energies(as_device_table([profile]), config, [0])[0]
         assert power_draw(profile, config, e) == pytest.approx(1.0)
 
     def test_infeasible_at_minimum_interval(self, profile, config):

@@ -154,7 +154,7 @@ class TestSolveSweep:
         assert [row for row, _ in pairs] == run_sweep(spec, workers=workers)
         for row, decision in pairs:
             sc = scenario_for(spec, row["value"], row["seed"])
-            expected, _ = baselines.solve(row["algorithm"], list(sc.profiles),
+            expected, _ = baselines.solve(row["algorithm"], sc.devices,
                                           sc.config)
             assert np.array_equal(decision.tau, expected.tau)
             assert np.array_equal(decision.x, expected.x)

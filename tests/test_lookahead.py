@@ -92,11 +92,11 @@ def solve_both(name: str, d: int, seed: int, overrides: dict,
     """``baselines.solve`` and the reference loop on one scenario."""
     sc = generate_scenario(d, seed, overrides)
     objective, rules = baselines.ALGORITHMS[name]
-    ev = ScenarioEvaluator(sc.profiles, sc.config, objective)
+    ev = ScenarioEvaluator(sc.devices, sc.config, objective)
     tau_rule, offload_rule, _ = rules(ev)
     want = reference_outer_loop(ev, tau_rule, offload_rule,
                                 init and init.copy())
-    got = baselines.solve(name, sc.profiles, sc.config, init and init.copy())
+    got = baselines.solve(name, sc.devices, sc.config, init and init.copy())
     return got, want
 
 
@@ -224,7 +224,7 @@ def test_persistent_deviators(name):
     assert_bit_equal(got, want)
     if name in ("jso", "gmo"):
         sc = generate_scenario(10, 0, overrides)
-        ev = ScenarioEvaluator(sc.profiles, sc.config)
+        ev = ScenarioEvaluator(sc.devices, sc.config)
         blocks = Blocks(ev, name)
         _, trace = blocks.run(ev)
         assert blocks.spans and blocks.offloads == trace.n_iters
@@ -247,7 +247,7 @@ def test_a_commit_inside_a_priced_block():
     # interval solve 308, inside the block of solves 261..324: the rows
     # before it are priced, the rows after it dropped.
     sc = generate_scenario(10, 1, MOVING)
-    ev = ScenarioEvaluator(sc.profiles, sc.config)
+    ev = ScenarioEvaluator(sc.devices, sc.config)
     blocks = Blocks(ev, "jso")
     _, trace = blocks.run(ev)
     assert [i for i, c in enumerate(trace.committed) if c] == [0, 3, 307, 464, 771]
@@ -259,7 +259,7 @@ def test_settled_prices_each_row_at_its_own_intervals_and_multipliers():
     # the row of iteration i holds branch_costs(tau_i, mu_i), the costs
     # the offloading rule would read there, before the multiplier step
     sc = generate_scenario(10, 1, MOVING)
-    ev = ScenarioEvaluator(sc.profiles, sc.config)
+    ev = ScenarioEvaluator(sc.devices, sc.config)
     tau_rule, offload_rule, settled = baselines.jso_rules(ev)
     solved, priced = [], []
 
@@ -297,8 +297,8 @@ def test_offloading_rule_reads_its_rows_branch_costs(monkeypatch, name, capacity
     monkeypatch.setattr(ScenarioEvaluator, "sampling_step", traced_step)
     sc = generate_scenario(10, 1, {**MATCHED, "capacity_threshold": capacity})
     objective, rules = baselines.ALGORITHMS[name]
-    ev = ScenarioEvaluator(sc.profiles, sc.config, objective)
-    fresh = ScenarioEvaluator(sc.profiles, sc.config, objective)
+    ev = ScenarioEvaluator(sc.devices, sc.config, objective)
+    fresh = ScenarioEvaluator(sc.devices, sc.config, objective)
     tau_rule, offload_rule, settled = rules(ev)
 
     def traced_settled(x, cost_loc, cost_off):
@@ -343,14 +343,14 @@ def test_stop_on_a_blocks_first_and_last_row(monkeypatch, rows, row):
     # solve stops on iteration 581, the first or the last row of a block
     monkeypatch.setattr(optimizer, "LOOKAHEAD_ROWS", rows)
     sc = generate_scenario(5, 0, MATCHED)
-    ev = ScenarioEvaluator(sc.profiles, sc.config)
+    ev = ScenarioEvaluator(sc.devices, sc.config)
     blocks = Blocks(ev, "flc")
     got = blocks.run(ev)
     stop = got[1].n_iters - 1
     assert got[1].converged and stop == 581
     first, last = blocks.block_of(stop)
     assert first < last and stop == (first if row == "first" else last)
-    fresh = ScenarioEvaluator(sc.profiles, sc.config)
+    fresh = ScenarioEvaluator(sc.devices, sc.config)
     tau_rule, offload_rule, _ = baselines.flc_rules(fresh)
     assert_bit_equal(got, reference_outer_loop(fresh, tau_rule, offload_rule))
 
@@ -367,7 +367,7 @@ def test_best_iterate_inside_a_capped_block():
     # the cap cuts the block of iterations 256..319 after 299, and the
     # best iterate, which the capped solve returns, is its iteration 285
     sc = generate_scenario(10, 2, CAPPED)
-    ev = ScenarioEvaluator(sc.profiles, sc.config)
+    ev = ScenarioEvaluator(sc.devices, sc.config)
     blocks = Blocks(ev, "flc")
     decision, trace = blocks.run(ev)
     assert trace.stop_reason == "max_iters_best" and trace.n_iters == 300
@@ -375,7 +375,7 @@ def test_best_iterate_inside_a_capped_block():
             for v, c in zip(trace.max_violations, trace.costs)]
     best = keys.index(min(keys))
     assert best == 285 and blocks.block_of(best) == (256, 299)
-    fresh = ScenarioEvaluator(sc.profiles, sc.config)
+    fresh = ScenarioEvaluator(sc.devices, sc.config)
     tau_rule, offload_rule, _ = baselines.flc_rules(fresh)
     assert_bit_equal((decision, trace),
                      reference_outer_loop(fresh, tau_rule, offload_rule))

@@ -17,7 +17,13 @@ from maoi_edge.metric import (
     signal_dynamics,
 )
 from maoi_edge.optimizer import ScenarioEvaluator
-from maoi_edge.system_model import DeviceProfile, SystemConfig, sensing_energy
+from maoi_edge.system_model import (
+    DeviceProfile,
+    DeviceTable,
+    SystemConfig,
+    as_device_table,
+    sensing_energy,
+)
 
 
 class TestImageAttributes:
@@ -183,8 +189,8 @@ LOCAL_T_SYS = (4.0, 16.0, 17.648)
 LOCAL_ENERGY = 14.648  # J of local computation, plus sensing_energy
 
 
-def device_costs(profiles, config, tau, mu, x, objective=OBJECTIVE_MAOI):
-    ev = ScenarioEvaluator(profiles, config, objective)
+def device_costs(devices, config, tau, mu, x, objective=OBJECTIVE_MAOI):
+    ev = ScenarioEvaluator(devices, config, objective)
     return ev.device_costs(np.array(tau, dtype=float), np.array(mu, dtype=float),
                            np.array(x))
 
@@ -198,28 +204,28 @@ class TestDeviceAggregation:
     def test_weight_free_device_is_plain_age_sum(self, profile, config):
         p0 = DeviceProfile(id=0, maoi_weights=(0.0, 0.0, 0.0))
         expected = (1 + 4.0) + (1 + 16.0) + (1 + 17.648)
-        assert device_costs([p0], config, [2.0], [0.0], [0])[0] == \
+        assert device_costs(as_device_table([p0]), config, [2.0], [0.0], [0])[0] == \
             pytest.approx(expected)
 
     def test_additivity_over_modalities(self, profile, config):
         parts = [avg_maoi_modality(profile.maoi_weights[s], config.event_rates[s],
                                    3.0, LOCAL_T_SYS[s]) for s in range(3)]
-        assert device_costs([profile], config, [3.0], [0.0], [0])[0] == \
+        assert device_costs(as_device_table([profile]), config, [3.0], [0.0], [0])[0] == \
             pytest.approx(sum(parts))
-        metrics = ScenarioEvaluator([profile], config).achieved_metrics(
+        metrics = ScenarioEvaluator(as_device_table([profile]), config).achieved_metrics(
             np.array([3.0]), np.array([0]))
         for name, part in zip(("image", "audio", "signal"), parts):
             assert metrics[f"maoi_{name}"] == pytest.approx(part)
         assert metrics["avg_maoi"] == pytest.approx(sum(parts))
 
     def test_aoi_objective_zeroes_weights_in_age_only(self, profile, config):
-        aoi = device_costs([profile], config, [2.0], [0.0], [0], OBJECTIVE_AOI)[0]
+        aoi = device_costs(as_device_table([profile]), config, [2.0], [0.0], [0], OBJECTIVE_AOI)[0]
         assert aoi == pytest.approx(sum(1.0 + t for t in LOCAL_T_SYS))
 
 
 class TestPenalizedCost:
     def test_zero_multiplier(self, profile, config):
-        assert device_costs([profile], config, [2.0], [0.0], [0])[0] == \
+        assert device_costs(as_device_table([profile]), config, [2.0], [0.0], [0])[0] == \
             pytest.approx(closed_form_age(profile, config, 2.0))
 
     def test_exactly_feasible_no_penalty(self, config):
@@ -227,7 +233,7 @@ class TestPenalizedCost:
         e = sensing_energy(p) + LOCAL_ENERGY
         tau = e / p.energy_budget  # draws exactly the budget
         for mu in (0.0, 1.0, 10.0):
-            assert device_costs([p], config, [tau], [mu], [0])[0] == \
+            assert device_costs(as_device_table([p]), config, [tau], [mu], [0])[0] == \
                 pytest.approx(closed_form_age(p, config, tau))
 
     def test_penalty_arithmetic(self, config):
@@ -235,34 +241,34 @@ class TestPenalizedCost:
         e = sensing_energy(p) + LOCAL_ENERGY
         tau = e / (p.energy_budget + 2.0)  # overdraw of exactly 2 J/s
         age = closed_form_age(p, config, tau)
-        assert device_costs([p], config, [tau], [1.0], [0])[0] == \
+        assert device_costs(as_device_table([p]), config, [tau], [1.0], [0])[0] == \
             pytest.approx(age + 2.0)
 
 
 class TestSystemCost:
     def test_single_device_reduces_to_penalized(self, profile, config):
-        ev = ScenarioEvaluator([profile], config)
+        ev = ScenarioEvaluator(as_device_table([profile]), config)
         e = sensing_energy(profile) + LOCAL_ENERGY
         expected = closed_form_age(profile, config, 3.0) + 0.7 * (e / 3.0 - 1.0)
         assert ev.system_cost(np.array([3.0]), np.array([0.7]), np.array([0])) == \
             pytest.approx(expected)
 
     def test_objectives_coincide_at_zero_weights(self, config):
-        ps = [DeviceProfile(id=i, maoi_weights=(0.0, 0.0, 0.0)) for i in range(2)]
+        devices = DeviceTable(2, maoi_weights=(0.0, 0.0, 0.0))
         args = (np.array([2.0, 3.0]), np.array([0.1, 0.2]), np.array([0, 1]))
-        assert ScenarioEvaluator(ps, config, OBJECTIVE_MAOI).system_cost(*args) == \
-            pytest.approx(ScenarioEvaluator(ps, config, OBJECTIVE_AOI).system_cost(*args))
+        assert ScenarioEvaluator(devices, config, OBJECTIVE_MAOI).system_cost(*args) == \
+            pytest.approx(ScenarioEvaluator(devices, config, OBJECTIVE_AOI).system_cost(*args))
 
-    def test_two_local_devices_decouple(self, config, two_profiles):
-        total = device_costs(two_profiles, config, [2.0, 5.0], [0.3, 0.4], [0, 0]).sum()
-        solo = sum(device_costs([p], config, [t], [m], [0])[0]
-                   for p, t, m in zip(two_profiles, [2.0, 5.0], [0.3, 0.4]))
+    def test_two_local_devices_decouple(self, config, two_devices):
+        total = device_costs(two_devices, config, [2.0, 5.0], [0.3, 0.4], [0, 0]).sum()
+        solo = sum(device_costs(DeviceTable(1), config, [t], [m], [0])[0]
+                   for t, m in zip([2.0, 5.0], [0.3, 0.4]))
         assert total == pytest.approx(solo)
 
     @given(tau=st.floats(2.0, 20.0), mu=st.floats(0.0, 5.0))
     def test_weighted_cost_dominates_plain(self, tau, mu):
         p = DeviceProfile(id=0, maoi_weights=(0.5, 1.0, 1.5))
         config = SystemConfig()
-        hi = device_costs([p], config, [tau], [mu], [0], OBJECTIVE_MAOI)[0]
-        lo = device_costs([p], config, [tau], [mu], [0], OBJECTIVE_AOI)[0]
+        hi = device_costs(as_device_table([p]), config, [tau], [mu], [0], OBJECTIVE_MAOI)[0]
+        lo = device_costs(as_device_table([p]), config, [tau], [mu], [0], OBJECTIVE_AOI)[0]
         assert hi >= lo

@@ -17,12 +17,18 @@ from maoi_edge.optimizer import (
     run_outer_loop,
 )
 from maoi_edge.scenario import generate_scenario
-from maoi_edge.system_model import DeviceProfile, SystemConfig, sensing_energy
+from maoi_edge.system_model import (
+    DeviceProfile,
+    DeviceTable,
+    SystemConfig,
+    as_device_table,
+    sensing_energy,
+)
 
 
-def scenario_lists(d, seed=0, **overrides):
+def scenario_table(d, seed=0, **overrides):
     sc = generate_scenario(d, seed=seed, overrides=overrides)
-    return list(sc.profiles), sc.config
+    return sc.devices, sc.config
 
 
 def never_moves(x, cost_loc, cost_off):
@@ -33,19 +39,19 @@ def never_moves(x, cost_loc, cost_off):
 class TestBestResponse:
     def test_single_device_prefers_offloading(self, profile, config):
         # huge local energy draw and long local queue vs a fast clean uplink
-        ev = ScenarioEvaluator([profile], config)
+        ev = ScenarioEvaluator(as_device_table([profile]), config)
         br = ev.best_responses(np.array([2.0]), np.array([1.0]), np.array([0]))
         assert br[0] == 1
 
     def test_capacity_guard_forces_local(self, profile):
         config = SystemConfig(capacity_threshold=1e6)  # below one payload
-        ev = ScenarioEvaluator([profile], config)
+        ev = ScenarioEvaluator(as_device_table([profile]), config)
         br = ev.best_responses(np.array([2.0]), np.array([1.0]), np.array([0]))
         assert br[0] == 0
 
     def test_tie_keeps_current_flag(self, monkeypatch):
-        profiles, config = scenario_lists(3)
-        ev = ScenarioEvaluator(profiles, config)
+        table, config = scenario_table(3)
+        ev = ScenarioEvaluator(table, config)
         equal = np.ones(3)
         monkeypatch.setattr(ev, "branch_costs",
                             lambda tau, mu, x: (equal, equal))
@@ -54,7 +60,7 @@ class TestBestResponse:
         assert (br == x).all()
 
     def test_lemma_diagnostic_signs(self, profile, config):
-        ev = ScenarioEvaluator([profile], config)
+        ev = ScenarioEvaluator(as_device_table([profile]), config)
         lam = lemma_threshold(ev, 0, 2.0, 1.0)
         assert math.isfinite(lam) or lam == -math.inf
         # single device, no interference: the lemma and the canonical rule agree
@@ -64,7 +70,7 @@ class TestBestResponse:
     def test_lemma_negative_threshold_predicts_local(self, profile):
         # enormous noise power collapses the threshold below zero
         config = SystemConfig(noise_power=1e6)
-        ev = ScenarioEvaluator([profile], config)
+        ev = ScenarioEvaluator(as_device_table([profile]), config)
         assert lemma_threshold(ev, 0, 2.0, 0.5) < 0
         assert lemma_best_response(ev, 0, 2.0, 0.5, np.array([0])) == 0
 
@@ -75,8 +81,8 @@ class TestBestResponse:
         checked = 0
         for seed in range(40):
             d_count = int(rng.integers(4, 13))
-            profiles, config = scenario_lists(d_count, seed=seed, capacity_threshold=1e9)
-            ev = ScenarioEvaluator(profiles, config)
+            table, config = scenario_table(d_count, seed=seed, capacity_threshold=1e9)
+            ev = ScenarioEvaluator(table, config)
             for _ in range(5):
                 tau = rng.uniform(2.0, 15.0, d_count)
                 mu = rng.uniform(0.0, 10.0, d_count)
@@ -93,8 +99,8 @@ class TestBestResponse:
 
 class TestBestResponseRound:
     def test_equilibrium_returns_unchanged(self):
-        profiles, config = scenario_lists(4, capacity_threshold=1e5)
-        ev = ScenarioEvaluator(profiles, config)
+        table, config = scenario_table(4, capacity_threshold=1e5)
+        ev = ScenarioEvaluator(table, config)
         x = np.zeros(4, dtype=np.int64)  # nobody may offload
         tau, mu = np.full(4, 2.0), np.zeros(4)
         out, committed, _ = ev.br_round(tau, mu, x, ev.branch_costs(tau, mu, x))
@@ -102,15 +108,15 @@ class TestBestResponseRound:
         assert (out == x).all()
 
     def test_single_improving_device_commits(self, profile, config):
-        ev = ScenarioEvaluator([profile], config)
+        ev = ScenarioEvaluator(as_device_table([profile]), config)
         tau, mu, x = np.array([2.0]), np.array([1.0]), np.array([0])
         out, committed, _ = ev.br_round(tau, mu, x, ev.branch_costs(tau, mu, x))
         assert committed == 0
         assert out.tolist() == [1]
 
     def test_commits_largest_system_reduction(self):
-        profiles, config = scenario_lists(6, seed=3)
-        ev = ScenarioEvaluator(profiles, config)
+        table, config = scenario_table(6, seed=3)
+        ev = ScenarioEvaluator(table, config)
         tau = np.full(6, 2.0)
         mu = np.full(6, 0.5)
         x = np.zeros(6, dtype=np.int64)
@@ -153,8 +159,8 @@ class TestBatchedTrials:
     @staticmethod
     def instance(d_count, n_offloaders, seed, **overrides):
         """Random intervals and multipliers, and a start with ``n_offloaders``."""
-        profiles, config = scenario_lists(d_count, seed=seed, **overrides)
-        ev = ScenarioEvaluator(profiles, config)
+        table, config = scenario_table(d_count, seed=seed, **overrides)
+        ev = ScenarioEvaluator(table, config)
         rng = np.random.default_rng(seed)
         tau = rng.uniform(2.0, 15.0, d_count)
         mu = rng.uniform(0.0, 10.0, d_count)
@@ -267,8 +273,8 @@ class TestBatchedTrials:
 
     @pytest.mark.parametrize("d_count", [80, 320])
     def test_all_local_start_matches(self, d_count):
-        profiles, config = scenario_lists(d_count, seed=2)
-        ev = ScenarioEvaluator(profiles, config)
+        table, config = scenario_table(d_count, seed=2)
+        ev = ScenarioEvaluator(table, config)
         tau, mu = np.full(d_count, config.tau_min), np.full(d_count, config.mu_init)
         x = np.zeros(d_count, dtype=np.int64)
         devices, targets = np.arange(d_count), np.ones(d_count, dtype=np.int64)
@@ -286,8 +292,8 @@ class TestBatchedTrials:
                                                       monkeypatch):
         # narrow blocks, so the 80 deviators at D = 80 span several of them
         monkeypatch.setattr(optimizer, "TRIAL_BLOCK_ENTRIES", 2048)
-        profiles, config = scenario_lists(d_count, seed=1, **overrides)
-        ev = ScenarioEvaluator(profiles, config)
+        table, config = scenario_table(d_count, seed=1, **overrides)
+        ev = ScenarioEvaluator(table, config)
         rng = np.random.default_rng(d_count)
         tau = rng.uniform(2.0, 15.0, d_count)
         mu = rng.uniform(0.0, 10.0, d_count)
@@ -304,8 +310,7 @@ class TestBatchedTrials:
 
     def test_tied_gains_commit_the_first_device(self):
         # identical devices at the origin: every trial gains the same
-        profiles = [DeviceProfile(id=d) for d in range(5)]
-        ev = ScenarioEvaluator(profiles, SystemConfig())
+        ev = ScenarioEvaluator(DeviceTable(5), SystemConfig())
         tau, mu = np.full(5, 2.0), np.ones(5)
         x = np.zeros(5, dtype=np.int64)
         assert self.per_trial_round(ev, tau, mu, x)[0] == 0
@@ -314,21 +319,21 @@ class TestBatchedTrials:
 
 class TestPatternState:
     def test_in_place_edit_gives_fresh_state(self):
-        profiles, config = scenario_lists(6, seed=2)
-        ev = ScenarioEvaluator(profiles, config)
+        table, config = scenario_table(6, seed=2)
+        ev = ScenarioEvaluator(table, config)
         x = np.zeros(6, dtype=np.int64)
         t_off_before = ev.pattern_state(x).t_off.copy()
         x[2] = 1
         state = ev.pattern_state(x)
-        fresh = ScenarioEvaluator(profiles, config)
+        fresh = ScenarioEvaluator(table, config)
         assert not np.array_equal(state.t_off, t_off_before)
         assert np.array_equal(state.t_off, fresh.edge_branch(fresh.trans_times(x))[0])
         for got, want in zip(state, fresh.pattern_state(x)):
             assert np.array_equal(got, want)
 
     def test_cached_arrays_are_read_only(self):
-        profiles, config = scenario_lists(3)
-        ev = ScenarioEvaluator(profiles, config)
+        table, config = scenario_table(3)
+        ev = ScenarioEvaluator(table, config)
         for arr in ev.pattern_state(np.array([1, 0, 0])):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
@@ -343,9 +348,9 @@ class TestPatternState:
             return original(self, x)
 
         monkeypatch.setattr(ScenarioEvaluator, "trans_times", counting)
-        profiles, config = scenario_lists(10, lagrange_step=0.5,
+        table, config = scenario_table(10, lagrange_step=0.5,
                                           max_outer_iters=300)
-        decision, trace = baselines.solve(algorithm, profiles, config)
+        decision, trace = baselines.solve(algorithm, table, config)
         commits = sum(len(c) for c in trace.committed)
         assert commits >= 1
         assert len(calls) <= commits + 2
@@ -358,8 +363,8 @@ class TestEvaluatorCaches:
     """
 
     def test_sampling_step_follows_in_place_pattern_edits(self):
-        profiles, config = scenario_lists(6, seed=2)
-        ev = ScenarioEvaluator(profiles, config)
+        table, config = scenario_table(6, seed=2)
+        ev = ScenarioEvaluator(table, config)
         mu = np.linspace(5.0, 40.0, 6)
         x = np.array([1, 0, 0, 0, 0, 0])
         taus = []
@@ -368,7 +373,7 @@ class TestEvaluatorCaches:
                 x[device] = flag  # B is A edited in place, then A again
             tau, newton = ev.sampling_step(mu, x)
             fresh_tau, fresh_newton = \
-                ScenarioEvaluator(profiles, config).sampling_step(mu, x)
+                ScenarioEvaluator(table, config).sampling_step(mu, x)
             assert np.array_equal(tau, fresh_tau)
             assert newton == fresh_newton
             taus.append(tau)
@@ -376,8 +381,8 @@ class TestEvaluatorCaches:
         assert np.array_equal(taus[0], taus[2])
 
     def test_costs_follow_in_place_interval_edits(self):
-        profiles, config = scenario_lists(6, seed=4)
-        ev = ScenarioEvaluator(profiles, config)
+        table, config = scenario_table(6, seed=4)
+        ev = ScenarioEvaluator(table, config)
         tau = np.full(6, 3.0)
         mu = np.linspace(0.5, 5.0, 6)
         x = np.array([0, 1, 0, 0, 1, 0])
@@ -385,11 +390,11 @@ class TestEvaluatorCaches:
         cost_before = ev.system_cost(tau, mu, x)
         tau[2] = 7.5  # same object, new contents
         after = ev.branch_costs(tau, mu, x)
-        for got, want in zip(after, ScenarioEvaluator(profiles, config).branch_costs(tau, mu, x)):
+        for got, want in zip(after, ScenarioEvaluator(table, config).branch_costs(tau, mu, x)):
             assert np.array_equal(got, want)
         assert not np.array_equal(before[0], after[0])
         assert ev.system_cost(tau, mu, x) == \
-            ScenarioEvaluator(profiles, config).system_cost(tau, mu, x)
+            ScenarioEvaluator(table, config).system_cost(tau, mu, x)
         assert ev.system_cost(tau, mu, x) != cost_before
         # a block of (rows, D) intervals: an in-place edit of one row misses
         block = np.stack([np.full(6, t) for t in (3.0, 4.0, 5.0)])
@@ -397,7 +402,7 @@ class TestEvaluatorCaches:
         block[1, 3] = 9.0
         after = ev.branch_terms(block, x)
         for got, was, want in zip(after, before,
-                                  ScenarioEvaluator(profiles, config).branch_terms(block, x)):
+                                  ScenarioEvaluator(table, config).branch_terms(block, x)):
             assert got.tobytes() == want.tobytes()
             assert got[[0, 2]].tobytes() == was[[0, 2]].tobytes()
             assert got[1].tobytes() != was[1].tobytes()
@@ -406,29 +411,29 @@ class TestEvaluatorCaches:
         row = tau[None, :].copy()
         terms = ev.branch_terms(row, x)
         assert [t.shape for t in terms] == [(1, 6)] * 4
-        for got, want in zip(terms, ScenarioEvaluator(profiles, config).branch_terms(row, x)):
+        for got, want in zip(terms, ScenarioEvaluator(table, config).branch_terms(row, x)):
             assert got.tobytes() == want.tobytes()
 
     def test_newton_devices_rerun_for_a_cached_pattern(self):
         sc = generate_scenario(4, seed=1,
                                overrides={"event_rates": (0.05, 0.05, 0.05)})
-        ev = ScenarioEvaluator(sc.profiles, sc.config)
+        ev = ScenarioEvaluator(sc.devices, sc.config)
         x = np.array([1, 0, 0, 0])
         mu = np.full(4, 5.0)
         first_tau, first_newton = ev.sampling_step(mu, x)
         second_tau, second_newton = ev.sampling_step(mu, x)
         fresh_tau, fresh_newton = \
-            ScenarioEvaluator(sc.profiles, sc.config).sampling_step(mu, x)
+            ScenarioEvaluator(sc.devices, sc.config).sampling_step(mu, x)
         assert first_newton > 0
         assert second_newton == first_newton == fresh_newton
         assert np.array_equal(second_tau, first_tau)
         assert np.array_equal(second_tau, fresh_tau)
 
     def test_solve_shares_no_memory_with_its_caller(self):
-        profiles, config = scenario_lists(5, seed=3, lagrange_step=0.5,
+        table, config = scenario_table(5, seed=3, lagrange_step=0.5,
                                           max_outer_iters=300)
-        ev = ScenarioEvaluator(profiles, config)
-        init = default_decision(len(profiles), config)
+        ev = ScenarioEvaluator(table, config)
+        init = default_decision(len(table), config)
         decision, trace = run_outer_loop(ev, *baselines.jso_rules(ev), init)
         for out in (decision.tau, decision.x, decision.mu):
             for given in (init.tau, init.x, init.mu):
@@ -444,7 +449,7 @@ class TestEvaluatorCaches:
         decision.x[:] = 1 - decision.x
         decision.mu[:] = 0.0
         again, trace_again = run_outer_loop(ev, *baselines.jso_rules(ev),
-                                            default_decision(len(profiles), config))
+                                            default_decision(len(table), config))
         assert np.array_equal(again.tau, expected.tau)
         assert np.array_equal(again.x, expected.x)
         assert np.array_equal(again.mu, expected.mu)
@@ -452,8 +457,8 @@ class TestEvaluatorCaches:
 
     def test_rules_returning_inputs_share_no_memory_with_the_result(self):
         # a rule may hand back an input unchanged; the result still copies
-        profiles, config = scenario_lists(3, max_outer_iters=1)
-        ev = ScenarioEvaluator(profiles, config)
+        table, config = scenario_table(3, max_outer_iters=1)
+        ev = ScenarioEvaluator(table, config)
         init = Decision(tau=[2.0, 3.0, 4.0], x=[0, 1, 0], mu=[0.1, 0.2, 0.3])
         decision, _ = run_outer_loop(ev, lambda mu, x: (init.tau, 0),
                                      lambda tau, mu, x, costs: (x, []), never_moves, init)
@@ -468,15 +473,15 @@ class TestEvaluatorCaches:
 
 class TestSolveOffloading:
     def test_single_device_at_most_one_commit(self, profile, config):
-        ev = ScenarioEvaluator([profile], config)
+        ev = ScenarioEvaluator(as_device_table([profile]), config)
         tau, mu, x = np.array([2.0]), np.array([1.0]), np.array([0])
         x_star, committed = ev.offloading_equilibrium(tau, mu, x, ev.branch_costs(tau, mu, x))
         assert committed == [0]
         assert x_star.tolist() == [1]
 
     def test_cost_strictly_decreases_across_commits(self):
-        profiles, config = scenario_lists(8, seed=5)
-        ev = ScenarioEvaluator(profiles, config)
+        table, config = scenario_table(8, seed=5)
+        ev = ScenarioEvaluator(table, config)
         tau = np.full(8, 2.0)
         mu = np.full(8, 1.0)
         x = np.zeros(8, dtype=np.int64)
@@ -491,8 +496,8 @@ class TestSolveOffloading:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_nash_at_termination(self, seed):
-        profiles, config = scenario_lists(8, seed=seed)
-        ev = ScenarioEvaluator(profiles, config)
+        table, config = scenario_table(8, seed=seed)
+        ev = ScenarioEvaluator(table, config)
         rng = np.random.default_rng(seed)
         tau = rng.uniform(2.0, 15.0, 8)
         mu = rng.uniform(0.0, 10.0, 8)
@@ -518,8 +523,8 @@ class TestSolveOffloading:
         # (two slots) no instance fails for any D in 4..12.
         sc = generate_scenario(4, seed=5,
                                overrides={"capacity_threshold": 1e7})
-        profiles, config = list(sc.profiles), sc.config
-        ev = ScenarioEvaluator(profiles, config)
+        table, config = sc.devices, sc.config
+        ev = ScenarioEvaluator(table, config)
         rng = np.random.default_rng(5)
         tau = rng.uniform(2.0, 15.0, 4)
         mu = rng.uniform(0.0, 10.0, 4)
@@ -542,8 +547,8 @@ class TestSolveOffloading:
             assert harm > 0  # every blocked deviation is system-harmful
 
     def test_capacity_never_exceeded_along_the_path(self):
-        profiles, config = scenario_lists(8, seed=2)
-        ev = ScenarioEvaluator(profiles, config)
+        table, config = scenario_table(8, seed=2)
+        ev = ScenarioEvaluator(table, config)
         tau = np.full(8, 2.0)
         mu = np.full(8, 5.0)
         x = np.zeros(8, dtype=np.int64)
@@ -559,7 +564,7 @@ class TestMultiplierUpdate:
 
     @staticmethod
     def stepped_multiplier(profile, config, tau, mu):
-        ev = ScenarioEvaluator([profile],
+        ev = ScenarioEvaluator(as_device_table([profile]),
                                dataclasses.replace(config, max_outer_iters=1))
         init = Decision(tau=[tau], x=[0], mu=[mu])
         decision, trace = run_outer_loop(ev, lambda mu, x: (init.tau, 0),
@@ -624,16 +629,16 @@ class TestDecisionAndTrace:
 
 class TestOuterLoop:
     def test_infinite_eps_feasible_scenario_stops_after_one_iteration(self):
-        profiles, config = scenario_lists(3, energy_budget=50.0,
+        table, config = scenario_table(3, energy_budget=50.0,
                                           convergence_eps=math.inf)
-        decision, trace = baselines.solve("jso", profiles, config)
+        decision, trace = baselines.solve("jso", table, config)
         assert trace.converged
         assert trace.n_iters == 1
 
     def test_deterministic_resolve(self):
-        profiles, config = scenario_lists(5, seed=9, energy_budget=3.0)
-        d1, t1 = baselines.solve("jso", profiles, config)
-        d2, t2 = baselines.solve("jso", profiles, config)
+        table, config = scenario_table(5, seed=9, energy_budget=3.0)
+        d1, t1 = baselines.solve("jso", table, config)
+        d2, t2 = baselines.solve("jso", table, config)
         assert np.array_equal(d1.tau, d2.tau)
         assert np.array_equal(d1.x, d2.x)
         assert np.array_equal(d1.mu, d2.mu)
@@ -641,27 +646,27 @@ class TestOuterLoop:
         assert t1.committed == t2.committed
 
     def test_init_validation(self):
-        profiles, config = scenario_lists(2)
+        table, config = scenario_table(2)
         bad_tau = Decision(tau=[1.0, 2.0], x=[0, 0], mu=[0.1, 0.1])
         with pytest.raises(ValueError, match="tau_min"):
-            baselines.solve("jso", profiles, config, init=bad_tau)
+            baselines.solve("jso", table, config, init=bad_tau)
         cfg_tiny = SystemConfig(capacity_threshold=1e6)
         bad_x = Decision(tau=[2.0, 2.0], x=[1, 1], mu=[0.1, 0.1])
         with pytest.raises(ValueError, match="capacity"):
-            baselines.solve("jso", profiles, cfg_tiny, init=bad_x)
+            baselines.solve("jso", table, cfg_tiny, init=bad_x)
         # flags outside {0, 1} and a decision for another device count fail
         # before the first iteration, not on NaN rates or a matmul shape
-        profiles, config = scenario_lists(3)
+        table, config = scenario_table(3)
         for x, match in (([2, 0, 0], "0 or 1"), ([-1, 0, 0], "0 or 1"),
                          ([0, 0], "shape")):
             with pytest.raises(ValueError, match=match):
                 init = Decision(tau=[2.0] * len(x), x=x, mu=[0.1] * len(x))
-                baselines.solve("jso", profiles, config, init=init)
+                baselines.solve("jso", table, config, init=init)
 
     def test_converged_solution_is_feasible(self):
-        profiles, config = scenario_lists(6, seed=4)
-        decision, trace = baselines.solve("jso", profiles, config)
-        ev = ScenarioEvaluator(profiles, config)
+        table, config = scenario_table(6, seed=4)
+        decision, trace = baselines.solve("jso", table, config)
+        ev = ScenarioEvaluator(table, config)
         assert trace.converged
         assert (decision.tau >= config.tau_min).all()
         assert float(decision.x @ ev.payload) <= config.capacity_threshold
@@ -669,16 +674,16 @@ class TestOuterLoop:
         assert viol.max() <= config.energy_tol + 1e-12
 
     def test_trace_records_every_iteration(self):
-        profiles, config = scenario_lists(3, energy_budget=10.0)
-        _, trace = baselines.solve("jso", profiles, config)
+        table, config = scenario_table(3, energy_budget=10.0)
+        _, trace = baselines.solve("jso", table, config)
         assert trace.n_iters == len(trace.costs) == len(trace.max_violations)
         assert all(math.isfinite(c) for c in trace.costs)
         assert trace.n_iters >= 1
 
     def test_unconverged_solve_warns_once(self, caplog):
-        profiles, config = scenario_lists(10, seed=0, max_outer_iters=300)
+        table, config = scenario_table(10, seed=0, max_outer_iters=300)
         with caplog.at_level(logging.WARNING, logger="maoi_edge.optimizer"):
-            _, trace = baselines.solve("idd", profiles, config)
+            _, trace = baselines.solve("idd", table, config)
         assert not trace.converged
         assert trace.stop_reason == "max_iters_best"
         assert trace.n_iters == 300
@@ -690,16 +695,16 @@ class TestOuterLoop:
         assert f"{trace.metrics['max_energy_violation']:.6g}" in message
 
     def test_converged_solve_does_not_warn(self, caplog):
-        profiles, config = scenario_lists(10, seed=0)
+        table, config = scenario_table(10, seed=0)
         with caplog.at_level(logging.WARNING, logger="maoi_edge.optimizer"):
-            _, trace = baselines.solve("fmi", profiles, config)
+            _, trace = baselines.solve("fmi", table, config)
         assert trace.converged
         assert trace.stop_reason == "converged"
         assert not [r for r in caplog.records if r.name == "maoi_edge.optimizer"]
 
     def test_default_decision_shape(self):
-        profiles, config = scenario_lists(4)
-        init = default_decision(len(profiles), config)
+        table, config = scenario_table(4)
+        init = default_decision(len(table), config)
         assert (init.tau == config.tau_min).all()
         assert init.x.sum() == 0
         assert (init.mu == config.mu_init).all()

@@ -17,7 +17,7 @@ from maoi_edge.metric import OBJECTIVE_AOI
 from maoi_edge import optimizer
 from maoi_edge.optimizer import ScenarioEvaluator, cost_slopes, projected_newton
 from maoi_edge.scenario import generate_scenario
-from maoi_edge.system_model import SystemConfig
+from maoi_edge.system_model import SystemConfig, as_device_table
 
 LOCAL, EDGE = np.array([0]), np.array([1])
 # grid-oracle tolerance per regime: exact regimes hold 1e-3; the
@@ -33,13 +33,14 @@ def device(profile, config):
     Its system times are (4, 16, 17.648) s locally and (0.4813, 3.0813,
     3.1461) s on the edge; its per-update energies 14.824 J and 0.184 J.
     """
-    return ScenarioEvaluator([profile], config)
+    return ScenarioEvaluator(as_device_table([profile]), config)
 
 
 @pytest.fixture
 def rare_events(profile):
     """The default device at event rates 0.05: the edge branch is convex on [2, 33.71]."""
-    return ScenarioEvaluator([profile], SystemConfig(event_rates=(0.05, 0.05, 0.05)))
+    return ScenarioEvaluator(as_device_table([profile]),
+                             SystemConfig(event_rates=(0.05, 0.05, 0.05)))
 
 
 def step(ev, mu, x):
@@ -62,7 +63,7 @@ def newton(terms, th):
 class TestCostSlopes:
     def test_cost_matches_device_costs(self):
         sc = generate_scenario(5, seed=1)
-        ev = ScenarioEvaluator(list(sc.profiles), sc.config)
+        ev = ScenarioEvaluator(sc.devices, sc.config)
         x = np.array([1, 1, 0, 0, 0])  # two offloaders interfere with each other
         tau = np.array([2.0, 3.5, 5.0, 14.0, 2.5])
         mu = np.array([0.7, 0.0, 1.3, 0.2, 4.0])
@@ -134,7 +135,7 @@ class TestSurrogate:
 
     def test_reference_value(self, profile, config):
         # weight-free local device: sqrt(2 * 14.824 / 3)
-        ev = ScenarioEvaluator([profile], config, OBJECTIVE_AOI)
+        ev = ScenarioEvaluator(as_device_table([profile]), config, OBJECTIVE_AOI)
         assert step(ev, 1.0, LOCAL)[0] == pytest.approx(3.1437, rel=1e-4)
 
     def test_multiplier_scaling(self, device, config):
@@ -313,7 +314,7 @@ class TestVectorizedSamplingStep:
         # energy-bound multiplier as the single-device instances draw them
         for seed in range(5):
             sc = generate_scenario(6, seed=seed)
-            ev = ScenarioEvaluator(list(sc.profiles), sc.config)
+            ev = ScenarioEvaluator(sc.devices, sc.config)
             rng = np.random.default_rng(seed)
             x = rng.integers(0, 2, 6)
             x[3:] = 0
@@ -331,7 +332,7 @@ class TestVectorizedSamplingStep:
     def test_low_rate_scenario_uses_newton(self):
         sc = generate_scenario(4, seed=1,
                                overrides={"event_rates": (0.05, 0.05, 0.05)})
-        ev = ScenarioEvaluator(sc.profiles, sc.config)
+        ev = ScenarioEvaluator(sc.devices, sc.config)
         x = np.array([1, 0, 0, 0])
         mu = np.full(4, 5.0)
         tau_vec, newton_iters = ev.sampling_step(mu, x)
@@ -347,7 +348,7 @@ class TestVectorizedSamplingStep:
     def test_flat_curvature_bisects_inside_the_solve(self, mu, expected, iters):
         sc = generate_scenario(4, seed=1,
                                overrides={"event_rates": (0.05, 0.05, 0.05)})
-        ev = ScenarioEvaluator(sc.profiles, sc.config, OBJECTIVE_AOI)
+        ev = ScenarioEvaluator(sc.devices, sc.config, OBJECTIVE_AOI)
         tau, n = ev.sampling_step(np.array(mu), np.array([1, 0, 0, 0]))
         assert n == iters
         np.testing.assert_allclose(tau, expected, rtol=1e-12, atol=0.0)
@@ -357,7 +358,7 @@ class TestVectorizedSamplingStep:
         # runs, but no other device's interval
         sc = generate_scenario(20, seed=1,
                                overrides={"event_rates": (0.05, 0.05, 0.05)})
-        ev = ScenarioEvaluator(sc.profiles, sc.config)
+        ev = ScenarioEvaluator(sc.devices, sc.config)
         x = np.zeros(20, dtype=np.int64)
         x[0] = 1
         assert len(ev.pattern_state(x).newton_devices) == 20

@@ -10,7 +10,7 @@ from maoi_edge.metric import avg_maoi_modality
 from maoi_edge.optimizer import ScenarioEvaluator
 from maoi_edge.oracle import TrajectoryStats, simulate_avg_maoi, simulate_avg_maoi_device
 from maoi_edge.scenario import generate_scenario
-from maoi_edge.system_model import DeviceProfile
+from maoi_edge.system_model import DeviceTable, as_device_table
 
 
 class TestStats:
@@ -109,15 +109,14 @@ class TestAgainstElementwiseForm:
 
 class TestDeviceSimulation:
     def test_weight_free_device_exact(self, config):
-        ev = ScenarioEvaluator([DeviceProfile(id=0, maoi_weights=(0.0, 0.0, 0.0))],
-                               config)
+        ev = ScenarioEvaluator(DeviceTable(1, maoi_weights=(0.0, 0.0, 0.0)), config)
         s = simulate_avg_maoi_device(ev, 0, 2.0, [0], 1000, seed=3)
         expected = (1 + 4.0) + (1 + 16.0) + (1 + 17.648)
         assert s.mean_maoi == pytest.approx(expected, abs=1e-10)
         assert s.std_error == pytest.approx(0.0, abs=1e-12)
 
     def test_brackets_device_closed_form(self, profile, config):
-        ev = ScenarioEvaluator([profile], config)
+        ev = ScenarioEvaluator(as_device_table([profile]), config)
         for x in ([0], [1]):
             closed = ev.achieved_metrics(np.array([2.0]), np.array(x))["avg_maoi"]
             s = simulate_avg_maoi_device(ev, 0, 2.0, x, 100_000, seed=11)
@@ -130,7 +129,7 @@ class TestDeviceSimulation:
                 simulate_avg_maoi_device(ev, d, 2.0, x, 1000, seed=11)
 
     def test_error_adds_in_quadrature(self, profile, config):
-        ev = ScenarioEvaluator([profile], config)
+        ev = ScenarioEvaluator(as_device_table([profile]), config)
         s = simulate_avg_maoi_device(ev, 0, 2.0, [0], 4000, seed=5)
         parts = [simulate_avg_maoi(1.0, 0.8, 2.0, t, 4000, seed=[5, m])
                  for m, t in enumerate((4.0, 16.0, 17.648))]
@@ -145,10 +144,9 @@ class TestSolverPath:
     @pytest.mark.parametrize("n_devices, seed", [(5, 0), (5, 1), (10, 2)])
     def test_brackets_every_device(self, n_devices, seed):
         sc = generate_scenario(n_devices, seed)
-        profiles = list(sc.profiles)
-        decision, trace = baselines.solve("jso", profiles, sc.config)
+        decision, trace = baselines.solve("jso", sc.devices, sc.config)
         assert decision.x.any()  # the edge branch is exercised
-        ev = ScenarioEvaluator(profiles, sc.config)
+        ev = ScenarioEvaluator(sc.devices, sc.config)
         # with zero multipliers the penalized cost is the device's age
         closed = ev.device_costs(decision.tau, np.zeros(n_devices), decision.x)
         assert closed.mean() == pytest.approx(trace.metrics["avg_maoi"], rel=1e-12)

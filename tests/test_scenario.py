@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import dump_config_document, reference_positions
+from helpers import dump_config_document, reference_positions, same_devices
 from maoi_edge import experiments
 from maoi_edge.optimizer import ScenarioEvaluator
 from maoi_edge.scenario import (
@@ -209,7 +209,8 @@ class TestGeneration:
         sc = generate_scenario(3, seed=0)
         path = tmp_path / "generated.yaml"
         dump_config_document(list(sc.profiles), sc.config, path)
-        assert load_config_document(path) == (list(sc.profiles), sc.config)
+        devices, config = load_config_document(path)
+        assert same_devices(devices, sc.devices) and config == sc.config
 
 
 class TestAudioWeightIncrement:

@@ -10,6 +10,7 @@ from helpers import (
     assert_one_line_parse_error,
     data_size_bits,
     dump_config_document,
+    same_devices,
     schedule_order,
 )
 from maoi_edge import optimizer, system_model
@@ -21,6 +22,7 @@ from maoi_edge.system_model import (
     CONFIG_FIELD_TYPES,
     MODALITIES,
     DeviceProfile,
+    DeviceTable,
     ModalityKind,
     ProfileColumns,
     SystemConfig,
@@ -30,6 +32,7 @@ from maoi_edge.system_model import (
     load_config_document,
     local_waiting_time,
     parse_settings,
+    profile_from_mapping,
     sensing_energy,
     sensing_time,
     served_ahead,
@@ -120,7 +123,8 @@ class TestTypes:
 
     def test_infinity_accepted(self):
         SystemConfig(capacity_threshold=math.inf, energy_tol=math.inf)
-        DeviceProfile(id=0, energy_budget=math.inf)
+        with pytest.raises(ValueError, match="energy_budget must be finite, got inf"):
+            DeviceProfile(id=0, energy_budget=math.inf)
 
 
 class TestDataSize:
@@ -154,7 +158,7 @@ class TestDataSize:
         grey = DeviceProfile(id=0, img_channels=1)
         assert data_size_bits(grey)[IMG - 1] == 401_408
         sc = generate_scenario(2, seed=0, overrides={"img_channels": 1})
-        payload = ScenarioEvaluator(list(sc.profiles), sc.config).payload
+        payload = ScenarioEvaluator(sc.devices, sc.config).payload
         assert (payload == 401_408 + 512_000 + 983_040).all()
 
     @given(h=st.integers(8, 512), w=st.integers(8, 512))
@@ -179,13 +183,14 @@ class TestComputeModel:
 
     def test_local_and_edge_times(self, profile, config):
         # the image is served first and sensed at once: its times are its compute
-        ev = ScenarioEvaluator([profile], config)
+        ev = ScenarioEvaluator(as_device_table([profile]), config)
         assert ev.t_local[IMG - 1, 0] == pytest.approx(4.0)
         assert ev.t_edge0[IMG - 1, 0] == pytest.approx(0.4)
 
     def test_edge_speedup_is_exact_frequency_ratio(self, profile, config):
         ratio = config.f_local / config.f_edge
-        t_edge_compute = ScenarioEvaluator([profile], config).t_edge0[:, 0] - sensing_time(profile)
+        ev = ScenarioEvaluator(as_device_table([profile]), config)
+        t_edge_compute = ev.t_edge0[:, 0] - sensing_time(profile)
         assert t_edge_compute == pytest.approx(
             compute_flops(profile, config) / config.f_local * ratio)
 
@@ -259,25 +264,25 @@ class TestTiming:
 
     def test_fixed_policy_times_ignore_the_weights(self, config):
         # the device that by_weight serves audio, signal, image keeps the fixed times
-        profiles = [DeviceProfile(id=0, maoi_weights=(0.5, 2.0, 1.0)), DeviceProfile(id=1)]
-        ev = ScenarioEvaluator(profiles, config)
+        devices = DeviceTable(2, maoi_weights=np.array([(0.5, 2.0, 1.0), (1.0, 1.0, 1.0)]))
+        ev = ScenarioEvaluator(devices, config)
         assert ev.t_local[:, 0] == pytest.approx((4.0, 16.0, 17.648))
         assert np.array_equal(ev.t_local[:, 0], ev.t_local[:, 1])
 
     def test_weight_priority_orders_each_device(self):
         # one evaluator, two serving orders: (AUD, SIG, IMG) and the tie's (IMG, AUD, SIG)
-        profiles = [DeviceProfile(id=0, maoi_weights=(0.5, 2.0, 1.0)), DeviceProfile(id=1)]
-        ev = ScenarioEvaluator(profiles, SystemConfig(schedule_policy="by_weight"))
+        devices = DeviceTable(2, maoi_weights=np.array([(0.5, 2.0, 1.0), (1.0, 1.0, 1.0)]))
+        ev = ScenarioEvaluator(devices, SystemConfig(schedule_policy="by_weight"))
         assert ev.t_local[:, 0] == pytest.approx((14.648, 12.0, 13.648))
         assert ev.t_local[:, 1] == pytest.approx((4.0, 16.0, 17.648))
 
     # system times are built by the evaluator from the per-modality models
     def test_system_time_local_branch(self, profile, config):
-        t_local = ScenarioEvaluator([profile], config).t_local[:, 0]
+        t_local = ScenarioEvaluator(as_device_table([profile]), config).t_local[:, 0]
         assert t_local == pytest.approx((4.0, 16.0, 17.648))
 
     def test_system_time_edge_branch(self, profile, config):
-        ev = ScenarioEvaluator([profile], config)
+        ev = ScenarioEvaluator(as_device_table([profile]), config)
         t_off, _ = ev.edge_branch(np.array([0.0813]))
         assert t_off[AUD - 1, 0] == pytest.approx(2 + 0.0813 + 1.0)
         state = ev.pattern_state(np.array([1]))
@@ -285,9 +290,9 @@ class TestTiming:
         assert state.t_sys[:, 0] == pytest.approx((0.0 + trans + 0.4, 2 + trans + 1.0,
                                                 3 + trans + 0.0648))
 
-    def test_local_branch_ignores_trans_time(self, config, two_profiles):
+    def test_local_branch_ignores_trans_time(self, config, two_devices):
         # device 0 stays local while device 1's flag moves its transmission time
-        ev = ScenarioEvaluator(two_profiles, config)
+        ev = ScenarioEvaluator(two_devices, config)
         alone, jammed = (ev.pattern_state(np.array(x)) for x in ([0, 0], [0, 1]))
         assert ev.trans_times(np.array([0, 0]))[0] != ev.trans_times(np.array([0, 1]))[0]
         assert np.array_equal(alone.t_sys[:, 0], ev.t_local[:, 0])
@@ -353,8 +358,8 @@ class TestProfileColumns:
         return load_config_document(path)
 
     def test_columns_are_the_profile_fields(self, tmp_path):
-        profiles, _ = self.load(tmp_path, {})
-        cols = as_device_table(profiles).columns
+        profiles = [profile_from_mapping(entry) for entry in HETEROGENEOUS_DEVICES]
+        cols = self.load(tmp_path, {})[0].columns
         for name in ProfileColumns._fields:
             column = getattr(cols, name)
             assert np.array_equal(column, [getattr(p, name) for p in profiles]), name
@@ -370,8 +375,10 @@ class TestProfileColumns:
     ])
     def test_arrays_match_the_per_profile_formulas(self, tmp_path, system, objective,
                                                     n_devices):
-        profiles, config = self.load(tmp_path, system, HETEROGENEOUS_DEVICES[-n_devices:])
-        ev = ScenarioEvaluator(profiles, config, objective)
+        entries = HETEROGENEOUS_DEVICES[-n_devices:]
+        devices, config = self.load(tmp_path, system, entries)
+        profiles = [profile_from_mapping(entry) for entry in entries]
+        ev = ScenarioEvaluator(devices, config, objective)
         for name, expected in per_profile_arrays(profiles, config, objective).items():
             actual = getattr(ev, name)
             assert actual.shape == expected.shape, name
@@ -396,7 +403,7 @@ class TestProfileColumns:
         for n_devices in (1, 40):
             sc = generate_scenario(n_devices, seed=0, overrides={"schedule_policy": policy})
             calls.clear()
-            ScenarioEvaluator(list(sc.profiles), sc.config)
+            ScenarioEvaluator(sc.devices, sc.config)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
         assert calls.count("compute_flops") == 1
@@ -404,13 +411,22 @@ class TestProfileColumns:
 
 class TestConfigDocument:
     @pytest.mark.parametrize("policy", ["fixed", "by_weight"])
-    def test_roundtrip(self, tmp_path, two_profiles, policy):
+    def test_roundtrip(self, tmp_path, policy):
+        profiles = [DeviceProfile(id=0), DeviceProfile(id=1)]
         config = SystemConfig(schedule_policy=policy)
         path = tmp_path / "scenario.yaml"
-        dump_config_document(two_profiles, config, path)
-        profiles, cfg = load_config_document(path)
-        assert profiles == two_profiles
+        dump_config_document(profiles, config, path)
+        devices, cfg = load_config_document(path)
+        assert same_devices(devices, as_device_table(profiles))
         assert cfg == config
+
+    def test_devices_keep_document_order(self, tmp_path):
+        entries = [{**entry, "id": i} for entry, i in zip(HETEROGENEOUS_DEVICES, (3, 0, 7))]
+        path = tmp_path / "order.yaml"
+        path.write_text(yaml.safe_dump({"system": {}, "devices": entries}))
+        devices, _ = load_config_document(path)
+        profiles = [profile_from_mapping(entry) for entry in entries]
+        assert same_devices(devices, as_device_table(profiles))
 
     def test_json_document(self, tmp_path):
         doc = {
@@ -419,11 +435,11 @@ class TestConfigDocument:
         }
         path = tmp_path / "scenario.json"
         path.write_text(__import__("json").dumps(doc))
-        profiles, cfg = load_config_document(path)
+        devices, cfg = load_config_document(path)
         assert cfg.bandwidth == 2e6
         assert cfg.event_rates == (0.5, 0.8, 1.0)
-        assert profiles[0].tx_power == 0.2
-        assert profiles[0].maoi_weights == (1.0, 2.0, 3.0)
+        assert devices.columns.tx_power[0] == 0.2
+        assert tuple(devices.columns.maoi_weights[0]) == (1.0, 2.0, 3.0)
 
     @pytest.mark.parametrize("system, key", [
         ({"bandwidht": 1e6}, "bandwidht"),
@@ -489,14 +505,14 @@ class TestConfigDocument:
                         "  event_rates: [8e-1, 1, 1.5]\n"
                         "devices:\n  - id: 0\n    energy_budget: 2e0\n"
                         "    maoi_weights: [1, 2e0, 3]\n")
-        profiles, cfg = load_config_document(path)
+        devices, cfg = load_config_document(path)
         assert cfg.noise_power == 1e-13
         assert cfg.capacity_threshold == 3e7
         assert cfg.max_outer_iters == 40_000
         assert isinstance(cfg.max_outer_iters, int)
         assert cfg.event_rates == (0.8, 1.0, 1.5)
-        assert profiles[0].energy_budget == 2.0
-        assert profiles[0].maoi_weights == (1.0, 2.0, 3.0)
+        assert devices.columns.energy_budget[0] == 2.0
+        assert tuple(devices.columns.maoi_weights[0]) == (1.0, 2.0, 3.0)
 
     def test_non_numeric_value_names_the_field(self):
         with pytest.raises(ValueError, match="capacity_threshold"):
@@ -523,7 +539,8 @@ class TestConfigDocument:
         profile, config = DeviceProfile(id=0), SystemConfig()
         path = tmp_path / "defaults.yaml"
         dump_config_document([profile], config, path)
-        assert load_config_document(path) == ([profile], config)
+        devices, cfg = load_config_document(path)
+        assert same_devices(devices, as_device_table([profile])) and cfg == config
         doc = yaml.safe_load(path.read_text())
         dumped = (doc["system"] if section == "system" else doc["devices"][0])[name]
         overrides = _parse_overrides([f"{name}={yaml.safe_dump(dumped)}"], None)
